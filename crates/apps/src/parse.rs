@@ -37,7 +37,7 @@
 //! assert_eq!(err.line(), 2);
 //! ```
 
-use noc_model::{Cdcg, ModelError, PacketId};
+use noc_model::{Cdcg, CoreId, ModelError, PacketId};
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
@@ -119,7 +119,8 @@ fn keyed_u64(token: &str, key: &str, line: usize) -> Result<u64, ParseError> {
 /// Never panics.
 pub fn parse_cdcg(text: &str) -> Result<Cdcg, ParseError> {
     let mut cdcg = Cdcg::new();
-    let mut packets: HashMap<String, PacketId> = HashMap::new();
+    let mut cores: HashMap<&str, CoreId> = HashMap::new();
+    let mut packets: HashMap<&str, PacketId> = HashMap::new();
 
     for (i, raw) in text.lines().enumerate() {
         let line = i + 1;
@@ -135,10 +136,10 @@ pub fn parse_cdcg(text: &str) -> Result<Cdcg, ParseError> {
                 let [name] = rest.as_slice() else {
                     return Err(syntax(line, "expected `core NAME`"));
                 };
-                if cdcg.core_by_name(name).is_some() {
+                if cores.contains_key(name) {
                     return Err(syntax(line, format!("core `{name}` declared twice")));
                 }
-                cdcg.add_core(*name);
+                cores.insert(name, cdcg.add_core(*name));
             }
             "packet" => {
                 let [name, src, dst, comp, bits] = rest.as_slice() else {
@@ -147,18 +148,19 @@ pub fn parse_cdcg(text: &str) -> Result<Cdcg, ParseError> {
                 if packets.contains_key(*name) {
                     return Err(syntax(line, format!("packet `{name}` declared twice")));
                 }
-                let src = cdcg
-                    .core_by_name(src)
-                    .ok_or_else(|| syntax(line, format!("unknown core `{src}`")))?;
-                let dst = cdcg
-                    .core_by_name(dst)
-                    .ok_or_else(|| syntax(line, format!("unknown core `{dst}`")))?;
+                let core = |name: &str| {
+                    cores
+                        .get(name)
+                        .copied()
+                        .ok_or_else(|| syntax(line, format!("unknown core `{name}`")))
+                };
+                let (src, dst) = (core(src)?, core(dst)?);
                 let comp = keyed_u64(comp, "comp", line)?;
                 let bits = keyed_u64(bits, "bits", line)?;
                 let id = cdcg
                     .add_packet(src, dst, comp, bits)
                     .map_err(|source| ParseError::Model { line, source })?;
-                packets.insert((*name).to_owned(), id);
+                packets.insert(name, id);
             }
             "dep" => {
                 let [from, to] = rest.as_slice() else {

@@ -762,6 +762,9 @@ mod tests {
     fn malformed_lines_never_panic() {
         let service = service();
         let handle = service.handle();
+        // 100,000 levels of nesting would overflow the connection
+        // thread's stack without the parser's depth limit.
+        let deep = "[".repeat(100_000) + &"]".repeat(100_000);
         for bad in [
             "not json",
             "{}",
@@ -770,6 +773,8 @@ mod tests {
             "{\"op\": \"status\"}",
             "{\"op\": \"status\", \"job\": 99}",
             "{\"op\": \"submit\", \"job\": {\"kind\": \"solve\"}}",
+            &deep,
+            &format!("{{\"op\": \"submit\", \"job\": {deep}}}"),
         ] {
             let reply = handle_line(&handle, bad);
             assert!(

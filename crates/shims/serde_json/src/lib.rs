@@ -152,16 +152,25 @@ fn write_value(
 // Parsing
 // ---------------------------------------------------------------------------
 
+/// Deepest nesting of arrays and objects [`parse`] accepts (the value
+/// real serde_json uses). The parser recurses once per level, so
+/// without a bound one short line of `[` overflows the thread's stack.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 /// Parses JSON text into a [`Value`].
 pub fn parse(s: &str) -> Result<Value, Error> {
     let mut p = Parser {
+        text: s,
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -214,68 +223,73 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
             _ => Err(Error::new(format!("unexpected input at byte {}", self.pos))),
         }
+    }
+
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error::new(format!(
+                "recursion limit exceeded at byte {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn string(&mut self) -> Result<String, Error> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next `"` or `\`. Both stop bytes are
+            // ASCII, so the run ends on a char boundary of the input.
+            let rest = &self.text[self.pos..];
+            let run = rest
+                .bytes()
+                .position(|b| b == b'"' || b == b'\\')
+                .unwrap_or(rest.len());
+            out.push_str(&rest[..run]);
+            self.pos += run;
             let b = self
                 .peek()
                 .ok_or_else(|| Error::new("unterminated string"))?;
             self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let esc = self
-                        .peek()
-                        .ok_or_else(|| Error::new("unterminated escape"))?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or_else(|| Error::new("truncated \\u escape"))?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(Error::new)?,
-                                16,
-                            )
+            if b == b'"' {
+                return Ok(out);
+            }
+            let esc = self
+                .peek()
+                .ok_or_else(|| Error::new("unterminated escape"))?;
+            self.pos += 1;
+            match esc {
+                b'"' => out.push('"'),
+                b'\\' => out.push('\\'),
+                b'/' => out.push('/'),
+                b'n' => out.push('\n'),
+                b'r' => out.push('\r'),
+                b't' => out.push('\t'),
+                b'b' => out.push('\u{8}'),
+                b'f' => out.push('\u{c}'),
+                b'u' => {
+                    let hex = self
+                        .bytes
+                        .get(self.pos..self.pos + 4)
+                        .ok_or_else(|| Error::new("truncated \\u escape"))?;
+                    let code =
+                        u32::from_str_radix(std::str::from_utf8(hex).map_err(Error::new)?, 16)
                             .map_err(Error::new)?;
-                            self.pos += 4;
-                            // Surrogate pairs are not produced by our
-                            // printer; accept lone BMP escapes only.
-                            out.push(
-                                char::from_u32(code)
-                                    .ok_or_else(|| Error::new("invalid \\u escape"))?,
-                            );
-                        }
-                        other => {
-                            return Err(Error::new(format!("invalid escape `\\{}`", other as char)))
-                        }
-                    }
+                    self.pos += 4;
+                    // Surrogate pairs are not produced by our
+                    // printer; accept lone BMP escapes only.
+                    out.push(char::from_u32(code).ok_or_else(|| Error::new("invalid \\u escape"))?);
                 }
-                _ => {
-                    // Re-decode UTF-8: step back and take the full char.
-                    self.pos -= 1;
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..]).map_err(Error::new)?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                other => return Err(Error::new(format!("invalid escape `\\{}`", other as char))),
             }
         }
     }
@@ -422,5 +436,58 @@ mod tests {
     fn parses_whitespace_and_escapes() {
         let v: Vec<String> = from_str(" [ \"a\\n\" , \"\\u0041\" ] ").unwrap();
         assert_eq!(v, vec!["a\n".to_string(), "A".to_string()]);
+        // 2-, 3- and 4-byte UTF-8 right next to escapes, at the start and
+        // at the end of a string.
+        for (json, want) in [
+            ("\"é\\n→\"", "é\n→"),
+            ("\"𝄞\\\"\"", "𝄞\""),
+            ("\"\\t𝄞é\"", "\t𝄞é"),
+            ("\"→\\\\\\u0041é\"", "→\\Aé"),
+            ("\"\\u00e9→𝄞\"", "é→𝄞"),
+            ("\"é\"", "é"),
+            ("\"\"", ""),
+        ] {
+            let s: String = from_str(json).unwrap();
+            assert_eq!(s, want, "{json}");
+            let back: String = from_str(&to_string(&s).unwrap()).unwrap();
+            assert_eq!(back, want, "{json}");
+        }
+        for (bad, kind) in [
+            ("\"é", "unterminated string"),
+            ("\"ab→\\", "unterminated escape"),
+            ("\"𝄞\\u00", "truncated \\u escape"),
+            ("\"é\\qé\"", "invalid escape `\\q`"),
+        ] {
+            let err = parse(bad).unwrap_err().to_string();
+            assert!(err.contains(kind), "{bad} -> {err}");
+        }
+    }
+
+    #[test]
+    fn decodes_a_multi_megabyte_string_in_linear_time() {
+        // Rescanning the rest of the input for every byte would take hours
+        // on ~4.5 MB; the run-at-a-time scan takes milliseconds.
+        let text = "plain ascii é→𝄞 \"quoted\"\n".repeat(150_000);
+        let json = to_string(&text).unwrap();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            let _ = tx.send(from_str::<String>(&json).map(|s| s == text));
+        });
+        let decoded = rx
+            .recv_timeout(std::time::Duration::from_secs(5))
+            .expect("decode did not finish within the 5 s watchdog");
+        assert!(decoded.unwrap(), "decoded string differs");
+        worker.join().unwrap();
+    }
+
+    #[test]
+    fn nesting_deeper_than_the_limit_is_an_error() {
+        let nest = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        assert!(parse(&nest(MAX_DEPTH)).is_ok());
+        let err = parse(&nest(MAX_DEPTH + 1)).unwrap_err().to_string();
+        assert!(err.contains("recursion limit exceeded"), "{err}");
+        // Far past the limit: an error, not a stack overflow.
+        let deep = format!("{{\"a\": {}}}", nest(100_000));
+        assert!(parse(&deep).is_err());
     }
 }
