@@ -61,7 +61,6 @@ pub const PANIC_HOT_FILES: &[&str] = &[
     "crates/model/src/route_cache.rs",
     "crates/model/src/walk_memo.rs",
     "crates/sim/src/cost.rs",
-    "crates/sim/src/delta.rs",
     "crates/sim/src/queue.rs",
     "crates/sim/src/batch.rs",
 ];

@@ -48,46 +48,8 @@ struct SaResult {
 }
 
 #[derive(Serialize)]
-struct DeltaEvalResult {
-    mesh: String,
-    cores: usize,
-    packets: usize,
-    depth: usize,
-    moves: u64,
-    /// Percentage of proposals applied (see `swap_walk`).
-    accept_pct: u64,
-    /// Full re-evaluation of every proposed swap (the pre-delta path).
-    full_ns_per_move: f64,
-    /// Incremental `swap_delta` with candidate promotion on accepts.
-    delta_ns_per_move: f64,
-    speedup: f64,
-    /// Fraction of event work skipped by prefix reuse / tail convergence.
-    event_skip_fraction: f64,
-    /// Fraction of moves answered in O(1) because no route changed.
-    route_unchanged_fraction: f64,
-    bit_exact: bool,
-}
-
-#[derive(Serialize)]
-struct DeltaSaResult {
-    mesh: String,
-    cores: usize,
-    packets: usize,
-    evaluations: u64,
-    /// `anneal` with full per-move re-evaluation.
-    full_sa_ms: f64,
-    /// `anneal_delta` on the incremental engine (identical trajectory).
-    delta_sa_ms: f64,
-    speedup: f64,
-    /// Both runs must land on the same best mapping and cost.
-    identical_outcome: bool,
-}
-
-#[derive(Serialize)]
 struct Record {
     cost_eval: Vec<CostEvalResult>,
-    cdcm_delta: Vec<DeltaEvalResult>,
-    cdcm_delta_sa: Vec<DeltaSaResult>,
     sa_search: SaResult,
 }
 
@@ -158,165 +120,6 @@ fn bench_cost_eval(mesh: Mesh, cores: usize, packets: usize, evals: u64) -> Cost
     }
 }
 
-/// Deterministic swap walk shared by both measured paths; `accept_pct`
-/// controls how many proposals are applied (accepted moves truncate the
-/// incremental engine's checkpoint tape, so the two extremes bound its
-/// behavior: 0 % is the reject-dominated late phase of annealing, 50 %
-/// the churn-heavy early phase).
-fn swap_walk(seed: u64, tiles: usize, moves: u64, accept_pct: u64) -> Vec<(usize, usize, bool)> {
-    let mut state = seed;
-    let mut next = move || {
-        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    };
-    (0..moves)
-        .map(|_| {
-            let a = (next() % tiles as u64) as usize;
-            let b = (next() % tiles as u64) as usize;
-            (a, b, next() % 100 < accept_pct)
-        })
-        .collect()
-}
-
-/// Per-move cost of SA swap evaluation: full re-evaluation vs the
-/// incremental dirty-set path, on identical accept/reject walks.
-fn bench_cdcm_delta(
-    mesh: Mesh,
-    cores: usize,
-    packets: usize,
-    depth: usize,
-    moves: u64,
-    accept_pct: u64,
-) -> DeltaEvalResult {
-    use noc_mapping::SwapDeltaCost;
-    use noc_model::TileId;
-
-    let tech = Technology::t007();
-    let params = SimParams::new();
-    let cdcg = noc_apps::generate(&noc_apps::TgffConfig {
-        depth: Some(depth),
-        ..TgffConfig::new(cores, packets, 64 * packets as u64, cores as u64)
-    });
-    let walk = swap_walk(11, mesh.tile_count(), moves, accept_pct);
-    let start = Mapping::identity(&mesh, cores).expect("cores fit mesh");
-
-    // Exactness check (untimed): every sampled move's delta must be the
-    // bitwise difference of the two full evaluations.
-    let verify_obj = CdcmObjective::new(&cdcg, &mesh, &tech, params);
-    let mut bit_exact = true;
-    {
-        let mut current = start.clone();
-        for (i, &(a, b, accept)) in walk.iter().enumerate() {
-            let (a, b) = (TileId::new(a), TileId::new(b));
-            if i % 8 == 0 {
-                let delta = verify_obj.swap_delta(&current, a, b);
-                let base = verify_obj.cost(&current);
-                current.swap_tiles(a, b);
-                let cand = verify_obj.cost(&current);
-                bit_exact &= delta == cand - base;
-                current.swap_tiles(a, b);
-            }
-            if accept {
-                current.swap_tiles(a, b);
-            }
-        }
-    }
-
-    // Full path: evaluate the swapped mapping from scratch every move.
-    let full_obj = CdcmObjective::new(&cdcg, &mesh, &tech, params);
-    let mut current = start.clone();
-    let mut acc = 0.0f64;
-    let t0 = Instant::now();
-    for &(a, b, accept) in &walk {
-        let (a, b) = (TileId::new(a), TileId::new(b));
-        current.swap_tiles(a, b);
-        acc += full_obj.cost(&current);
-        if !accept {
-            current.swap_tiles(a, b);
-        }
-    }
-    let full_ns = t0.elapsed().as_nanos() as f64 / moves as f64;
-
-    // Delta path: incremental swap evaluation with promotion on accepts.
-    let delta_obj = CdcmObjective::new(&cdcg, &mesh, &tech, params);
-    let mut current = start.clone();
-    acc += delta_obj.cost(&current);
-    let t1 = Instant::now();
-    for &(a, b, accept) in &walk {
-        let (a, b) = (TileId::new(a), TileId::new(b));
-        acc += delta_obj.swap_delta(&current, a, b);
-        if accept {
-            current.swap_tiles(a, b);
-        }
-    }
-    let delta_ns = t1.elapsed().as_nanos() as f64 / moves as f64;
-    std::hint::black_box(acc);
-    let stats = delta_obj.delta_stats();
-
-    DeltaEvalResult {
-        mesh: mesh.to_string(),
-        cores,
-        packets,
-        depth,
-        moves,
-        accept_pct,
-        full_ns_per_move: full_ns,
-        delta_ns_per_move: delta_ns,
-        speedup: full_ns / delta_ns,
-        event_skip_fraction: stats.skip_fraction(),
-        route_unchanged_fraction: (stats.route_unchanged_moves as f64) / moves as f64,
-        bit_exact,
-    }
-}
-
-/// End-to-end SA: full-evaluation annealing vs delta-driven annealing on
-/// the same seed. `CdcmObjective::swap_delta` computes exact cost
-/// differences, so the two runs follow identical trajectories and the
-/// wall-clock ratio is a like-for-like measurement of the incremental
-/// engine under the real acceptance profile.
-fn bench_cdcm_delta_sa(
-    mesh: Mesh,
-    cores: usize,
-    packets: usize,
-    depth: usize,
-    evaluations: u64,
-) -> DeltaSaResult {
-    use noc_mapping::{anneal, anneal_delta};
-
-    let tech = Technology::t007();
-    let params = SimParams::new();
-    let cdcg = noc_apps::generate(&noc_apps::TgffConfig {
-        depth: Some(depth),
-        ..TgffConfig::new(cores, packets, 64 * packets as u64, cores as u64)
-    });
-    let mut config = SaConfig::quick(9);
-    config.max_evaluations = evaluations;
-
-    let full_obj = CdcmObjective::new(&cdcg, &mesh, &tech, params);
-    let t0 = Instant::now();
-    let full = anneal(&full_obj, &mesh, cores, &config);
-    let full_ms = t0.elapsed().as_secs_f64() * 1e3;
-
-    let delta_obj = CdcmObjective::new(&cdcg, &mesh, &tech, params);
-    let t1 = Instant::now();
-    let delta = anneal_delta(&delta_obj, &mesh, cores, &config);
-    let delta_ms = t1.elapsed().as_secs_f64() * 1e3;
-
-    DeltaSaResult {
-        mesh: mesh.to_string(),
-        cores,
-        packets,
-        evaluations,
-        full_sa_ms: full_ms,
-        delta_sa_ms: delta_ms,
-        speedup: full_ms / delta_ms,
-        identical_outcome: full.mapping == delta.mapping && full.cost == delta.cost,
-    }
-}
-
 fn bench_sa() -> SaResult {
     let mesh = Mesh::new(8, 8).expect("valid mesh");
     let tech = Technology::t007();
@@ -378,66 +181,6 @@ fn main() {
         cost_eval.push(r);
     }
 
-    let mut cdcm_delta = Vec::new();
-    for (cores, packets, depth, moves, accept_pct) in [
-        // Dense traffic: every core sends across the whole timeline, so
-        // the exact perturbation window spans most of the schedule.
-        (48usize, 512usize, 10usize, 300u64, 50u64),
-        // Table 1–shaped: packets ≈ 2.5× cores, deep chains — the regime
-        // mapping search actually runs in. Measured at both acceptance
-        // extremes: accepted moves truncate the checkpoint tape.
-        (48, 120, 12, 600, 50),
-        (48, 120, 12, 600, 0),
-        // Sparse occupancy: plenty of empty tiles, so many moves change
-        // no route at all.
-        (20, 60, 10, 600, 50),
-        (20, 60, 10, 600, 0),
-    ] {
-        let mesh = Mesh::new(8, 8).expect("valid mesh");
-        let r = bench_cdcm_delta(mesh, cores, packets, depth, moves, accept_pct);
-        println!(
-            "cdcm_delta {} cores={} packets={} accept={}%: full {:.0} ns/move, delta {:.0} \
-             ns/move, speedup {:.2}x, event skip {:.1}%, route-unchanged {:.1}%, bit_exact={}",
-            r.mesh,
-            r.cores,
-            r.packets,
-            r.accept_pct,
-            r.full_ns_per_move,
-            r.delta_ns_per_move,
-            r.speedup,
-            r.event_skip_fraction * 100.0,
-            r.route_unchanged_fraction * 100.0,
-            r.bit_exact
-        );
-        assert!(r.bit_exact, "incremental swap deltas must be exact");
-        cdcm_delta.push(r);
-    }
-
-    let mut cdcm_delta_sa = Vec::new();
-    for (cores, packets, depth, evals) in
-        // Budgets the quick profile never exhausts: the two variants
-        // bill evaluations differently (delta adds a per-epoch resync),
-        // so trajectory identity is only guaranteed when both terminate
-        // on the stall condition rather than a mid-epoch budget cut.
-        [
-            (48usize, 120usize, 12usize, 10_000_000u64),
-            (20, 60, 10, 10_000_000),
-        ]
-    {
-        let mesh = Mesh::new(8, 8).expect("valid mesh");
-        let r = bench_cdcm_delta_sa(mesh, cores, packets, depth, evals);
-        println!(
-            "cdcm_delta_sa {} cores={} packets={}: full-SA {:.0} ms vs delta-SA {:.0} ms \
-             ({:.2}x), identical_outcome={}",
-            r.mesh, r.cores, r.packets, r.full_sa_ms, r.delta_sa_ms, r.speedup, r.identical_outcome
-        );
-        assert!(
-            r.identical_outcome,
-            "delta-SA must reproduce the full-SA trajectory"
-        );
-        cdcm_delta_sa.push(r);
-    }
-
     let sa = bench_sa();
     println!(
         "sa_search {}: single {:.0} ms vs multistart[{}] {:.0} ms ({:.2}x wall-clock, {} cpus) at {} evaluations",
@@ -447,8 +190,6 @@ fn main() {
 
     let record = Record {
         cost_eval,
-        cdcm_delta,
-        cdcm_delta_sa,
         sa_search: sa,
     };
     let path = noc_bench::write_record("BENCH_eval", &record);

@@ -85,7 +85,6 @@ fn service_gates() -> (u64, u64, usize) {
         "noc_job_sojourn_us_count{class=\"normal\"} 24",
         "noc_registry_misses_total 1",
         "noc_schedule_runs_total",
-        "noc_delta_incremental_moves_total",
     ] {
         assert!(
             text.contains(needle),

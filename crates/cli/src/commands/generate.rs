@@ -18,7 +18,7 @@ pub fn cmd_generate(options: &Options) -> Result<String, CliError> {
         let packets: usize = options.get_parsed("--packets", 20)?;
         let bits: u64 = options.get_parsed("--bits", 10_000)?;
         let seed: u64 = options.get_parsed("--seed", 0)?;
-        noc_apps::generate(&noc_apps::TgffConfig::new(cores, packets, bits, seed))
+        noc_apps::try_generate(&noc_apps::TgffConfig::new(cores, packets, bits, seed))?
     };
     let json = serde_json::to_string_pretty(&app)?;
     emit(options, &json)

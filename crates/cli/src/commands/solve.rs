@@ -10,7 +10,7 @@ use noc_service::JobRequest;
 /// `map` (alias `solve`): search the best mapping for an application.
 /// Builds a solve request, runs it through the service layer and
 /// renders the result. `--trace FILE` appends every trace event of the
-/// run (search rounds, SA epochs, delta-evaluator stats) to `FILE` as
+/// run (search rounds, SA epochs, batch-engine stats) to `FILE` as
 /// JSON lines without changing the trajectory.
 ///
 /// # Errors

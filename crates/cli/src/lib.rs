@@ -131,7 +131,7 @@ service jobs; `serve` keeps a service alive behind a Unix socket and
 `submit` is its line-protocol client. Job results are bit-identical
 for a given seed regardless of `--workers`.
 `map --trace FILE` (also on `serve`) appends every trace event —
-search rounds, SA epochs, best-so-far improvements, delta-evaluator
+search rounds, SA epochs, best-so-far improvements, batch-engine
 stats — to FILE as JSON lines; tracing never changes the trajectory.
 `metrics` prints a served instance's Prometheus exposition (`--json`
 for the structured snapshot); `watch` streams its live service events
@@ -300,6 +300,27 @@ mod tests {
         assert_eq!(app.core_count(), 5);
         assert_eq!(app.packet_count(), 12);
         assert_eq!(app.total_volume(), 600);
+    }
+
+    #[test]
+    fn generate_rejects_infeasible_flags_without_panicking() {
+        for (flags, reason) in [
+            (&["--cores", "1"][..], "need at least two"),
+            (&["--cores", "4", "--packets", "0"][..], "zero packets"),
+            (
+                &["--cores", "4", "--packets", "10", "--bits", "3"][..],
+                "cannot cover 10 non-empty packets",
+            ),
+        ] {
+            let args: Vec<&str> = std::iter::once("generate")
+                .chain(flags.iter().copied())
+                .collect();
+            let err = run(&strs(&args)).unwrap_err().to_string();
+            assert!(
+                err.starts_with("infeasible TGFF config") && err.contains(reason),
+                "{flags:?}: {err}"
+            );
+        }
     }
 
     #[test]

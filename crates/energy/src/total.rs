@@ -17,7 +17,9 @@ use noc_model::{
     Cdcg, Cwg, Mapping, Mesh, RouteCache, RouteProvider, RouteSource, RoutingAlgorithm,
     RoutingKind, XyRouting,
 };
-use noc_sim::{schedule_with, BatchEvaluator, IncrementalScheduler, Schedule, SimError, SimParams};
+use noc_sim::{
+    schedule_with, BatchEvaluator, CostEvaluator, DeltaStats, Schedule, SimError, SimParams,
+};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
@@ -160,30 +162,32 @@ pub struct CdcmCost {
 /// Allocation-free CDCM cost engine: the fast-path twin of
 /// [`evaluate_cdcm`].
 ///
-/// Wraps `noc-sim`'s [`IncrementalScheduler`] (cost-only contention-aware
+/// Wraps `noc-sim`'s [`CostEvaluator`] (cost-only contention-aware
 /// schedule over a shared [`RouteProvider`] — dense, on-demand or
-/// implicit, so arbitrarily large meshes work — with checkpointed
-/// incremental swap evaluation) and adds the Equation 10 energy terms,
-/// computed from cached hop counts instead of re-derived routes. For
-/// every input,
-/// [`CdcmCostEvaluator::evaluate`] returns exactly the `objective_pj()`,
-/// `texec_cycles` and `texec_ns` of [`evaluate_cdcm`] — bit-exact, it
-/// only skips building the artifacts. [`CdcmCostEvaluator::evaluate_swap`]
-/// returns the same values for a tile swap of the mapping, evaluated
-/// incrementally (see [`noc_sim::delta`]).
+/// implicit, so arbitrarily large meshes work) and adds the Equation 10
+/// energy terms, computed from cached hop counts instead of re-derived
+/// routes. For every input, [`CdcmCostEvaluator::evaluate`] returns
+/// exactly the `objective_pj()`, `texec_cycles` and `texec_ns` of
+/// [`evaluate_cdcm`] — bit-exact, it only skips building the artifacts.
+/// [`CdcmCostEvaluator::evaluate_swap`] returns the same values for a
+/// tile swap of the mapping.
 ///
 /// Cloning shares the route cache but gives the clone private scratch
 /// state, so clones evaluate concurrently on different threads.
 #[derive(Debug, Clone)]
 pub struct CdcmCostEvaluator<'a> {
-    engine: IncrementalScheduler<'a>,
+    engine: CostEvaluator<'a>,
     tech: &'a Technology,
-    /// Scratch mapping used to compute swapped-route energies without a
-    /// per-move allocation.
-    swapped: Option<Mapping>,
-    /// Most recent full evaluation, so delta queries against an
-    /// unchanged baseline skip the `O(packets)` energy recomputation.
+    /// Per core: whether it sends or receives any packet. Moving only
+    /// silent cores changes no route and no schedule.
+    talks: Vec<bool>,
+    /// Most recent [`Self::evaluate`] answer, so repeated queries for an
+    /// unchanged mapping skip the schedule and the energy fold.
     last: Option<(Mapping, CdcmCost)>,
+    /// Most recent [`Self::evaluate_swap`] answer and its swapped
+    /// mapping: when the caller accepts the move, the next
+    /// [`Self::evaluate`] of that mapping is a cache hit, not a rerun.
+    pending: Option<(Mapping, CdcmCost)>,
     /// Lazily built batch engine ([`Self::evaluate_batch`]); shares the
     /// route provider with `engine` but owns its own scratch and memo.
     batch: Option<BatchEvaluator<'a>>,
@@ -192,6 +196,7 @@ pub struct CdcmCostEvaluator<'a> {
     /// Walk-memo policy ([`Self::set_walk_memo`]); applied to the batch
     /// engine when it is lazily built.
     walk_memo: bool,
+    stats: DeltaStats,
 }
 
 impl<'a> CdcmCostEvaluator<'a> {
@@ -232,20 +237,28 @@ impl<'a> CdcmCostEvaluator<'a> {
         params: &SimParams,
         routes: Arc<RouteProvider>,
     ) -> Self {
+        let mut talks = vec![false; cdcg.core_count()];
+        for id in cdcg.packet_ids() {
+            let p = cdcg.packet(id);
+            talks[p.src.index()] = true;
+            talks[p.dst.index()] = true;
+        }
         Self {
-            engine: IncrementalScheduler::with_provider(cdcg, params, routes),
+            engine: CostEvaluator::with_provider(cdcg, params, routes),
             tech,
-            swapped: None,
+            talks,
             last: None,
+            pending: None,
             batch: None,
             batch_texecs: Vec::new(),
             walk_memo: true,
+            stats: DeltaStats::default(),
         }
     }
 
     /// Enables or disables walk memoization in both inner engines (the
-    /// incremental scheduler and the batch evaluator). A no-op under a
-    /// dense provider; costs are bit-identical either way — this is a
+    /// cost evaluator and the batch evaluator). A no-op under a dense
+    /// provider; costs are bit-identical either way — this is a
     /// performance knob and the lever the memo-equivalence property
     /// tests flip.
     pub fn set_walk_memo(&mut self, enabled: bool) {
@@ -261,12 +274,12 @@ impl<'a> CdcmCostEvaluator<'a> {
         self.engine.provider()
     }
 
-    /// Counters of the underlying incremental scheduler.
-    pub fn delta_stats(&self) -> noc_sim::DeltaStats {
-        self.engine.stats()
+    /// How the swap queries so far were answered.
+    pub fn delta_stats(&self) -> DeltaStats {
+        self.stats
     }
 
-    fn cost_at(&mut self, texec_cycles: u64, mapping: &Mapping) -> CdcmCost {
+    fn cost_at(&self, texec_cycles: u64, mapping: &Mapping) -> CdcmCost {
         let texec_ns = self.engine.params().cycles_to_ns(texec_cycles);
         let routes = self.engine.provider().as_ref();
         let dynamic = cdcg_dynamic_energy_cached(self.engine.cdcg(), routes, mapping, self.tech);
@@ -292,15 +305,16 @@ impl<'a> CdcmCostEvaluator<'a> {
                 return Ok(*cost);
             }
         }
-        let texec_cycles = self.engine.texec_for(mapping)?;
-        let cost = self.cost_at(texec_cycles, mapping);
-        match &mut self.last {
-            Some((m, c)) => {
-                m.clone_from(mapping);
-                *c = cost;
+        if let Some((m, cost)) = &self.pending {
+            if m == mapping {
+                let cost = *cost;
+                std::mem::swap(&mut self.last, &mut self.pending);
+                return Ok(cost);
             }
-            slot @ None => *slot = Some((mapping.clone(), cost)),
         }
+        let texec_cycles = self.engine.texec_cycles(mapping)?;
+        let cost = self.cost_at(texec_cycles, mapping);
+        self.last = Some((copy_of(mapping, self.last.take()), cost));
         Ok(cost)
     }
 
@@ -310,9 +324,8 @@ impl<'a> CdcmCostEvaluator<'a> {
     /// bit-identical to what [`Self::evaluate`] returns for that mapping
     /// (identical event loop, identical floating-point energy terms);
     /// the batch shares one workload pass and deduplicates route
-    /// resolution across sibling candidates. The incremental baseline
-    /// and its cache are untouched, so interleaving batch and swap
-    /// queries is safe.
+    /// resolution across sibling candidates. The single-mapping caches
+    /// are untouched, so interleaving batch and swap queries is safe.
     ///
     /// # Errors
     ///
@@ -356,15 +369,20 @@ impl<'a> CdcmCostEvaluator<'a> {
             .map(|b| (b.stats(), b.walk_memo_stats()))
     }
 
-    /// Evaluates `mapping` with tiles `a` and `b` swapped, incrementally:
-    /// the schedule suffix is re-run only from the first route-changed
-    /// injection. Returns exactly what [`Self::evaluate`] would on the
-    /// swapped mapping (identical floating-point operations, so deltas
-    /// computed from the two are exact).
+    /// Evaluates `mapping` with tiles `a` and `b` swapped. Returns
+    /// exactly what [`Self::evaluate`] would on the swapped mapping
+    /// (identical floating-point operations, so deltas computed from the
+    /// two are exact).
+    ///
+    /// A swap that moves no core which sends or receives packets leaves
+    /// every route, hop count and schedule event unchanged, so it is
+    /// answered from the cost of `mapping` itself (`O(1)` once `mapping`
+    /// is cached). Every other swap runs one full cost-only evaluation
+    /// of the swapped mapping.
     ///
     /// # Errors
     ///
-    /// Same as [`Self::evaluate`] for the baseline mapping.
+    /// Same as [`Self::evaluate`].
     ///
     /// # Panics
     ///
@@ -375,33 +393,48 @@ impl<'a> CdcmCostEvaluator<'a> {
         a: noc_model::TileId,
         b: noc_model::TileId,
     ) -> Result<CdcmCost, SimError> {
-        // Route-unchanged swaps leave every hop count — and therefore
-        // every energy term — bitwise identical to the baseline's, so a
-        // cached evaluation answers in O(1) (the engine call below is
-        // itself O(1) for this case and keeps the promotion bookkeeping).
-        if !self.engine.swap_changes_routes(mapping, a, b) {
-            if let Some((m, cost)) = &self.last {
-                if m == mapping {
-                    let cost = *cost;
-                    let texec_cycles = self.engine.swap_texec(mapping, a, b)?;
-                    debug_assert_eq!(texec_cycles, cost.texec_cycles);
-                    return Ok(cost);
-                }
-            }
+        if a == b {
+            return self.evaluate(mapping);
         }
-        let texec_cycles = self.engine.swap_texec(mapping, a, b)?;
-        let swapped = match &mut self.swapped {
-            Some(m) => {
-                m.clone_from(mapping);
-                m
-            }
-            slot @ None => slot.insert(mapping.clone()),
+        // `get`: a core the application does not know means the mapping
+        // does not fit it, which either path reports as an error.
+        let talks = [a, b]
+            .into_iter()
+            .filter_map(|tile| mapping.core_on(tile))
+            .any(|core| self.talks.get(core.index()) == Some(&true));
+        // Moving only silent cores (or none) leaves every route, hop
+        // count and schedule event as they are in `mapping`.
+        let unchanged = if talks {
+            None
+        } else {
+            Some(self.evaluate(mapping)?)
         };
+        let mut swapped = copy_of(mapping, self.pending.take());
         swapped.swap_tiles(a, b);
-        let swapped = self.swapped.take().expect("just set");
-        let cost = self.cost_at(texec_cycles, &swapped);
-        self.swapped = Some(swapped);
+        let cost = match unchanged {
+            Some(cost) => {
+                self.stats.route_unchanged_moves += 1;
+                cost
+            }
+            None => {
+                let texec_cycles = self.engine.texec_cycles(&swapped)?;
+                self.stats.full_path_moves += 1;
+                self.cost_at(texec_cycles, &swapped)
+            }
+        };
+        self.pending = Some((swapped, cost));
         Ok(cost)
+    }
+}
+
+/// A copy of `mapping` that reuses the allocation of a cache slot.
+fn copy_of(mapping: &Mapping, slot: Option<(Mapping, CdcmCost)>) -> Mapping {
+    match slot {
+        Some((mut m, _)) => {
+            m.clone_from(mapping);
+            m
+        }
+        None => mapping.clone(),
     }
 }
 
@@ -544,7 +577,157 @@ mod tests {
                 assert_eq!(got.dynamic_pj, full.breakdown.dynamic.picojoules());
             }
         }
-        assert!(fast.delta_stats().incremental_moves > 0);
+        // Every core of the paper example talks: the 12 swaps of two
+        // distinct tiles each run one full evaluation.
+        let stats = fast.delta_stats();
+        assert_eq!(stats.full_path_moves, 12);
+        assert_eq!(stats.route_unchanged_moves, 0);
+    }
+
+    /// A fresh evaluator's answer for `mapping`: the reference every
+    /// swap answer must equal bit for bit.
+    fn fresh_cost(cdcg: &Cdcg, mesh: &Mesh, mapping: &Mapping) -> CdcmCost {
+        let tech = Technology::paper_example();
+        CdcmCostEvaluator::new(cdcg, mesh, &tech, &SimParams::paper_example())
+            .evaluate(mapping)
+            .unwrap()
+    }
+
+    #[test]
+    fn swap_matches_full_on_every_pair_of_the_paper_example() {
+        let cdcg = figure1_cdcg();
+        let tech = Technology::paper_example();
+        let params = SimParams::paper_example();
+        // The paper's 2x2 mesh, and a 3x3 one whose five empty tiles
+        // exercise the route-unchanged shortcut.
+        for (mesh, tiles) in [
+            (Mesh::new(2, 2).unwrap(), [1, 0, 3, 2]),
+            (Mesh::new(3, 3).unwrap(), [4, 0, 8, 2]),
+        ] {
+            let mut fast = CdcmCostEvaluator::new(&cdcg, &mesh, &tech, &params);
+            let base = Mapping::from_tiles(&mesh, tiles.map(TileId::new)).unwrap();
+            for a in mesh.tiles() {
+                for b in mesh.tiles() {
+                    fast.evaluate(&base).unwrap();
+                    let got = fast.evaluate_swap(&base, a, b).unwrap();
+                    let mut swapped = base.clone();
+                    swapped.swap_tiles(a, b);
+                    assert_eq!(got, fresh_cost(&cdcg, &mesh, &swapped), "swap {a}-{b}");
+                }
+            }
+            let stats = fast.delta_stats();
+            assert!(stats.full_path_moves > 0, "{stats:?}");
+            assert_eq!(stats.route_unchanged_moves > 0, mesh.tile_count() > 4);
+        }
+    }
+
+    #[test]
+    fn accepted_swaps_promote_instead_of_rebaselining() {
+        let cdcg = figure1_cdcg();
+        let mesh = Mesh::new(3, 3).unwrap();
+        let tech = Technology::paper_example();
+        let params = SimParams::paper_example();
+        let mut fast = CdcmCostEvaluator::new(&cdcg, &mesh, &tech, &params);
+        let mut current = Mapping::from_tiles(&mesh, [0, 1, 3, 4].map(TileId::new)).unwrap();
+        fast.evaluate(&current).unwrap();
+        // Accept a chain of swaps: each swap runs one schedule, and the
+        // evaluation of the accepted mapping that follows runs none.
+        for (i, (a, b)) in [(0, 4), (1, 8), (3, 2), (4, 6), (0, 1)]
+            .into_iter()
+            .enumerate()
+        {
+            let (a, b) = (TileId::new(a), TileId::new(b));
+            let before = fast.engine.run_stats().runs;
+            let got = fast.evaluate_swap(&current, a, b).unwrap();
+            assert_eq!(fast.engine.run_stats().runs, before + 1, "swap #{i}");
+            current.swap_tiles(a, b);
+            assert_eq!(fast.evaluate(&current).unwrap(), got, "accepted swap #{i}");
+            assert_eq!(
+                fast.engine.run_stats().runs,
+                before + 1,
+                "accepted swap #{i}"
+            );
+            assert_eq!(
+                got,
+                fresh_cost(&cdcg, &mesh, &current),
+                "accepted swap #{i}"
+            );
+        }
+        // Tiles 5 and 7 are empty: the swap runs no schedule at all.
+        let before = fast.engine.run_stats().runs;
+        let cost = fast.evaluate(&current).unwrap();
+        let got = fast
+            .evaluate_swap(&current, TileId::new(5), TileId::new(7))
+            .unwrap();
+        assert_eq!(got, cost);
+        assert_eq!(fast.engine.run_stats().runs, before);
+        assert_eq!(fast.delta_stats().route_unchanged_moves, 1);
+    }
+
+    #[test]
+    fn empty_tile_swaps_with_no_traffic_are_constant_time() {
+        // The paper example plus a core that neither sends nor receives.
+        let mut cdcg = figure1_cdcg();
+        cdcg.add_core("G");
+        let mesh = Mesh::new(3, 3).unwrap();
+        let tech = Technology::paper_example();
+        let params = SimParams::paper_example();
+        let mut fast = CdcmCostEvaluator::new(&cdcg, &mesh, &tech, &params);
+        let base = Mapping::from_tiles(&mesh, [0, 1, 2, 3, 4].map(TileId::new)).unwrap();
+        let cost = fast.evaluate(&base).unwrap();
+        let runs = fast.engine.run_stats().runs;
+        // Two empty tiles, then the silent core onto an empty tile; the
+        // second move is accepted.
+        for (a, b) in [(5, 7), (4, 8)] {
+            let (a, b) = (TileId::new(a), TileId::new(b));
+            assert_eq!(fast.evaluate_swap(&base, a, b).unwrap(), cost);
+        }
+        let mut moved = base.clone();
+        moved.swap_tiles(TileId::new(4), TileId::new(8));
+        assert_eq!(fast.evaluate(&moved).unwrap(), cost);
+        assert_eq!(cost, fresh_cost(&cdcg, &mesh, &moved));
+        assert_eq!(fast.engine.run_stats().runs, runs);
+        let stats = fast.delta_stats();
+        assert_eq!(stats.route_unchanged_moves, 2);
+        assert_eq!(stats.full_path_moves, 0);
+    }
+
+    #[test]
+    fn evaluate_caches_the_last_mapping() {
+        let cdcg = figure1_cdcg();
+        let mesh = Mesh::new(2, 2).unwrap();
+        let tech = Technology::paper_example();
+        let params = SimParams::paper_example();
+        let mut fast = CdcmCostEvaluator::new(&cdcg, &mesh, &tech, &params);
+        let m = Mapping::from_tiles(&mesh, [1, 0, 3, 2].map(TileId::new)).unwrap();
+        assert_eq!(fast.evaluate(&m).unwrap().texec_cycles, 100);
+        assert_eq!(fast.evaluate(&m).unwrap().texec_cycles, 100);
+        assert_eq!(fast.engine.run_stats().runs, 1);
+    }
+
+    #[test]
+    fn rejects_mismatched_mappings_like_schedule_cost() {
+        let cdcg = figure1_cdcg();
+        let mesh = Mesh::new(3, 3).unwrap();
+        let tech = Technology::paper_example();
+        let params = SimParams::paper_example();
+        let mut fast = CdcmCostEvaluator::new(&cdcg, &mesh, &tech, &params);
+        // Too few cores, and a fifth core the application does not know:
+        // typed errors from both entry points, no panic.
+        for cores in [3, 5] {
+            let bad = Mapping::identity(&mesh, cores).unwrap();
+            assert!(matches!(
+                fast.evaluate(&bad),
+                Err(SimError::CoreCountMismatch { .. })
+            ));
+            assert!(matches!(
+                fast.evaluate_swap(&bad, TileId::new(4), TileId::new(5)),
+                Err(SimError::CoreCountMismatch { .. })
+            ));
+        }
+        // The evaluator stays usable after an error.
+        let m = Mapping::from_tiles(&mesh, [3, 0, 1, 4].map(TileId::new)).unwrap();
+        assert_eq!(fast.evaluate(&m).unwrap(), fresh_cost(&cdcg, &mesh, &m));
     }
 
     #[test]

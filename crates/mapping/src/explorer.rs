@@ -108,9 +108,9 @@ fn run_method<C: SwapDeltaCost + BatchCost + Clone + Send>(
     cancel: &CancelToken,
 ) -> SearchRun {
     match method {
-        // Single-start SA uses incremental move evaluation — the low
-        // computational complexity the paper credits CWM with, and the
-        // dirty-set delta evaluator for CDCM.
+        // Single-start SA uses swap-delta move evaluation — the low
+        // computational complexity the paper credits CWM with; for CDCM
+        // each move is one full evaluation unless no route changes.
         SearchMethod::SimulatedAnnealing(config) => SearchRun::from_outcome(
             anneal_delta_cancellable(objective, mesh, cores, &config, cancel),
         ),
@@ -333,32 +333,12 @@ impl<'a> Explorer<'a> {
                     Arc::clone(&self.routes),
                 );
                 let run = run_method(&objective, &self.mesh, cores, method, cancel);
-                // The objective (and its delta-evaluator counters) is
-                // dropped when this frame returns; surface the counters
-                // as a trace event so observers see them. Pure read —
-                // the outcome is already fixed.
-                noc_obs::emit_with(|| {
-                    let stats = objective.delta_stats();
-                    let mut event = noc_obs::TraceEvent::new("delta_stats");
-                    event.label = run.outcome.method.clone();
-                    event.evaluations = run.outcome.evaluations;
-                    event.counters = vec![
-                        ("incremental_moves", stats.incremental_moves),
-                        ("route_unchanged_moves", stats.route_unchanged_moves),
-                        ("full_restores", stats.full_restores),
-                        ("tail_converged_moves", stats.tail_converged_moves),
-                        ("full_rebaselines", stats.full_rebaselines),
-                        ("full_path_moves", stats.full_path_moves),
-                        ("tape_refreshes", stats.tape_refreshes),
-                        ("cache_hits", stats.cache_hits),
-                        ("events_replayed", stats.events_replayed),
-                        ("events_total", stats.events_total),
-                    ];
-                    event
-                });
-                // Same treatment for the batch engine's counters, when
-                // a batching strategy (GA generations, the portfolio)
-                // drove evaluations through it.
+                // The objective (and its batch-engine counters) is
+                // dropped when this frame returns; when a batching
+                // strategy (GA generations, the portfolio) drove
+                // evaluations through it, surface the counters as a
+                // trace event so observers see them. Pure read — the
+                // outcome is already fixed.
                 if let Some((batch, memo)) = objective.batch_stats() {
                     noc_obs::emit_with(|| {
                         let mut event = noc_obs::TraceEvent::new("batch_stats");

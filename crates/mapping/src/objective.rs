@@ -206,8 +206,7 @@ impl<'a> CdcmObjective<'a> {
     }
 
     /// Creates the objective under an explicit routing algorithm; all
-    /// evaluations (including incremental swap deltas) use its cached
-    /// routes.
+    /// evaluations (including swap deltas) use its cached routes.
     pub fn with_routing(
         cdcg: &'a Cdcg,
         mesh: &Mesh,
@@ -254,9 +253,8 @@ impl<'a> CdcmObjective<'a> {
         self.cdcg
     }
 
-    /// Counters of the incremental scheduler backing this objective
-    /// (useful to assert the delta path is exercised, not silently
-    /// falling back to full evaluation).
+    /// How the swap deltas so far were answered: by the `O(1)`
+    /// route-unchanged shortcut or by a full evaluation.
     pub fn delta_stats(&self) -> noc_sim::DeltaStats {
         self.engine.borrow().delta_stats()
     }
@@ -270,7 +268,7 @@ impl<'a> CdcmObjective<'a> {
     }
 
     /// Enables or disables walk memoization in the backing engines
-    /// (incremental scheduler and batch evaluator). Costs — and
+    /// (cost evaluator and batch evaluator). Costs — and
     /// therefore search trajectories — are bit-identical either way;
     /// the memo-equivalence property tests pin that by flipping this.
     pub fn set_walk_memo(&self, enabled: bool) {
@@ -302,8 +300,10 @@ impl CostFunction for CdcmObjective<'_> {
 }
 
 impl SwapDeltaCost for CdcmObjective<'_> {
-    /// Incremental move evaluation: the schedule suffix is re-run only
-    /// from the first route-changed injection (see [`noc_sim::delta`]).
+    /// Move evaluation through [`CdcmCostEvaluator::evaluate_swap`]: a
+    /// swap that moves no communicating core is answered from the cached
+    /// cost of `mapping`, every other swap by one full evaluation of the
+    /// swapped mapping, which an accepted move then finds cached.
     /// Both terms are computed with the exact floating-point operations
     /// of [`CostFunction::cost`], so
     /// `cost(m) + swap_delta(m, a, b) == cost(swap(m))` holds bitwise —
@@ -326,7 +326,7 @@ impl SwapDeltaCost for CdcmObjective<'_> {
 
     /// Neighborhood form: the shared baseline is evaluated once (not
     /// once per move, as chaining [`Self::swap_delta`] would), then each
-    /// move runs only its incremental suffix re-run. Deltas are
+    /// move is evaluated as in [`Self::swap_delta`]. Deltas are
     /// bit-identical to per-move calls — the baseline a per-move chain
     /// re-evaluates comes from the engine's unchanged-mapping cache and
     /// is bitwise the same value.
@@ -706,7 +706,11 @@ mod tests {
                 assert_eq!(delta, obj.cost(&swapped) - obj.cost(&m), "swap {a}-{b}");
             }
         }
-        assert!(obj.delta_stats().incremental_moves > 0);
+        // All four cores talk: the 12 swaps of distinct tiles each ran
+        // one full evaluation.
+        let stats = obj.delta_stats();
+        assert_eq!(stats.full_path_moves, 12);
+        assert_eq!(stats.route_unchanged_moves, 0);
     }
 
     #[test]

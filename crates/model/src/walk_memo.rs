@@ -5,10 +5,10 @@
 //! the implicit walker's recomputation, so a *bigger* shared cache is
 //! the wrong lever. [`WalkMemo`] is the opposite shape — a small
 //! open-addressed pair→span table **owned by one evaluator** (one
-//! `CostEvaluator`, one incremental scheduler, one batch evaluator, one
-//! service worker), probed and filled without any lock, shard, guard or
-//! atomic. Thread safety is by construction: the table is private
-//! state, a clone duplicates it wholesale, and nothing is ever shared.
+//! `CostEvaluator`, one batch evaluator, one service worker), probed
+//! and filled without any lock, shard, guard or atomic. Thread safety
+//! is by construction: the table is private state, a clone duplicates
+//! it wholesale, and nothing is ever shared.
 //!
 //! A memo fronts any *buffering* [`RouteSource`] tier (on-demand,
 //! implicit, fault-aware — sources whose `walk_span` appends the walk
@@ -19,11 +19,11 @@
 //!
 //! * [`WalkMemo::resolve`] returns a span into the memo's own arena
 //!   ([`WalkMemo::arena`] is then the engine's flat link array) — the
-//!   zero-copy path of full and batch cost evaluations, which also
-//!   deduplicates route work across batch siblings for free;
+//!   zero-copy path of batch cost evaluations, which also deduplicates
+//!   route work across batch siblings for free;
 //! * [`WalkMemo::resolve_into`] appends the walk to a caller buffer —
-//!   the incremental evaluator's path, whose baseline arena has its own
-//!   truncate/patch lifecycle.
+//!   the path of single-mapping cost evaluations, which keep their
+//!   walks in the scratch's own arena.
 //!
 //! Eviction (a full clear) happens **only** at [`WalkMemo::begin_eval`]
 //! checkpoints, never mid-evaluation, so spans handed out during an
@@ -62,7 +62,7 @@ impl WalkMemoStats {
 
 /// Default arena budget in link ids (4 MiB): at a typical 10–60-entry
 /// walk this memoizes tens of thousands of distinct pairs, far beyond
-/// one batch or one incremental baseline window.
+/// one batch or one evaluation.
 const DEFAULT_ARENA_BUDGET: usize = 1 << 20;
 
 /// Initial slot count of the pair table (power of two).
@@ -179,7 +179,7 @@ impl WalkMemo {
     /// Resolves the `src → dst` walk through the memo and appends it to
     /// `buf`, returning the span *in `buf`* — a drop-in for
     /// `routes.walk_span(src, dst, buf)` for callers that own their
-    /// walk arena (the incremental evaluator).
+    /// walk arena (single-mapping cost evaluations).
     #[inline]
     pub fn resolve_into<S: RouteSource + ?Sized>(
         &mut self,

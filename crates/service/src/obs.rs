@@ -16,7 +16,6 @@
 //! | `noc_trace_events_total` | counter | Trace events recorded by the flight recorder |
 //! | `noc_search_evaluations_total` | counter | Evaluations billed by completed jobs |
 //! | `noc_schedule_runs_total` / `noc_schedule_events_total` | counter | Pooled scratch-arena engine work |
-//! | `noc_delta_*_total` | counter | Incremental delta-evaluator counters |
 //! | `noc_batch_batches_total` / `noc_batch_candidates_total` | counter | Batch-engine flushes and candidates evaluated |
 //! | `noc_batch_size` | histogram | Candidates per batch |
 //! | `noc_walk_memo_{hits,misses,evictions}_total` | counter | Walk-memo route-dedup outcomes |

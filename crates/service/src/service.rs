@@ -51,7 +51,7 @@ pub struct ServiceConfig {
     /// Number of worker threads (clamped to at least 1).
     pub workers: usize,
     /// Install a per-job trace context around execution (flight
-    /// recorder, `Progress` events, delta metrics). Metrics counting is
+    /// recorder, `Progress` events, batch metrics). Metrics counting is
     /// always on; this only controls tracing. Defaults to true — the
     /// determinism suite proves on ≡ off bit-identically, so there is
     /// no correctness reason to disable it.
@@ -296,25 +296,6 @@ impl TraceSink for WorkerSink {
         let shared = &*self.shared;
         shared.flight.push(job, event);
         shared.metrics.trace_events.inc(1);
-        if event.kind == "delta_stats" {
-            let mut stats = noc_sim::DeltaStats::default();
-            for (name, value) in &event.counters {
-                match *name {
-                    "incremental_moves" => stats.incremental_moves = *value,
-                    "route_unchanged_moves" => stats.route_unchanged_moves = *value,
-                    "full_restores" => stats.full_restores = *value,
-                    "tail_converged_moves" => stats.tail_converged_moves = *value,
-                    "full_rebaselines" => stats.full_rebaselines = *value,
-                    "full_path_moves" => stats.full_path_moves = *value,
-                    "tape_refreshes" => stats.tape_refreshes = *value,
-                    "cache_hits" => stats.cache_hits = *value,
-                    "events_replayed" => stats.events_replayed = *value,
-                    "events_total" => stats.events_total = *value,
-                    _ => {}
-                }
-            }
-            noc_sim::obs::publish_delta_stats(&shared.metrics.registry, &stats);
-        }
         if event.kind == "batch_stats" {
             let mut batch = noc_sim::BatchStats::default();
             let mut memo = noc_model::WalkMemoStats::default();

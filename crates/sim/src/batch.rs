@@ -32,7 +32,7 @@
 //! same [`run_loop`]. The property tests in `tests/batch_eval.rs` pin
 //! this across provider tiers, mesh shapes and fault scenarios.
 
-use crate::cost::{pack, run_loop, NoopObserver, ScheduleScratch, INJECT, PACKET_LIMIT};
+use crate::cost::{pack, run_loop, ScheduleScratch, INJECT, PACKET_LIMIT};
 use crate::error::SimError;
 use crate::params::SimParams;
 use noc_model::{Cdcg, Mapping, Mesh, RouteProvider, RouteSource, RoutingKind, WalkMemo};
@@ -297,16 +297,8 @@ impl<'a> BatchEvaluator<'a> {
                 Some(m) => m.arena(),
                 None => self.routes.flat(&self.walks),
             };
-            let (texec, delivered, events) = run_loop(
-                self.cdcg,
-                &self.params,
-                flat,
-                &mut self.scratch,
-                0,
-                0,
-                0,
-                &mut { NoopObserver },
-            );
+            let (texec, delivered, events) =
+                run_loop(self.cdcg, &self.params, flat, &mut self.scratch);
             debug_assert_eq!(
                 delivered, n_packets,
                 "DAG execution must deliver all packets"

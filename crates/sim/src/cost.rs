@@ -98,15 +98,11 @@ pub struct ScheduleScratch {
     /// Per packet: span of the resource walk inside the cache's flat
     /// link-id array (`start`, `len`), resolved once per evaluation.
     spans: Vec<(u32, u32)>,
-    /// Bitmask of delivered packets (used by the incremental evaluator's
-    /// convergence check; maintained by every run, one bit set per
-    /// delivery).
-    delivered_mask: Vec<u64>,
     /// Walk arena for route sources without a shared flat array
     /// (on-demand / implicit providers): packet walks are appended here
     /// by `init_run` and `spans` index into it. Stays empty under a
     /// dense source, whose spans index the cache's own flat array.
-    pub(crate) walks: Vec<u32>,
+    walks: Vec<u32>,
     queue: crate::queue::EventQueue,
 }
 
@@ -114,15 +110,34 @@ pub struct ScheduleScratch {
 /// complete cost evaluations it has served and how many scheduler events
 /// they processed. Search telemetry uses this to relate *billed*
 /// evaluations (the search subsystem's budget unit) to the engine work
-/// they actually caused. Counts only full [`schedule_cost`] /
-/// [`schedule_cost_with`] runs; the incremental delta evaluator keeps
-/// its own counters ([`crate::DeltaStats`]).
+/// they actually caused.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RunStats {
     /// Completed full cost evaluations served by this scratch.
     pub runs: u64,
     /// Scheduler events processed across those evaluations.
     pub events: u64,
+}
+
+/// How a CDCM cost evaluator (`noc-energy`'s `CdcmCostEvaluator`)
+/// answered its tile-swap queries.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DeltaStats {
+    /// Always 0. Kept, with `events_replayed` and `events_total`, only
+    /// because the traced replay of the repository benchmark
+    /// (`perfbench`) reads these fields.
+    pub incremental_moves: u64,
+    /// Swaps answered in `O(1)` from the cached cost of the unswapped
+    /// mapping, because neither tile holds a core that sends or
+    /// receives packets, so no route and no schedule can change.
+    pub route_unchanged_moves: u64,
+    /// Swaps answered by one full cost-only evaluation of the swapped
+    /// mapping.
+    pub full_path_moves: u64,
+    /// Always 0; see `incremental_moves`.
+    pub events_replayed: u64,
+    /// Always 0; see `incremental_moves`.
+    pub events_total: u64,
 }
 
 impl ScheduleScratch {
@@ -147,11 +162,6 @@ impl ScheduleScratch {
             self.flits.resize(n_packets, 0);
             self.spans.resize(n_packets, (0, 0));
         }
-        let words = n_packets.div_ceil(64);
-        if self.delivered_mask.len() < words {
-            self.delivered_mask.resize(words, 0);
-        }
-        self.delivered_mask[..words].fill(0);
         if self.fifo.len() < n_links {
             self.fifo.resize(n_links, FifoSlot::default());
         }
@@ -177,10 +187,6 @@ impl ScheduleScratch {
             slot.epoch = self.epoch;
             slot.busy = false;
             slot.clear = 0;
-            // Completed runs drain every FIFO, but a tail-converged
-            // incremental run stops mid-stream and may leave arrivals
-            // parked from its epoch.
-            slot.parked.clear();
         }
         slot
     }
@@ -192,219 +198,6 @@ impl ScheduleScratch {
             Some(slot) if slot.epoch == self.epoch => slot.traversals,
             _ => 0,
         }
-    }
-
-    /// Tests whether the live engine state and a snapshot are
-    /// *future-equivalent*: from here on, both evolve identically. This
-    /// is deliberately weaker than bitwise state equality — a rerouted
-    /// packet leaves permanent residue on the links of its old route
-    /// (`free` times, traversal counters) that can never influence a
-    /// future grant once it lies at or below the next event time. Rules:
-    ///
-    /// * heaps must hold the same event multiset (snapshot heaps are
-    ///   stored sorted; `heap_buf` is scratch for sorting the live one);
-    /// * the delivered-packet sets must be identical;
-    /// * traversal counters are ignored (pure diagnostics, never read by
-    ///   the event loop);
-    /// * a link's `free` (and a clear FIFO's `clear`) may differ if both
-    ///   values are `≤ T`, the next event time — every future request
-    ///   arrives at `≥ T`, so the grant outcome (`entry = request`) and
-    ///   the overwritten state are identical either way;
-    /// * FIFO ownership (`busy`) and parked queues must match exactly;
-    /// * `pending`/`ready` must match for every undelivered packet
-    ///   (delivered packets' cells are never read again).
-    pub(crate) fn converged_with(
-        &self,
-        n_packets: usize,
-        snap: &EngineSnapshot,
-        heap_buf: &mut Vec<u128>,
-    ) -> bool {
-        if self.queue.len() != snap.heap.len() {
-            return false;
-        }
-        // Every future request time is at least the next event's time
-        // (the loop processes events in increasing key order). With an
-        // empty queue there is no future at all and timing residue is
-        // vacuously irrelevant.
-        let horizon = self.queue.peek_time().unwrap_or(u64::MAX);
-        // Links: sparse snapshot (touched slots only, sorted by id);
-        // live slots missing from it must be at the reset value.
-        {
-            let mut si = 0usize;
-            for (id, slot) in self.links[..snap.n_links].iter().enumerate() {
-                let snap_free = match snap.links.get(si) {
-                    Some(&(sid, free, _)) if sid as usize == id => {
-                        si += 1;
-                        free
-                    }
-                    _ => 0,
-                };
-                let cur_free = if slot.epoch == self.epoch {
-                    slot.free
-                } else {
-                    0
-                };
-                if cur_free != snap_free && (cur_free > horizon || snap_free > horizon) {
-                    return false;
-                }
-            }
-            if si != snap.links.len() {
-                return false;
-            }
-        }
-        // FIFOs likewise; parked queues are recorded in (link id, queue
-        // position) order and must match exactly.
-        let mut parked_seen = 0usize;
-        {
-            let mut si = 0usize;
-            for (id, slot) in self.fifo[..snap.n_links].iter().enumerate() {
-                let (snap_busy, snap_clear) = match snap.fifo.get(si) {
-                    Some(&(sid, busy, clear)) if sid as usize == id => {
-                        si += 1;
-                        (busy, clear)
-                    }
-                    _ => (false, 0),
-                };
-                let live = slot.epoch == self.epoch;
-                let (cur_busy, cur_clear) = if live {
-                    (slot.busy, slot.clear)
-                } else {
-                    (false, 0)
-                };
-                if cur_busy != snap_busy {
-                    return false;
-                }
-                if cur_clear != snap_clear && (cur_clear > horizon || snap_clear > horizon) {
-                    return false;
-                }
-                if !live {
-                    continue;
-                }
-                for &(p, hop, arrival) in &slot.parked {
-                    match snap.parked.get(parked_seen) {
-                        Some(&(l, sp, shop, sarr))
-                            if l as usize == id && (sp, shop, sarr) == (p, hop, arrival) =>
-                        {
-                            parked_seen += 1;
-                        }
-                        _ => return false,
-                    }
-                }
-            }
-            if si != snap.fifo.len() {
-                return false;
-            }
-        }
-        if parked_seen != snap.parked.len() {
-            return false;
-        }
-        let words = n_packets.div_ceil(64);
-        if self.delivered_mask[..words] != snap.delivered_mask[..words] {
-            return false;
-        }
-        for p in 0..n_packets {
-            if self.delivered_mask[p / 64] >> (p % 64) & 1 == 1 {
-                continue;
-            }
-            if self.pending[p] != snap.pending[p] {
-                return false;
-            }
-            // `ready` is consumed the moment `pending` hits zero (the
-            // inject event is pushed with it); afterwards the cell is
-            // dead and residue from rescheduled predecessors is fine.
-            if self.pending[p] > 0 && self.ready[p] != snap.ready[p] {
-                return false;
-            }
-        }
-        heap_buf.clear();
-        heap_buf.extend(self.queue.iter_keys());
-        heap_buf.sort_unstable();
-        heap_buf[..] == snap.heap[..]
-    }
-
-    /// Captures the complete mid-run engine state into `snap` (epoch-stale
-    /// slots normalize to their reset values), so an incremental evaluator
-    /// can later [`Self::restore_from`] it and resume the event loop
-    /// mid-stream. `n_links`/`n_packets` bound the instance being run.
-    pub(crate) fn capture_into(&self, n_links: usize, n_packets: usize, snap: &mut EngineSnapshot) {
-        snap.links.clear();
-        snap.fifo.clear();
-        snap.parked.clear();
-        snap.pending.clear();
-        snap.ready.clear();
-        snap.heap.clear();
-        snap.n_links = n_links;
-        // Sparse: only slots the run has touched. Early-timeline
-        // captures (where the dense checkpoint grid lives) record a
-        // handful of entries instead of the whole mesh.
-        for (id, slot) in self.links[..n_links].iter().enumerate() {
-            if slot.epoch == self.epoch {
-                snap.links.push((id as u32, slot.free, slot.traversals));
-            }
-            let f = &self.fifo[id];
-            if f.epoch == self.epoch {
-                snap.fifo.push((id as u32, f.busy, f.clear));
-                for &(p, hop, arrival) in &f.parked {
-                    snap.parked.push((id as u32, p, hop, arrival));
-                }
-            }
-        }
-        snap.pending.extend_from_slice(&self.pending[..n_packets]);
-        snap.ready.extend_from_slice(&self.ready[..n_packets]);
-        snap.delivered_mask.clear();
-        snap.delivered_mask
-            .extend_from_slice(&self.delivered_mask[..n_packets.div_ceil(64)]);
-        // Stored sorted so `converged_with` can compare heaps directly
-        // (restore order is irrelevant to a binary heap's semantics).
-        snap.heap.extend(self.queue.iter_keys());
-        snap.heap.sort_unstable();
-        snap.tail_texec = None;
-    }
-
-    /// Restores engine state captured by [`Self::capture_into`], bumping
-    /// the epoch so that untouched slots beyond the snapshot reset lazily.
-    /// `spans` and `flits` are *not* part of a snapshot — the caller
-    /// re-resolves them for the mapping it is about to run.
-    pub(crate) fn restore_from(&mut self, snap: &EngineSnapshot) {
-        // Bumping the epoch resets every slot lazily; only the sparse
-        // touched entries are written back.
-        self.epoch += 1;
-        for &(id, free, traversals) in &snap.links {
-            let slot = &mut self.links[id as usize];
-            slot.epoch = self.epoch;
-            slot.free = free;
-            slot.traversals = traversals;
-        }
-        for &(id, busy, clear) in &snap.fifo {
-            let slot = &mut self.fifo[id as usize];
-            slot.epoch = self.epoch;
-            slot.busy = busy;
-            slot.clear = clear;
-            slot.parked.clear();
-        }
-        for &(link, p, hop, arrival) in &snap.parked {
-            self.fifo[link as usize].parked.push_back((p, hop, arrival));
-        }
-        self.pending[..snap.pending.len()].copy_from_slice(&snap.pending);
-        self.ready[..snap.ready.len()].copy_from_slice(&snap.ready);
-        self.delivered_mask[..snap.delivered_mask.len()].copy_from_slice(&snap.delivered_mask);
-        self.queue.clear();
-        for &key in &snap.heap {
-            self.queue.push(key);
-        }
-    }
-
-    /// The per-packet spans resolved by the most recent
-    /// [`init_run`] (read side for the incremental evaluator's baseline
-    /// bookkeeping).
-    pub(crate) fn spans(&self) -> &[(u32, u32)] {
-        &self.spans
-    }
-
-    /// Write access to the resolved per-packet spans (used by the
-    /// incremental evaluator to patch rerouted packets in place).
-    pub(crate) fn spans_mut(&mut self) -> &mut [(u32, u32)] {
-        &mut self.spans
     }
 
     /// Primes the scratch for one run of an already-validated instance
@@ -434,75 +227,12 @@ impl ScheduleScratch {
         }
     }
 
-    /// Accounts one completed full run in [`RunStats`].
+    /// Accounts one completed run in [`RunStats`].
     pub(crate) fn note_run(&mut self, events: u64) {
         self.stats.runs += 1;
         self.stats.events += events;
     }
 }
-
-/// A frozen mid-run state of the cost engine: everything the event loop
-/// mutates, captured between two event pops. Snapshots are plain data
-/// (no epochs); buffers are reused across captures.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct EngineSnapshot {
-    /// Key of the last event processed before the capture (`0` when no
-    /// event has been processed yet — see `events_done`).
-    pub(crate) last_key: u128,
-    /// Number of events processed before the capture.
-    pub(crate) events_done: u64,
-    /// Running `texec` (max delivery so far).
-    pub(crate) texec: u64,
-    /// Packets delivered so far.
-    pub(crate) delivered: usize,
-    /// Maximum delivery time over events *after* this snapshot, when
-    /// known for the run the snapshot belongs to (`None` after the
-    /// snapshot is grafted onto a different run by candidate promotion).
-    pub(crate) tail_texec: Option<u64>,
-    /// Dense-link table size of the instance the snapshot describes.
-    n_links: usize,
-    /// Touched links only, sorted by id: `(id, free, traversals)`.
-    links: Vec<(u32, u64, u64)>,
-    /// Touched FIFOs only, sorted by id: `(id, busy, clear)`.
-    fifo: Vec<(u32, bool, u64)>,
-    /// Parked FIFO arrivals: `(link, packet, hop, arrival)` in queue order.
-    parked: Vec<(u32, u32, u32, u64)>,
-    pending: Vec<u32>,
-    ready: Vec<u64>,
-    delivered_mask: Vec<u64>,
-    heap: Vec<u128>,
-}
-
-/// Hooks into the event loop of [`run_loop`]; the no-op impl compiles
-/// away, keeping [`schedule_cost`] as fast as before the refactor.
-pub(crate) trait RunObserver {
-    /// Called when an `Inject` event is popped (its time is the packet's
-    /// injection *request* time, `ready + comp_cycles`).
-    #[inline]
-    fn record_inject(&mut self, _packet: usize, _time: u64) {}
-    /// Called when a packet is delivered.
-    #[inline]
-    fn record_delivery(&mut self, _packet: usize, _delivery: u64) {}
-    /// Called after each event is fully processed; `scratch` is
-    /// quiescent. Returning `false` stops the loop early (the
-    /// incremental evaluator's tail-convergence exit).
-    #[inline]
-    fn after_event(
-        &mut self,
-        _key: u128,
-        _events_done: u64,
-        _texec: u64,
-        _delivered: usize,
-        _scratch: &ScheduleScratch,
-    ) -> bool {
-        true
-    }
-}
-
-/// Observer that does nothing (the plain [`schedule_cost`] path).
-pub(crate) struct NoopObserver;
-
-impl RunObserver for NoopObserver {}
 
 /// Computes the application execution time of `cdcg` on `mesh` under
 /// `mapping` — exactly [`schedule`](crate::schedule())'s `texec_cycles()`,
@@ -594,19 +324,9 @@ fn schedule_cost_inner<S: RouteSource + ?Sized>(
 ) -> Result<u64, SimError> {
     init_run(cdcg, mesh, mapping, params, routes, memo, scratch)?;
     let walks = std::mem::take(&mut scratch.walks);
-    let (texec, delivered, events_done) = run_loop(
-        cdcg,
-        params,
-        routes.flat(&walks),
-        scratch,
-        0,
-        0,
-        0,
-        &mut NoopObserver,
-    );
+    let (texec, delivered, events_done) = run_loop(cdcg, params, routes.flat(&walks), scratch);
     scratch.walks = walks;
-    scratch.stats.runs += 1;
-    scratch.stats.events += events_done;
+    scratch.note_run(events_done);
     debug_assert_eq!(
         delivered,
         cdcg.packet_count(),
@@ -689,26 +409,20 @@ pub(crate) fn init_run<S: RouteSource + ?Sized>(
     Ok(())
 }
 
-/// The shared event loop of the cost engine. Starts from an initialized
-/// (or [restored](ScheduleScratch::restore_from)) scratch and runs the
-/// heap dry; `texec`/`delivered`/`events_done` seed the running tallies
-/// when resuming mid-stream. Returns the final tallies.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_loop<O: RunObserver>(
+/// The shared event loop of the cost engine. Starts from a scratch
+/// primed by [`init_run`] (or [`ScheduleScratch::prime_run`]) and runs
+/// the queue dry. Returns `(texec, packets delivered, events processed)`.
+pub(crate) fn run_loop(
     cdcg: &Cdcg,
     params: &SimParams,
     flat: &[u32],
     scratch: &mut ScheduleScratch,
-    texec0: u64,
-    delivered0: usize,
-    events_done0: u64,
-    observer: &mut O,
 ) -> (u64, usize, u64) {
     let tl = params.link_cycles;
     let tr = params.routing_cycles;
-    let mut texec: u64 = texec0;
-    let mut delivered = delivered0;
-    let mut events_done = events_done0;
+    let mut texec: u64 = 0;
+    let mut delivered = 0;
+    let mut events_done = 0;
 
     while let Some(key) = scratch.queue.pop() {
         let time = (key >> 64) as u64;
@@ -722,7 +436,6 @@ pub(crate) fn run_loop<O: RunObserver>(
         let n = scratch.flits[p];
         match variant {
             INJECT => {
-                observer.record_inject(p, time);
                 let slot = scratch.link(path[0]);
                 let entry = if params.injection_serialization {
                     time.max(slot.free)
@@ -773,8 +486,6 @@ pub(crate) fn run_loop<O: RunObserver>(
                     let delivery = entry + n * tl;
                     texec = texec.max(delivery);
                     delivered += 1;
-                    scratch.delivered_mask[p / 64] |= 1 << (p % 64);
-                    observer.record_delivery(p, delivery);
                     // Wake up dependent packets.
                     for &succ in cdcg.successors(PacketId::new(p)) {
                         let s = succ.index();
@@ -817,9 +528,6 @@ pub(crate) fn run_loop<O: RunObserver>(
             }
         }
         events_done += 1;
-        if !observer.after_event(key, events_done, texec, delivered, scratch) {
-            break;
-        }
     }
 
     (texec, delivered, events_done)

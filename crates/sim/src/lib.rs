@@ -28,14 +28,14 @@
 //!   when only the scalar cost matters, i.e. inside search loops that
 //!   evaluate millions of candidate mappings. Allocation-free after
 //!   warm-up, several times faster, and guaranteed to return exactly the
-//!   full path's `texec_cycles()` on every input.
-//! * **Incremental swap evaluation** ([`delta`] /
-//!   [`IncrementalScheduler`]) — when the search loop proposes *tile
-//!   swaps* against a current mapping: a dirty-set delta evaluator that
-//!   restores a checkpointed prefix of the event timeline and re-runs
-//!   only from the first route-changed injection, still bit-exact with
-//!   [`schedule_cost`]. See the [`delta`] module docs for the dirty-set
-//!   invariants and the fallback-to-full conditions.
+//!   full path's `texec_cycles()` on every input. Every cost-only run
+//!   starts at the first event and runs the event queue dry: a search
+//!   move (a tile swap) that can change a route is scored by one such
+//!   run of the swapped mapping. [`BatchEvaluator`] runs the same event
+//!   loop over a whole cohort of candidates.
+//! * **Flit-level simulation** ([`des`]) — the independent oracle. It
+//!   shares no code with the interval scheduler; the repository's
+//!   cross-validation suite checks that the two agree cycle-exactly.
 //!
 //! Supporting modules: [`params`] (the `tr`/`tl`/`λ`/flit-width parameter
 //! set), [`wormhole`] (Equations 6–8 in closed form), [`gantt`] (the
@@ -73,7 +73,6 @@
 pub mod analysis;
 pub mod batch;
 pub mod cost;
-pub mod delta;
 pub mod des;
 pub mod error;
 mod event;
@@ -88,10 +87,9 @@ pub mod wormhole;
 
 pub use batch::{BatchEvaluator, BatchStats, BATCH_SIZE_BUCKETS};
 pub use cost::{
-    schedule_cost, schedule_cost_memoized, schedule_cost_with, CostEvaluator, RunStats,
+    schedule_cost, schedule_cost_memoized, schedule_cost_with, CostEvaluator, DeltaStats, RunStats,
     ScheduleScratch,
 };
-pub use delta::{DeltaStats, IncrementalScheduler};
 pub use error::SimError;
 pub use interval::CycleInterval;
 pub use params::SimParams;

@@ -3,13 +3,12 @@
 //!
 //! The engine itself never touches a registry on its hot paths — it
 //! keeps counting into [`RunStats`](crate::RunStats) and
-//! [`DeltaStats`](crate::DeltaStats) as before. Consumers that hold
-//! both a stats snapshot (or delta) and a registry call these helpers
-//! to publish, so the metric names stay defined in exactly one place.
+//! [`BatchStats`](crate::BatchStats). Consumers that hold both a stats
+//! snapshot (or delta) and a registry call these helpers to publish, so
+//! the metric names stay defined in exactly one place.
 
 use crate::batch::{BatchStats, BATCH_SIZE_BUCKETS};
 use crate::cost::RunStats;
-use crate::delta::DeltaStats;
 use noc_model::WalkMemoStats;
 use noc_obs::MetricsRegistry;
 
@@ -47,33 +46,6 @@ pub fn publish_run_stats(registry: &MetricsRegistry, delta: RunStats) {
         registry
             .counter("noc_schedule_events_total")
             .inc(delta.events);
-    }
-}
-
-/// Adds a [`DeltaStats`] *delta* to the incremental-evaluator counters.
-pub fn publish_delta_stats(registry: &MetricsRegistry, delta: &DeltaStats) {
-    let pairs = [
-        ("noc_delta_incremental_moves_total", delta.incremental_moves),
-        (
-            "noc_delta_route_unchanged_moves_total",
-            delta.route_unchanged_moves,
-        ),
-        ("noc_delta_full_restores_total", delta.full_restores),
-        (
-            "noc_delta_tail_converged_moves_total",
-            delta.tail_converged_moves,
-        ),
-        ("noc_delta_full_rebaselines_total", delta.full_rebaselines),
-        ("noc_delta_full_path_moves_total", delta.full_path_moves),
-        ("noc_delta_tape_refreshes_total", delta.tape_refreshes),
-        ("noc_delta_cache_hits_total", delta.cache_hits),
-        ("noc_delta_events_replayed_total", delta.events_replayed),
-        ("noc_delta_events_total", delta.events_total),
-    ];
-    for (name, value) in pairs {
-        if value > 0 {
-            registry.counter(name).inc(value);
-        }
     }
 }
 
@@ -136,18 +108,6 @@ pub fn describe_engine_metrics(registry: &MetricsRegistry) {
         "Packet events processed by the scheduler.",
     );
     registry.describe(
-        "noc_delta_incremental_moves_total",
-        "Swap evaluations served incrementally by the delta evaluator.",
-    );
-    registry.describe(
-        "noc_delta_cache_hits_total",
-        "Delta-evaluator cost cache hits.",
-    );
-    registry.describe(
-        "noc_delta_full_path_moves_total",
-        "Swaps served by the delta evaluator's auto-fallback full path.",
-    );
-    registry.describe(
         "noc_batch_batches_total",
         "Batched cost evaluations (one per generation or cohort flush).",
     );
@@ -181,6 +141,8 @@ mod tests {
     #[test]
     fn publishes_only_nonzero_counters() {
         let registry = MetricsRegistry::new();
+        publish_run_stats(&registry, RunStats::default());
+        assert!(!registry.exposition().contains("noc_schedule"));
         publish_run_stats(
             &registry,
             RunStats {
@@ -191,18 +153,6 @@ mod tests {
         publish_run_stats(&registry, RunStats { runs: 0, events: 0 });
         assert_eq!(registry.counter("noc_schedule_runs_total").get(), 3);
         assert_eq!(registry.counter("noc_schedule_events_total").get(), 40);
-
-        let delta = DeltaStats {
-            incremental_moves: 5,
-            cache_hits: 2,
-            ..DeltaStats::default()
-        };
-        publish_delta_stats(&registry, &delta);
-        assert_eq!(
-            registry.counter("noc_delta_incremental_moves_total").get(),
-            5
-        );
-        assert_eq!(registry.counter("noc_delta_cache_hits_total").get(), 2);
     }
 
     #[test]

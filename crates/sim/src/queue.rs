@@ -132,8 +132,8 @@ pub(crate) struct EventQueue {
 }
 
 impl EventQueue {
-    #[inline]
-    pub(crate) fn len(&self) -> usize {
+    #[cfg(test)]
+    fn len(&self) -> usize {
         self.len
     }
 
@@ -288,62 +288,6 @@ impl EventQueue {
         // sort's precomputed-pattern fast path most cycles.
         self.drain.sort_unstable();
     }
-
-    /// Time component of the minimum key, without disturbing the queue
-    /// (the incremental evaluator's convergence horizon).
-    pub(crate) fn peek_time(&self) -> Option<u64> {
-        if let Some(&spill) = self.front.last() {
-            let spill_t = (spill >> 64) as u64;
-            return Some(if self.bucket_peek_low().is_some() {
-                spill_t.min(self.cur)
-            } else {
-                spill_t
-            });
-        }
-        if self.bucket_peek_low().is_some() {
-            return Some(self.cur);
-        }
-        let ring_next = if self.ring_items > 0 {
-            (1..=WINDOW).find_map(|d| {
-                let t = self.cur + d;
-                // noc-verify: allow(PANIC01) — slot index is masked to the ring length
-                (!self.ring[(t & MASK) as usize].is_empty()).then_some(t)
-            })
-        } else {
-            None
-        };
-        let over_next = self.overflow.peek().map(|r| (r.0 >> 64) as u64);
-        match (ring_next, over_next) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (Some(a), None) => Some(a),
-            (None, Some(b)) => Some(b),
-            (None, None) => None,
-        }
-    }
-
-    /// All pending keys in unspecified order (snapshot capture sorts).
-    pub(crate) fn iter_keys(&self) -> impl Iterator<Item = u128> + '_ {
-        let cur = self.cur;
-        let base = cur.wrapping_add(1);
-        self.front
-            .iter()
-            .copied()
-            .chain(
-                // noc-verify: allow(PANIC01) — drain_pos never exceeds drain.len()
-                self.drain[self.drain_pos..]
-                    .iter()
-                    .chain(self.side.0.iter())
-                    .map(move |&low| ((cur as u128) << 64) | low as u128),
-            )
-            .chain(self.ring.iter().enumerate().flat_map(move |(s, slot)| {
-                // Reconstruct the slot's unique time in (cur, cur+WINDOW].
-                let offset = (s as u64).wrapping_sub(base) & MASK;
-                let t = base + offset;
-                slot.iter()
-                    .map(move |&low| ((t as u128) << 64) | low as u128)
-            }))
-            .chain(self.overflow.iter().map(|r| r.0))
-    }
 }
 
 #[cfg(test)]
@@ -363,11 +307,6 @@ mod tests {
                 h.push(Reverse(key));
             }
         }
-        let mut qs: Vec<u128> = q.iter_keys().collect();
-        let mut hs: Vec<u128> = h.iter().map(|r| r.0).collect();
-        qs.sort_unstable();
-        hs.sort_unstable();
-        assert_eq!(qs, hs);
         while let Some(k) = q.pop() {
             assert_eq!(Some(k), h.pop().map(|r| r.0));
         }
@@ -436,22 +375,6 @@ mod tests {
         assert_eq!(q.pop(), Some(key(4, 40)));
         assert_eq!(q.pop(), Some(key(4, 50)));
         assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn peek_time_tracks_the_minimum() {
-        let mut q = EventQueue::default();
-        assert_eq!(q.peek_time(), None);
-        q.push(key(90, 1));
-        assert_eq!(q.peek_time(), Some(90));
-        q.push(key(4, 2));
-        assert_eq!(q.peek_time(), Some(4));
-        q.pop();
-        assert_eq!(q.peek_time(), Some(90));
-        q.push(key(100_000, 3));
-        assert_eq!(q.peek_time(), Some(90));
-        q.pop();
-        assert_eq!(q.peek_time(), Some(100_000));
     }
 
     #[test]

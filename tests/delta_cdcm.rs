@@ -1,17 +1,19 @@
-//! Property tests of incremental CDCM rescheduling: the dirty-set delta
-//! evaluator must be *bit-exact* with full `schedule_cost` re-evaluation
-//! over random swap chains (accepted moves, rejected moves and cache
-//! queries interleaved), and delta-driven annealing must follow the same
-//! trajectory as full-evaluation annealing, seed for seed.
+//! Property tests of CDCM swap evaluation: `CdcmCostEvaluator`'s swap
+//! answers (the `O(1)` route-unchanged shortcut, full evaluations of the
+//! swapped mapping and cached accepted moves) must be *bit-exact* with a
+//! fresh evaluation over random swap chains (accepted moves, rejected
+//! moves and cache queries interleaved), and delta-driven annealing must
+//! follow the same trajectory as full-evaluation annealing, seed for
+//! seed.
 //!
 //! Case counts default low for the regular CI run; the scheduled fuzz job
 //! raises them through `NOC_FUZZ_CASES`.
 
 use noc::apps::TgffConfig;
-use noc::energy::Technology;
+use noc::energy::{CdcmCostEvaluator, Technology};
 use noc::mapping::{anneal, anneal_delta, CdcmObjective, CostFunction, SaConfig, SwapDeltaCost};
 use noc::model::{Cdcg, Mapping, Mesh, TileId};
-use noc::sim::{IncrementalScheduler, ScheduleScratch, SimParams};
+use noc::sim::SimParams;
 use proptest::prelude::*;
 
 /// Cases per property; override with `NOC_FUZZ_CASES` (the scheduled CI
@@ -66,19 +68,19 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(fuzz_cases()))]
 
     /// Random swap chains with accepts, rejects and interleaved cache
-    /// queries: every incremental answer equals a from-scratch
-    /// `schedule_cost` of the same mapping, exactly.
+    /// queries: every answer equals a fresh evaluator's `evaluate` of the
+    /// same mapping, exactly.
     #[test]
     fn swap_texec_is_bit_exact_over_random_swap_chains(
         (cdcg, mesh, params) in instance(),
         seed in any::<u64>(),
     ) {
-        let mut engine = IncrementalScheduler::new(&cdcg, &mesh, &params);
-        let routes = std::sync::Arc::clone(engine.provider());
-        let mut scratch = ScheduleScratch::new();
-        let mut reference = |m: &Mapping| {
-            noc::sim::schedule_cost_with(&cdcg, &mesh, m, &params, routes.as_ref(), &mut scratch)
-                .expect("schedules")
+        let tech = Technology::t007();
+        let mut engine = CdcmCostEvaluator::new(&cdcg, &mesh, &tech, &params);
+        let reference = |m: &Mapping| {
+            CdcmCostEvaluator::new(&cdcg, &mesh, &tech, &params)
+                .evaluate(m)
+                .expect("evaluates")
         };
 
         let mut current = permuted_mapping(&mesh, cdcg.core_count(), seed);
@@ -87,33 +89,33 @@ proptest! {
         for step in 0..40u32 {
             let a = TileId::new((splitmix(&mut rng) % n as u64) as usize);
             let b = TileId::new((splitmix(&mut rng) % n as u64) as usize);
-            let got = engine.swap_texec(&current, a, b).expect("evaluates");
+            let got = engine.evaluate_swap(&current, a, b).expect("evaluates");
             let mut swapped = current.clone();
             swapped.swap_tiles(a, b);
             let want = reference(&swapped);
             prop_assert_eq!(got, want, "step {} swap {}-{}", step, a, b);
             match splitmix(&mut rng) % 3 {
                 0 => {
-                    // Accept: the engine promotes the candidate.
+                    // Accept: the next query starts from the swapped
+                    // mapping, which the evaluator has cached.
                     current = swapped;
                 }
                 1 => {
-                    // Reject: next query reuses the unchanged baseline
-                    // (the revert path — nothing to undo in the engine).
+                    // Reject: the next query reuses the unchanged
+                    // mapping (nothing to undo in the evaluator).
                 }
                 _ => {
                     // Cache query for the current mapping between moves.
                     prop_assert_eq!(
-                        engine.texec_for(&current).expect("evaluates"),
+                        engine.evaluate(&current).expect("evaluates"),
                         reference(&current)
                     );
                 }
             }
         }
-        // The chain must have exercised the incremental machinery, not
-        // silently re-run everything from scratch.
-        let stats = engine.stats();
-        prop_assert!(stats.incremental_moves + stats.route_unchanged_moves > 0);
+        // The chain must have been answered through the swap paths.
+        let stats = engine.delta_stats();
+        prop_assert!(stats.route_unchanged_moves + stats.full_path_moves > 0);
     }
 
     /// `CdcmObjective::swap_delta` is exactly `cost(swap(m)) - cost(m)` —
@@ -165,11 +167,11 @@ proptest! {
 
         prop_assert_eq!(&full.mapping, &delta.mapping);
         prop_assert_eq!(full.cost, delta.cost);
-        // And the delta run actually ran incrementally.
+        // And the delta run actually answered its moves by swap.
         let stats = delta_obj.delta_stats();
         prop_assert!(
-            stats.incremental_moves + stats.route_unchanged_moves > 0,
-            "delta SA never took the incremental path: {:?}",
+            stats.route_unchanged_moves + stats.full_path_moves > 0,
+            "delta SA never evaluated a swap: {:?}",
             stats
         );
     }

@@ -167,7 +167,7 @@ proptest! {
         prop_assert_eq!(costs[0], costs[1]);
     }
 
-    /// With an empty `FaultSet`, chains of incremental swap evaluations
+    /// With an empty `FaultSet`, chains of swap evaluations
     /// (including accepted swaps and post-acceptance full re-evaluation)
     /// are bit-identical between the dense and fault-aware tiers.
     #[test]

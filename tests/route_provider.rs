@@ -181,10 +181,10 @@ proptest! {
         }
     }
 
-    /// Full CDCM costs and incremental swap evaluations are bit-identical
-    /// across tiers (same floating-point operations, not approximately
-    /// equal) — including chains of accepted swaps, which exercise the
-    /// delta evaluator's walk-arena patching on the buffering tiers.
+    /// Full CDCM costs and swap evaluations are bit-identical across
+    /// tiers (same floating-point operations, not approximately equal) —
+    /// including chains of accepted swaps, which the evaluators answer
+    /// from their cached swapped mappings.
     #[test]
     fn cdcm_costs_and_swaps_are_bit_identical_across_tiers(
         (cdcg, mesh) in app_and_mesh(),
@@ -286,7 +286,7 @@ fn large_mesh_sa_runs_on_fallback_tiers() {
 
 /// The acceptance instance: on a 4×4×4 cube running the layered-shift
 /// workload, walks, hop counts, `schedule_cost`, CDCM costs and
-/// incremental swap deltas are bit-identical across the dense, on-demand
+/// swap deltas are bit-identical across the dense, on-demand
 /// and implicit tiers, for both 3D routing kinds.
 #[test]
 fn cube_4x4x4_is_bit_identical_across_tiers() {
