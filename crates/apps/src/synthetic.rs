@@ -213,8 +213,8 @@ pub fn synthetic(config: &SyntheticConfig) -> Cdcg {
 ///
 /// The point of this generator is route-provisioning scale: on a 64×64
 /// or 128×128 mesh the resulting instance cannot be evaluated over the
-/// dense `RouteCache` at all and must run on the on-demand or implicit
-/// provider tiers.
+/// dense `RouteCache` at all and must run on the implicit provider
+/// tier.
 ///
 /// # Panics
 ///

@@ -2,8 +2,7 @@
 //! as the NDP/NCC ratio grows (paper §5: CDCM's complexity is
 //! proportional to NDP, CWM's to NCC, with CDCM staying within a small
 //! factor), plus the full-`Schedule` vs cost-only fast-path comparison on
-//! an 8×8 mesh workload (the evaluation-engine speedup this repo's
-//! `BENCH_eval.json` records).
+//! an 8×8 mesh workload (the evaluation-engine speedup).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use noc_apps::TgffConfig;

@@ -8,8 +8,7 @@
 //! * runs the same seed-pinned GA twice — walk memo on and off — and
 //!   asserts bit-identical outcomes (memoization is invisible);
 //! * times batched vs sequential evaluation of sibling batches on the
-//!   64×64 shift workload and the 8×8×4 layered-shift workload
-//!   (numbers recorded in BENCH_eval.json -> batch_eval).
+//!   64×64 shift workload and the 8×8×4 layered-shift workload.
 //!
 //! Usage: `cargo run --release -p noc-bench --bin batch_smoke`
 
@@ -56,7 +55,7 @@ fn bench_cohort(
     let params = SimParams::new();
     let provider = Arc::new(provider);
     let mut scratch = ScheduleScratch::new();
-    // Warm-up sizes the scratch and (for on-demand) fills the pair cache.
+    // Warm-up sizes the scratch.
     schedule_cost_with(
         cdcg,
         mesh,
@@ -100,7 +99,7 @@ fn bench_cohort(
 
 fn main() {
     // 1. GA-generation bit-identity + minimum dedup ratio. A 24-sibling
-    //    cohort on an 8x8 shift workload over the on-demand tier: every
+    //    cohort on an 8x8 shift workload over the implicit tier: every
     //    cost bitwise sequential, and at least half of all route
     //    resolutions served from the memo (sibling mappings share
     //    almost every pair, so the real ratio is far higher).
@@ -110,7 +109,7 @@ fn main() {
     let (seq_ns, batch_ns, dedup) = bench_cohort(
         &cdcg8,
         &mesh8,
-        RouteProvider::on_demand(&mesh8, RoutingKind::Xy),
+        RouteProvider::implicit(&mesh8, RoutingKind::Xy),
         &cohort,
     );
     assert!(
@@ -118,7 +117,7 @@ fn main() {
         "GA-generation cohort must dedup at least half of route work, got {dedup:.3}"
     );
     println!(
-        "8x8 GA generation [on-demand]: {:.1} us/eval sequential, {:.1} us/eval batched, dedup {:.1}%",
+        "8x8 GA generation [implicit]: {:.1} us/eval sequential, {:.1} us/eval batched, dedup {:.1}%",
         seq_ns / 1e3,
         batch_ns / 1e3,
         dedup * 100.0
@@ -132,7 +131,7 @@ fn main() {
     config.budget = 400;
     let ga = GeneticSearch::new(config);
     let run_with_memo = |memo: bool| {
-        let provider = Arc::new(RouteProvider::on_demand(&mesh8, RoutingKind::Xy));
+        let provider = Arc::new(RouteProvider::implicit(&mesh8, RoutingKind::Xy));
         let objective = CdcmObjective::with_provider(&cdcg8, &tech, params, provider);
         objective.set_walk_memo(memo);
         ga.search(&objective, &mesh8, cdcg8.core_count())
@@ -149,45 +148,41 @@ fn main() {
     );
 
     // 3. Large-mesh and 3D throughput: 16-sibling cohorts on the 64x64
-    //    shift workload and the 8x8x4 layered-shift workload, per
-    //    storage-free tier.
+    //    shift workload and the 8x8x4 layered-shift workload on the
+    //    implicit tier.
     let mesh64 = Mesh::new(64, 64).expect("valid mesh");
     let cdcg64 = noc_apps::large_mesh_workload(64, 64, 1);
     let cohort64 = sibling_batch(&mesh64, cdcg64.core_count(), 16, 0xC0DE);
-    for provider in [
-        RouteProvider::on_demand(&mesh64, RoutingKind::Xy),
+    let (seq_ns, batch_ns, dedup) = bench_cohort(
+        &cdcg64,
+        &mesh64,
         RouteProvider::implicit(&mesh64, RoutingKind::Xy),
-    ] {
-        let tier = provider.tier();
-        let (seq_ns, batch_ns, dedup) = bench_cohort(&cdcg64, &mesh64, provider, &cohort64);
-        println!(
-            "64x64 shift [{}]: {:.2} ms/eval sequential, {:.2} ms/eval batched ({:.2}x, dedup {:.1}%)",
-            tier.name(),
-            seq_ns / 1e6,
-            batch_ns / 1e6,
-            seq_ns / batch_ns,
-            dedup * 100.0
-        );
-    }
+        &cohort64,
+    );
+    println!(
+        "64x64 shift [implicit]: {:.2} ms/eval sequential, {:.2} ms/eval batched ({:.2}x, dedup {:.1}%)",
+        seq_ns / 1e6,
+        batch_ns / 1e6,
+        seq_ns / batch_ns,
+        dedup * 100.0
+    );
 
     let mesh3d = Mesh::new3(8, 8, 4).expect("valid mesh");
     let cdcg3d = noc_apps::layered_shift_workload(8, 8, 4, 1);
     let cohort3d = sibling_batch(&mesh3d, cdcg3d.core_count(), 16, 0xC0DE);
-    for provider in [
-        RouteProvider::on_demand(&mesh3d, RoutingKind::Xyz),
+    let (seq_ns, batch_ns, dedup) = bench_cohort(
+        &cdcg3d,
+        &mesh3d,
         RouteProvider::implicit(&mesh3d, RoutingKind::Xyz),
-    ] {
-        let tier = provider.tier();
-        let (seq_ns, batch_ns, dedup) = bench_cohort(&cdcg3d, &mesh3d, provider, &cohort3d);
-        println!(
-            "8x8x4 layered-shift [{}]: {:.1} us/eval sequential, {:.1} us/eval batched ({:.2}x, dedup {:.1}%)",
-            tier.name(),
-            seq_ns / 1e3,
-            batch_ns / 1e3,
-            seq_ns / batch_ns,
-            dedup * 100.0
-        );
-    }
+        &cohort3d,
+    );
+    println!(
+        "8x8x4 layered-shift [implicit]: {:.1} us/eval sequential, {:.1} us/eval batched ({:.2}x, dedup {:.1}%)",
+        seq_ns / 1e3,
+        batch_ns / 1e3,
+        seq_ns / batch_ns,
+        dedup * 100.0
+    );
 
     println!("batch smoke: OK");
 }

@@ -5,8 +5,8 @@
 //! texec-optimal mapping. The gap between the first and the last is the
 //! *entire timing slack the workload offers*; `cdcmETR` shows how much
 //! of it the CDCM objective captures (on these instances: all of it).
-//! This is the ground truth behind the Table 2 magnitude discussion in
-//! EXPERIMENTS.md.
+//! This is the ground truth behind the Table 2 magnitudes; the rows are
+//! written to `target/experiments/etr_bounds.json`.
 //!
 //! Usage: `cargo run --release -p noc-bench --bin etr_bounds`
 

@@ -13,8 +13,7 @@
 //!   reproducible bit-for-bit from the same seed.
 //! * **Instance sweep** — `remap_after_faults` on paper-suite rows and
 //!   the 64×64 shift workload; the reports are written to
-//!   `target/experiments/fault_smoke.json` (the source of the
-//!   `fault_tolerance` section in BENCH_eval.json).
+//!   `target/experiments/fault_smoke.json`.
 //!
 //! Usage: `cargo run --release -p noc-bench --bin fault_smoke`
 
@@ -166,7 +165,7 @@ fn main() {
         first.report.recovered_cost
     );
 
-    // Stage 3: the instance sweep behind BENCH_eval.json.
+    // Stage 3: the instance sweep behind `fault_smoke.json`.
     let mut instances = vec![first];
     for group in ["2x4", "8x8"] {
         let bench = noc_apps::table1_suite()

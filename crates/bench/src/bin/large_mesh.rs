@@ -6,9 +6,10 @@
 //!   (no panic) and that the automatic tier choice avoids it, so no
 //!   dense cache is ever built at this scale;
 //! * runs a short CDCM simulated-annealing search on the 64×64
-//!   mesh-filling shift workload over both fallback tiers (on-demand and
-//!   implicit) and asserts the two walk the exact same trajectory;
-//! * times plain cost evaluations at 64×64 and 128×128 per tier.
+//!   mesh-filling shift workload over the implicit tier, once with the
+//!   walk memo on and once with it off, and asserts the two walk the
+//!   exact same trajectory;
+//! * times plain cost evaluations at 64×64 and 128×128.
 //!
 //! Usage: `cargo run --release -p noc-bench --bin large_mesh`
 
@@ -24,7 +25,7 @@ fn eval_ns_per_call(mesh: &Mesh, provider: &RouteProvider, evals: u32) -> f64 {
     let params = SimParams::new();
     let mapping = Mapping::identity(mesh, cdcg.core_count()).expect("cores fit");
     let mut scratch = ScheduleScratch::new();
-    // Warm-up sizes the scratch and (for on-demand) fills the pair cache.
+    // Warm-up sizes the scratch.
     let warm = schedule_cost_with(&cdcg, mesh, &mapping, &params, provider, &mut scratch)
         .expect("schedules at scale");
     assert!(warm > 0);
@@ -55,25 +56,24 @@ fn main() {
     );
     println!("64x64 auto tier: {}", auto.tier().name());
 
-    // 2. CDCM SA at 64×64 on both fallback tiers: identical trajectories.
+    // 2. CDCM SA at 64×64 with the walk memo on and off: identical
+    //    trajectories.
     let cdcg = noc_apps::large_mesh_workload(64, 64, 1);
     let tech = Technology::t007();
     let params = SimParams::new();
     let mut config = SaConfig::quick(5);
     config.max_evaluations = 150;
     let mut outcomes = Vec::new();
-    for provider in [
-        RouteProvider::on_demand(&mesh64, RoutingKind::Xy),
-        RouteProvider::implicit(&mesh64, RoutingKind::Xy),
-    ] {
-        let tier = provider.tier();
-        let objective = CdcmObjective::with_provider(&cdcg, &tech, params, Arc::new(provider));
+    for memo in [true, false] {
+        let provider = Arc::new(RouteProvider::implicit(&mesh64, RoutingKind::Xy));
+        let objective = CdcmObjective::with_provider(&cdcg, &tech, params, provider);
+        objective.set_walk_memo(memo);
         let start = Instant::now();
         let outcome = anneal_delta(&objective, &mesh64, cdcg.core_count(), &config);
         let elapsed = start.elapsed();
         println!(
-            "64x64 CDCM SA [{}]: {:.1} pJ in {} evals, {:.0} us/eval",
-            tier.name(),
+            "64x64 CDCM SA [implicit, memo {}]: {:.1} pJ in {} evals, {:.0} us/eval",
+            if memo { "on" } else { "off" },
             outcome.cost,
             outcome.evaluations,
             elapsed.as_micros() as f64 / outcome.evaluations as f64,
@@ -82,25 +82,16 @@ fn main() {
     }
     assert_eq!(
         outcomes[0].mapping, outcomes[1].mapping,
-        "tiers must walk identical SA trajectories"
+        "the walk memo must not change the SA trajectory"
     );
     assert_eq!(outcomes[0].cost, outcomes[1].cost);
 
-    // 3. Plain cost-evaluation throughput per tier and mesh size.
+    // 3. Plain cost-evaluation throughput per mesh size.
     for (w, h, evals) in [(64usize, 64usize, 5u32), (128, 128, 3)] {
         let mesh = Mesh::new(w, h).expect("valid mesh");
-        for provider in [
-            RouteProvider::on_demand(&mesh, RoutingKind::Xy),
-            RouteProvider::implicit(&mesh, RoutingKind::Xy),
-        ] {
-            let tier = provider.tier();
-            let ns = eval_ns_per_call(&mesh, &provider, evals);
-            println!(
-                "{w}x{h} schedule_cost [{}]: {:.2} ms/eval",
-                tier.name(),
-                ns / 1e6
-            );
-        }
+        let provider = RouteProvider::implicit(&mesh, RoutingKind::Xy);
+        let ns = eval_ns_per_call(&mesh, &provider, evals);
+        println!("{w}x{h} schedule_cost [implicit]: {:.2} ms/eval", ns / 1e6);
     }
 
     println!("large-mesh smoke: OK");

@@ -12,8 +12,7 @@
 //! * asserts the TSV energy term is live: raising `EVbit` to `ELbit`
 //!   changes the cube's CDCM objective (and leaves a planar mesh's
 //!   untouched);
-//! * times plain cost evaluations per mesh and kind — the honest
-//!   numbers recorded in `BENCH_eval.json` → `mesh3d`.
+//! * times plain cost evaluations per mesh and kind.
 //!
 //! Usage: `cargo run --release -p noc-bench --bin mesh3d`
 
@@ -109,28 +108,22 @@ fn main() {
         cheap_cost.objective_pj, pricey_cost.objective_pj
     );
 
-    // 3. Per-eval timings on the implicit tier (plus on-demand for
-    //    comparison) for the two acceptance workloads and both 3D kinds.
+    // 3. Per-eval timings on the implicit tier for the two acceptance
+    //    workloads and both 3D kinds.
     for (w, h, d, evals) in [(4usize, 4usize, 4usize, 20u32), (8, 8, 4, 10)] {
         let mesh = Mesh::new3(w, h, d).expect("valid mesh");
         for kind in [RoutingKind::Xyz, RoutingKind::TorusXyz] {
-            for provider in [
-                RouteProvider::implicit(&mesh, kind),
-                RouteProvider::on_demand(&mesh, kind),
-            ] {
-                let tier = provider.tier();
-                assert!(
-                    tier != RouteTier::Dense,
-                    "the smoke must exercise the storage-free tiers"
-                );
-                let ns = eval_ns_per_call(&mesh, &provider, evals);
-                println!(
-                    "{w}x{h}x{d} schedule_cost [{} / {}]: {:.1} us/eval",
-                    kind.name(),
-                    tier.name(),
-                    ns / 1e3
-                );
-            }
+            let provider = RouteProvider::implicit(&mesh, kind);
+            assert!(
+                provider.tier() != RouteTier::Dense,
+                "the smoke must exercise the storage-free tier"
+            );
+            let ns = eval_ns_per_call(&mesh, &provider, evals);
+            println!(
+                "{w}x{h}x{d} schedule_cost [{} / implicit]: {:.1} us/eval",
+                kind.name(),
+                ns / 1e3
+            );
         }
     }
 

@@ -5,9 +5,8 @@
 //!
 //! Every method spends the same total evaluation budget under the CDCM
 //! objective, so the comparison is search *policy*, not evaluation
-//! count. Results are printed as a table and recorded under
-//! `target/experiments/search_portfolio.json`; the honest summary
-//! (losses included) lives in `BENCH_eval.json`.
+//! count. Results are printed as a table (losses included) and
+//! recorded under `target/experiments/search_portfolio.json`.
 //!
 //! Usage: `cargo run --release -p noc-bench --bin search_portfolio`
 
@@ -135,7 +134,7 @@ fn main() {
         ));
     }
 
-    // Large mesh: 64×64 shift workload on the on-demand route tier.
+    // Large mesh: 64×64 shift workload on the implicit route tier.
     let mesh = Mesh::new(64, 64).expect("valid mesh");
     let cdcg = noc_apps::large_mesh_workload(64, 64, 1);
     records.push(compare("shift-64x64", &cdcg, &mesh, 400, 7, &mut table));

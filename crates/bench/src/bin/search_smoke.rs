@@ -11,8 +11,8 @@
 //! * at an equal total budget, adaptive restarts beat the static
 //!   `RestartBudget::Total` split on final cost (the subsystem's reason
 //!   to exist; instance and seed are pinned, and the whole stack is
-//!   deterministic, so this is a regression gate — see
-//!   `BENCH_eval.json` → `search_portfolio` for the honest spread).
+//!   deterministic, so this is a regression gate — the
+//!   `search_portfolio` bin shows the honest spread).
 //!
 //! Usage: `cargo run --release -p noc-bench --bin search_smoke`
 

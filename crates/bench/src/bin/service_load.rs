@@ -25,8 +25,7 @@
 //! tracing/metrics layer disabled via
 //! `ServiceConfig::without_observability`, which must cost within a few
 //! percent of the instrumented run). The record lands in
-//! `target/experiments/service_load.json` (the source of the
-//! `service_load` and `observability` sections in BENCH_eval.json).
+//! `target/experiments/service_load.json`.
 //!
 //! Usage: `cargo run --release -p noc-bench --bin service_load [jobs]`
 

@@ -45,11 +45,11 @@ pub use commands::{
 };
 pub use options::{
     emit, load_app, parse_fault_scenario, parse_mapping, parse_mesh, parse_mesh_options,
-    parse_pins, parse_route_provider, parse_routing, parse_technology, parse_tenure, Options,
+    parse_pins, parse_routing, parse_technology, parse_tenure, Options,
 };
 pub use request::{
-    build_evaluate_request, build_solve_request, build_solve_request_with_method, parse_cache_tier,
-    parse_method, parse_priority, parse_strategy, sa_profile,
+    build_evaluate_request, build_solve_request, build_solve_request_with_method, parse_method,
+    parse_priority, parse_strategy, sa_profile,
 };
 
 use std::error::Error;
@@ -72,7 +72,7 @@ USAGE:
                    [--neighborhood N] [--crossover pmx|cycle]
                    [--tech paper|0.35|0.07]
                    [--routing xy|yx|torus-xy|xyz|torus-xyz]
-                   [--route-cache auto|dense|on-demand|implicit]
+                   [--route-cache auto|dense|implicit]
                    [--seed S] [--quick] [--evals N] [--telemetry]
                    [--pin c0:t3,c2:t0]
                    [--faults K] [--fault-kind link|tsv|region]
@@ -109,9 +109,9 @@ the budget to the best basins (successive halving + reheating);
 methods spend the same `--evals` total, so they compare fairly;
 `--telemetry` prints where the budget went.
 `--route-cache` picks the route-provisioning tier: `auto` (default)
-precomputes densely on small meshes and switches to the bounded-memory
-on-demand cache on large ones; `implicit` stores no routes at all.
-Results are identical across tiers. `--evals N` caps the SA evaluation
+precomputes densely on meshes up to 29x29 and switches to `implicit`,
+which stores no routes at all, on larger ones. Results are identical
+across tiers. `--evals N` caps the SA evaluation
 budget.
 `--mesh 4x4x4` (or `--mesh 4x4 --depth 4`) targets a 3D stacked mesh;
 `xyz` is dimension-ordered 3D routing and `torus-xyz` wraps all three
@@ -270,12 +270,15 @@ mod tests {
     #[test]
     fn cache_tiers_and_priorities_parse_symbolically() {
         use noc_service::{CacheTier, Priority};
-        assert_eq!(parse_cache_tier("auto").unwrap(), CacheTier::Auto);
-        assert_eq!(parse_cache_tier("dense").unwrap(), CacheTier::Dense);
-        assert_eq!(parse_cache_tier("on-demand").unwrap(), CacheTier::OnDemand);
-        assert_eq!(parse_cache_tier("lazy").unwrap(), CacheTier::OnDemand);
-        assert_eq!(parse_cache_tier("implicit").unwrap(), CacheTier::Implicit);
-        assert!(parse_cache_tier("hashmap").is_err());
+        assert_eq!(CacheTier::from_name("auto").unwrap(), CacheTier::Auto);
+        assert_eq!(CacheTier::from_name("dense").unwrap(), CacheTier::Dense);
+        assert_eq!(
+            CacheTier::from_name(" Implicit ").unwrap(),
+            CacheTier::Implicit
+        );
+        for removed in ["on-demand", "ondemand", "lazy", "hashmap"] {
+            assert!(CacheTier::from_name(removed).is_err(), "{removed}");
+        }
         assert_eq!(parse_priority("high").unwrap(), Priority::High);
         assert_eq!(parse_priority("normal").unwrap(), Priority::Normal);
         assert_eq!(parse_priority("low").unwrap(), Priority::Low);
@@ -643,26 +646,69 @@ mod tests {
 
     #[test]
     fn route_cache_tiers_parse() {
-        let mesh = parse_mesh("4x4").unwrap();
-        let kind = parse_routing("xy").unwrap();
-        for (name, tier) in [
-            ("auto", noc_model::RouteTier::Dense),
-            ("dense", noc_model::RouteTier::Dense),
-            ("on-demand", noc_model::RouteTier::OnDemand),
-            ("implicit", noc_model::RouteTier::Implicit),
-        ] {
-            assert_eq!(
-                parse_route_provider(name, &mesh, kind).unwrap().tier(),
-                tier,
-                "{name}"
-            );
+        // Every tier name survives flag -> SolveRequest -> wire -> decoder.
+        use noc_service::protocol::{encode_submit, parse_job};
+        use noc_service::{CacheTier, JobRequest, Priority};
+        let path = write_example_app();
+        for tier in CacheTier::ALL {
+            let options = Options::parse(&strs(&[
+                "--app",
+                path.as_str(),
+                "--mesh",
+                "2x2",
+                "--route-cache",
+                tier.name(),
+            ]))
+            .unwrap();
+            let request = build_solve_request(&options).unwrap();
+            assert_eq!(request.route_cache, tier, "{}", tier.name());
+            let line = encode_submit(&JobRequest::Solve(Box::new(request)), Priority::Normal);
+            let wire = serde_json::parse(&line).unwrap();
+            let job = wire.get_field("job").expect("submit carries the job");
+            match parse_job(job).unwrap() {
+                JobRequest::Solve(decoded) => {
+                    assert_eq!(decoded.route_cache, tier, "{}", tier.name())
+                }
+                JobRequest::Evaluate(_) => panic!("a solve job decoded as evaluate"),
+            }
         }
-        assert!(parse_route_provider("hashmap", &mesh, kind).is_err());
-        // Auto on a large mesh degrades to on-demand instead of failing.
-        let large = parse_mesh("64x64").unwrap();
+    }
+
+    #[test]
+    fn removed_route_cache_tier_gets_one_typed_error_on_both_surfaces() {
+        use noc_service::protocol::handle_line;
+        use noc_service::{MappingService, ServiceConfig, UnknownCacheTier};
+        let path = write_example_app();
+        let cli_err = run(&strs(&[
+            "map",
+            "--app",
+            path.as_str(),
+            "--mesh",
+            "2x2",
+            "--route-cache",
+            "on-demand",
+        ]))
+        .unwrap_err();
         assert_eq!(
-            parse_route_provider("auto", &large, kind).unwrap().tier(),
-            noc_model::RouteTier::OnDemand
+            cli_err.downcast_ref::<UnknownCacheTier>(),
+            Some(&UnknownCacheTier("on-demand".to_owned()))
+        );
+        let message = cli_err.to_string();
+        assert!(message.ends_with("(auto|dense|implicit)"), "{message}");
+
+        let service = MappingService::start(ServiceConfig::new(1));
+        let line = concat!(
+            "{\"op\": \"submit\", \"job\": {\"kind\": \"solve\", ",
+            "\"app_text\": \"core A\\ncore B\\npacket p0 A B comp=6 bits=15\\n\", ",
+            "\"mesh\": {\"width\": 2, \"height\": 2, \"depth\": 1}, ",
+            "\"method\": \"Exhaustive\", \"route_cache\": \"on-demand\"}}"
+        );
+        let reply = handle_line(&service.handle(), line);
+        assert!(reply.line.contains("\"ok\":false"), "{}", reply.line);
+        assert!(
+            reply.line.contains(&format!("\"error\":\"{message}\"")),
+            "{}",
+            reply.line
         );
     }
 
@@ -690,10 +736,11 @@ mod tests {
     #[test]
     fn map_completes_on_a_64x64_mesh_with_fallback_tiers() {
         // The acceptance scenario: a 64x64-mesh CDCM SA run through the
-        // CLI on both large-mesh tiers — the mesh the dense cache refuses.
+        // CLI on `auto` and `implicit` — the mesh the dense cache refuses,
+        // where `auto` resolves to the implicit tier.
         let path = write_generated_app(16, 40);
         let mut tile_lists = Vec::new();
-        for tier in ["on-demand", "implicit"] {
+        for tier in ["auto", "implicit"] {
             let out = run(&strs(&[
                 "map",
                 "--app",
@@ -711,7 +758,7 @@ mod tests {
                 tier,
             ]))
             .unwrap();
-            assert!(out.contains(&format!("route cache:  {tier}")), "{out}");
+            assert!(out.contains("route cache:  implicit"), "{tier}: {out}");
             assert!(out.contains("texec:"), "{out}");
             tile_lists.push(
                 out.lines()

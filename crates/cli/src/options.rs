@@ -7,7 +7,7 @@
 
 use crate::CliError;
 use noc_energy::Technology;
-use noc_model::{Cdcg, FaultScenario, Mapping, Mesh, RouteProvider, RoutingKind, TileId};
+use noc_model::{Cdcg, FaultScenario, Mapping, Mesh, RoutingKind, TileId};
 use noc_service::{Constraints, Tenure};
 
 /// A parsed option bag: `--key value` pairs plus bare flags.
@@ -183,36 +183,6 @@ pub fn parse_tenure(value: &str) -> Result<Tenure, CliError> {
             .parse()
             .map(Tenure::Fixed)
             .map_err(|_| format!("invalid value `{n}` for `--tenure` (auto|N)").into()),
-    }
-}
-
-/// Builds a route provider directly from a `--route-cache` tier name
-/// (`auto`, `dense`, `on-demand`, `implicit`).
-///
-/// Service jobs carry the tier symbolically (see
-/// [`crate::request::parse_cache_tier`]) and let a worker build or share
-/// the provider; this direct builder remains for tools that want a
-/// provider without a service.
-///
-/// # Errors
-///
-/// Returns an error for unknown tier names, and for `dense` on meshes
-/// too large to precompute (the typed
-/// [`noc_model::ModelError::RouteCacheTooLarge`], surfaced instead of a
-/// panic — pick `on-demand` or `implicit` there).
-pub fn parse_route_provider(
-    name: &str,
-    mesh: &Mesh,
-    kind: RoutingKind,
-) -> Result<RouteProvider, CliError> {
-    match name.trim().to_ascii_lowercase().as_str() {
-        "auto" => Ok(RouteProvider::auto(mesh, kind)),
-        "dense" => Ok(RouteProvider::dense(mesh, kind)?),
-        "on-demand" | "ondemand" | "lazy" => Ok(RouteProvider::on_demand(mesh, kind)),
-        "implicit" => Ok(RouteProvider::implicit(mesh, kind)),
-        other => {
-            Err(format!("unknown route cache `{other}` (auto|dense|on-demand|implicit)").into())
-        }
     }
 }
 

@@ -17,24 +17,6 @@ use noc_service::{
 };
 use noc_sim::SimParams;
 
-/// Parses a `--route-cache` tier name into the symbolic [`CacheTier`] a
-/// job request carries (`auto`, `dense`, `on-demand`, `implicit`).
-///
-/// # Errors
-///
-/// Returns an error for unknown tier names.
-pub fn parse_cache_tier(name: &str) -> Result<CacheTier, CliError> {
-    match name.trim().to_ascii_lowercase().as_str() {
-        "auto" => Ok(CacheTier::Auto),
-        "dense" => Ok(CacheTier::Dense),
-        "on-demand" | "ondemand" | "lazy" => Ok(CacheTier::OnDemand),
-        "implicit" => Ok(CacheTier::Implicit),
-        other => {
-            Err(format!("unknown route cache `{other}` (auto|dense|on-demand|implicit)").into())
-        }
-    }
-}
-
 /// Parses a `--priority` class name (`high`, `normal`, `low`).
 ///
 /// # Errors
@@ -211,7 +193,7 @@ pub fn build_solve_request_with_method(
     request.tech = parse_technology(options.get("--tech").unwrap_or("0.07"))?;
     request.params = SimParams::new();
     request.routing = parse_routing(options.get("--routing").unwrap_or("xy"))?;
-    request.route_cache = parse_cache_tier(options.get("--route-cache").unwrap_or("auto"))?;
+    request.route_cache = CacheTier::from_name(options.get("--route-cache").unwrap_or("auto"))?;
     request.pins = pins;
     request.sa_config = sa_config;
     request.criticality = options.flag("--robustness-report");

@@ -163,8 +163,8 @@ pub struct CdcmCost {
 /// [`evaluate_cdcm`].
 ///
 /// Wraps `noc-sim`'s [`CostEvaluator`] (cost-only contention-aware
-/// schedule over a shared [`RouteProvider`] — dense, on-demand or
-/// implicit, so arbitrarily large meshes work) and adds the Equation 10
+/// schedule over a shared [`RouteProvider`] — dense, implicit or
+/// fault-aware, so arbitrarily large meshes work) and adds the Equation 10
 /// energy terms, computed from cached hop counts instead of re-derived
 /// routes. For every input, [`CdcmCostEvaluator::evaluate`] returns
 /// exactly the `objective_pj()`, `texec_cycles` and `texec_ns` of
@@ -202,7 +202,7 @@ pub struct CdcmCostEvaluator<'a> {
 impl<'a> CdcmCostEvaluator<'a> {
     /// Builds the engine for `mesh` under XY routing, with an
     /// automatically sized route provider (dense for small meshes,
-    /// on-demand beyond).
+    /// implicit beyond).
     pub fn new(cdcg: &'a Cdcg, mesh: &Mesh, tech: &'a Technology, params: &SimParams) -> Self {
         Self::with_provider(
             cdcg,

@@ -169,7 +169,8 @@ pub fn anneal_constrained<C: CostFunction + ?Sized>(
     let mut temperature = config.initial_temperature.unwrap_or_else(|| {
         let mut deltas = Vec::new();
         let mut sample = current.clone();
-        for _ in 0..16 {
+        // Calibration is billed, so it must fit the budget too.
+        for _ in 0..16.min(config.max_evaluations.saturating_sub(1)) {
             let (a, b) = pick_two(&swappable, &mut rng);
             sample.swap_tiles(a, b);
             let c = objective.cost(&sample);
@@ -423,6 +424,28 @@ mod tests {
             sa.cost,
             es.cost
         );
+    }
+
+    #[test]
+    fn pinned_search_never_bills_more_than_its_budget() {
+        // Calibration is billed too, so even budgets below its 16
+        // samples must hold.
+        let (cwg, mesh, tech) = instance();
+        let obj = CwmObjective::new(&cwg, &mesh, &tech);
+        let pins = Constraints::new()
+            .pin(CoreId::new(0), TileId::new(0))
+            .unwrap();
+        for budget in 1..=20 {
+            let mut config = SaConfig::quick(5);
+            config.max_evaluations = budget;
+            let outcome = anneal_constrained(&obj, &mesh, 4, &pins, &config);
+            assert!(
+                outcome.evaluations <= budget,
+                "budget {budget} billed {}",
+                outcome.evaluations
+            );
+            assert!(pins.satisfied_by(&outcome.mapping));
+        }
     }
 
     #[test]

@@ -156,7 +156,7 @@ pub struct Explorer<'a> {
     params: SimParams,
     /// Route provider of `mesh`, built once and shared by every objective
     /// this explorer builds (and by their per-thread clones). The tier is
-    /// size-aware by default (dense for small meshes, on-demand beyond),
+    /// size-aware by default (dense for small meshes, implicit beyond),
     /// so arbitrarily large meshes explore out of the box.
     routes: Arc<RouteProvider>,
 }
@@ -179,7 +179,7 @@ impl<'a> Explorer<'a> {
     ///
     /// Panics only for a *custom* routing algorithm on a mesh too large
     /// to cache densely; library routings never panic (they fall back to
-    /// the on-demand tier). Use [`Explorer::with_provider`] to choose a
+    /// the implicit tier). Use [`Explorer::with_provider`] to choose a
     /// tier explicitly.
     pub fn with_routing(
         cdcg: &'a Cdcg,
@@ -196,7 +196,7 @@ impl<'a> Explorer<'a> {
     }
 
     /// [`Explorer::new`] over an explicit shared route provider (any
-    /// tier — dense, on-demand or implicit; search results are
+    /// tier — dense, implicit or fault-aware; search results are
     /// bit-identical across tiers).
     ///
     /// # Panics

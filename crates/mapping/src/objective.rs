@@ -48,7 +48,7 @@ pub use noc_search::{BatchCost, CostFunction, SwapDeltaCost};
 /// Routes come from a shared [`RouteProvider`], so neither full
 /// evaluations nor [`SwapDeltaCost::swap_delta`] re-derive paths —
 /// hop counts are `O(1)` table lookups (dense tier) or closed forms
-/// (on-demand/implicit tiers). The provider may be built for any
+/// (implicit tier). The provider may be built for any
 /// [`RoutingAlgorithm`] ([`Self::with_routing`]); [`Self::new`]
 /// defaults to XY, the paper's routing function.
 #[derive(Debug, Clone)]

@@ -59,7 +59,7 @@ pub enum ModelError {
         expected: usize,
     },
     /// The dense per-pair route cache would be too large for this mesh;
-    /// use an on-demand or implicit route provider instead
+    /// use the implicit route provider instead
     /// (`noc_model::route_provider`).
     RouteCacheTooLarge {
         /// Tiles of the offending mesh.
@@ -109,7 +109,7 @@ impl fmt::Display for ModelError {
                 write!(
                     f,
                     "dense route cache for {tiles} tiles needs ~{entries} table entries; \
-                     use an on-demand or implicit route provider"
+                     use the implicit route provider"
                 )
             }
             Self::MeshPartitioned { pair: (src, dst) } => {

@@ -41,7 +41,7 @@ use std::sync::Mutex;
 const FAULT_SHARDS: usize = 64;
 
 /// Default total walk-arena budget of the detour cache, in `u32`
-/// entries across all shards (matches the on-demand tier's ~64 MB).
+/// entries across all shards (~64 MB).
 const FAULT_CACHE_CAPACITY: usize = 1 << 24;
 
 /// A set of dead inter-router channels.
@@ -465,8 +465,8 @@ impl FaultAwareRoutes {
             return entry;
         }
         if shard.walks.len() >= self.shard_capacity {
-            // Bounded memory, as in the on-demand tier: evict the whole
-            // shard rather than track per-entry recency.
+            // Bounded memory: evict the whole shard rather than track
+            // per-entry recency.
             shard.entries.clear();
             shard.walks.clear();
         }

@@ -67,7 +67,7 @@ pub use fault::{FaultAwareRoutes, FaultRouteStats, FaultScenario, FaultSet};
 pub use ids::{CoreId, PacketId, TileId};
 pub use mapping::Mapping;
 pub use route_cache::RouteCache;
-pub use route_provider::{ImplicitRoutes, OnDemandRoutes, RouteProvider, RouteSource, RouteTier};
+pub use route_provider::{ImplicitRoutes, RouteProvider, RouteSource, RouteTier};
 pub use routing::{
     Path, RoutingAlgorithm, RoutingKind, TorusXyRouting, TorusXyzRouting, XyRouting, XyzRouting,
     YxRouting,

@@ -26,9 +26,8 @@
 //! *refuses* meshes whose tables would be unreasonably large
 //! ([`ModelError::RouteCacheTooLarge`], checked analytically **before**
 //! any allocation) instead of thrashing or overflowing the `u32` offset
-//! space. Larger meshes are served by the other two tiers of
-//! [`crate::route_provider`]: the bounded-memory on-demand pair cache and
-//! the allocation-free implicit walker.
+//! space. Larger meshes are served by the allocation-free implicit
+//! walker of [`crate::route_provider`].
 //! [`RouteProvider::auto`](crate::route_provider::RouteProvider::auto)
 //! picks a tier by size so callers never hit the limit accidentally.
 
@@ -40,8 +39,8 @@ use std::collections::HashMap;
 
 /// Hard ceiling on the estimated dense table entries a [`RouteCache`]
 /// will agree to precompute (~1 GB of tables). Beyond it construction
-/// returns [`ModelError::RouteCacheTooLarge`]; use the on-demand or
-/// implicit provider tiers instead.
+/// returns [`ModelError::RouteCacheTooLarge`]; use the implicit provider
+/// tier instead.
 pub const MAX_DENSE_ENTRIES: u128 = 1 << 27;
 
 /// All routes of a mesh under one deterministic routing function, with

@@ -1,4 +1,4 @@
-//! Tiered route provisioning: dense, on-demand and implicit routes.
+//! Tiered route provisioning: dense, implicit and fault-aware routes.
 //!
 //! The evaluation engine consumes routes as *dense-link-id walks*: per
 //! packet, the ordered list of `u32` resource ids (injection link,
@@ -7,19 +7,13 @@
 //! for small meshes, but its `O(n²·diameter)` tables stop fitting well
 //! before the meshes the large-scale NoC-mapping literature evaluates
 //! (3D and hundred-by-hundred grids). [`RouteProvider`] generalizes the
-//! supply side into three tiers behind one interface ([`RouteSource`]):
+//! supply side into one tier per regime behind one interface
+//! ([`RouteSource`]):
 //!
 //! * **[`RouteProvider::Dense`]** — the precomputed [`RouteCache`],
-//!   unchanged fast path for meshes up to roughly 32×32. Walks are spans
-//!   into the cache's shared flat array; resolving one allocates and
-//!   copies nothing.
-//! * **[`RouteProvider::OnDemand`]** — a sharded pair cache
-//!   ([`OnDemandRoutes`]) that routes lazily on first use and interns the
-//!   walk, with bounded memory: each shard clears itself when its walk
-//!   arena exceeds its cap, so the provider never grows past a fixed
-//!   budget no matter how many pairs a search touches. Resolving a walk
-//!   copies it into the caller's buffer (the shards are internally
-//!   locked, so the provider stays `Sync` for multi-start search).
+//!   the fast path for meshes up to [`AUTO_DENSE_MAX_ENTRIES`]. Walks
+//!   are spans into the cache's shared flat array; resolving one
+//!   allocates and copies nothing.
 //! * **[`RouteProvider::Implicit`]** — no stored routes at all
 //!   ([`ImplicitRoutes`]): XY/YX/torus/XYZ walks are generated directly
 //!   from tile coordinates into the caller's buffer, and link ids come
@@ -27,42 +21,38 @@
 //!   injection and ejection link plus one per outgoing router port —
 //!   four ports per tile on planar meshes (the historical `6·n` total),
 //!   six on 3D meshes (`8·n`, adding the up/down TSV ports). Zero
-//!   resident memory; `O(route length)` per resolution.
+//!   resident memory; `O(route length)` per resolution. Evaluators
+//!   front it with a private [`crate::WalkMemo`], so a search pays for
+//!   each pair's walk once.
+//! * **[`RouteProvider::FaultAware`]** — detour routing around a fault
+//!   set of dead links (`crate::fault`).
 //!
-//! Dense ids differ between the tiers (first-use interning order versus
-//! the closed form), but evaluation results do not: the ids are a
-//! bijection onto the same physical links, and the timing/energy engines
-//! depend only on which walks share which resources. The repository's
-//! property tests pin bit-identical costs across all three tiers, on
-//! planar and 3D meshes alike.
+//! Dense ids differ between the tiers (interning order versus the
+//! closed form), but evaluation results do not: the ids are a bijection
+//! onto the same physical links, and the timing/energy engines depend
+//! only on which walks share which resources. The repository's property
+//! tests pin bit-identical costs across the tiers, on planar and 3D
+//! meshes alike.
 //!
 //! [`RouteProvider::auto`] picks dense while the estimated tables stay
-//! small and falls back to on-demand beyond — large meshes work out of
-//! the box instead of failing at construction time. The CLI exposes the
-//! choice as `--route-cache dense|on-demand|implicit|auto`.
+//! small and implicit beyond — large meshes work out of the box instead
+//! of failing at construction time. The CLI exposes the choice as
+//! `--route-cache auto|dense|implicit`.
 
 use crate::crg::{Coord, Link, Mesh};
 use crate::error::ModelError;
 use crate::ids::TileId;
 use crate::route_cache::RouteCache;
 use crate::routing::{RoutingAlgorithm, RoutingKind};
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-/// Entry-estimate threshold below which [`RouteProvider::auto`] picks
-/// the dense tier (≈ a 32×32 mesh; ~250 MB of tables at the boundary).
+/// Entry-estimate threshold up to which [`RouteProvider::auto`] picks
+/// the dense tier (29×29 is the largest square mesh under it).
 pub const AUTO_DENSE_MAX_ENTRIES: u128 = 1 << 25;
-
-/// Default total walk-arena budget of the on-demand tier, in `u32`
-/// entries across all shards (≈ 64 MB).
-const ON_DEMAND_DEFAULT_CAPACITY: usize = 1 << 24;
-
-/// Number of independently locked shards of [`OnDemandRoutes`].
-const ON_DEMAND_SHARDS: usize = 64;
 
 /// A supplier of routes in the dense-link-id form the evaluation engine
 /// consumes. Implemented by [`RouteCache`] (shared flat array) and
-/// [`RouteProvider`] (all three tiers).
+/// [`RouteProvider`] (every tier).
 pub trait RouteSource {
     /// The mesh the routes traverse.
     fn mesh(&self) -> &Mesh;
@@ -145,7 +135,7 @@ impl RouteSource for RouteCache {
     }
 }
 
-/// Closed-form dense link numbering shared by the implicit and on-demand
+/// Closed-form dense link numbering of the implicit and fault-aware
 /// tiers, one slot **per tile port**: injection links occupy ids `0..n`,
 /// ejection links `n..2n`, and the outgoing internal links of tile `t`
 /// occupy `2n + ports·t + direction` — `ports = 4` on planar meshes
@@ -378,121 +368,11 @@ impl RouteSource for ImplicitRoutes {
     }
 }
 
-/// One shard of the on-demand pair cache: memoized walks in a bump arena
-/// plus the pair → span map.
-#[derive(Debug, Default)]
-struct Shard {
-    spans: HashMap<u64, (u32, u32)>,
-    walks: Vec<u32>,
-}
-
-/// The on-demand tier: lazily routed, interned pair walks with bounded
-/// memory. See the module docs.
-#[derive(Debug)]
-pub struct OnDemandRoutes {
-    walker: ImplicitRoutes,
-    shards: Box<[Mutex<Shard>]>,
-    /// Per-shard walk-arena cap; a shard exceeding it clears itself
-    /// before interning the next walk (epoch eviction).
-    shard_capacity: usize,
-}
-
-impl OnDemandRoutes {
-    /// Creates the pair cache with the default memory budget (~64 MB).
-    pub fn new(mesh: &Mesh, kind: RoutingKind) -> Self {
-        Self::with_capacity(mesh, kind, ON_DEMAND_DEFAULT_CAPACITY)
-    }
-
-    /// Creates the pair cache with an explicit total walk-arena budget
-    /// (in `u32` entries, split evenly across the internal shards).
-    pub fn with_capacity(mesh: &Mesh, kind: RoutingKind, capacity: usize) -> Self {
-        let shards = (0..ON_DEMAND_SHARDS)
-            .map(|_| Mutex::new(Shard::default()))
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
-        Self {
-            walker: ImplicitRoutes::new(mesh, kind),
-            shards,
-            shard_capacity: (capacity / ON_DEMAND_SHARDS).max(64),
-        }
-    }
-
-    /// The routing kind being cached.
-    pub fn kind(&self) -> RoutingKind {
-        self.walker.kind()
-    }
-
-    /// Number of pair walks currently memoized (diagnostics).
-    pub fn cached_pairs(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().unwrap_or_else(|e| e.into_inner()).spans.len())
-            .sum()
-    }
-}
-
-impl RouteSource for OnDemandRoutes {
-    fn mesh(&self) -> &Mesh {
-        self.walker.mesh()
-    }
-
-    fn routing_name(&self) -> &'static str {
-        self.walker.routing_name()
-    }
-
-    fn dense_link_count(&self) -> usize {
-        self.walker.dense_link_count()
-    }
-
-    fn router_count(&self, src: TileId, dst: TileId) -> usize {
-        self.walker.router_count(src, dst)
-    }
-
-    fn vertical_hops(&self, src: TileId, dst: TileId) -> usize {
-        RouteSource::vertical_hops(&self.walker, src, dst)
-    }
-
-    fn walk_span(&self, src: TileId, dst: TileId, buf: &mut Vec<u32>) -> (u32, u32) {
-        let n = self.walker.mesh().tile_count() as u64;
-        let key = src.index() as u64 * n + dst.index() as u64;
-        let mut shard = self.shards[key as usize % self.shards.len()]
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        let start = buf.len();
-        let (s, l) = match shard.spans.get(&key) {
-            Some(&span) => span,
-            None => {
-                if shard.walks.len() >= self.shard_capacity {
-                    // Bounded memory: evict the whole shard rather than
-                    // track per-entry recency.
-                    shard.spans.clear();
-                    shard.walks.clear();
-                }
-                let span = self.walker.walk_span(src, dst, &mut shard.walks);
-                shard.spans.insert(key, span);
-                span
-            }
-        };
-        buf.extend_from_slice(&shard.walks[s as usize..(s + l) as usize]);
-        (start as u32, l)
-    }
-
-    fn flat<'s>(&'s self, buf: &'s [u32]) -> &'s [u32] {
-        buf
-    }
-
-    fn link_at(&self, id: u32) -> Option<Link> {
-        self.walker.link_at(id)
-    }
-}
-
 /// Which tier a [`RouteProvider`] is running.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RouteTier {
     /// Full per-pair precomputation ([`RouteCache`]).
     Dense,
-    /// Lazily interned pair walks with bounded memory.
-    OnDemand,
     /// Coordinate walks, no stored routes.
     Implicit,
     /// Detour routing around a [`crate::fault::FaultSet`] of dead links.
@@ -504,22 +384,19 @@ impl RouteTier {
     pub fn name(self) -> &'static str {
         match self {
             Self::Dense => "dense",
-            Self::OnDemand => "on-demand",
             Self::Implicit => "implicit",
             Self::FaultAware => "fault-aware",
         }
     }
 }
 
-/// A tiered route supplier: one of the three strategies behind the
-/// [`RouteSource`] interface. See the module docs for the tiers and
+/// A tiered route supplier: one of the tiers behind the [`RouteSource`]
+/// interface. See the module docs for the tiers and
 /// their trade-offs.
 #[derive(Debug)]
 pub enum RouteProvider {
     /// The dense precomputed cache.
     Dense(Arc<RouteCache>),
-    /// The bounded-memory on-demand pair cache.
-    OnDemand(OnDemandRoutes),
     /// The allocation-free implicit walker.
     Implicit(ImplicitRoutes),
     /// The fault-aware detour router (`crate::fault`).
@@ -545,11 +422,6 @@ impl RouteProvider {
         Self::Dense(cache)
     }
 
-    /// On-demand tier for `mesh` under `kind`.
-    pub fn on_demand(mesh: &Mesh, kind: RoutingKind) -> Self {
-        Self::OnDemand(OnDemandRoutes::new(mesh, kind))
-    }
-
     /// Implicit tier for `mesh` under `kind`.
     pub fn implicit(mesh: &Mesh, kind: RoutingKind) -> Self {
         Self::Implicit(ImplicitRoutes::new(mesh, kind))
@@ -564,7 +436,7 @@ impl RouteProvider {
     }
 
     /// Size-based automatic tier choice: dense while the estimated
-    /// tables stay below [`AUTO_DENSE_MAX_ENTRIES`], on-demand beyond.
+    /// tables stay within [`AUTO_DENSE_MAX_ENTRIES`], implicit beyond.
     /// Never fails and never precomputes more than the threshold allows.
     pub fn auto(mesh: &Mesh, kind: RoutingKind) -> Self {
         if RouteCache::dense_entry_estimate(mesh) <= AUTO_DENSE_MAX_ENTRIES {
@@ -572,7 +444,7 @@ impl RouteProvider {
                 return provider;
             }
         }
-        Self::on_demand(mesh, kind)
+        Self::implicit(mesh, kind)
     }
 
     /// Automatic tier choice for any routing algorithm: library
@@ -603,27 +475,15 @@ impl RouteProvider {
     pub fn tier(&self) -> RouteTier {
         match self {
             Self::Dense(_) => RouteTier::Dense,
-            Self::OnDemand(_) => RouteTier::OnDemand,
             Self::Implicit(_) => RouteTier::Implicit,
             Self::FaultAware(_) => RouteTier::FaultAware,
         }
     }
 
-    /// Whether evaluators should front this provider with a private
-    /// [`crate::WalkMemo`] by default. True for the tiers where
-    /// resolution takes locks (the sharded on-demand cache) or runs a
-    /// search (fault-aware BFS detours) — exactly where PR 3 measured
-    /// shared-cache synchronization costing more than recomputation.
-    /// The implicit walker recomputes lock-free and the dense tier's
-    /// spans index its own flat array, so neither defaults on (a memo
-    /// is *incorrect* over dense: nothing is appended to its arena).
-    pub fn local_memo_default(&self) -> bool {
-        matches!(self, Self::OnDemand(_) | Self::FaultAware(_))
-    }
-
-    /// Whether a [`crate::WalkMemo`] may front this provider at all:
-    /// every buffering tier (`walk_span` appends the walk to the
-    /// caller's buffer). Only the dense tier is excluded.
+    /// Whether a [`crate::WalkMemo`] may front this provider: every
+    /// buffering tier (`walk_span` appends the walk to the caller's
+    /// buffer). Only the dense tier is excluded: its spans index its own
+    /// flat array, so there is nothing for a memo to replay.
     pub fn memo_compatible(&self) -> bool {
         !matches!(self, Self::Dense(_))
     }
@@ -649,7 +509,6 @@ impl RouteSource for RouteProvider {
     fn mesh(&self) -> &Mesh {
         match self {
             Self::Dense(c) => c.mesh(),
-            Self::OnDemand(o) => o.mesh(),
             Self::Implicit(i) => i.mesh(),
             Self::FaultAware(f) => RouteSource::mesh(f),
         }
@@ -658,7 +517,6 @@ impl RouteSource for RouteProvider {
     fn routing_name(&self) -> &'static str {
         match self {
             Self::Dense(c) => c.routing_name(),
-            Self::OnDemand(o) => o.routing_name(),
             Self::Implicit(i) => i.routing_name(),
             Self::FaultAware(f) => RouteSource::routing_name(f),
         }
@@ -667,7 +525,6 @@ impl RouteSource for RouteProvider {
     fn dense_link_count(&self) -> usize {
         match self {
             Self::Dense(c) => c.dense_link_count(),
-            Self::OnDemand(o) => o.dense_link_count(),
             Self::Implicit(i) => RouteSource::dense_link_count(i),
             Self::FaultAware(f) => RouteSource::dense_link_count(f),
         }
@@ -676,7 +533,6 @@ impl RouteSource for RouteProvider {
     fn router_count(&self, src: TileId, dst: TileId) -> usize {
         match self {
             Self::Dense(c) => c.router_count(src, dst),
-            Self::OnDemand(o) => o.router_count(src, dst),
             Self::Implicit(i) => RouteSource::router_count(i, src, dst),
             Self::FaultAware(f) => RouteSource::router_count(f, src, dst),
         }
@@ -685,7 +541,6 @@ impl RouteSource for RouteProvider {
     fn vertical_hops(&self, src: TileId, dst: TileId) -> usize {
         match self {
             Self::Dense(c) => c.vertical_hops(src, dst),
-            Self::OnDemand(o) => RouteSource::vertical_hops(o, src, dst),
             Self::Implicit(i) => RouteSource::vertical_hops(i, src, dst),
             Self::FaultAware(f) => RouteSource::vertical_hops(f, src, dst),
         }
@@ -694,7 +549,6 @@ impl RouteSource for RouteProvider {
     fn walk_span(&self, src: TileId, dst: TileId, buf: &mut Vec<u32>) -> (u32, u32) {
         match self {
             Self::Dense(c) => RouteSource::walk_span(c.as_ref(), src, dst, buf),
-            Self::OnDemand(o) => o.walk_span(src, dst, buf),
             Self::Implicit(i) => RouteSource::walk_span(i, src, dst, buf),
             Self::FaultAware(f) => RouteSource::walk_span(f, src, dst, buf),
         }
@@ -703,14 +557,13 @@ impl RouteSource for RouteProvider {
     fn flat<'s>(&'s self, buf: &'s [u32]) -> &'s [u32] {
         match self {
             Self::Dense(c) => c.link_ids_flat(),
-            Self::OnDemand(_) | Self::Implicit(_) | Self::FaultAware(_) => buf,
+            Self::Implicit(_) | Self::FaultAware(_) => buf,
         }
     }
 
     fn link_at(&self, id: u32) -> Option<Link> {
         match self {
             Self::Dense(c) => RouteSource::link_at(c.as_ref(), id),
-            Self::OnDemand(o) => o.link_at(id),
             Self::Implicit(i) => RouteSource::link_at(i, id),
             Self::FaultAware(f) => RouteSource::link_at(f, id),
         }
@@ -718,7 +571,7 @@ impl RouteSource for RouteProvider {
 
     fn validate_pair(&self, src: TileId, dst: TileId) -> Result<(), ModelError> {
         match self {
-            Self::Dense(_) | Self::OnDemand(_) | Self::Implicit(_) => Ok(()),
+            Self::Dense(_) | Self::Implicit(_) => Ok(()),
             Self::FaultAware(f) => f.validate_pair(src, dst),
         }
     }
@@ -776,63 +629,18 @@ mod tests {
     }
 
     #[test]
-    fn on_demand_matches_implicit_and_caches() {
-        for mesh in [Mesh::new(4, 3).unwrap(), Mesh::new3(3, 2, 2).unwrap()] {
-            for kind in RoutingKind::ALL {
-                let implicit = ImplicitRoutes::new(&mesh, kind);
-                let lazy = OnDemandRoutes::new(&mesh, kind);
-                for src in mesh.tiles() {
-                    for dst in mesh.tiles() {
-                        // Query twice: miss path, then memoized path.
-                        for _ in 0..2 {
-                            assert_eq!(
-                                decode_walk(&lazy, src, dst),
-                                decode_walk(&implicit, src, dst),
-                                "{kind:?} {src}->{dst}"
-                            );
-                        }
-                    }
-                }
-                assert_eq!(lazy.cached_pairs(), mesh.tile_count() * mesh.tile_count());
-            }
-        }
-    }
-
-    #[test]
-    fn on_demand_memory_stays_bounded() {
-        let mesh = Mesh::new(6, 6).unwrap();
-        // A budget far below the full pair table forces shard eviction.
-        let lazy = OnDemandRoutes::with_capacity(&mesh, RoutingKind::Xy, 64 * ON_DEMAND_SHARDS);
-        let implicit = ImplicitRoutes::new(&mesh, RoutingKind::Xy);
-        let mut buf = Vec::new();
-        for src in mesh.tiles() {
-            for dst in mesh.tiles() {
-                buf.clear();
-                lazy.walk_span(src, dst, &mut buf);
-                assert_eq!(
-                    decode_walk(&lazy, src, dst),
-                    decode_walk(&implicit, src, dst)
-                );
-            }
-        }
-        let per_shard_cap = (64 * ON_DEMAND_SHARDS) / ON_DEMAND_SHARDS;
-        for shard in lazy.shards.iter() {
-            let shard = shard.lock().unwrap();
-            // One walk may straddle the cap before eviction triggers.
-            assert!(shard.walks.len() <= per_shard_cap + mesh.tile_count());
-        }
-    }
-
-    #[test]
-    fn auto_picks_dense_small_and_on_demand_large() {
-        let small = Mesh::new(8, 8).unwrap();
-        assert_eq!(
-            RouteProvider::auto(&small, RoutingKind::Xy).tier(),
-            RouteTier::Dense
-        );
-        let large = Mesh::new(64, 64).unwrap();
-        let provider = RouteProvider::auto(&large, RoutingKind::Xy);
-        assert_eq!(provider.tier(), RouteTier::OnDemand);
+    fn auto_picks_dense_small_and_implicit_large() {
+        let tier = |w, h| RouteProvider::auto(&Mesh::new(w, h).unwrap(), RoutingKind::Xy).tier();
+        assert_eq!(tier(8, 8), RouteTier::Dense);
+        // 29×29 is the largest square mesh within the threshold (checked
+        // on the estimate, without building its tables), 30×30 the
+        // smallest beyond it.
+        let estimate = |w| RouteCache::dense_entry_estimate(&Mesh::new(w, w).unwrap());
+        assert!(estimate(29) <= AUTO_DENSE_MAX_ENTRIES);
+        assert!(estimate(30) > AUTO_DENSE_MAX_ENTRIES);
+        assert_eq!(tier(30, 30), RouteTier::Implicit);
+        let provider = RouteProvider::auto(&Mesh::new(64, 64).unwrap(), RoutingKind::Xy);
+        assert_eq!(provider.tier(), RouteTier::Implicit);
         assert!(provider.as_dense().is_none());
         // 3D meshes go through the same size logic: a 4×4×4 cube still
         // fits densely, a 32×32×8 stack does not.
@@ -842,11 +650,10 @@ mod tests {
         );
         assert_eq!(
             RouteProvider::auto(&Mesh::new3(32, 32, 8).unwrap(), RoutingKind::Xyz).tier(),
-            RouteTier::OnDemand
+            RouteTier::Implicit
         );
         // Tier names for CLI/reporting.
         assert_eq!(RouteTier::Dense.name(), "dense");
-        assert_eq!(RouteTier::OnDemand.name(), "on-demand");
         assert_eq!(RouteTier::Implicit.name(), "implicit");
     }
 
@@ -871,7 +678,7 @@ mod tests {
             &TorusXyzRouting,
         ] {
             let provider = RouteProvider::for_algorithm(&large, algo).unwrap();
-            assert_eq!(provider.tier(), RouteTier::OnDemand);
+            assert_eq!(provider.tier(), RouteTier::Implicit);
             assert_eq!(RouteSource::routing_name(&provider), algo.name());
         }
     }

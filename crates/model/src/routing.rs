@@ -313,8 +313,8 @@ impl RoutingAlgorithm for XyzRouting {
 /// The routing algorithms the library ships, as a closed enum.
 ///
 /// The `dyn RoutingAlgorithm` objects above are open for extension; this
-/// enum is the *closed* subset the implicit and on-demand route providers
-/// (see [`crate::route_provider`]) can walk directly from coordinates,
+/// enum is the *closed* subset the implicit and fault-aware route
+/// providers (see [`crate::route_provider`]) can walk directly from coordinates,
 /// with closed-form hop distances and no stored routes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RoutingKind {

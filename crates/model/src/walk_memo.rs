@@ -1,18 +1,17 @@
 //! Per-evaluator, lock-free walk memoization.
 //!
-//! PR 3's numbers exposed an uncomfortable fact about the shared
-//! on-demand route cache: its 64 mutex shards cost more per lookup than
-//! the implicit walker's recomputation, so a *bigger* shared cache is
-//! the wrong lever. [`WalkMemo`] is the opposite shape — a small
-//! open-addressed pair→span table **owned by one evaluator** (one
-//! `CostEvaluator`, one batch evaluator, one service worker), probed
-//! and filled without any lock, shard, guard or atomic. Thread safety
-//! is by construction: the table is private state, a clone duplicates
-//! it wholesale, and nothing is ever shared.
+//! A shared, locked route cache costs more per lookup than the implicit
+//! walker's recomputation, so a *bigger* shared cache is the wrong
+//! lever. [`WalkMemo`] is the opposite shape — a small open-addressed
+//! pair→span table **owned by one evaluator** (one `CostEvaluator`, one
+//! batch evaluator, one service worker), probed and filled without any
+//! lock, shard, guard or atomic. Thread safety is by construction: the
+//! table is private state, a clone duplicates it wholesale, and nothing
+//! is ever shared.
 //!
-//! A memo fronts any *buffering* [`RouteSource`] tier (on-demand,
-//! implicit, fault-aware — sources whose `walk_span` appends the walk
-//! to the caller's buffer). On a hit the resolved walk is served from
+//! A memo fronts any *buffering* [`RouteSource`] tier (implicit,
+//! fault-aware — sources whose `walk_span` appends the walk to the
+//! caller's buffer). On a hit the resolved walk is served from
 //! the memo's private arena; on a miss the source resolves once into
 //! that arena and the pair is recorded. Two read paths cover the two
 //! engine shapes:
@@ -272,7 +271,7 @@ mod tests {
     #[test]
     fn memoized_walks_match_direct_resolution() {
         let mesh = mesh();
-        let routes = RouteProvider::on_demand(&mesh, RoutingKind::Xy);
+        let routes = RouteProvider::implicit(&mesh, RoutingKind::Xy);
         let mut memo = WalkMemo::new();
         let mut direct = Vec::new();
         for src in 0..36 {
@@ -309,7 +308,7 @@ mod tests {
     #[test]
     fn resolve_into_matches_walk_span() {
         let mesh = mesh();
-        let routes = RouteProvider::on_demand(&mesh, RoutingKind::Xy);
+        let routes = RouteProvider::implicit(&mesh, RoutingKind::Xy);
         let mut memo = WalkMemo::new();
         let mut via_memo = Vec::new();
         let mut via_source = Vec::new();
@@ -328,7 +327,7 @@ mod tests {
     #[test]
     fn eviction_only_at_begin_eval_and_counted() {
         let mesh = mesh();
-        let routes = RouteProvider::on_demand(&mesh, RoutingKind::Xy);
+        let routes = RouteProvider::implicit(&mesh, RoutingKind::Xy);
         let mut memo = WalkMemo::with_budget(8);
         let (a, b) = (TileId::new(0), TileId::new(35));
         memo.resolve(&routes, a, b);

@@ -78,18 +78,58 @@ impl Priority {
 /// tiers are built per job, exactly as the CLI always did.
 ///
 /// [`Auto`]: CacheTier::Auto
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CacheTier {
     /// Size-based automatic choice; shared through the registry.
     #[default]
     Auto,
     /// Dense precomputed tables (fails on meshes too large to cache).
     Dense,
-    /// Bounded-memory on-demand cache.
-    OnDemand,
     /// No stored routes at all.
     Implicit,
 }
+
+impl CacheTier {
+    /// Every tier, in the order usage and error texts list them.
+    pub const ALL: [Self; 3] = [Self::Auto, Self::Dense, Self::Implicit];
+
+    /// The tier's name: the `--route-cache` flag value and the wire's
+    /// `"route_cache"` string.
+    pub fn name(self) -> &'static str {
+        match self {
+            Self::Auto => "auto",
+            Self::Dense => "dense",
+            Self::Implicit => "implicit",
+        }
+    }
+
+    /// Parses a tier [`name`](Self::name), ignoring ASCII case and
+    /// surrounding whitespace. The CLI flag parser and the wire decoder
+    /// both go through here, so a bad name gets the same error on both.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`UnknownCacheTier`] for any other name.
+    pub fn from_name(name: &str) -> Result<Self, UnknownCacheTier> {
+        Self::ALL
+            .into_iter()
+            .find(|tier| tier.name().eq_ignore_ascii_case(name.trim()))
+            .ok_or_else(|| UnknownCacheTier(name.to_owned()))
+    }
+}
+
+/// A route-cache tier name [`CacheTier::from_name`] does not know.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct UnknownCacheTier(pub String);
+
+impl std::fmt::Display for UnknownCacheTier {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let names: Vec<&str> = CacheTier::ALL.iter().map(|tier| tier.name()).collect();
+        write!(f, "unknown route cache `{}` ({})", self.0, names.join("|"))
+    }
+}
+
+impl std::error::Error for UnknownCacheTier {}
 
 /// A mapping-search work order: everything `noc-cli map` used to
 /// orchestrate inline, as one self-contained request.

@@ -71,7 +71,7 @@ mod worker;
 pub use events::EventStream;
 pub use job::{
     CacheTier, EvaluateRequest, EvaluateResult, JobId, JobRequest, JobResult, JobState, Priority,
-    SolveRequest, SolveResult,
+    SolveRequest, SolveResult, UnknownCacheTier,
 };
 pub use registry::{ProviderKey, ProviderLease, ProviderRegistry, RegistryStats};
 pub use service::{MappingService, ServiceConfig, ServiceEvent, ServiceHandle, ServiceStats};

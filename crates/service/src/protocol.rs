@@ -125,7 +125,7 @@ fn solve_to_value(req: &SolveRequest) -> Value {
         ("faults".to_owned(), fault_pairs(&req.faults)),
         (
             "route_cache".to_owned(),
-            Value::Str(cache_tier_name(req.route_cache).to_owned()),
+            Value::Str(req.route_cache.name().to_owned()),
         ),
         ("pins".to_owned(), req.pins.to_value()),
         ("sa_config".to_owned(), req.sa_config.to_value()),
@@ -160,15 +160,6 @@ fn strategy_name(strategy: noc_mapping::Strategy) -> &'static str {
     match strategy {
         noc_mapping::Strategy::Cwm => "cwm",
         noc_mapping::Strategy::Cdcm => "cdcm",
-    }
-}
-
-fn cache_tier_name(tier: CacheTier) -> &'static str {
-    match tier {
-        CacheTier::Auto => "auto",
-        CacheTier::Dense => "dense",
-        CacheTier::OnDemand => "on-demand",
-        CacheTier::Implicit => "implicit",
     }
 }
 
@@ -258,22 +249,6 @@ fn parse_faults(value: &Value) -> Result<FaultSet, String> {
     Ok(faults)
 }
 
-fn parse_cache_tier(value: &Value) -> Result<CacheTier, String> {
-    match value.get_field("route_cache") {
-        None | Some(Value::Null) => Ok(CacheTier::Auto),
-        Some(Value::Str(s)) => match s.as_str() {
-            "auto" => Ok(CacheTier::Auto),
-            "dense" => Ok(CacheTier::Dense),
-            "on-demand" | "ondemand" | "lazy" => Ok(CacheTier::OnDemand),
-            "implicit" => Ok(CacheTier::Implicit),
-            other => Err(format!(
-                "unknown route cache `{other}` (auto|dense|on-demand|implicit)"
-            )),
-        },
-        Some(v) => de(v, "route_cache"),
-    }
-}
-
 fn parse_solve(value: &Value) -> Result<SolveRequest, String> {
     let app = parse_app(value)?;
     let mesh: Mesh = de(
@@ -291,7 +266,11 @@ fn parse_solve(value: &Value) -> Result<SolveRequest, String> {
     req.tech = parse_tech(value)?;
     req.routing = parse_routing(value)?;
     req.faults = parse_faults(value)?;
-    req.route_cache = parse_cache_tier(value)?;
+    req.route_cache = match value.get_field("route_cache") {
+        None | Some(Value::Null) => CacheTier::Auto,
+        Some(Value::Str(s)) => CacheTier::from_name(s).map_err(|e| e.to_string())?,
+        Some(v) => return Err(format!("bad `route_cache`: expected string, got {v:?}")),
+    };
     req.params = opt_field(value, "params", req.params)?;
     req.pins = opt_field(value, "pins", None)?;
     req.sa_config = opt_field(value, "sa_config", req.sa_config)?;

@@ -57,7 +57,7 @@ impl ProviderRegistry {
 
     /// The shared provider for `(mesh, routing, faults)`, building it on
     /// first use. A fault-free key gets the size-aware auto tier (dense
-    /// on small meshes, on-demand beyond); a faulty key gets the
+    /// on small meshes, implicit beyond); a faulty key gets the
     /// fault-aware tier. The build happens under the lock so a key is
     /// built exactly once even when many jobs request it concurrently.
     pub fn provider(&self, mesh: &Mesh, routing: RoutingKind, faults: &FaultSet) -> ProviderLease {

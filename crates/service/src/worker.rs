@@ -62,10 +62,6 @@ fn resolve_provider(
         CacheTier::Dense => RouteProvider::dense(&req.mesh, req.routing)
             .map(|p| (Arc::new(p), false))
             .map_err(|e| e.to_string()),
-        CacheTier::OnDemand => Ok((
-            Arc::new(RouteProvider::on_demand(&req.mesh, req.routing)),
-            false,
-        )),
         CacheTier::Implicit => Ok((
             Arc::new(RouteProvider::implicit(&req.mesh, req.routing)),
             false,
@@ -210,13 +206,9 @@ fn execute_evaluate(req: &EvaluateRequest) -> Result<EvaluateResult, String> {
         routing,
     )
     .map_err(|e| e.to_string())?;
-    let gantt = if req.gantt {
-        let sched = noc_sim::schedule_with(&req.app, &req.mesh, &req.mapping, &req.params, routing)
-            .map_err(|e| e.to_string())?;
-        Some(GanttChart::from_schedule(&sched, &req.app).render(100))
-    } else {
-        None
-    };
+    let gantt = req
+        .gantt
+        .then(|| GanttChart::from_schedule(&eval.schedule, &req.app).render(100));
     Ok(EvaluateResult {
         mapping: req.mapping.clone(),
         routing: routing.name().to_owned(),

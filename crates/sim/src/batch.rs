@@ -17,14 +17,13 @@
 //! The memo's arena doubles as the engine's flat link array (the
 //! zero-copy path), and its eviction checkpoint runs only at batch
 //! boundaries, so spans stay valid across all candidates of a batch.
-//! Unlike the single-mapping engines (whose
-//! [`RouteProvider::local_memo_default`] enables memoization only where
-//! resolution takes locks or runs a search), the batch engine defaults
-//! the memo on for **every** buffering tier including the implicit
-//! walker: sibling cohorts repeat ~90%+ of their pairs by construction,
-//! so one table probe beats even a lock-free arithmetic walk (measured
-//! in `batch_smoke`). Under a dense provider the memo is unnecessary
-//! (spans index the cache's shared flat array) and is bypassed.
+//! Like the single-mapping [`crate::CostEvaluator`], the batch engine
+//! defaults the memo on for **every** buffering tier
+//! ([`RouteProvider::memo_compatible`]): sibling cohorts repeat ~90%+ of
+//! their pairs by construction, so one table probe beats even a
+//! lock-free arithmetic walk (measured in `batch_smoke`). Under a dense
+//! provider the memo is unnecessary (spans index the cache's shared
+//! flat array) and is bypassed.
 //!
 //! Results are **bit-identical to sequential evaluation by
 //! construction**: per candidate, the primed scratch holds exactly the
@@ -372,7 +371,6 @@ mod tests {
         let batch = all_mappings_of_4_on_2x2(&mesh);
         for provider in [
             RouteProvider::dense(&mesh, RoutingKind::Xy).unwrap(),
-            RouteProvider::on_demand(&mesh, RoutingKind::Xy),
             RouteProvider::implicit(&mesh, RoutingKind::Xy),
         ] {
             let provider = Arc::new(provider);
@@ -400,7 +398,7 @@ mod tests {
         let cdcg = small_cdcg();
         let mesh = Mesh::new(2, 2).unwrap();
         let params = SimParams::paper_example();
-        let provider = Arc::new(RouteProvider::on_demand(&mesh, RoutingKind::Xy));
+        let provider = Arc::new(RouteProvider::implicit(&mesh, RoutingKind::Xy));
         let mut evaluator = BatchEvaluator::with_provider(&cdcg, &params, provider);
         let batch = all_mappings_of_4_on_2x2(&mesh);
         evaluator.evaluate(&batch).unwrap();

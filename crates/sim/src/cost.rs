@@ -4,8 +4,8 @@
 //! [`crate::schedule`] — same events, same FIFO and arbitration rules,
 //! same tie-breaking (the [`crate::event`] types are shared) — but
 //! computes **only** what a mapping cost function needs: the application
-//! execution time `texec` and per-link traversal statistics. It does not
-//! materialize [`PacketSchedule`](crate::PacketSchedule)s, an
+//! execution time `texec`. It does not materialize
+//! [`PacketSchedule`](crate::PacketSchedule)s, an
 //! [`OccupancyMap`](crate::OccupancyMap) or a contention log, and it
 //! performs **no per-call allocation**: all working state lives in a
 //! reusable [`ScheduleScratch`] whose per-link tables are indexed by the
@@ -32,8 +32,8 @@ use crate::params::SimParams;
 #[cfg(test)]
 use noc_model::TileId;
 use noc_model::{
-    Cdcg, Link, Mapping, Mesh, PacketId, RouteCache, RouteProvider, RouteSource, RoutingKind,
-    WalkMemo, WalkMemoStats,
+    Cdcg, Mapping, Mesh, PacketId, RouteCache, RouteProvider, RouteSource, RoutingKind, WalkMemo,
+    WalkMemoStats,
 };
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -62,7 +62,6 @@ pub(crate) fn pack(time: u64, packet: usize, variant: u32, hop: u32) -> u128 {
 struct LinkSlot {
     epoch: u64,
     free: u64,
-    traversals: u64,
 }
 
 #[derive(Debug, Clone, Default)]
@@ -99,7 +98,7 @@ pub struct ScheduleScratch {
     /// link-id array (`start`, `len`), resolved once per evaluation.
     spans: Vec<(u32, u32)>,
     /// Walk arena for route sources without a shared flat array
-    /// (on-demand / implicit providers): packet walks are appended here
+    /// (implicit / fault-aware providers): packet walks are appended here
     /// by `init_run` and `spans` index into it. Stays empty under a
     /// dense source, whose spans index the cache's own flat array.
     walks: Vec<u32>,
@@ -175,7 +174,6 @@ impl ScheduleScratch {
         if slot.epoch != self.epoch {
             slot.epoch = self.epoch;
             slot.free = 0;
-            slot.traversals = 0;
         }
         slot
     }
@@ -189,15 +187,6 @@ impl ScheduleScratch {
             slot.clear = 0;
         }
         slot
-    }
-
-    /// Traversal count of a dense link in the most recent evaluation (0
-    /// for links the schedule never touched).
-    pub fn link_traversals(&self, id: u32) -> u64 {
-        match self.links.get(id as usize) {
-            Some(slot) if slot.epoch == self.epoch => slot.traversals,
-            _ => 0,
-        }
     }
 
     /// Primes the scratch for one run of an already-validated instance
@@ -443,7 +432,6 @@ pub(crate) fn run_loop(
                     time
                 };
                 slot.free = entry + n * tl;
-                slot.traversals += 1;
                 scratch.queue.push(pack(entry + tl, p, ROUTER_ENTRY, 0));
             }
             ROUTER_ENTRY => {
@@ -476,7 +464,6 @@ pub(crate) fn run_loop(
                         request
                     };
                     slot.free = entry + n * tl;
-                    slot.traversals += 1;
                     release_fifo(
                         scratch,
                         path[hop],
@@ -515,7 +502,6 @@ pub(crate) fn run_loop(
                     time
                 };
                 slot.free = entry + n * tl;
-                slot.traversals += 1;
                 release_fifo(
                     scratch,
                     path[hop],
@@ -558,10 +544,9 @@ fn release_fifo(scratch: &mut ScheduleScratch, link: u32, applies: bool, clear: 
 /// but gives the clone its own scratch **and its own walk memo**, so
 /// clones can evaluate concurrently on different threads — the layout
 /// parallel multi-start search uses. The memo is a per-evaluator,
-/// lock-free pair→span table ([`WalkMemo`]); it is on by default for the
-/// on-demand and fault-aware tiers, where resolving a pair means taking
-/// a shared-cache lock or walking the mesh
-/// ([`RouteProvider::local_memo_default`]).
+/// lock-free pair→span table ([`WalkMemo`]); it is on by default for
+/// every buffering tier ([`RouteProvider::memo_compatible`]), so a
+/// search resolves each pair's walk once.
 #[derive(Debug, Clone)]
 pub struct CostEvaluator<'a> {
     cdcg: &'a Cdcg,
@@ -574,7 +559,7 @@ pub struct CostEvaluator<'a> {
 impl<'a> CostEvaluator<'a> {
     /// Builds an evaluator for `cdcg` on `mesh` under XY routing, with an
     /// automatically sized route provider (dense for small meshes,
-    /// on-demand beyond — never fails, never panics on mesh size).
+    /// implicit beyond — never fails, never panics on mesh size).
     pub fn new(cdcg: &'a Cdcg, mesh: &Mesh, params: &SimParams) -> Self {
         Self::with_provider(
             cdcg,
@@ -590,7 +575,7 @@ impl<'a> CostEvaluator<'a> {
 
     /// Builds an evaluator sharing an existing route provider (any tier).
     pub fn with_provider(cdcg: &'a Cdcg, params: &SimParams, routes: Arc<RouteProvider>) -> Self {
-        let memo = routes.local_memo_default().then(WalkMemo::new);
+        let memo = routes.memo_compatible().then(WalkMemo::new);
         Self {
             cdcg,
             params: *params,
@@ -670,16 +655,6 @@ impl<'a> CostEvaluator<'a> {
     /// reads.
     pub fn run_stats(&self) -> RunStats {
         self.scratch.run_stats()
-    }
-
-    /// Per-link traversal counts of the most recent evaluation, for load
-    /// diagnostics: `(link, traversals)` for every traversed link.
-    pub fn link_traversals(&self) -> impl Iterator<Item = (Link, u64)> + '_ {
-        (0..self.routes.dense_link_count() as u32).filter_map(move |id| {
-            let n = self.scratch.link_traversals(id);
-            // noc-verify: allow(PANIC01) — a traversal count above zero proves the id was produced by the encoder, so decoding cannot fail
-            (n > 0).then(|| (self.routes.link_at(id).expect("traversed ids decode"), n))
-        })
     }
 }
 
@@ -833,24 +808,6 @@ mod tests {
         // Identical runs process identical event counts; the counter is
         // cumulative and monotone.
         assert_eq!(after_two.events, 2 * after_one.events);
-    }
-
-    #[test]
-    fn traversal_counts_match_packet_paths() {
-        let cdcg = figure1_cdcg();
-        let mesh = Mesh::new(2, 2).unwrap();
-        let params = SimParams::paper_example();
-        let mapping = Mapping::from_tiles(&mesh, [1, 0, 3, 2].map(TileId::new)).unwrap();
-        let mut eval = CostEvaluator::new(&cdcg, &mesh, &params);
-        eval.texec_cycles(&mapping).unwrap();
-        let total: u64 = eval.link_traversals().map(|(_, n)| n).sum();
-        let expected: u64 = schedule(&cdcg, &mesh, &mapping, &params)
-            .unwrap()
-            .packets()
-            .iter()
-            .map(|p| p.links.len() as u64)
-            .sum();
-        assert_eq!(total, expected);
     }
 
     #[test]

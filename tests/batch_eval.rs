@@ -1,8 +1,8 @@
 //! Batch-evaluation property tests. Two contracts:
 //!
 //! 1. **Bit-identity with sequential evaluation** — for every provider
-//!    tier (dense, on-demand, implicit, fault-aware), every routing
-//!    kind, random 2D/3D mesh shapes and random fault scenarios,
+//!    tier (dense, implicit, fault-aware), every routing kind, random
+//!    2D/3D mesh shapes and random fault scenarios,
 //!    [`BatchEvaluator`] returns exactly the `texec` that per-mapping
 //!    [`schedule_cost_with`] computes, and a batch containing an
 //!    unschedulable candidate fails exactly when sequential evaluation
@@ -126,7 +126,6 @@ fn batch_matches_sequential_across_tiers_and_meshes() {
         let mut scratch = ScheduleScratch::new();
         for provider in [
             RouteProvider::dense(&mesh, kind).expect("small mesh"),
-            RouteProvider::on_demand(&mesh, kind),
             RouteProvider::implicit(&mesh, kind),
             RouteProvider::fault_aware(&mesh, kind, FaultSet::new()),
         ] {
@@ -214,7 +213,7 @@ fn memo_on_and_off_batches_are_bit_identical() {
         let kind = kind_of(case as usize);
         let params = SimParams::new();
         let batch = sibling_batch(&mesh, cdcg.core_count(), splitmix(&mut state));
-        let provider = Arc::new(RouteProvider::on_demand(&mesh, kind));
+        let provider = Arc::new(RouteProvider::implicit(&mesh, kind));
         let mut on = BatchEvaluator::with_provider(&cdcg, &params, Arc::clone(&provider));
         let mut off = BatchEvaluator::with_provider(&cdcg, &params, provider);
         off.set_walk_memo(false);
@@ -265,7 +264,7 @@ fn memo_on_and_off_search_trajectories_are_bit_identical() {
         let seed = splitmix(&mut state);
         let cores = cdcg.core_count();
         let make = |memo: bool| {
-            let provider = Arc::new(RouteProvider::on_demand(&mesh, kind));
+            let provider = Arc::new(RouteProvider::implicit(&mesh, kind));
             let objective = CdcmObjective::with_provider(&cdcg, &tech, params, provider);
             objective.set_walk_memo(memo);
             objective
@@ -301,7 +300,7 @@ fn memo_on_and_off_search_trajectories_are_bit_identical() {
         // GA batched with no table at all.
         let (batch, memo) = on.batch_stats().expect("GA batched");
         assert!(batch.candidates > 0, "case {case}: GA never batched");
-        let memo = memo.expect("on-demand tier memoizes when enabled");
+        let memo = memo.expect("implicit tier memoizes when enabled");
         assert!(memo.hits > 0, "case {case}: memo-on GA never deduped");
         let (_, memo_off) = off.batch_stats().expect("GA batched");
         assert!(memo_off.is_none(), "case {case}: memo-off GA had a table");

@@ -107,13 +107,11 @@ proptest! {
         let mesh = Mesh::new3(w, h, d).expect("valid dims");
         let kind = kind_of(kind_index);
         let implicit = RouteProvider::implicit(&mesh, kind);
-        let lazy = RouteProvider::on_demand(&mesh, kind);
         let fault = RouteProvider::fault_aware(&mesh, kind, FaultSet::new());
         for src in mesh.tiles() {
             for dst in mesh.tiles() {
                 let want = decode_walk(&implicit, src, dst);
                 prop_assert_eq!(&decode_walk(&fault, src, dst), &want, "{:?} {}->{}", kind, src, dst);
-                prop_assert_eq!(&decode_walk(&lazy, src, dst), &want, "{:?} {}->{}", kind, src, dst);
                 prop_assert_eq!(
                     RouteSource::router_count(&fault, src, dst),
                     RouteSource::router_count(&implicit, src, dst)
@@ -128,7 +126,7 @@ proptest! {
     }
 
     /// With an empty `FaultSet`, `schedule_cost` and full CDCM costs are
-    /// bit-identical to the dense/on-demand/implicit tiers on random
+    /// bit-identical to the dense/implicit tiers on random
     /// applications, meshes and mappings.
     #[test]
     fn empty_fault_set_costs_are_bit_identical(
@@ -144,7 +142,6 @@ proptest! {
         let want = schedule_cost_with(&cdcg, &mesh, &mapping, &params, &dense, &mut scratch)
             .expect("schedules");
         for provider in [
-            RouteProvider::on_demand(&mesh, kind),
             RouteProvider::implicit(&mesh, kind),
             RouteProvider::fault_aware(&mesh, kind, FaultSet::new()),
         ] {

@@ -1,7 +1,7 @@
 //! Deterministic-interleaving stress tests for the 64-way sharded route
-//! caches (`FaultAwareRoutes`, `OnDemandRoutes`).
+//! cache of the fault-aware tier (`FaultAwareRoutes`).
 //!
-//! Both caches promise two things under concurrency:
+//! The cache promises two things under concurrency:
 //!
 //! 1. **No deadlock** — every resolution takes exactly one shard guard;
 //!    there is no lock-ordering hazard to race. A watchdog converts a
@@ -14,13 +14,11 @@
 //!    resolve/copy window reliably races an eviction from another
 //!    thread.
 //!
-//! Tiny shard capacities come from `with_shard_capacity`/`with_capacity`
-//! — the default multi-megabyte budgets would never evict on meshes
-//! this small.
+//! Tiny shard capacities come from `with_shard_capacity` — the default
+//! multi-megabyte budget would never evict on meshes this small.
 
 use noc::model::{
-    FaultAwareRoutes, FaultScenario, FaultSet, Mesh, OnDemandRoutes, RouteSource, RoutingKind,
-    TileId,
+    FaultAwareRoutes, FaultScenario, FaultSet, Mesh, RouteSource, RoutingKind, TileId,
 };
 use std::sync::mpsc;
 use std::sync::{Arc, Barrier};
@@ -162,23 +160,6 @@ fn fault_cache_healthy_set_matches_implicit_under_stress() {
             hammer(&shared, &pairs, &reference, "fault-aware-healthy");
         },
     );
-}
-
-#[test]
-fn on_demand_cache_interleaving_is_deterministic() {
-    with_watchdog("on_demand_cache_interleaving_is_deterministic", || {
-        let mesh = Mesh::new3(4, 4, 2).expect("mesh");
-        for kind in [RoutingKind::Xy, RoutingKind::ALL[1]] {
-            let pairs = all_pairs(&mesh);
-            let implicit = noc::model::ImplicitRoutes::new(&mesh, kind);
-            let reference = reference_walks(&implicit, &pairs);
-            // TINY_CAPACITY per the constructor's total budget: divided
-            // across 64 shards and floored at 64 ids — still far below
-            // the full pair set, so evictions stay constant.
-            let shared = OnDemandRoutes::with_capacity(&mesh, kind, TINY_CAPACITY);
-            hammer(&shared, &pairs, &reference, "on-demand");
-        }
-    });
 }
 
 #[test]

@@ -169,7 +169,7 @@ fn batch_and_memo_counters_reach_the_service_registry() {
     ga.budget = 300;
     let mut request = SolveRequest::new(app, mesh, SearchMethod::Genetic(ga));
     request.seed = 3;
-    request.route_cache = CacheTier::OnDemand;
+    request.route_cache = CacheTier::Implicit;
     let service = MappingService::start(ServiceConfig::new(1));
     service.submit(JobRequest::Solve(Box::new(request)), Priority::Normal);
     service.wait_all();

@@ -1,14 +1,13 @@
-//! Provider-equivalence property tests: the on-demand and implicit
-//! route-provider tiers must be indistinguishable from the dense
-//! `RouteCache` wherever both exist — identical routers, dense-link
-//! walks (up to id renaming), hop counts and **bit-identical**
-//! `schedule_cost` / CDCM costs — and must keep working on meshes the
-//! dense cache refuses.
+//! Provider-equivalence property tests: the implicit route-provider
+//! tier must be indistinguishable from the dense `RouteCache` wherever
+//! both exist — identical routers, dense-link walks (up to id
+//! renaming), hop counts and **bit-identical** `schedule_cost` / CDCM
+//! costs — and must keep working on meshes the dense cache refuses.
 
 use noc::apps::TgffConfig;
 use noc::energy::{CdcmCostEvaluator, Technology};
 use noc::model::{
-    Link, Mapping, Mesh, RouteCache, RouteProvider, RouteSource, RoutingKind, TileId,
+    FaultSet, Link, Mapping, Mesh, RouteCache, RouteProvider, RouteSource, RoutingKind, TileId,
 };
 use noc::sim::{schedule_cost_with, ScheduleScratch, SimParams};
 use proptest::prelude::*;
@@ -75,7 +74,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(fuzz_cases()))]
 
     /// Every pair's decoded walk, hop count and vertical-hop count agree
-    /// across the three tiers, for every routing kind (2D and 3D), on
+    /// across the tiers, for every routing kind (2D and 3D), on
     /// random mesh shapes.
     #[test]
     fn walks_and_hops_agree_across_tiers(
@@ -87,18 +86,14 @@ proptest! {
         let mesh = Mesh::new3(w, h, d).expect("valid dims");
         let kind = kind_of(kind_index);
         let dense = RouteCache::with_routing(&mesh, kind.algorithm()).expect("small mesh");
-        let lazy = RouteProvider::on_demand(&mesh, kind);
         let implicit = RouteProvider::implicit(&mesh, kind);
         for src in mesh.tiles() {
             for dst in mesh.tiles() {
                 let want = decode_walk(&dense, src, dst);
-                prop_assert_eq!(&decode_walk(&lazy, src, dst), &want, "{:?} {}->{}", kind, src, dst);
                 prop_assert_eq!(&decode_walk(&implicit, src, dst), &want, "{:?} {}->{}", kind, src, dst);
                 let k = dense.router_count(src, dst);
-                prop_assert_eq!(RouteSource::router_count(&lazy, src, dst), k);
                 prop_assert_eq!(RouteSource::router_count(&implicit, src, dst), k);
                 let v = RouteSource::vertical_hops(&dense, src, dst);
-                prop_assert_eq!(RouteSource::vertical_hops(&lazy, src, dst), v);
                 prop_assert_eq!(RouteSource::vertical_hops(&implicit, src, dst), v);
             }
         }
@@ -120,7 +115,6 @@ proptest! {
         let dense = RouteCache::with_routing(&mesh, kind.algorithm()).expect("small mesh");
         let tiers = [
             RouteProvider::from_cache(std::sync::Arc::new(dense)),
-            RouteProvider::on_demand(&mesh, kind),
             RouteProvider::implicit(&mesh, kind),
         ];
         for src in mesh.tiles() {
@@ -156,7 +150,7 @@ proptest! {
         }
     }
 
-    /// `schedule_cost` is bit-identical across the three tiers on random
+    /// `schedule_cost` is bit-identical across the tiers on random
     /// applications, meshes and mappings.
     #[test]
     fn schedule_cost_is_bit_identical_across_tiers(
@@ -171,14 +165,10 @@ proptest! {
         let dense = RouteProvider::dense(&mesh, kind).expect("small mesh");
         let want = schedule_cost_with(&cdcg, &mesh, &mapping, &params, &dense, &mut scratch)
             .expect("schedules");
-        for provider in [
-            RouteProvider::on_demand(&mesh, kind),
-            RouteProvider::implicit(&mesh, kind),
-        ] {
-            let got = schedule_cost_with(&cdcg, &mesh, &mapping, &params, &provider, &mut scratch)
-                .expect("schedules");
-            prop_assert_eq!(got, want, "{:?} tier {:?}", kind, provider.tier());
-        }
+        let provider = RouteProvider::implicit(&mesh, kind);
+        let got = schedule_cost_with(&cdcg, &mesh, &mapping, &params, &provider, &mut scratch)
+            .expect("schedules");
+        prop_assert_eq!(got, want, "{:?} tier {:?}", kind, provider.tier());
     }
 
     /// Full CDCM costs and swap evaluations are bit-identical across
@@ -206,7 +196,6 @@ proptest! {
         let params = SimParams::new();
         let mut engines: Vec<CdcmCostEvaluator> = [
             RouteProvider::dense(&mesh, kind).expect("small mesh"),
-            RouteProvider::on_demand(&mesh, kind),
             RouteProvider::implicit(&mesh, kind),
         ]
         .into_iter()
@@ -219,7 +208,6 @@ proptest! {
             .map(|e| e.evaluate(&mapping).expect("evaluates"))
             .collect();
         prop_assert_eq!(costs[0], costs[1]);
-        prop_assert_eq!(costs[0], costs[2]);
 
         for &(a, b, accept) in &swaps {
             let a = TileId::new(a % mesh.tile_count());
@@ -229,7 +217,6 @@ proptest! {
                 .map(|e| e.evaluate_swap(&mapping, a, b).expect("evaluates"))
                 .collect();
             prop_assert_eq!(swapped[0], swapped[1], "swap {}-{}", a, b);
-            prop_assert_eq!(swapped[0], swapped[2], "swap {}-{}", a, b);
             if accept {
                 mapping.swap_tiles(a, b);
                 // Promotion path: the next full evaluation must agree too.
@@ -238,15 +225,14 @@ proptest! {
                     .map(|e| e.evaluate(&mapping).expect("evaluates"))
                     .collect();
                 prop_assert_eq!(after[0], after[1]);
-                prop_assert_eq!(after[0], after[2]);
             }
         }
     }
 }
 
 /// The dense tier refuses a 64×64 mesh with a typed error; the fallback
-/// tiers run a real CDCM SA search on it, and both tiers walk the exact
-/// same deterministic trajectory.
+/// tiers (implicit, and fault-aware with no faults) run a real CDCM SA
+/// search on it, and both walk the exact same deterministic trajectory.
 #[test]
 fn large_mesh_sa_runs_on_fallback_tiers() {
     use noc::mapping::{Explorer, SaConfig, SearchMethod, Strategy};
@@ -262,8 +248,8 @@ fn large_mesh_sa_runs_on_fallback_tiers() {
     config.max_evaluations = 400;
     let mut outcomes = Vec::new();
     for provider in [
-        RouteProvider::on_demand(&mesh, RoutingKind::Xy),
         RouteProvider::implicit(&mesh, RoutingKind::Xy),
+        RouteProvider::fault_aware(&mesh, RoutingKind::Xy, FaultSet::new()),
     ] {
         let tier = provider.tier();
         let explorer = Explorer::with_provider(
@@ -286,8 +272,8 @@ fn large_mesh_sa_runs_on_fallback_tiers() {
 
 /// The acceptance instance: on a 4×4×4 cube running the layered-shift
 /// workload, walks, hop counts, `schedule_cost`, CDCM costs and
-/// swap deltas are bit-identical across the dense, on-demand
-/// and implicit tiers, for both 3D routing kinds.
+/// swap deltas are bit-identical across the dense and implicit tiers,
+/// for both 3D routing kinds.
 #[test]
 fn cube_4x4x4_is_bit_identical_across_tiers() {
     let mesh = Mesh::new3(4, 4, 4).unwrap();
@@ -299,7 +285,6 @@ fn cube_4x4x4_is_bit_identical_across_tiers() {
         let dense = RouteCache::with_routing(&mesh, kind.algorithm()).unwrap();
         let tiers = [
             RouteProvider::from_cache(Arc::new(dense)),
-            RouteProvider::on_demand(&mesh, kind),
             RouteProvider::implicit(&mesh, kind),
         ];
         for src in mesh.tiles() {
@@ -329,7 +314,6 @@ fn cube_4x4x4_is_bit_identical_across_tiers() {
             })
             .collect();
         assert_eq!(texecs[0], texecs[1], "{kind:?}");
-        assert_eq!(texecs[0], texecs[2], "{kind:?}");
         let mut engines: Vec<CdcmCostEvaluator> = tiers
             .into_iter()
             .map(|t| CdcmCostEvaluator::with_provider(&cdcg, &tech, &params, Arc::new(t)))
@@ -343,7 +327,6 @@ fn cube_4x4x4_is_bit_identical_across_tiers() {
                 .map(|e| e.evaluate_swap(&current, a, b).expect("evaluates"))
                 .collect();
             assert_eq!(costs[0], costs[1], "{kind:?} swap {i}");
-            assert_eq!(costs[0], costs[2], "{kind:?} swap {i}");
             // Vertical links must actually matter on the cube: the TSV
             // energy differs from the planar one at this tech point, so
             // a cost computed with planar-only ELbit would diverge.
@@ -354,15 +337,14 @@ fn cube_4x4x4_is_bit_identical_across_tiers() {
                 .map(|e| e.evaluate(&current).expect("evaluates"))
                 .collect();
             assert_eq!(full[0], full[1], "{kind:?} promote {i}");
-            assert_eq!(full[0], full[2], "{kind:?} promote {i}");
             assert_eq!(full[0].objective_pj, costs[0].objective_pj);
         }
     }
 }
 
 /// A full CDCM SA search runs on a 3D mesh through the explorer, and
-/// the on-demand and implicit tiers walk identical trajectories (the
-/// 3D twin of the 64×64 planar test).
+/// the dense and implicit tiers walk identical trajectories (the 3D
+/// twin of the 64×64 planar test).
 #[test]
 fn cube_sa_trajectories_are_tier_independent() {
     use noc::mapping::{Explorer, SaConfig, SearchMethod, Strategy};
@@ -373,7 +355,6 @@ fn cube_sa_trajectories_are_tier_independent() {
     let mut outcomes = Vec::new();
     for provider in [
         RouteProvider::dense(&mesh, RoutingKind::Xyz).unwrap(),
-        RouteProvider::on_demand(&mesh, RoutingKind::Xyz),
         RouteProvider::implicit(&mesh, RoutingKind::Xyz),
     ] {
         let explorer = Explorer::with_provider(
@@ -388,9 +369,7 @@ fn cube_sa_trajectories_are_tier_independent() {
         outcomes.push(outcome);
     }
     assert_eq!(outcomes[0].mapping, outcomes[1].mapping);
-    assert_eq!(outcomes[0].mapping, outcomes[2].mapping);
     assert_eq!(outcomes[0].cost, outcomes[1].cost);
-    assert_eq!(outcomes[0].cost, outcomes[2].cost);
 }
 
 /// TSV energy is a real model input: lowering `EVbit` lowers the CDCM
