@@ -15,6 +15,14 @@
 //! Pushes into the ring are O(1) `Vec` appends; pops are array reads
 //! instead of `log(frontier)` 16-byte sift chains.
 //!
+//! An occupancy bitmap keeps one bit per ring slot: set whenever an
+//! event enters the slot (a push, or a migration out of the overflow
+//! heap), cleared when the slot is adopted as the present and on
+//! [`EventQueue::clear`]. Moving to the next non-empty cycle is then a
+//! `trailing_zeros` over at most `WORDS + 1` words rather than a probe
+//! of every empty slot in between, so rows whose events are spread thin
+//! over time pay for the events, not for the idle cycles between them.
+//!
 //! The contract — property-pinned by the repository's bit-exactness
 //! suites — is that the pop sequence is **identical** to the binary
 //! heap's: keys are drawn in ascending `u128` order no matter how pushes
@@ -34,6 +42,8 @@ use std::collections::BinaryHeap;
 /// heap and migrates back into the ring as time advances.
 const WINDOW: u64 = 1024;
 const MASK: u64 = WINDOW - 1;
+/// Words of the ring's occupancy bitmap, one bit per slot.
+const WORDS: usize = (WINDOW / 64) as usize;
 
 /// A growable binary min-heap over `u64` intra-cycle key halves, with
 /// hole-based sifting and an O(n) `heapify` for bucket adoption.
@@ -124,6 +134,8 @@ pub(crate) struct EventQueue {
     /// `WINDOW` per-cycle buckets of low key halves; slot `t & MASK`
     /// holds time `t`, for `t` in `(cur, cur + WINDOW]`.
     ring: Vec<Vec<u64>>,
+    /// Bit `s` is set iff `ring[s]` is non-empty.
+    occupied: [u64; WORDS],
     /// Total events parked in the ring.
     ring_items: usize,
     /// Events beyond the ring horizon (full keys); drains back into the
@@ -148,6 +160,7 @@ impl EventQueue {
             for slot in &mut self.ring {
                 slot.clear();
             }
+            self.occupied = [0; WORDS];
             self.ring_items = 0;
         }
         self.overflow.clear();
@@ -160,12 +173,7 @@ impl EventQueue {
         if t > self.cur {
             let d = t - self.cur;
             if d <= WINDOW {
-                if self.ring.is_empty() {
-                    self.ring.resize_with(WINDOW as usize, Vec::new);
-                }
-                // noc-verify: allow(PANIC01) — slot index is masked to the ring length
-                self.ring[(t & MASK) as usize].push(key as u64);
-                self.ring_items += 1;
+                self.ring_push(t, key as u64);
             } else {
                 self.overflow.push(Reverse(key));
             }
@@ -233,20 +241,57 @@ impl EventQueue {
         }
     }
 
+    /// Parks `low` in the ring slot of time `t` and marks the slot
+    /// occupied. `t` must lie in `(cur, cur + WINDOW]`.
+    #[inline]
+    fn ring_push(&mut self, t: u64, low: u64) {
+        if self.ring.is_empty() {
+            self.ring.resize_with(WINDOW as usize, Vec::new);
+        }
+        let slot = (t & MASK) as usize;
+        // noc-verify: allow(PANIC01) — slot index is masked to the ring length
+        self.ring[slot].push(low);
+        // noc-verify: allow(PANIC01) — slot < WINDOW, so slot / 64 < WORDS
+        self.occupied[slot / 64] |= 1 << (slot % 64);
+        self.ring_items += 1;
+    }
+
+    /// Time of the earliest ring event, or `None` if the ring is empty.
+    /// Scans the bitmap from the slot of `cur + 1` once around the ring:
+    /// the tail of that slot's word, the `WORDS - 1` words after it, then
+    /// the head of the first word again (the slots just behind
+    /// `cur + 1`, which hold the window's last cycles).
+    fn ring_next(&self) -> Option<u64> {
+        if self.ring_items == 0 {
+            return None;
+        }
+        let start = ((self.cur + 1) & MASK) as usize;
+        let (first, shift) = (start / 64, start % 64);
+        for i in 0..=WORDS {
+            let w = (first + i) % WORDS;
+            // noc-verify: allow(PANIC01) — w is reduced modulo WORDS
+            let mut bits = self.occupied[w];
+            if i == 0 {
+                bits &= u64::MAX << shift;
+            } else if i == WORDS {
+                bits &= !(u64::MAX << shift);
+            }
+            if bits != 0 {
+                let slot = (w * 64) as u64 + u64::from(bits.trailing_zeros());
+                // Slot `start` holds `cur + 1`; the slot before it holds
+                // `cur + WINDOW`.
+                return Some(self.cur + 1 + (slot.wrapping_sub(start as u64) & MASK));
+            }
+        }
+        None
+    }
+
     /// Moves the present to the next non-empty cycle and adopts its
     /// events into the intra-cycle heap. Called only when `front` and
     /// `bucket` are drained but events remain.
     fn advance(&mut self) {
         debug_assert!(self.ring_items > 0 || !self.overflow.is_empty());
-        let ring_next = if self.ring_items > 0 {
-            (1..=WINDOW).find_map(|d| {
-                let t = self.cur + d;
-                // noc-verify: allow(PANIC01) — slot index is masked to the ring length
-                (!self.ring[(t & MASK) as usize].is_empty()).then_some(t)
-            })
-        } else {
-            None
-        };
+        let ring_next = self.ring_next();
         let over_next = self.overflow.peek().map(|r| (r.0 >> 64) as u64);
         let t = match (ring_next, over_next) {
             (Some(a), Some(b)) => a.min(b),
@@ -258,13 +303,16 @@ impl EventQueue {
         debug_assert!(self.side.peek().is_none());
         self.drain.clear();
         self.drain_pos = 0;
-        if ring_next.is_some_and(|r| r == t) {
+        if ring_next == Some(t) {
+            let slot = (t & MASK) as usize;
+            // noc-verify: allow(PANIC01) — slot < WINDOW, so slot / 64 < WORDS
+            self.occupied[slot / 64] &= !(1 << (slot % 64));
             // noc-verify: allow(PANIC01) — slot index is masked to the ring length
-            let slot = &mut self.ring[(t & MASK) as usize];
-            self.ring_items -= slot.len();
+            let bucket = &mut self.ring[slot];
+            self.ring_items -= bucket.len();
             // The spent drain buffer (just cleared) becomes the slot's
             // new empty buffer; capacities recycle across cycles.
-            std::mem::swap(&mut self.drain, slot);
+            std::mem::swap(&mut self.drain, bucket);
         }
         // Overflow events now at the present join the drain; those that
         // fell inside the (moved) window migrate into the ring.
@@ -273,12 +321,7 @@ impl EventQueue {
             if kt == t {
                 self.drain.push(key as u64);
             } else if kt - t <= WINDOW {
-                if self.ring.is_empty() {
-                    self.ring.resize_with(WINDOW as usize, Vec::new);
-                }
-                // noc-verify: allow(PANIC01) — slot index is masked to the ring length
-                self.ring[(kt & MASK) as usize].push(key as u64);
-                self.ring_items += 1;
+                self.ring_push(kt, key as u64);
             } else {
                 break;
             }
@@ -295,8 +338,12 @@ mod tests {
     use super::*;
 
     /// Reference: plain binary heap.
-    fn drain_both(mut ops: Vec<(bool, u128)>) {
-        let mut q = EventQueue::default();
+    fn drain_both(ops: Vec<(bool, u128)>) {
+        drain_both_from(EventQueue::default(), ops);
+    }
+
+    /// [`drain_both`] starting from `q`, which must be empty.
+    fn drain_both_from(mut q: EventQueue, mut ops: Vec<(bool, u128)>) {
         let mut h: BinaryHeap<Reverse<u128>> = BinaryHeap::new();
         for (is_pop, key) in ops.drain(..) {
             if is_pop {
@@ -316,6 +363,117 @@ mod tests {
 
     fn key(t: u64, low: u64) -> u128 {
         ((t as u128) << 64) | low as u128
+    }
+
+    /// Fixed xorshift64 stream: seeded inputs without an RNG dependency.
+    fn xorshift(state: &mut u64) -> u64 {
+        *state ^= *state << 13;
+        *state ^= *state >> 7;
+        *state ^= *state << 17;
+        *state
+    }
+
+    /// Gaps that cross bitmap words (63–65), reach the far end of the
+    /// ring (1,023, and 1,024 = `WINDOW`, which lands in the slot just
+    /// adopted) and overshoot it into the overflow heap (1,025, 5,000).
+    const GAPS: [u64; 7] = [63, 64, 65, 1023, 1024, 1025, 5000];
+
+    #[test]
+    fn matches_binary_heap_across_long_gaps() {
+        let mut rng = 0x9e37_79b9_7f4a_7c15;
+        for gap in GAPS {
+            // A lone event that re-queues itself `gap` cycles after the
+            // present, from a seeded start so the slots sit at varied
+            // bit positions.
+            let mut t = xorshift(&mut rng) % 4096;
+            let mut ops = vec![(false, key(t, 0))];
+            for step in 1..300u64 {
+                ops.push((true, 0));
+                t += gap;
+                ops.push((false, key(t, step)));
+            }
+            drain_both(ops);
+
+            // Several events in flight, each pop followed by a push up to
+            // two gaps ahead of the pushes so far.
+            let mut ops = Vec::new();
+            let mut t = xorshift(&mut rng) % 4096;
+            for p in 0..8u64 {
+                ops.push((false, key(t + p * gap / 4, p)));
+            }
+            for step in 0..600u64 {
+                ops.push((true, 0));
+                t += xorshift(&mut rng) % (2 * gap) / 8;
+                let ahead = xorshift(&mut rng) % (2 * gap + 1);
+                ops.push((false, key(t + ahead, step << 8)));
+            }
+            drain_both(ops);
+        }
+    }
+
+    #[test]
+    fn push_a_full_window_ahead_lands_in_the_adopted_slot() {
+        // Popping the first key at cycle 10 adopts slot 10; a push at
+        // 10 + WINDOW maps to that same slot while cycle 10 still drains.
+        let ops = vec![
+            (false, key(10, 1)),
+            (false, key(10, 2)),
+            (false, key(11, 0)),
+            (true, 0),
+            (false, key(10 + WINDOW, 5)),
+            (false, key(10 + WINDOW - 1, 4)),
+            (true, 0),
+            (true, 0),
+            (false, key(11 + WINDOW, 3)),
+            (true, 0),
+            (true, 0),
+        ];
+        drain_both(ops);
+    }
+
+    #[test]
+    fn migrated_overflow_keys_are_found_through_their_bits() {
+        // Far keys wait in the overflow heap; each jump of the present
+        // migrates the ones now inside the window into the ring, where
+        // only their bits lead `advance` to them.
+        let mut rng = 0x2545_f491_4f6c_dd1d;
+        let mut ops = vec![(false, key(0, 0))];
+        for p in 0..96u64 {
+            let t = 2_000 + xorshift(&mut rng) % 12_000;
+            ops.push((false, key(t, p)));
+        }
+        for step in 0..160u64 {
+            ops.push((true, 0));
+            if step % 3 == 0 {
+                let t = 2_000 + xorshift(&mut rng) % 12_000;
+                ops.push((false, key(t, 1_000 + step)));
+            }
+        }
+        drain_both(ops);
+    }
+
+    #[test]
+    fn clear_leaves_no_stale_bit() {
+        // Warm a queue until ring slots across every bitmap word and the
+        // overflow heap hold events, clear it, then replay a fresh
+        // sequence: a surviving bit would send `advance` to an empty slot.
+        let mut rng = 0x5851_f42d_4c95_7f2d;
+        let mut q = EventQueue::default();
+        for p in 0..400u64 {
+            q.push(key(1 + xorshift(&mut rng) % 3_000, p));
+        }
+        for _ in 0..5 {
+            q.pop();
+        }
+        q.clear();
+        let mut ops = Vec::new();
+        for p in 0..200u64 {
+            ops.push((false, key(500 + xorshift(&mut rng) % 1_500, p)));
+            if p % 4 == 0 {
+                ops.push((true, 0));
+            }
+        }
+        drain_both_from(q, ops);
     }
 
     #[test]
