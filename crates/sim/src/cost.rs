@@ -1,10 +1,11 @@
 //! Cost-only fast path of the interval scheduler.
 //!
 //! [`schedule_cost`] runs exactly the event-driven algorithm of
-//! [`crate::schedule`] — same events, same FIFO and arbitration rules,
-//! same tie-breaking (the [`crate::event`] types are shared) — but
-//! computes **only** what a mapping cost function needs: the application
-//! execution time `texec`. It does not materialize
+//! [`crate::schedule`] — the same event order, with a non-final `DECIDE`
+//! folded into its `LINK_REQUEST` (see `owner_event`); the same FIFO and
+//! arbitration rules; the same tie-breaking (the [`crate::event`] types
+//! are shared) — but computes **only** what a mapping cost function
+//! needs: the application execution time `texec`. It does not materialize
 //! [`PacketSchedule`](crate::PacketSchedule)s, an
 //! [`OccupancyMap`](crate::OccupancyMap) or a contention log, and it
 //! performs **no per-call allocation**: all working state lives in a
@@ -71,8 +72,9 @@ struct FifoSlot {
     busy: bool,
     /// When not busy: cycle at which the head was released.
     clear: u64,
-    /// Arrivals parked behind the owner: `(packet, hop, arrival)`.
-    parked: VecDeque<(u32, u32, u64)>,
+    /// Arrivals parked behind the owner: `(packet, hop, arrival, last)`,
+    /// where `last` tells whether `hop` is the packet's ejection hop.
+    parked: VecDeque<(u32, u32, u64, bool)>,
 }
 
 /// Reusable working state of [`schedule_cost`].
@@ -114,7 +116,10 @@ pub struct ScheduleScratch {
 pub struct RunStats {
     /// Completed full cost evaluations served by this scratch.
     pub runs: u64,
-    /// Scheduler events processed across those evaluations.
+    /// Events popped from the event queue across those evaluations: one
+    /// injection, one router entry and one link request per hop, and one
+    /// `DECIDE` per packet, at its ejection hop. A non-final hop has no
+    /// `DECIDE` event: its link request is queued directly.
     pub events: u64,
 }
 
@@ -439,58 +444,59 @@ pub(crate) fn run_loop(
                 // input-port FIFO does not apply to un-serialized
                 // injection links (see `schedule`'s `fifo_applies`).
                 let applies = hop > 0 || params.injection_serialization;
+                let last = hop + 1 == k;
                 if !applies {
-                    scratch.queue.push(pack(time, p, DECIDE, hop as u32));
+                    scratch
+                        .queue
+                        .push(owner_event(time, p, hop as u32, last, tr));
                 } else {
                     let slot = scratch.fifo(path[hop]);
                     if slot.busy {
-                        slot.parked.push_back((p as u32, hop as u32, time));
+                        slot.parked.push_back((p as u32, hop as u32, time, last));
                     } else {
                         let eff = time.max(slot.clear);
                         slot.busy = true;
-                        scratch.queue.push(pack(eff, p, DECIDE, hop as u32));
+                        scratch
+                            .queue
+                            .push(owner_event(eff, p, hop as u32, last, tr));
                     }
                 }
             }
             DECIDE => {
-                let last = hop + 1 == k;
-                if last {
-                    // Request the ejection link.
-                    let request = time + tr;
-                    let slot = scratch.link(path[k]);
-                    let entry = if params.ejection_contention && slot.free > request {
-                        slot.free + tr
-                    } else {
-                        request
-                    };
-                    slot.free = entry + n * tl;
-                    release_fifo(
-                        scratch,
-                        path[hop],
-                        hop > 0 || params.injection_serialization,
-                        entry + (n - 1) * tl + 1,
-                    );
-                    let delivery = entry + n * tl;
-                    texec = texec.max(delivery);
-                    delivered += 1;
-                    // Wake up dependent packets.
-                    for &succ in cdcg.successors(PacketId::new(p)) {
-                        let s = succ.index();
-                        scratch.ready[s] = scratch.ready[s].max(delivery);
-                        scratch.pending[s] -= 1;
-                        if scratch.pending[s] == 0 {
-                            scratch.queue.push(pack(
-                                scratch.ready[s] + cdcg.packet(succ).comp_cycles,
-                                s,
-                                INJECT,
-                                0,
-                            ));
-                        }
-                    }
+                // Only the ejection hop has a `DECIDE` (see `owner_event`):
+                // request the ejection link.
+                debug_assert_eq!(hop + 1, k, "DECIDE on a non-final hop");
+                let request = time + tr;
+                let slot = scratch.link(path[k]);
+                let entry = if params.ejection_contention && slot.free > request {
+                    slot.free + tr
                 } else {
-                    scratch
-                        .queue
-                        .push(pack(time + tr, p, LINK_REQUEST, hop as u32));
+                    request
+                };
+                slot.free = entry + n * tl;
+                release_fifo(
+                    scratch,
+                    path[hop],
+                    hop > 0 || params.injection_serialization,
+                    entry + (n - 1) * tl + 1,
+                    tr,
+                );
+                let delivery = entry + n * tl;
+                texec = texec.max(delivery);
+                delivered += 1;
+                // Wake up dependent packets.
+                for &succ in cdcg.successors(PacketId::new(p)) {
+                    let s = succ.index();
+                    scratch.ready[s] = scratch.ready[s].max(delivery);
+                    scratch.pending[s] -= 1;
+                    if scratch.pending[s] == 0 {
+                        scratch.queue.push(pack(
+                            scratch.ready[s] + cdcg.packet(succ).comp_cycles,
+                            s,
+                            INJECT,
+                            0,
+                        ));
+                    }
                 }
             }
             _ => {
@@ -507,6 +513,7 @@ pub(crate) fn run_loop(
                     path[hop],
                     hop > 0 || params.injection_serialization,
                     entry + (n - 1) * tl + 1,
+                    tr,
                 );
                 scratch
                     .queue
@@ -519,17 +526,34 @@ pub(crate) fn run_loop(
     (texec, delivered, events_done)
 }
 
+/// The event packet `p` queues once it owns router `hop`'s input FIFO
+/// at cycle `owned`. On the ejection hop (`last`) that is its `DECIDE`.
+/// On any other hop `schedule`'s `DECIDE` only queues the
+/// `LINK_REQUEST` `tr` cycles later, so that request is queued directly:
+/// the skipped event has no side effects, and a packet has one pending
+/// event at a time, so every other key still pops in the same order.
+#[inline]
+fn owner_event(owned: u64, p: usize, hop: u32, last: bool, tr: u64) -> u128 {
+    if last {
+        pack(owned, p, DECIDE, hop)
+    } else {
+        pack(owned + tr, p, LINK_REQUEST, hop)
+    }
+}
+
 /// Releases the FIFO head of `link` at cycle `clear`, waking the next
 /// parked packet — the dense-id twin of `schedule`'s `release_fifo`.
-fn release_fifo(scratch: &mut ScheduleScratch, link: u32, applies: bool, clear: u64) {
+fn release_fifo(scratch: &mut ScheduleScratch, link: u32, applies: bool, clear: u64, tr: u64) {
     if !applies {
         return;
     }
     let slot = scratch.fifo(link);
     debug_assert!(slot.busy, "owner released a tracked FIFO");
-    if let Some((q, qhop, arrival)) = slot.parked.pop_front() {
+    if let Some((q, qhop, arrival, last)) = slot.parked.pop_front() {
         let eff = arrival.max(clear);
-        scratch.queue.push(pack(eff, q as usize, DECIDE, qhop));
+        scratch
+            .queue
+            .push(owner_event(eff, q as usize, qhop, last, tr));
         // `q` now owns the FIFO head; remaining arrivals stay parked.
     } else {
         slot.busy = false;
@@ -756,6 +780,12 @@ mod tests {
             (2, 1, 1, true, true),
             (2, 1, 1, false, false),
             (5, 2, 8, true, false),
+            // Zero routing delay: a non-final hop's link request lands in
+            // the cycle its router was entered.
+            (0, 1, 1, false, true),
+            (0, 1, 1, false, false),
+            (0, 3, 1, true, true),
+            (0, 2, 8, true, false),
         ] {
             let params = SimParams {
                 routing_cycles: tr,
