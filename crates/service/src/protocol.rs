@@ -46,6 +46,10 @@
 //! the result payload under `"result"` (the [`SolveResult`] /
 //! [`EvaluateResult`] serialization) and a `"kind"` discriminator.
 //!
+//! The socket server reads at most [`MAX_LINE_BYTES`] per request line.
+//! A longer line gets an `{"ok":false}` reply naming the cap, and the
+//! server closes that connection; other connections are unaffected.
+//!
 //! [`SolveResult`]: crate::job::SolveResult
 //! [`EvaluateResult`]: crate::job::EvaluateResult
 
@@ -522,10 +526,16 @@ pub fn handle_line(handle: &ServiceHandle, line: &str) -> Reply {
 // Unix-socket server and client
 // ---------------------------------------------------------------------------
 
+/// Longest request line the socket server accepts, newline included:
+/// 16 MiB, about 60 times the inline app of a 64×64 mesh. The server
+/// never buffers more than this for one line, so a client that sends no
+/// newline cannot grow its memory without bound.
+pub const MAX_LINE_BYTES: usize = 16 << 20;
+
 #[cfg(unix)]
 mod unix {
     use super::*;
-    use std::io::{BufRead, BufReader, Write};
+    use std::io::{BufRead, BufReader, Read, Write};
     use std::os::unix::net::{UnixListener, UnixStream};
     use std::path::{Path, PathBuf};
     use std::sync::atomic::{AtomicBool, Ordering};
@@ -569,12 +579,34 @@ mod unix {
             Ok(w) => w,
             Err(_) => return,
         };
-        for line in BufReader::new(stream).lines() {
-            let Ok(line) = line else { break };
+        let mut reader = BufReader::new(stream);
+        loop {
+            let mut buf = Vec::new();
+            match (&mut reader)
+                .take(MAX_LINE_BYTES as u64)
+                .read_until(b'\n', &mut buf)
+            {
+                Ok(0) | Err(_) => break,
+                Ok(_) => {}
+            }
+            if buf.len() == MAX_LINE_BYTES && buf.last() != Some(&b'\n') {
+                // The rest of the line is unread, so the stream cannot be
+                // resynchronized: answer, then hang up.
+                let refusal = error_line(&format!(
+                    "request line exceeds the {MAX_LINE_BYTES}-byte limit; closing the connection"
+                ));
+                let _ = writer.write_all(format!("{refusal}\n").as_bytes());
+                let _ = writer.flush();
+                return;
+            }
+            let Ok(line) = std::str::from_utf8(&buf) else {
+                break;
+            };
+            let line = line.trim_end_matches('\n').trim_end_matches('\r');
             if line.trim().is_empty() {
                 continue;
             }
-            let reply = handle_line(handle, &line);
+            let reply = handle_line(handle, line);
             if writer
                 .write_all(format!("{}\n", reply.line).as_bytes())
                 .is_err()
@@ -763,6 +795,49 @@ mod tests {
             );
             assert!(!reply.shutdown);
         }
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn an_over_long_socket_line_is_refused_and_the_server_keeps_serving() {
+        use std::io::{BufRead, BufReader, Write};
+        use std::os::unix::net::UnixStream;
+        let service = service();
+        let path = std::env::temp_dir().join(format!("noc-line-cap-{}.sock", std::process::id()));
+        let server = {
+            let (handle, path) = (service.handle(), path.clone());
+            std::thread::spawn(move || serve_unix(handle, &path))
+        };
+        let mut stream = (0..500)
+            .find_map(|_| {
+                UnixStream::connect(&path).ok().or_else(|| {
+                    std::thread::sleep(std::time::Duration::from_millis(10));
+                    None
+                })
+            })
+            .expect("server binds its socket");
+        // A server that waited for the newline would never answer.
+        stream
+            .set_read_timeout(Some(std::time::Duration::from_secs(60)))
+            .expect("timeout set");
+        // No newline within the cap. The server stops reading at the cap
+        // and hangs up, so the tail of this write may fail.
+        let _ = stream.write_all(&vec![b' '; MAX_LINE_BYTES + 1]);
+        let mut reply = String::new();
+        BufReader::new(&stream)
+            .read_line(&mut reply)
+            .expect("refusal arrives");
+        assert!(reply.contains("\"ok\":false"), "{reply}");
+        assert!(reply.contains(&MAX_LINE_BYTES.to_string()), "{reply}");
+
+        let stats = request_unix(&path, &encode_op("stats", None)).expect("new connection");
+        assert!(stats.contains("\"ok\":true"), "{stats}");
+        assert!(stats.contains("\"stats\""), "{stats}");
+        request_unix(&path, &encode_op("shutdown", None)).expect("shutdown answers");
+        server
+            .join()
+            .expect("server thread")
+            .expect("server exits cleanly");
     }
 
     #[test]

@@ -212,7 +212,8 @@ pub struct ServiceStats {
     pub registry_entries: u64,
     /// Full cost evaluations served by the pooled worker scratches.
     pub scratch_runs: u64,
-    /// Scheduler events processed by the pooled worker scratches.
+    /// Scheduler events processed by the pooled worker scratches (see
+    /// [`noc_sim::RunStats::events`]).
     pub scratch_events: u64,
 }
 

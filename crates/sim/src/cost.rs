@@ -116,10 +116,10 @@ pub struct ScheduleScratch {
 pub struct RunStats {
     /// Completed full cost evaluations served by this scratch.
     pub runs: u64,
-    /// Events popped from the event queue across those evaluations: one
-    /// injection, one router entry and one link request per hop, and one
-    /// `DECIDE` per packet, at its ejection hop. A non-final hop has no
-    /// `DECIDE` event: its link request is queued directly.
+    /// Events popped from the event queue across those evaluations. A
+    /// packet crossing `k` routers takes `2k + 1`: its injection, an
+    /// entry per router, a link request per router but the last, and one
+    /// `DECIDE` at the last router, which requests the ejection link.
     pub events: u64,
 }
 
@@ -405,7 +405,8 @@ pub(crate) fn init_run<S: RouteSource + ?Sized>(
 
 /// The shared event loop of the cost engine. Starts from a scratch
 /// primed by [`init_run`] (or [`ScheduleScratch::prime_run`]) and runs
-/// the queue dry. Returns `(texec, packets delivered, events processed)`.
+/// the queue dry. Returns `(texec, packets delivered, events processed)`;
+/// [`RunStats::events`] says what counts as an event.
 pub(crate) fn run_loop(
     cdcg: &Cdcg,
     params: &SimParams,
@@ -818,6 +819,27 @@ mod tests {
         assert_eq!(eval.texec_cycles(&b).unwrap(), 90);
         assert_eq!(eval.texec_cycles(&a).unwrap(), first);
         assert_eq!(first, 100);
+    }
+
+    #[test]
+    fn a_packet_over_k_routers_costs_2k_plus_1_events() {
+        // Injection, k router entries, k - 1 link requests and one
+        // ejection DECIDE: a non-final hop queues no DECIDE of its own.
+        let cdcg = figure1_cdcg();
+        let mesh = Mesh::new(2, 2).unwrap();
+        let params = SimParams::paper_example();
+        for tiles in [[1, 0, 3, 2], [3, 0, 1, 2], [0, 3, 1, 2]] {
+            let mapping = Mapping::from_tiles(&mesh, tiles.map(TileId::new)).unwrap();
+            let full = schedule(&cdcg, &mesh, &mapping, &params).unwrap();
+            let expected: u64 = full
+                .packets()
+                .iter()
+                .map(|ps| 2 * ps.router_count() as u64 + 1)
+                .sum();
+            let mut eval = CostEvaluator::new(&cdcg, &mesh, &params);
+            eval.texec_cycles(&mapping).unwrap();
+            assert_eq!(eval.run_stats().events, expected, "tiles {tiles:?}");
+        }
     }
 
     #[test]

@@ -14,10 +14,11 @@
 //!   buffers, which the analytic model cannot express).
 //!
 //! The interval scheduler additionally has a **cost-only fast path**,
-//! [`cost`]: the same algorithm (shared event types, identical
-//! arbitration and tie-breaking, bit-exact `texec`) evaluated without
-//! materializing schedules, occupancy maps or contention logs, over
-//! preallocated scratch state ([`ScheduleScratch`]) and a shared route
+//! [`cost`]: the same algorithm (the same event order, with a non-final
+//! `DECIDE` folded into its `LINK_REQUEST`; identical arbitration and
+//! tie-breaking; bit-exact `texec`) evaluated without materializing
+//! schedules, occupancy maps or contention logs, over preallocated
+//! scratch state ([`ScheduleScratch`]) and a shared route
 //! source — a dense [`noc_model::RouteCache`] or any tier of the
 //! large-mesh [`noc_model::RouteProvider`]. The contract:
 //!

@@ -105,7 +105,7 @@ pub fn describe_engine_metrics(registry: &MetricsRegistry) {
     );
     registry.describe(
         "noc_schedule_events_total",
-        "Packet events processed by the scheduler.",
+        "Events the cost-only scheduler processed: per packet an injection and an ejection decision, per router crossed an entry, per router but the last a link request.",
     );
     registry.describe(
         "noc_batch_batches_total",

@@ -394,8 +394,8 @@ mod tests {
             }
             drain_both(ops);
 
-            // Several events in flight, each pop followed by a push up to
-            // two gaps ahead of the pushes so far.
+            // Several events in flight: after each pop, one push up to two
+            // gaps ahead of a base time that drifts forward.
             let mut ops = Vec::new();
             let mut t = xorshift(&mut rng) % 4096;
             for p in 0..8u64 {

@@ -36,6 +36,32 @@ fn permuted_mapping(mesh: &Mesh, cores: usize, seed: u64) -> Mapping {
     Mapping::from_tiles(mesh, tiles.into_iter().take(cores)).expect("injective")
 }
 
+/// A copy of `base` with every packet's `comp_cycles` multiplied by `k`;
+/// cores, packet sizes and dependences are unchanged.
+fn with_comp_scaled(base: &Cdcg, k: u64) -> Cdcg {
+    let mut scaled = Cdcg::new();
+    for c in base.cores() {
+        scaled.add_core(base.core_name(c).expect("named"));
+    }
+    let ids: Vec<_> = base
+        .packet_ids()
+        .map(|id| {
+            let p = base.packet(id);
+            scaled
+                .add_packet(p.src, p.dst, p.comp_cycles * k, p.bits)
+                .expect("valid")
+        })
+        .collect();
+    for id in base.packet_ids() {
+        for &succ in base.successors(id) {
+            scaled
+                .add_dependence(ids[id.index()], ids[succ.index()])
+                .expect("acyclic");
+        }
+    }
+    scaled
+}
+
 /// Cases per property; the scheduled CI fuzz job raises this through
 /// `NOC_FUZZ_CASES`.
 fn fuzz_cases() -> u32 {
@@ -221,27 +247,7 @@ proptest! {
     /// model has no hidden absolute constants.
     #[test]
     fn schedule_times_scale_linearly(k in 1u64..6) {
-        let base = noc::apps::paper_example::figure1_cdcg();
-        let mut scaled = Cdcg::new();
-        for c in base.cores() {
-            scaled.add_core(base.core_name(c).expect("named"));
-        }
-        let ids: Vec<_> = base
-            .packet_ids()
-            .map(|id| {
-                let p = base.packet(id);
-                scaled
-                    .add_packet(p.src, p.dst, p.comp_cycles * k, p.bits)
-                    .expect("valid")
-            })
-            .collect();
-        for id in base.packet_ids() {
-            for &succ in base.successors(id) {
-                scaled
-                    .add_dependence(ids[id.index()], ids[succ.index()])
-                    .expect("acyclic");
-            }
-        }
+        let scaled = with_comp_scaled(&noc::apps::paper_example::figure1_cdcg(), k);
         let mesh = noc::apps::paper_example::mesh_2x2();
         let mapping = noc::apps::paper_example::mapping_c();
         let params = SimParams {
@@ -280,6 +286,24 @@ proptest! {
                 prop_assert_eq!(cost.dynamic_pj, full.breakdown.dynamic.picojoules());
                 prop_assert_eq!(cost.static_pj, full.breakdown.static_energy.picojoules());
             }
+        }
+        // Computation stretched 1,500×: injections wait past the cost
+        // engine's 1,024-cycle event ring, in its overflow heap.
+        let stretched = with_comp_scaled(&cdcg, 1_500);
+        for params in [SimParams::new(), SimParams::paper_example()] {
+            let sched = schedule(&stretched, &mesh, &mapping, &params).expect("schedules");
+            let mut texec_eval = noc::sim::CostEvaluator::new(&stretched, &mesh, &params);
+            prop_assert_eq!(
+                texec_eval.texec_cycles(&mapping).expect("fast path schedules"),
+                sched.texec_cycles()
+            );
+            let tech = Technology::t007();
+            let full =
+                evaluate_cdcm(&stretched, &mesh, &mapping, &tech, &params).expect("evaluates");
+            let cost = noc::energy::CdcmCostEvaluator::new(&stretched, &mesh, &tech, &params)
+                .evaluate(&mapping)
+                .expect("fast path evaluates");
+            prop_assert_eq!(cost.objective_pj, full.objective_pj());
         }
     }
 

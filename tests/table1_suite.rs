@@ -3,7 +3,7 @@
 
 use noc::apps::suite::{rows_by_noc_size, table1_suite, TABLE1_ROWS};
 use noc::model::Mapping;
-use noc::sim::{schedule, SimParams};
+use noc::sim::{schedule, CostEvaluator, SimParams};
 
 #[test]
 fn every_row_matches_published_characteristics() {
@@ -66,6 +66,14 @@ fn small_benchmarks_schedule_under_identity_mapping() {
             schedule(&bench.cdcg, &bench.mesh, &mapping, &params).expect("suite graphs schedule");
         assert!(sched.texec_cycles() > 0, "{}", bench.spec.name);
         assert_eq!(sched.packets().len(), bench.cdcg.packet_count());
+        // The cost engine agrees on every row, sparse-time ones included.
+        let mut eval = CostEvaluator::new(&bench.cdcg, &bench.mesh, &params);
+        assert_eq!(
+            eval.texec_cycles(&mapping).expect("cost engine runs"),
+            sched.texec_cycles(),
+            "{}",
+            bench.spec.name
+        );
         // Every packet is delivered no earlier than its uncontended bound.
         for ps in sched.packets() {
             let k = ps.router_count();
@@ -88,6 +96,13 @@ fn large_benchmarks_schedule_too() {
         let sched =
             schedule(&bench.cdcg, &bench.mesh, &mapping, &params).expect("suite graphs schedule");
         assert!(sched.texec_cycles() > 0, "{}", bench.spec.name);
+        let mut eval = CostEvaluator::new(&bench.cdcg, &bench.mesh, &params);
+        assert_eq!(
+            eval.texec_cycles(&mapping).expect("cost engine runs"),
+            sched.texec_cycles(),
+            "{}",
+            bench.spec.name
+        );
     }
 }
 
