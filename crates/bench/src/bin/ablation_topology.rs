@@ -18,9 +18,10 @@ use noc_bench::{write_record, TextTable};
 use noc_energy::total::evaluate_cdcm_with;
 use noc_energy::Technology;
 use noc_mapping::{Explorer, SaConfig, SearchMethod, Strategy};
-use noc_model::{RoutingAlgorithm, TorusXyRouting, XyRouting};
+use noc_model::{RouteProvider, RoutingAlgorithm, TorusXyRouting, XyRouting};
 use noc_sim::SimParams;
 use serde::Serialize;
+use std::sync::Arc;
 
 #[derive(Serialize)]
 struct Row {
@@ -45,8 +46,9 @@ fn main() {
     for bench in table1_suite().iter().take(9) {
         let mut results = Vec::new();
         for routing in [&XyRouting as &dyn RoutingAlgorithm, &TorusXyRouting] {
+            let routes = Arc::new(RouteProvider::for_algorithm(&bench.mesh, routing).unwrap());
             let explorer =
-                Explorer::with_routing(&bench.cdcg, bench.mesh, tech.clone(), params, routing);
+                Explorer::with_provider(&bench.cdcg, bench.mesh, tech.clone(), params, routes);
             let outcome = explorer.explore(
                 Strategy::Cdcm,
                 SearchMethod::SimulatedAnnealing(SaConfig::quick(23)),

@@ -37,12 +37,7 @@ pub fn render_solve(out: &mut String, result: &SolveResult, show_telemetry: bool
         result.outcome.elapsed.as_secs_f64()
     );
     if show_telemetry {
-        match &result.telemetry {
-            Some(telemetry) => render_telemetry(out, telemetry, ""),
-            None => {
-                let _ = writeln!(out, "telemetry:    (not available for constrained search)");
-            }
-        }
+        render_telemetry(out, &result.telemetry, "");
     }
     if let Some(report) = &result.criticality {
         render_criticality(out, report);

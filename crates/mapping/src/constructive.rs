@@ -12,8 +12,8 @@
 //! sanity baseline.
 
 use crate::objective::CostFunction;
-use crate::result::SearchOutcome;
 use noc_model::{CoreId, Cwg, Mapping, Mesh, TileId};
+use noc_search::SearchOutcome;
 
 /// Builds a mapping for `cwg` on `mesh` with the greedy constructive
 /// heuristic. Deterministic: ties break towards lower ids.
@@ -124,8 +124,8 @@ mod tests {
     use super::*;
     use crate::exhaustive::exhaustive;
     use crate::objective::CwmObjective;
-    use crate::random_search::random_search;
     use noc_energy::Technology;
+    use noc_search::random_search;
 
     fn star_graph() -> Cwg {
         // A hub talking to four spokes: the hub must sit centrally.

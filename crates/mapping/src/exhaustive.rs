@@ -8,8 +8,8 @@
 //! allocation).
 
 use crate::objective::CostFunction;
-use crate::result::SearchOutcome;
-use noc_model::{Mapping, Mesh, TileId};
+use noc_model::{CoreId, Mapping, Mesh, TileId};
+use noc_search::{Constraints, SearchOutcome};
 
 /// Number of injective placements of `cores` onto `tiles`
 /// (`tiles!/(tiles−cores)!`), saturating at `u64::MAX`.
@@ -27,16 +27,31 @@ pub fn search_space_size(cores: usize, tiles: usize) -> u64 {
 /// Enumerates every injective placement, invoking `visit` with each
 /// mapping. Placements are visited in lexicographic tile order, so runs
 /// are reproducible.
-pub fn for_each_mapping<F: FnMut(&Mapping)>(mesh: &Mesh, core_count: usize, mut visit: F) {
+pub fn for_each_mapping<F: FnMut(&Mapping)>(mesh: &Mesh, core_count: usize, visit: F) {
     let n = mesh.tile_count();
     assert!(core_count <= n, "{core_count} cores cannot fit {n} tiles");
+    for_each_pinned_mapping(mesh, core_count, &Constraints::new(), visit);
+}
+
+/// [`for_each_mapping`] restricted to the placements that honour `pins`:
+/// pinned cores stay put and the free cores range over the free tiles,
+/// still in lexicographic order.
+fn for_each_pinned_mapping<F: FnMut(&Mapping)>(
+    mesh: &Mesh,
+    core_count: usize,
+    pins: &Constraints,
+    mut visit: F,
+) {
+    let free = pins.free_tiles(mesh);
     let mut tiles: Vec<TileId> = Vec::with_capacity(core_count);
-    let mut used = vec![false; n];
+    let mut used = vec![false; free.len()];
     fn recurse<F: FnMut(&Mapping)>(
         mesh: &Mesh,
         core_count: usize,
+        pins: &Constraints,
+        free: &[TileId],
         tiles: &mut Vec<TileId>,
-        used: &mut Vec<bool>,
+        used: &mut [bool],
         visit: &mut F,
     ) {
         if tiles.len() == core_count {
@@ -45,17 +60,25 @@ pub fn for_each_mapping<F: FnMut(&Mapping)>(mesh: &Mesh, core_count: usize, mut 
             visit(&mapping);
             return;
         }
-        for t in 0..used.len() {
-            if !used[t] {
-                used[t] = true;
-                tiles.push(TileId::new(t));
-                recurse(mesh, core_count, tiles, used, visit);
+        if let Some(tile) = pins.pinned_tile(CoreId::new(tiles.len())) {
+            tiles.push(tile);
+            recurse(mesh, core_count, pins, free, tiles, used, visit);
+            tiles.pop();
+            return;
+        }
+        for (i, &tile) in free.iter().enumerate() {
+            if !used[i] {
+                used[i] = true;
+                tiles.push(tile);
+                recurse(mesh, core_count, pins, free, tiles, used, visit);
                 tiles.pop();
-                used[t] = false;
+                used[i] = false;
             }
         }
     }
-    recurse(mesh, core_count, &mut tiles, &mut used, &mut visit);
+    recurse(
+        mesh, core_count, pins, &free, &mut tiles, &mut used, &mut visit,
+    );
 }
 
 /// Finds the global optimum of `objective` by exhaustive enumeration.
@@ -70,27 +93,37 @@ pub fn exhaustive<C: CostFunction + ?Sized>(
     mesh: &Mesh,
     core_count: usize,
 ) -> SearchOutcome {
+    let n = mesh.tile_count();
+    assert!(core_count <= n, "{core_count} cores cannot fit {n} tiles");
+    best_placement(objective, mesh, core_count, &Constraints::new(), "ES")
+}
+
+/// Exhaustive search over the placements that honour `pins`, labelled
+/// `method`; the first optimum in enumeration order wins.
+pub(crate) fn best_placement<C: CostFunction + ?Sized>(
+    objective: &C,
+    mesh: &Mesh,
+    core_count: usize,
+    pins: &Constraints,
+    method: &str,
+) -> SearchOutcome {
     let start = noc_search::wall_clock();
     let mut best: Option<(Mapping, f64)> = None;
     let mut evaluations = 0u64;
-    for_each_mapping(mesh, core_count, |mapping| {
+    for_each_pinned_mapping(mesh, core_count, pins, |mapping| {
         let cost = objective.cost(mapping);
         evaluations += 1;
-        let better = match &best {
-            None => true,
-            Some((_, c)) => cost < *c,
-        };
-        if better {
+        if best.as_ref().is_none_or(|(_, c)| cost < *c) {
             best = Some((mapping.clone(), cost));
         }
     });
-    let (mapping, cost) = best.expect("at least one mapping exists");
+    let (mapping, cost) = best.expect("at least one placement exists");
     SearchOutcome {
         mapping,
         cost,
         evaluations,
         elapsed: start.elapsed(),
-        method: "ES".to_owned(),
+        method: method.to_owned(),
         objective: objective.name(),
     }
 }

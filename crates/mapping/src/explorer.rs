@@ -6,24 +6,26 @@
 //! mirroring the paper's FRW framework, which "implements a simulated
 //! annealing search method to obtain mapping solutions for CWM and CDCM"
 //! and "can also execute an exhaustive search method … for small NoCs".
+//!
+//! [`Explorer::search`] is the one dispatch point for a solve job;
+//! [`Explorer::explore`] is its unpinned, uncancellable shorthand.
 
+use crate::constraints::exhaustive_constrained;
 use crate::exhaustive::exhaustive;
 use crate::greedy::greedy;
 use crate::objective::{BatchCost, CdcmObjective, CwmObjective, SwapDeltaCost};
-use crate::random_search::random_search;
-use crate::result::SearchOutcome;
-use crate::sa::{RestartBudget, SaConfig};
 use noc_energy::Technology;
 use noc_model::{
-    Cdcg, Cwg, FaultScenario, Mapping, Mesh, RouteProvider, RouteSource, RoutingAlgorithm,
+    Cdcg, Cwg, FaultScenario, Mapping, Mesh, ModelError, RouteProvider, RouteSource, RoutingKind,
 };
 use noc_search::{
-    anneal_delta_cancellable, AdaptiveConfig, AdaptiveRestarts, CancelToken, GaConfig,
-    GeneticSearch, MultiStartSa, Portfolio, PortfolioConfig, SearchRun, SearchStrategy, TabuConfig,
-    TabuSearch,
+    anneal_cancellable, anneal_delta_cancellable, random_search, AdaptiveConfig, AdaptiveRestarts,
+    CancelToken, Constraints, GaConfig, GeneticSearch, MultiStartSa, Portfolio, PortfolioConfig,
+    RestartBudget, SaConfig, SearchOutcome, SearchRun, SearchStrategy, TabuConfig, TabuSearch,
 };
 use noc_sim::SimParams;
 use serde::{Deserialize, Serialize};
+use std::fmt;
 use std::sync::Arc;
 
 /// Which application model drives the cost function.
@@ -95,25 +97,69 @@ pub enum SearchMethod {
     Portfolio(PortfolioConfig),
 }
 
+impl SearchMethod {
+    /// The method's name on the CLI (`--method`).
+    pub fn name(&self) -> &'static str {
+        match self {
+            Self::SimulatedAnnealing(_) => "sa",
+            Self::MultiStartSa { .. } => "sa-multi",
+            Self::Exhaustive => "es",
+            Self::Random { .. } => "random",
+            Self::Greedy { .. } => "greedy",
+            Self::Adaptive(_) => "adaptive",
+            Self::Genetic(_) => "ga",
+            Self::Tabu(_) => "tabu",
+            Self::Portfolio(_) => "portfolio",
+        }
+    }
+}
+
+/// Why [`Explorer::search`] refused a job.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ExploreError {
+    /// The pins do not fit the instance.
+    Pins(ModelError),
+    /// Pins came with a method other than SA or ES (its CLI name).
+    PinsUnsupported(&'static str),
+}
+
+impl fmt::Display for ExploreError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Self::Pins(e) => e.fmt(f),
+            Self::PinsUnsupported(method) => write!(
+                f,
+                "method `{method}` does not take pins; pinned jobs run `sa` or `es`"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for ExploreError {}
+
 /// Runs one search method against a concrete objective. All engines
 /// route through here, so every `Explorer` strategy supports every
-/// method. The cancel token reaches every strategy engine; the
-/// enumerative engines (exhaustive, random, greedy) run to completion —
-/// their budgets are explicit and small by construction.
+/// method. Pins reach only SA and ES ([`Explorer::search`] refuses the
+/// rest). The cancel token reaches every annealing and strategy engine;
+/// the enumerative engines (exhaustive, random, greedy) run to
+/// completion — their budgets are explicit and small by construction.
 fn run_method<C: SwapDeltaCost + BatchCost + Clone + Send>(
     objective: &C,
     mesh: &Mesh,
     cores: usize,
     method: SearchMethod,
+    pins: Option<&Constraints>,
     cancel: &CancelToken,
 ) -> SearchRun {
     match method {
         // Single-start SA uses swap-delta move evaluation — the low
         // computational complexity the paper credits CWM with; for CDCM
         // each move is one full evaluation unless no route changes.
-        SearchMethod::SimulatedAnnealing(config) => SearchRun::from_outcome(
-            anneal_delta_cancellable(objective, mesh, cores, &config, cancel),
-        ),
+        // Pinned SA evaluates every move in full over the free tiles.
+        SearchMethod::SimulatedAnnealing(config) => SearchRun::from_outcome(match pins {
+            Some(_) => anneal_cancellable(objective, mesh, cores, pins, &config, cancel),
+            None => anneal_delta_cancellable(objective, mesh, cores, &config, cancel),
+        }),
         SearchMethod::MultiStartSa {
             config,
             restarts,
@@ -124,7 +170,10 @@ fn run_method<C: SwapDeltaCost + BatchCost + Clone + Send>(
             budget,
         }
         .search_cancellable(objective, mesh, cores, cancel),
-        SearchMethod::Exhaustive => SearchRun::from_outcome(exhaustive(objective, mesh, cores)),
+        SearchMethod::Exhaustive => SearchRun::from_outcome(match pins {
+            Some(pins) => exhaustive_constrained(objective, mesh, cores, pins),
+            None => exhaustive(objective, mesh, cores),
+        }),
         SearchMethod::Random { samples, seed } => {
             SearchRun::from_outcome(random_search(objective, mesh, cores, samples, seed))
         }
@@ -167,37 +216,14 @@ impl<'a> Explorer<'a> {
     /// once (under XY routing, the paper's default) for every objective
     /// the explorer runs.
     pub fn new(cdcg: &'a Cdcg, mesh: Mesh, tech: Technology, params: SimParams) -> Self {
-        Self::with_routing(cdcg, mesh, tech, params, &noc_model::XyRouting)
-    }
-
-    /// [`Explorer::new`] with an explicit routing algorithm: every
-    /// objective built by this explorer (both strategies, all search
-    /// methods) evaluates over the routing's provided routes — the fast
-    /// path, not a per-evaluation route derivation.
-    ///
-    /// # Panics
-    ///
-    /// Panics only for a *custom* routing algorithm on a mesh too large
-    /// to cache densely; library routings never panic (they fall back to
-    /// the implicit tier). Use [`Explorer::with_provider`] to choose a
-    /// tier explicitly.
-    pub fn with_routing(
-        cdcg: &'a Cdcg,
-        mesh: Mesh,
-        tech: Technology,
-        params: SimParams,
-        routing: &dyn RoutingAlgorithm,
-    ) -> Self {
-        let routes = Arc::new(
-            RouteProvider::for_algorithm(&mesh, routing)
-                .expect("custom routing algorithms need a dense-cacheable mesh"),
-        );
+        let routes = Arc::new(RouteProvider::auto(&mesh, RoutingKind::Xy));
         Self::with_provider(cdcg, mesh, tech, params, routes)
     }
 
     /// [`Explorer::new`] over an explicit shared route provider (any
-    /// tier — dense, implicit or fault-aware; search results are
-    /// bit-identical across tiers).
+    /// routing, any tier — dense, implicit or fault-aware; search results
+    /// are bit-identical across tiers). Every objective the explorer
+    /// builds evaluates over its routes.
     ///
     /// # Panics
     ///
@@ -289,29 +315,54 @@ impl<'a> Explorer<'a> {
     }
 
     /// Runs one strategy under one search method and returns the best
-    /// mapping found.
+    /// mapping found: [`Explorer::search`] without pins or cancellation.
     pub fn explore(&self, strategy: Strategy, method: SearchMethod) -> SearchOutcome {
-        self.explore_with_telemetry(strategy, method).outcome
+        self.dispatch(strategy, method, None, &CancelToken::new())
+            .outcome
     }
 
-    /// [`Explorer::explore`], additionally returning the search
-    /// subsystem's telemetry (per-round budget allocations, basin
-    /// survivals, and the best-so-far curve; engines without native
-    /// telemetry report a single final point).
-    pub fn explore_with_telemetry(&self, strategy: Strategy, method: SearchMethod) -> SearchRun {
-        self.explore_with_telemetry_cancellable(strategy, method, &CancelToken::new())
-    }
-
-    /// [`Explorer::explore_with_telemetry`] under a cooperative
-    /// cancellation token: tripping the token stops the search engine at
-    /// its next checkpoint (epoch, round, generation, or iteration
-    /// boundary), returning the verified best mapping found so far. An
-    /// untripped token changes nothing — the trajectory is bit-identical
-    /// to the uncancellable call.
-    pub fn explore_with_telemetry_cancellable(
+    /// Runs one strategy under one search method and returns the best
+    /// mapping with its telemetry (engines without native telemetry
+    /// report a single final point).
+    ///
+    /// Any pin set, even an empty one, selects the pinned engines: SA runs
+    /// the full-cost annealer over the free tiles (`SA-pinned`), ES
+    /// enumerates the pin-honouring placements (`ES-pinned`).
+    ///
+    /// Tripping `cancel` stops the engine at its next checkpoint with the
+    /// verified best-so-far; an untripped token changes nothing.
+    ///
+    /// # Errors
+    ///
+    /// [`ExploreError::Pins`] if the pins do not fit the instance,
+    /// [`ExploreError::PinsUnsupported`] if they come with another method.
+    pub fn search(
         &self,
         strategy: Strategy,
         method: SearchMethod,
+        pins: Option<&Constraints>,
+        cancel: &CancelToken,
+    ) -> Result<SearchRun, ExploreError> {
+        if let Some(pins) = pins {
+            pins.validate(&self.mesh, self.cdcg.core_count())
+                .map_err(ExploreError::Pins)?;
+            if !matches!(
+                method,
+                SearchMethod::SimulatedAnnealing(_) | SearchMethod::Exhaustive
+            ) {
+                return Err(ExploreError::PinsUnsupported(method.name()));
+            }
+        }
+        Ok(self.dispatch(strategy, method, pins, cancel))
+    }
+
+    /// Builds the strategy's objective over the shared routes and runs
+    /// `method` on it; `pins` are already checked.
+    fn dispatch(
+        &self,
+        strategy: Strategy,
+        method: SearchMethod,
+        pins: Option<&Constraints>,
         cancel: &CancelToken,
     ) -> SearchRun {
         let cores = self.cdcg.core_count();
@@ -323,7 +374,7 @@ impl<'a> Explorer<'a> {
                     &self.tech,
                     Arc::clone(&self.routes),
                 );
-                run_method(&objective, &self.mesh, cores, method, cancel)
+                run_method(&objective, &self.mesh, cores, method, pins, cancel)
             }
             Strategy::Cdcm => {
                 let objective = CdcmObjective::with_provider(
@@ -332,7 +383,7 @@ impl<'a> Explorer<'a> {
                     self.params,
                     Arc::clone(&self.routes),
                 );
-                let run = run_method(&objective, &self.mesh, cores, method, cancel);
+                let run = run_method(&objective, &self.mesh, cores, method, pins, cancel);
                 // The objective (and its batch-engine counters) is
                 // dropped when this frame returns; when a batching
                 // strategy (GA generations, the portfolio) drove
@@ -471,12 +522,13 @@ mod tests {
         use noc_model::YxRouting;
         let cdcg = figure1_cdcg();
         let mesh = Mesh::new(2, 2).unwrap();
-        let explorer = Explorer::with_routing(
+        let routes = Arc::new(RouteProvider::for_algorithm(&mesh, &YxRouting).unwrap());
+        let explorer = Explorer::with_provider(
             &cdcg,
             mesh,
             Technology::paper_example(),
             SimParams::paper_example(),
-            &YxRouting,
+            routes,
         );
         assert_eq!(explorer.route_provider().routing_name(), "YX");
         let outcome = explorer.explore(Strategy::Cdcm, SearchMethod::Exhaustive);

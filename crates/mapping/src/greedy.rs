@@ -6,9 +6,8 @@
 //! used by the ablation benches.
 
 use crate::objective::CostFunction;
-use crate::random_search::sample_mapping;
-use crate::result::SearchOutcome;
 use noc_model::{Mapping, Mesh, TileId};
+use noc_search::{sample_mapping, SearchOutcome};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 

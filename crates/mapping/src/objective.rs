@@ -14,28 +14,10 @@
 //!   (listed by the paper as a natural extension).
 
 use noc_energy::{cwg_dynamic_energy_cached, CdcmCostEvaluator, Technology};
-use noc_model::{
-    Cdcg, Cwg, Mapping, Mesh, RouteCache, RouteProvider, RouteSource, RoutingAlgorithm,
-    RoutingKind, TileId,
-};
+use noc_model::{Cdcg, Cwg, Mapping, Mesh, RouteProvider, RouteSource, RoutingKind, TileId};
 use noc_sim::{BatchEvaluator, CostEvaluator, SimParams};
 use std::cell::RefCell;
 use std::sync::Arc;
-
-/// Builds the size-aware provider objectives default to for an explicit
-/// routing algorithm: library routings (XY/YX/torus-XY) pick a tier by
-/// mesh size and never fail; custom algorithms require the dense tier.
-///
-/// # Panics
-///
-/// Panics only for a *custom* routing algorithm on a mesh too large to
-/// cache densely — use `with_provider` with an explicit tier there.
-fn provider_for(mesh: &Mesh, routing: &dyn RoutingAlgorithm) -> Arc<RouteProvider> {
-    Arc::new(
-        RouteProvider::for_algorithm(mesh, routing)
-            .expect("custom routing algorithms need a dense-cacheable mesh"),
-    )
-}
 
 // The objective traits every search engine minimizes live in the search
 // subsystem (`noc-search`), which the engines share; they are re-exported
@@ -49,8 +31,9 @@ pub use noc_search::{BatchCost, CostFunction, SwapDeltaCost};
 /// evaluations nor [`SwapDeltaCost::swap_delta`] re-derive paths —
 /// hop counts are `O(1)` table lookups (dense tier) or closed forms
 /// (implicit tier). The provider may be built for any
-/// [`RoutingAlgorithm`] ([`Self::with_routing`]); [`Self::new`]
-/// defaults to XY, the paper's routing function.
+/// [`RoutingAlgorithm`](noc_model::RoutingAlgorithm)
+/// ([`Self::with_provider`]); [`Self::new`] defaults to XY, the paper's
+/// routing function.
 #[derive(Debug, Clone)]
 pub struct CwmObjective<'a> {
     cwg: &'a Cwg,
@@ -68,31 +51,6 @@ impl<'a> CwmObjective<'a> {
             tech,
             Arc::new(RouteProvider::auto(mesh, RoutingKind::Xy)),
         )
-    }
-
-    /// Creates the objective under an explicit routing algorithm; all
-    /// evaluations (including swap deltas) use its cached routes.
-    pub fn with_routing(
-        cwg: &'a Cwg,
-        mesh: &Mesh,
-        tech: &'a Technology,
-        routing: &dyn RoutingAlgorithm,
-    ) -> Self {
-        Self::with_provider(cwg, mesh, tech, provider_for(mesh, routing))
-    }
-
-    /// Creates the objective over an existing shared dense route cache.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cache` was built for a different mesh than `mesh`.
-    pub fn with_cache(
-        cwg: &'a Cwg,
-        mesh: &Mesh,
-        tech: &'a Technology,
-        cache: Arc<RouteCache>,
-    ) -> Self {
-        Self::with_provider(cwg, mesh, tech, Arc::new(RouteProvider::from_cache(cache)))
     }
 
     /// Creates the objective over an existing shared route provider (any
@@ -185,10 +143,10 @@ impl BatchCost for CwmObjective<'_> {}
 /// Evaluations run on the allocation-free cost engine
 /// ([`CdcmCostEvaluator`]): the contention-aware schedule is computed
 /// without materializing occupancy lists or timelines, over a shared
-/// [`RouteCache`] and reusable scratch buffers. Values are bit-exact with
-/// [`noc_energy::evaluate_cdcm`].
+/// [`RouteProvider`] and reusable scratch buffers. Values are bit-exact
+/// with [`noc_energy::evaluate_cdcm`].
 ///
-/// Clones share the route cache but own private scratch state, so each
+/// Clones share the route provider but own private scratch state, so each
 /// search thread clones the objective once and evaluates independently.
 #[derive(Debug)]
 pub struct CdcmObjective<'a> {
@@ -203,33 +161,6 @@ impl<'a> CdcmObjective<'a> {
             cdcg,
             engine: RefCell::new(CdcmCostEvaluator::new(cdcg, mesh, tech, &params)),
         }
-    }
-
-    /// Creates the objective under an explicit routing algorithm; all
-    /// evaluations (including swap deltas) use its cached routes.
-    pub fn with_routing(
-        cdcg: &'a Cdcg,
-        mesh: &Mesh,
-        tech: &'a Technology,
-        params: SimParams,
-        routing: &dyn RoutingAlgorithm,
-    ) -> Self {
-        Self::with_provider(cdcg, tech, params, provider_for(mesh, routing))
-    }
-
-    /// Creates the objective over an existing shared dense route cache.
-    pub fn with_cache(
-        cdcg: &'a Cdcg,
-        tech: &'a Technology,
-        params: SimParams,
-        cache: Arc<RouteCache>,
-    ) -> Self {
-        Self::with_provider(
-            cdcg,
-            tech,
-            params,
-            Arc::new(RouteProvider::from_cache(cache)),
-        )
     }
 
     /// Creates the objective over an existing shared route provider (any
@@ -397,21 +328,6 @@ impl<'a> ExecTimeObjective<'a> {
         )
     }
 
-    /// Creates the objective under an explicit routing algorithm.
-    pub fn with_routing(
-        cdcg: &'a Cdcg,
-        mesh: &Mesh,
-        params: SimParams,
-        routing: &dyn RoutingAlgorithm,
-    ) -> Self {
-        Self::with_provider(cdcg, params, provider_for(mesh, routing))
-    }
-
-    /// Creates the objective over an existing shared dense route cache.
-    pub fn with_cache(cdcg: &'a Cdcg, params: SimParams, cache: Arc<RouteCache>) -> Self {
-        Self::with_provider(cdcg, params, Arc::new(RouteProvider::from_cache(cache)))
-    }
-
     /// Creates the objective over an existing shared route provider.
     pub fn with_provider(cdcg: &'a Cdcg, params: SimParams, routes: Arc<RouteProvider>) -> Self {
         Self {
@@ -488,47 +404,6 @@ impl<'a> WeightedObjective<'a> {
             energy_weight,
             time_weight,
         }
-    }
-
-    /// Creates the blended objective under an explicit routing algorithm.
-    #[allow(clippy::too_many_arguments)]
-    pub fn with_routing(
-        cdcg: &'a Cdcg,
-        mesh: &Mesh,
-        tech: &'a Technology,
-        params: SimParams,
-        routing: &dyn RoutingAlgorithm,
-        energy_weight: f64,
-        time_weight: f64,
-    ) -> Self {
-        Self::with_provider(
-            cdcg,
-            tech,
-            params,
-            provider_for(mesh, routing),
-            energy_weight,
-            time_weight,
-        )
-    }
-
-    /// Creates the blended objective over an existing shared dense route
-    /// cache.
-    pub fn with_cache(
-        cdcg: &'a Cdcg,
-        tech: &'a Technology,
-        params: SimParams,
-        cache: Arc<RouteCache>,
-        energy_weight: f64,
-        time_weight: f64,
-    ) -> Self {
-        Self::with_provider(
-            cdcg,
-            tech,
-            params,
-            Arc::new(RouteProvider::from_cache(cache)),
-            energy_weight,
-            time_weight,
-        )
     }
 
     /// Creates the blended objective over an existing shared route
@@ -723,7 +598,8 @@ mod tests {
         let params = SimParams::paper_example();
         let mapping = Mapping::from_tiles(&mesh, [5, 0, 1, 4].map(TileId::new)).unwrap();
 
-        let cdcm = CdcmObjective::with_routing(&cdcg, &mesh, &tech, params, &YxRouting);
+        let routes = Arc::new(RouteProvider::for_algorithm(&mesh, &YxRouting).unwrap());
+        let cdcm = CdcmObjective::with_provider(&cdcg, &tech, params, Arc::clone(&routes));
         let want = noc_energy::total::evaluate_cdcm_with(
             &cdcg, &mesh, &mapping, &tech, &params, &YxRouting,
         )
@@ -731,7 +607,7 @@ mod tests {
         .objective_pj();
         assert_eq!(cdcm.cost(&mapping), want);
 
-        let cwm = CwmObjective::with_routing(&cwg, &mesh, &tech, &YxRouting);
+        let cwm = CwmObjective::with_provider(&cwg, &mesh, &tech, routes);
         let want_cwm =
             noc_energy::total::evaluate_cwm_with(&cwg, &mesh, &mapping, &tech, &YxRouting)
                 .picojoules();

@@ -8,9 +8,9 @@
 //! non-dominated set of mappings found.
 
 use crate::objective::WeightedObjective;
-use crate::sa::{anneal, SaConfig};
 use noc_energy::{evaluate_cdcm, Technology};
 use noc_model::{Cdcg, Mapping, Mesh};
+use noc_search::{anneal, SaConfig};
 use noc_sim::{SimError, SimParams};
 use serde::{Deserialize, Serialize};
 

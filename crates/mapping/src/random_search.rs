@@ -1,17 +1,10 @@
-//! Random-sampling baseline.
-//!
-//! The engine now lives in [`noc_search::random`] (the search
-//! subsystem); this module re-exports it so existing call sites — and
-//! the tests below, which exercise it against the real objectives —
-//! keep working unchanged.
+//! Tests of the random-sampling baseline ([`noc_search::random`],
+//! re-exported as [`crate::random_search`]) against the real objectives.
 
-pub use noc_search::random::{random_search, sample_mapping};
-
-#[cfg(test)]
 mod tests {
-    use super::*;
     use crate::exhaustive::exhaustive;
     use crate::objective::CwmObjective;
+    use crate::random_search;
     use noc_energy::Technology;
     use noc_model::{Cwg, Mesh};
 

@@ -1,10 +1,8 @@
-//! Shared search-outcome type, re-exported from the search subsystem.
+//! Tests of [`SearchOutcome`](crate::SearchOutcome), the shared outcome
+//! type of every engine (defined in `noc-search`).
 
-pub use noc_search::SearchOutcome;
-
-#[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::SearchOutcome;
     use noc_model::{Mapping, Mesh};
     use std::time::Duration;
 

@@ -1,23 +1,15 @@
-//! Simulated annealing — the search method of the paper's FRW framework.
-//!
-//! The engine now lives in [`noc_search::sa`] (the search subsystem);
-//! this module re-exports it so existing call sites — and the paper-
-//! anchored tests below, which exercise it against the real CWM/CDCM
-//! objectives — keep working unchanged.
+//! Paper-anchored tests of the simulated-annealing engines
+//! ([`noc_search::sa`], re-exported at the crate root) against the real
+//! CWM/CDCM objectives.
 
-pub use noc_search::sa::{
-    anneal, anneal_cancellable, anneal_delta, anneal_delta_cancellable, anneal_multistart,
-    anneal_multistart_budgeted, anneal_multistart_delta, anneal_multistart_delta_budgeted,
-    anneal_multistart_delta_cancellable, propose_swap, random_mapping, MultiStartSa, RestartBudget,
-    SaConfig,
-};
-
-#[cfg(test)]
 mod tests {
-    use super::*;
     use crate::objective::{CdcmObjective, CostFunction, CwmObjective};
     use noc_energy::Technology;
     use noc_model::{Cdcg, Mesh, TileId};
+    use noc_search::{
+        anneal, anneal_delta, propose_swap, random_mapping, MultiStartSa, RestartBudget, SaConfig,
+        SearchStrategy,
+    };
     use noc_sim::SimParams;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -151,6 +143,15 @@ mod tests {
         outcome.mapping.validate().unwrap();
     }
 
+    /// Static multi-start SA over the delta annealer.
+    fn multistart(config: SaConfig, restarts: usize, budget: RestartBudget) -> MultiStartSa {
+        MultiStartSa {
+            config,
+            restarts,
+            budget,
+        }
+    }
+
     #[test]
     fn multistart_is_deterministic_and_at_least_as_good() {
         let cdcg = figure1_cdcg();
@@ -158,13 +159,14 @@ mod tests {
         let tech = Technology::paper_example();
         let obj = CdcmObjective::new(&cdcg, &mesh, &tech, SimParams::paper_example());
         let config = SaConfig::quick(17);
-        let a = anneal_multistart(&obj, &mesh, 4, &config, 4);
-        let b = anneal_multistart(&obj, &mesh, 4, &config, 4);
+        let strategy = multistart(config, 4, RestartBudget::PerRestart);
+        let a = strategy.search(&obj, &mesh, 4).outcome;
+        let b = strategy.search(&obj, &mesh, 4).outcome;
         assert_eq!(a.mapping, b.mapping);
         assert_eq!(a.cost, b.cost);
         assert_eq!(a.evaluations, b.evaluations);
         // The best of 4 restarts can never lose to restart 0 alone.
-        let single = anneal(&obj, &mesh, 4, &config);
+        let single = anneal_delta(&obj, &mesh, 4, &config);
         assert!(a.cost <= single.cost);
         assert!(a.evaluations >= single.evaluations);
         assert!(a.method.contains("multistart"));
@@ -178,8 +180,10 @@ mod tests {
         let tech = Technology::paper_example();
         let obj = CwmObjective::new(&cwg, &mesh, &tech);
         let config = SaConfig::quick(23);
-        let single = anneal(&obj, &mesh, 4, &config);
-        let multi = anneal_multistart(&obj, &mesh, 4, &config, 1);
+        let single = anneal_delta(&obj, &mesh, 4, &config);
+        let multi = multistart(config, 1, RestartBudget::PerRestart)
+            .search(&obj, &mesh, 4)
+            .outcome;
         assert_eq!(single.mapping, multi.mapping);
         assert_eq!(single.cost, multi.cost);
         assert_eq!(single.evaluations, multi.evaluations);
@@ -193,7 +197,9 @@ mod tests {
         let tech = Technology::paper_example();
         let obj = CwmObjective::new(&cwg, &mesh, &tech);
         let config = SaConfig::quick(29);
-        let multi = anneal_multistart_delta(&obj, &mesh, 4, &config, 3);
+        let multi = multistart(config, 3, RestartBudget::PerRestart)
+            .search(&obj, &mesh, 4)
+            .outcome;
         // The reduction must reproduce the best of the three underlying
         // runs exactly.
         let best = (0..3u64)
@@ -227,32 +233,24 @@ mod tests {
         let single = anneal(&obj, &mesh, 4, &config);
         assert_eq!(single.evaluations, 42, "budget must bind on this instance");
 
-        let per = anneal_multistart(&obj, &mesh, 4, &config, restarts);
-        assert_eq!(per.evaluations, 42 * restarts as u64);
-
-        let total =
-            anneal_multistart_budgeted(&obj, &mesh, 4, &config, restarts, RestartBudget::Total);
-        // 42 over 4 restarts: budgets 11, 11, 10, 10 — exactly 42 total.
-        assert_eq!(total.evaluations, 42);
-
         // The delta path — the one the explorer and CLI route through —
         // must respect the same bound: calibration is budget-capped and
         // the per-epoch resync never bills past the budget.
         let delta_single = anneal_delta(&obj, &mesh, 4, &config);
         assert_eq!(delta_single.evaluations, 42);
-        let delta_total = anneal_multistart_delta_budgeted(
-            &obj,
-            &mesh,
-            4,
-            &config,
-            restarts,
-            RestartBudget::Total,
-        );
-        assert_eq!(delta_total.evaluations, 42);
+
+        let per = multistart(config, restarts, RestartBudget::PerRestart)
+            .search(&obj, &mesh, 4)
+            .outcome;
+        assert_eq!(per.evaluations, 42 * restarts as u64);
+
+        let total_mode = multistart(config, restarts, RestartBudget::Total);
+        let total = total_mode.search(&obj, &mesh, 4).outcome;
+        // 42 over 4 restarts: budgets 11, 11, 10, 10 — exactly 42 total.
+        assert_eq!(total.evaluations, 42);
 
         // Determinism is preserved in total mode.
-        let again =
-            anneal_multistart_budgeted(&obj, &mesh, 4, &config, restarts, RestartBudget::Total);
+        let again = total_mode.search(&obj, &mesh, 4).outcome;
         assert_eq!(total.mapping, again.mapping);
         assert_eq!(total.cost, again.cost);
     }
@@ -274,8 +272,9 @@ mod tests {
         let mut config = SaConfig::quick(19);
         config.max_evaluations = 5;
         for restarts in [6, 9, 100] {
-            let outcome =
-                anneal_multistart_budgeted(&obj, &mesh, 4, &config, restarts, RestartBudget::Total);
+            let outcome = multistart(config, restarts, RestartBudget::Total)
+                .search(&obj, &mesh, 4)
+                .outcome;
             // Clamped to 5 restarts of exactly 1 evaluation each.
             assert_eq!(outcome.evaluations, 5, "restarts = {restarts}");
             assert!(
@@ -283,18 +282,11 @@ mod tests {
                 "restarts = {restarts}: {}",
                 outcome.method
             );
-            let delta = anneal_multistart_delta_budgeted(
-                &obj,
-                &mesh,
-                4,
-                &config,
-                restarts,
-                RestartBudget::Total,
-            );
-            assert_eq!(delta.evaluations, 5, "delta, restarts = {restarts}");
         }
         // An exact split (restarts == budget) is left alone.
-        let exact = anneal_multistart_budgeted(&obj, &mesh, 4, &config, 5, RestartBudget::Total);
+        let exact = multistart(config, 5, RestartBudget::Total)
+            .search(&obj, &mesh, 4)
+            .outcome;
         assert_eq!(exact.evaluations, 5);
         assert!(exact.method.contains("multistart[5]"));
     }

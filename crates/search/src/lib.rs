@@ -8,10 +8,13 @@
 //! objectives implement.
 //!
 //! The paper reaches its mappings with one fixed-schedule SA run; this
-//! crate is where search *policy* grew past that. The original loops
-//! from `noc-mapping::sa` and `noc-mapping::random_search` were promoted
-//! here verbatim (those modules now re-export them), and the new
-//! strategies share their budget and determinism discipline.
+//! crate is where search *policy* grew past that. It holds the two
+//! annealing loops — full-cost [`anneal`] / [`anneal_cancellable`], which
+//! also runs pinned searches over a [`Constraints`] move set, and
+//! incremental [`anneal_delta`] / [`anneal_delta_cancellable`] — plus the
+//! random-sampling baseline, and the strategies below share their budget
+//! and determinism discipline. `noc-mapping` re-exports all of it at its
+//! crate root.
 //!
 //! ## The strategy contract
 //!
@@ -36,8 +39,8 @@
 //! ## The deterministic-reduction rule
 //!
 //! Everything here is bit-reproducible from a seed, *including under
-//! `std::thread` parallelism*. The rule (shared with
-//! [`anneal_multistart`]): parallel work units own their RNG streams and
+//! `std::thread` parallelism*. The rule (first set by [`MultiStartSa`]):
+//! parallel work units own their RNG streams and
 //! objective clones, carry a stable index, land their results by that
 //! index, and every ranking/reduction tie breaks toward the lowest
 //! index — never completion order. Telemetry falls under the same
@@ -45,9 +48,11 @@
 //!
 //! ## Strategies
 //!
-//! | Strategy | Policy | Objective bound |
-//! |----------|--------|-----------------|
-//! | [`MultiStartSa`] | static budget split across restarts | `SwapDeltaCost + Clone + Send` |
+//! | Entry | Policy | Objective bound |
+//! |-------|--------|-----------------|
+//! | [`anneal_cancellable`] | full-cost SA; optional pins restrict the swaps to free tiles | `CostFunction` |
+//! | [`anneal_delta_cancellable`] | SA on swap deltas, resynchronised once per epoch | `SwapDeltaCost` |
+//! | [`MultiStartSa`] | parallel delta-SA restarts, static budget split | `SwapDeltaCost + Clone + Send` |
 //! | [`AdaptiveRestarts`] | successive-halving rounds + reheating | `SwapDeltaCost + Clone + Send` |
 //! | [`GeneticSearch`] | tournament/PMX-or-cycle/elitism GA | `SwapDeltaCost + BatchCost` |
 //! | [`TabuSearch`] | swap-attribute tabu list + aspiration | `SwapDeltaCost` |
@@ -70,6 +75,7 @@
 
 pub mod adaptive;
 pub mod cancel;
+pub mod constraints;
 pub mod ga;
 pub mod objective;
 pub mod outcome;
@@ -82,16 +88,15 @@ pub mod tabu;
 
 pub use adaptive::{AdaptiveConfig, AdaptiveRestarts};
 pub use cancel::CancelToken;
+pub use constraints::Constraints;
 pub use ga::{Crossover, GaConfig, GeneticSearch};
 pub use objective::{BatchCost, CostFunction, SwapDeltaCost};
 pub use outcome::SearchOutcome;
 pub use portfolio::{Portfolio, PortfolioConfig};
 pub use random::{random_search, sample_mapping};
 pub use sa::{
-    anneal, anneal_cancellable, anneal_delta, anneal_delta_cancellable, anneal_multistart,
-    anneal_multistart_budgeted, anneal_multistart_delta, anneal_multistart_delta_budgeted,
-    anneal_multistart_delta_cancellable, propose_swap, random_mapping, MultiStartSa, RestartBudget,
-    SaConfig,
+    anneal, anneal_cancellable, anneal_delta, anneal_delta_cancellable, propose_swap,
+    random_mapping, MultiStartSa, RestartBudget, SaConfig,
 };
 pub use strategy::{SearchRun, SearchStrategy};
 pub use tabu::{TabuConfig, TabuSearch, Tenure};
@@ -102,7 +107,7 @@ pub mod telemetry;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use noc_model::{Mapping, Mesh, TileId};
+    use noc_model::{CoreId, Mapping, Mesh, TileId};
 
     /// A synthetic objective with real basin structure: each core `i`
     /// prefers tile `target(i)`, cost is the summed Manhattan distance
@@ -343,6 +348,16 @@ mod tests {
         }
     }
 
+    /// Two pins for the 4x4 `Homing` instances: core 0 on its own
+    /// target, core 4 on a far corner.
+    fn homing_pins() -> Constraints {
+        Constraints::new()
+            .pin(CoreId::new(0), TileId::new(3))
+            .unwrap()
+            .pin(CoreId::new(4), TileId::new(15))
+            .unwrap()
+    }
+
     /// A named strategy invocation that accepts a cancel token.
     type CancellableRunner = Box<dyn Fn(&Homing, &Mesh, usize, &CancelToken) -> SearchRun>;
 
@@ -350,6 +365,15 @@ mod tests {
     /// mirroring `strategies()` but exposing the token.
     fn cancellable_strategies() -> Vec<(&'static str, CancellableRunner)> {
         vec![
+            (
+                "pinned-sa",
+                Box::new(|o: &Homing, m: &Mesh, k: usize, t: &CancelToken| {
+                    let mut c = SaConfig::quick(9);
+                    c.max_evaluations = 600;
+                    let pins = homing_pins();
+                    SearchRun::from_outcome(anneal_cancellable(o, m, k, Some(&pins), &c, t))
+                }),
+            ),
             (
                 "multistart-sa",
                 Box::new(|o: &Homing, m: &Mesh, k: usize, t: &CancelToken| {
@@ -463,6 +487,31 @@ mod tests {
             );
             assert_eq!(with_token.telemetry, without.telemetry, "{label}");
         }
+
+        // Pinned SA: a live token that never trips walks the trajectory
+        // of a run nobody could cancel.
+        let pins = homing_pins();
+        let mut config = SaConfig::quick(9);
+        config.max_evaluations = 600;
+        let token = CancelToken::new();
+        let _live = token.clone();
+        let with_token = anneal_cancellable(&objective, &mesh, 9, Some(&pins), &config, &token);
+        let without = anneal_cancellable(
+            &objective,
+            &mesh,
+            9,
+            Some(&pins),
+            &config,
+            &CancelToken::new(),
+        );
+        assert_eq!(with_token.mapping, without.mapping, "pinned-sa");
+        assert_eq!(
+            with_token.cost.to_bits(),
+            without.cost.to_bits(),
+            "pinned-sa"
+        );
+        assert_eq!(with_token.evaluations, without.evaluations, "pinned-sa");
+        assert!(pins.satisfied_by(&with_token.mapping), "pinned-sa");
     }
 
     #[test]
@@ -474,8 +523,13 @@ mod tests {
         let objective = Homing::new(&mesh, 4);
         let mut config = SaConfig::quick(2);
         config.max_evaluations = 4;
-        let outcome =
-            anneal_multistart_budgeted(&objective, &mesh, 4, &config, 9, RestartBudget::Total);
+        let outcome = MultiStartSa {
+            config,
+            restarts: 9,
+            budget: RestartBudget::Total,
+        }
+        .search(&objective, &mesh, 4)
+        .outcome;
         // Clamped to 4 restarts of 1 evaluation each: exactly the budget.
         assert_eq!(outcome.evaluations, 4);
         assert!(

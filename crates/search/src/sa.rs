@@ -6,12 +6,14 @@
 //! move is a swap of two tiles (occupied or empty), which preserves
 //! injectivity by construction.
 //!
-//! This module is the promoted home of the engine that started life in
-//! `noc-mapping::sa` (which now re-exports it): the plain annealer, the
-//! incremental-delta annealer, and the parallel multi-start wrappers with
-//! their deterministic reduction.
+//! Two loops live here: the full-cost annealer ([`anneal`] /
+//! [`anneal_cancellable`], which also runs pinned searches) and the
+//! incremental-delta annealer ([`anneal_delta`]). [`MultiStartSa`] runs
+//! independent delta annealers in parallel and reduces them
+//! deterministically.
 
 use crate::cancel::CancelToken;
+use crate::constraints::Constraints;
 use crate::objective::{CostFunction, SwapDeltaCost};
 use crate::outcome::SearchOutcome;
 use crate::strategy::{SearchRun, SearchStrategy};
@@ -133,6 +135,23 @@ pub fn propose_swap(mesh: &Mesh, rng: &mut StdRng) -> (TileId, TileId) {
     (TileId::new(a), TileId::new(b))
 }
 
+/// Uniformly proposes a swap of two distinct tiles from `free` — the
+/// pin-aware form of [`propose_swap`], with the same draws when every
+/// tile is free. With fewer than two free tiles the identity move is
+/// returned and nothing is drawn.
+fn propose_free_swap(free: &[TileId], rng: &mut StdRng) -> (TileId, TileId) {
+    if free.len() < 2 {
+        let t = free.first().copied().unwrap_or(TileId::new(0));
+        return (t, t);
+    }
+    let a = rng.gen_range(0..free.len());
+    let mut b = rng.gen_range(0..free.len() - 1);
+    if b >= a {
+        b += 1;
+    }
+    (free[a], free[b])
+}
+
 /// Runs simulated annealing on `objective` for an application with
 /// `core_count` cores on `mesh`.
 ///
@@ -148,28 +167,50 @@ pub fn anneal<C: CostFunction + ?Sized>(
     core_count: usize,
     config: &SaConfig,
 ) -> SearchOutcome {
-    anneal_cancellable(objective, mesh, core_count, config, &CancelToken::new())
+    anneal_cancellable(
+        objective,
+        mesh,
+        core_count,
+        None,
+        config,
+        &CancelToken::new(),
+    )
 }
 
-/// [`anneal`] under cooperative cancellation: the abort flag is polled
-/// once per temperature epoch, so a cancelled run returns its best-so-far
-/// within one epoch instead of running to budget exhaustion. The poll
-/// consumes no randomness — an uncancelled run is bit-identical to
-/// [`anneal`].
+/// [`anneal`] over an optional pin set and under cooperative
+/// cancellation.
+///
+/// With `pins`, the start is drawn by [`Constraints::random_mapping`],
+/// swaps touch only the free tiles, and the outcome is labelled
+/// `SA-pinned`; with fewer than two free tiles every move is the
+/// identity and the run ends on its stall counter. Without pins every
+/// tile is free and the draws are those of [`random_mapping`] and
+/// [`propose_swap`].
+///
+/// The abort flag is polled once per temperature epoch, so a cancelled
+/// run returns its best-so-far within one epoch instead of running to
+/// budget exhaustion. The poll consumes no randomness — an uncancelled
+/// run is bit-identical to an uncancellable one.
 ///
 /// # Panics
 ///
-/// Panics if `core_count` exceeds the number of tiles of `mesh`.
+/// Panics if `core_count` exceeds the number of tiles of `mesh`, or if
+/// `pins` do not validate against the instance.
 pub fn anneal_cancellable<C: CostFunction + ?Sized>(
     objective: &C,
     mesh: &Mesh,
     core_count: usize,
+    pins: Option<&Constraints>,
     config: &SaConfig,
     cancel: &CancelToken,
 ) -> SearchOutcome {
     let start = crate::telemetry::wall_clock();
+    let label = if pins.is_some() { "SA-pinned" } else { "SA" };
+    let no_pins = Constraints::new();
+    let pins = pins.unwrap_or(&no_pins);
+    let free = pins.free_tiles(mesh);
     let mut rng = StdRng::seed_from_u64(config.seed);
-    let mut current = random_mapping(mesh, core_count, &mut rng);
+    let mut current = pins.random_mapping(mesh, core_count, &mut rng);
     let mut current_cost = objective.cost(&current);
     let mut evaluations: u64 = 1;
 
@@ -186,7 +227,7 @@ pub fn anneal_cancellable<C: CostFunction + ?Sized>(
         let mut sample = current.clone();
         let mut deltas = Vec::new();
         for _ in 0..16.min(config.max_evaluations.saturating_sub(1)) {
-            let (a, b) = propose_swap(mesh, &mut rng);
+            let (a, b) = propose_free_swap(&free, &mut rng);
             sample.swap_tiles(a, b);
             let c = objective.cost(&sample);
             evaluations += 1;
@@ -214,7 +255,7 @@ pub fn anneal_cancellable<C: CostFunction + ?Sized>(
             if evaluations >= config.max_evaluations {
                 break 'outer;
             }
-            let (a, b) = propose_swap(mesh, &mut rng);
+            let (a, b) = propose_free_swap(&free, &mut rng);
             current.swap_tiles(a, b);
             let candidate_cost = objective.cost(&current);
             evaluations += 1;
@@ -233,18 +274,19 @@ pub fn anneal_cancellable<C: CostFunction + ?Sized>(
                 current.swap_tiles(a, b); // undo
             }
         }
-        emit_epoch("SA", epoch, evaluations, best_cost, accepts, rejects);
+        emit_epoch(label, epoch, evaluations, best_cost, accepts, rejects);
         epoch += 1;
         temperature *= config.cooling;
         stall = if improved { 0 } else { stall + 1 };
     }
 
+    debug_assert!(pins.satisfied_by(&best));
     SearchOutcome {
         mapping: best,
         cost: best_cost,
         evaluations,
         elapsed: start.elapsed(),
-        method: "SA".to_owned(),
+        method: label.to_owned(),
         objective: objective.name(),
     }
 }
@@ -363,11 +405,11 @@ pub fn anneal_delta_cancellable<C: SwapDeltaCost + ?Sized>(
 
 /// How `config.max_evaluations` is interpreted by a multi-start search.
 ///
-/// Historically `anneal_multistart` ran the *per-restart* budget `N`
-/// times, so `--restarts N` silently spent `N×` the evaluations of a
-/// single-start run with the same configuration. [`RestartBudget::Total`]
-/// makes the budget an explicit total, divided across restarts — the mode
-/// fair comparisons (and the CLI) use.
+/// [`RestartBudget::PerRestart`] runs the full budget `N` times, so
+/// `--restarts N` would spend `N×` the evaluations of a single-start run
+/// with the same configuration. [`RestartBudget::Total`] makes the budget
+/// an explicit total, divided across restarts — the mode fair
+/// comparisons (and the CLI) use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum RestartBudget {
     /// Every restart gets the full `config.max_evaluations` (the
@@ -510,157 +552,21 @@ where
     )
 }
 
-/// Parallel multi-start simulated annealing: `restarts` independent
-/// [`anneal`] runs with seeds `config.seed + i`, executed across the
-/// available cores, reduced to the best outcome.
+/// Parallel multi-start simulated annealing as a [`SearchStrategy`]:
+/// `restarts` independent [`anneal_delta`] runs with seeds
+/// `config.seed + i`, executed across the available cores and reduced to
+/// the best outcome — the statically-split population baseline. The
+/// adaptive scheduler ([`crate::AdaptiveRestarts`]) subsumes this as the
+/// degenerate single-round, no-selection configuration.
 ///
-/// Fully deterministic for a fixed `(config, restarts)`: each restart's
-/// seed is derived from its index, and the reduction prefers the lowest
-/// cost with ties broken by restart index — thread scheduling never
-/// changes the result. `restarts = 1` is exactly [`anneal`] (modulo the
-/// method label and wall-clock). The reported `evaluations` is the total
-/// across restarts.
-///
-/// # Panics
-///
-/// Panics if `core_count` exceeds the number of tiles of `mesh`, or if a
-/// search worker panics.
-pub fn anneal_multistart<C>(
-    objective: &C,
-    mesh: &Mesh,
-    core_count: usize,
-    config: &SaConfig,
-    restarts: usize,
-) -> SearchOutcome
-where
-    C: CostFunction + Clone + Send,
-{
-    anneal_multistart_budgeted(
-        objective,
-        mesh,
-        core_count,
-        config,
-        restarts,
-        RestartBudget::PerRestart,
-    )
-}
-
-/// [`anneal_multistart`] with an explicit interpretation of
-/// `config.max_evaluations` — see [`RestartBudget`]. With
-/// [`RestartBudget::Total`], a multi-start run spends (approximately) the
-/// same number of evaluations as a single-start run of the same
-/// configuration, so `--method sa` and `--method sa-multi` compare
-/// fairly.
-///
-/// # Panics
-///
-/// Panics if `core_count` exceeds the number of tiles of `mesh`, or if a
-/// search worker panics.
-pub fn anneal_multistart_budgeted<C>(
-    objective: &C,
-    mesh: &Mesh,
-    core_count: usize,
-    config: &SaConfig,
-    restarts: usize,
-    budget: RestartBudget,
-) -> SearchOutcome
-where
-    C: CostFunction + Clone + Send,
-{
-    run_multistart(objective, config, restarts, budget, |obj, cfg| {
-        anneal(obj, mesh, core_count, &cfg)
-    })
-}
-
-/// Multi-start variant of [`anneal_delta`] for objectives with
-/// incremental move evaluation; same determinism guarantees as
-/// [`anneal_multistart`].
-///
-/// # Panics
-///
-/// Panics if `core_count` exceeds the number of tiles of `mesh`, or if a
-/// search worker panics.
-pub fn anneal_multistart_delta<C>(
-    objective: &C,
-    mesh: &Mesh,
-    core_count: usize,
-    config: &SaConfig,
-    restarts: usize,
-) -> SearchOutcome
-where
-    C: SwapDeltaCost + Clone + Send,
-{
-    anneal_multistart_delta_budgeted(
-        objective,
-        mesh,
-        core_count,
-        config,
-        restarts,
-        RestartBudget::PerRestart,
-    )
-}
-
-/// [`anneal_multistart_delta`] with an explicit budget interpretation —
-/// see [`RestartBudget`].
-///
-/// # Panics
-///
-/// Panics if `core_count` exceeds the number of tiles of `mesh`, or if a
-/// search worker panics.
-pub fn anneal_multistart_delta_budgeted<C>(
-    objective: &C,
-    mesh: &Mesh,
-    core_count: usize,
-    config: &SaConfig,
-    restarts: usize,
-    budget: RestartBudget,
-) -> SearchOutcome
-where
-    C: SwapDeltaCost + Clone + Send,
-{
-    anneal_multistart_delta_cancellable(
-        objective,
-        mesh,
-        core_count,
-        config,
-        restarts,
-        budget,
-        &CancelToken::new(),
-    )
-}
-
-/// [`anneal_multistart_delta_budgeted`] under cooperative cancellation:
-/// every restart polls the shared token at its epoch boundary (see
-/// [`anneal_delta_cancellable`]), so an abort stops the whole population
-/// within one epoch per in-flight restart. The deterministic reduction
-/// is unchanged; an uncancelled run is bit-identical to the
-/// uncancellable variant.
-///
-/// # Panics
-///
-/// Panics if `core_count` exceeds the number of tiles of `mesh`, or if a
-/// search worker panics.
-pub fn anneal_multistart_delta_cancellable<C>(
-    objective: &C,
-    mesh: &Mesh,
-    core_count: usize,
-    config: &SaConfig,
-    restarts: usize,
-    budget: RestartBudget,
-    cancel: &CancelToken,
-) -> SearchOutcome
-where
-    C: SwapDeltaCost + Clone + Send,
-{
-    run_multistart(objective, config, restarts, budget, |obj, cfg| {
-        anneal_delta_cancellable(obj, mesh, core_count, &cfg, cancel)
-    })
-}
-
-/// Multi-start SA as a [`SearchStrategy`]: the statically-split
-/// population baseline. The adaptive scheduler
-/// ([`crate::AdaptiveRestarts`]) subsumes this as the degenerate
-/// single-round, no-selection configuration.
+/// Fully deterministic for a fixed configuration: each restart's seed is
+/// derived from its index, and the reduction prefers the lowest cost
+/// with ties broken by restart index — thread scheduling never changes
+/// the result. One restart is exactly [`anneal_delta`] (modulo the method
+/// label and wall-clock). The reported `evaluations` is the total across
+/// restarts. Every restart polls the shared cancel token at its epoch
+/// boundary, so an abort stops the whole population within one epoch
+/// per in-flight restart.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct MultiStartSa {
     /// Per-restart annealer configuration (seed of restart `i` is
@@ -686,14 +592,12 @@ impl<C: SwapDeltaCost + Clone + Send> SearchStrategy<C> for MultiStartSa {
         core_count: usize,
         cancel: &CancelToken,
     ) -> SearchRun {
-        let outcome = anneal_multistart_delta_cancellable(
+        let outcome = run_multistart(
             objective,
-            mesh,
-            core_count,
             &self.config,
             self.restarts,
             self.budget,
-            cancel,
+            |obj, cfg| anneal_delta_cancellable(obj, mesh, core_count, &cfg, cancel),
         );
         let restarts = self
             .budget

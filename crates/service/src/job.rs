@@ -236,8 +236,9 @@ impl JobRequest {
 pub struct SolveResult {
     /// Best mapping, cost, evaluation count, method and elapsed time.
     pub outcome: SearchOutcome,
-    /// Search telemetry (absent for the constrained/pinned path).
-    pub telemetry: Option<SearchTelemetry>,
+    /// Search telemetry (a single final point for engines without
+    /// native telemetry: SA, pinned SA, exhaustive, random, greedy).
+    pub telemetry: SearchTelemetry,
     /// Equation 10 energy split of the winner.
     pub breakdown: EnergyBreakdown,
     /// Execution time of the winner in nanoseconds.

@@ -748,9 +748,11 @@ fn worker_loop(shared: &Arc<Shared>) {
             }
             Ok(result) => {
                 let (cost_pj, evaluations, telemetry) = match &result {
-                    JobResult::Solve(r) => {
-                        (r.outcome.cost, r.outcome.evaluations, r.telemetry.clone())
-                    }
+                    JobResult::Solve(r) => (
+                        r.outcome.cost,
+                        r.outcome.evaluations,
+                        Some(r.telemetry.clone()),
+                    ),
                     JobResult::Evaluate(r) => (r.breakdown.total().picojoules(), 0, None),
                 };
                 let event = ServiceEvent::Completed {

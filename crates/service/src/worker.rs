@@ -16,9 +16,7 @@ use noc_energy::total::evaluate_cdcm_with;
 use noc_energy::{
     cdcg_dynamic_energy_cached, cwg_dynamic_energy_cached, noc_static_energy, EnergyBreakdown,
 };
-use noc_mapping::{
-    anneal_constrained, CancelToken, CdcmObjective, CwmObjective, Explorer, Strategy,
-};
+use noc_mapping::{CancelToken, Explorer, SearchMethod};
 use noc_model::{RouteProvider, RouteSource};
 use noc_sim::gantt::GanttChart;
 use noc_sim::{schedule_cost_with, ScheduleScratch};
@@ -93,52 +91,17 @@ fn execute_solve(
         Arc::clone(&provider),
     );
 
-    let (outcome, telemetry) = match &req.pins {
-        Some(pins) => {
-            // Constrained search: pinned cores stay on their tiles. The
-            // constrained annealer has no mid-run checkpoints; a cancel
-            // that lands before dispatch still stops the job here.
-            pins.validate(&req.mesh, req.app.core_count())
-                .map_err(|e| e.to_string())?;
-            let outcome = match req.strategy {
-                Strategy::Cwm => {
-                    let objective = CwmObjective::with_provider(
-                        explorer.cwg(),
-                        &req.mesh,
-                        &req.tech,
-                        Arc::clone(&provider),
-                    );
-                    anneal_constrained(
-                        &objective,
-                        &req.mesh,
-                        req.app.core_count(),
-                        pins,
-                        &req.sa_config,
-                    )
-                }
-                Strategy::Cdcm => {
-                    let objective = CdcmObjective::with_provider(
-                        &req.app,
-                        &req.tech,
-                        req.params,
-                        Arc::clone(&provider),
-                    );
-                    anneal_constrained(
-                        &objective,
-                        &req.mesh,
-                        req.app.core_count(),
-                        pins,
-                        &req.sa_config,
-                    )
-                }
-            };
-            (outcome, None)
+    // A pinned SA job anneals with the request's `sa_config`.
+    let method = match (&req.pins, req.method) {
+        (Some(_), SearchMethod::SimulatedAnnealing(_)) => {
+            SearchMethod::SimulatedAnnealing(req.sa_config)
         }
-        None => {
-            let run = explorer.explore_with_telemetry_cancellable(req.strategy, req.method, cancel);
-            (run.outcome, Some(run.telemetry))
-        }
+        (_, method) => method,
     };
+    let run = explorer
+        .search(req.strategy, method, req.pins.as_ref(), cancel)
+        .map_err(|e| e.to_string())?;
+    let outcome = run.outcome;
 
     // Full-model verification of the winner, over the job's provider and
     // this worker's pooled scratch arena (no per-job allocation).
@@ -170,7 +133,7 @@ fn execute_solve(
     });
 
     Ok(SolveResult {
-        telemetry,
+        telemetry: run.telemetry,
         breakdown: EnergyBreakdown {
             dynamic,
             static_energy,

@@ -5,8 +5,8 @@
 use noc::apps::{synthetic, SyntheticConfig, TrafficPattern};
 use noc::energy::Technology;
 use noc::mapping::{
-    anneal_constrained, exhaustive, exhaustive_constrained, pareto_front, CdcmObjective,
-    Constraints, CostFunction, SaConfig,
+    anneal_cancellable, exhaustive, exhaustive_constrained, pareto_front, CancelToken,
+    CdcmObjective, Constraints, CostFunction, SaConfig,
 };
 use noc::model::{CoreId, Mesh, RoutingAlgorithm, TileId, TorusXyRouting, XyRouting};
 use noc::prelude::Mapping;
@@ -69,7 +69,14 @@ fn constrained_search_respects_pins_through_the_full_stack() {
     assert!(pins.satisfied_by(&es.mapping));
     assert_eq!(es.evaluations, 24); // 4! placements of the free cores
 
-    let sa = anneal_constrained(&obj, &mesh, 6, &pins, &SaConfig::quick(4));
+    let sa = anneal_cancellable(
+        &obj,
+        &mesh,
+        6,
+        Some(&pins),
+        &SaConfig::quick(4),
+        &CancelToken::new(),
+    );
     assert!(pins.satisfied_by(&sa.mapping));
     assert!(sa.cost >= es.cost - 1e-9);
 

@@ -311,18 +311,25 @@ proptest! {
     /// never loses to its own first restart.
     #[test]
     fn multistart_sa_is_deterministic((cdcg, mesh) in app_and_mesh(), seed in any::<u64>()) {
-        use noc::mapping::{anneal, anneal_multistart, CdcmObjective, SaConfig};
+        use noc::mapping::{
+            anneal_delta, CdcmObjective, MultiStartSa, RestartBudget, SaConfig, SearchStrategy,
+        };
         let tech = Technology::t007();
         let params = SimParams::new();
         let objective = CdcmObjective::new(&cdcg, &mesh, &tech, params);
         let mut config = SaConfig::quick(seed);
         config.max_evaluations = 600;
-        let a = anneal_multistart(&objective, &mesh, cdcg.core_count(), &config, 3);
-        let b = anneal_multistart(&objective, &mesh, cdcg.core_count(), &config, 3);
+        let multistart = MultiStartSa {
+            config,
+            restarts: 3,
+            budget: RestartBudget::PerRestart,
+        };
+        let a = multistart.search(&objective, &mesh, cdcg.core_count()).outcome;
+        let b = multistart.search(&objective, &mesh, cdcg.core_count()).outcome;
         prop_assert_eq!(&a.mapping, &b.mapping);
         prop_assert_eq!(a.cost, b.cost);
         prop_assert_eq!(a.evaluations, b.evaluations);
-        let first_restart = anneal(&objective, &mesh, cdcg.core_count(), &config);
+        let first_restart = anneal_delta(&objective, &mesh, cdcg.core_count(), &config);
         prop_assert!(a.cost <= first_restart.cost);
     }
 

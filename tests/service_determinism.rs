@@ -18,8 +18,8 @@ use noc::energy::Technology;
 use noc::model::{Cdcg, Mesh};
 use noc::sim::SimParams;
 use noc_service::{
-    Explorer, GaConfig, JobRequest, JobState, MappingService, Priority, SaConfig, SearchMethod,
-    ServiceConfig, ServiceEvent, SolveRequest, SolveResult, TabuConfig,
+    CancelToken, Explorer, GaConfig, JobRequest, JobState, MappingService, Priority, SaConfig,
+    SearchMethod, ServiceConfig, ServiceEvent, SolveRequest, SolveResult, TabuConfig,
 };
 
 /// Cases for the property loop; override with `NOC_FUZZ_CASES` (the
@@ -227,7 +227,9 @@ fn service_agrees_with_direct_explorer_per_seed() {
         let via_service = result.as_solve().expect("solve job yields a solve result");
 
         let explorer = Explorer::new(&app, mesh, Technology::t007(), SimParams::new());
-        let direct = explorer.explore_with_telemetry(strategy, method);
+        let direct = explorer
+            .search(strategy, method, None, &CancelToken::new())
+            .expect("unpinned search never fails");
 
         assert_eq!(
             via_service.outcome.mapping, direct.outcome.mapping,
@@ -243,8 +245,7 @@ fn service_agrees_with_direct_explorer_per_seed() {
             "case {case}: evaluation count diverged"
         );
         assert_eq!(
-            via_service.telemetry.as_ref(),
-            Some(&direct.telemetry),
+            via_service.telemetry, direct.telemetry,
             "case {case}: telemetry diverged"
         );
     }
