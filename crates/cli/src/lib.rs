@@ -74,7 +74,7 @@ USAGE:
                    [--routing xy|yx|torus-xy|xyz|torus-xyz]
                    [--route-cache auto|dense|implicit]
                    [--seed S] [--quick] [--evals N] [--telemetry]
-                   [--pin c0:t3,c2:t0]
+                   [--pin c0:t3,c2:t0]   (sa or es only)
                    [--faults K] [--fault-kind link|tsv|region]
                    [--fault-seed S] [--fault-evals N]
                    [--robustness-report] [--workers N] [--trace FILE]
@@ -117,6 +117,9 @@ budget.
 `xyz` is dimension-ordered 3D routing and `torus-xyz` wraps all three
 axes. Vertical (TSV) hops are charged the technology's `EVbit` instead
 of `ELbit`. `--tenure auto` scales the tabu tenure with sqrt(tiles).
+`--pin c0:t3` keeps core 0 on tile 3. Only `sa` (full-cost annealing
+that swaps free tiles) and `es` (pin-honouring enumeration) take pins;
+any other method is refused with an error.
 `map --faults K` injects K seeded failures after the search (kind
 `link` kills K random channels, `tsv` K vertical pillars, `region` a
 KxK tile block; `--fault-seed S` picks the draw), re-routes the found
@@ -642,6 +645,123 @@ mod tests {
             .next()
             .unwrap();
         assert_eq!(first, "0", "{out}");
+    }
+
+    #[test]
+    fn pinned_map_with_one_free_tile_completes() {
+        // Two cores on a 2x1 mesh with core 0 pinned leave one free tile:
+        // the annealer can only propose identity moves.
+        let dir = std::env::temp_dir().join(format!("noc-cli-test-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let path = tempfile::TempPath(dir.join("two-cores.json"));
+        run(&strs(&[
+            "generate",
+            "--cores",
+            "2",
+            "--packets",
+            "3",
+            "--bits",
+            "60",
+            "--seed",
+            "1",
+            "--out",
+            path.as_str(),
+        ]))
+        .unwrap();
+        let out = run(&strs(&[
+            "map",
+            "--app",
+            path.as_str(),
+            "--mesh",
+            "2x1",
+            "--pin",
+            "c0:t0",
+        ]))
+        .unwrap();
+        assert!(out.contains("tile list:    0,1\n"), "{out}");
+        assert!(out.contains("(SA-pinned)"), "{out}");
+    }
+
+    #[test]
+    fn pins_take_sa_or_es_and_refuse_every_other_method_on_both_surfaces() {
+        use noc_service::protocol::{encode_op, encode_submit, handle_line};
+        use noc_service::{JobId, JobRequest, MappingService, Priority, ServiceConfig};
+        let path = write_example_app();
+        let args = |method: &str| {
+            strs(&[
+                "--app",
+                path.as_str(),
+                "--mesh",
+                "2x2",
+                "--pin",
+                "c0:t0",
+                "--quick",
+                "--seed",
+                "3",
+                "--method",
+                method,
+            ])
+        };
+        let service = MappingService::start(ServiceConfig::new(1));
+        let handle = service.handle();
+        let mut refused = 0u64;
+        // Every name `parse_method` accepts, aliases included.
+        let table = [
+            ("sa", Some("SA-pinned")),
+            ("SA", Some("SA-pinned")),
+            ("es", Some("ES-pinned")),
+            ("ES", Some("ES-pinned")),
+            ("exhaustive", Some("ES-pinned")),
+            ("sa-multi", None),
+            ("multistart", None),
+            ("adaptive", None),
+            ("ga", None),
+            ("genetic", None),
+            ("tabu", None),
+            ("portfolio", None),
+            ("random", None),
+            ("greedy", None),
+        ];
+        for (name, label) in table {
+            let mut map_args = strs(&["map"]);
+            map_args.extend(args(name));
+            let cli = run(&map_args);
+            let options = Options::parse(&args(name)).unwrap();
+            let request = build_solve_request(&options).unwrap();
+            let canonical = request.method.name();
+            match label {
+                Some(label) => {
+                    let out = cli.unwrap();
+                    assert!(out.contains(&format!("({label})")), "{name}: {out}");
+                }
+                None => {
+                    let message = cli.unwrap_err().to_string();
+                    assert_eq!(
+                        message,
+                        format!(
+                            "method `{canonical}` does not take pins; pinned jobs run `sa` or `es`"
+                        ),
+                        "{name}"
+                    );
+                    let line =
+                        encode_submit(&JobRequest::Solve(Box::new(request)), Priority::Normal);
+                    assert!(handle_line(&handle, &line).line.contains("\"ok\":true"));
+                    let reply = handle_line(&handle, &encode_op("wait", Some(JobId(refused))));
+                    refused += 1;
+                    assert!(
+                        reply.line.contains("\"state\":\"failed\""),
+                        "{name}: {}",
+                        reply.line
+                    );
+                    assert!(
+                        reply.line.contains(&format!("\"error\":\"{message}\"")),
+                        "{name}: {}",
+                        reply.line
+                    );
+                }
+            }
+        }
+        assert_eq!(refused, 9);
     }
 
     #[test]

@@ -184,7 +184,8 @@ pub fn build_solve_request_with_method(
     let method = parse_method(method_name, options, sa_config, seed)?;
     let pins = options.get("--pin").map(parse_pins).transpose()?;
     if let Some(pins) = &pins {
-        // Fail synchronously on conflicting pins; the worker re-checks.
+        // Fail synchronously on pins that do not fit; `Explorer::search`
+        // re-checks them in the worker.
         pins.validate(&mesh, app.core_count())?;
     }
 

@@ -154,9 +154,13 @@ pub struct SolveRequest {
     pub faults: FaultSet,
     /// Route-provisioning tier (only `Auto` uses the shared registry).
     pub route_cache: CacheTier,
-    /// Optional core→tile pins; pinned jobs run the constrained SA.
+    /// Optional core→tile pins. Only `SimulatedAnnealing` (the full-cost
+    /// annealer over the free tiles) and `Exhaustive` take them; any other
+    /// method fails the job with [`noc_mapping::ExploreError`]. A present
+    /// but empty set still selects the pinned engines.
     pub pins: Option<Constraints>,
-    /// SA configuration of the constrained search (ignored without pins).
+    /// SA configuration of a pinned `SimulatedAnnealing` job, used in
+    /// place of the method's own (ignored without pins).
     pub sa_config: SaConfig,
     /// Attach the traffic-weighted link-criticality report.
     pub criticality: bool,

@@ -93,7 +93,7 @@ pub use noc_mapping::{
 mod tests {
     use super::*;
     use noc_apps::paper_example::{figure1_cdcg, mesh_2x2};
-    use noc_model::{Mesh, TileId};
+    use noc_model::{CoreId, Mesh, TileId};
 
     fn sa_job(seed: u64) -> JobRequest {
         let app = noc_apps::large_mesh_workload(4, 4, 1);
@@ -385,5 +385,39 @@ mod tests {
         assert_ne!(healthy.route_tier, faulty.route_tier);
         // Distinct provider identities: two entries, no cross-hits.
         assert_eq!(service.stats().registry_entries, 2);
+    }
+
+    /// A pinned SA job with a single free tile proposes only identity
+    /// moves: it finishes with the one feasible mapping, and the worker
+    /// lives on to run the next job.
+    #[test]
+    fn pinned_job_with_one_free_tile_completes_and_the_worker_survives() {
+        let app = noc_apps::generate(&noc_apps::TgffConfig::new(2, 3, 60, 1));
+        let mesh = Mesh::new(2, 1).unwrap();
+        let config = SaConfig::quick(0);
+        let mut req = SolveRequest::new(app, mesh, SearchMethod::SimulatedAnnealing(config));
+        req.pins = Some(
+            Constraints::new()
+                .pin(CoreId::new(0), TileId::new(0))
+                .unwrap(),
+        );
+        req.sa_config = config;
+        let service = MappingService::start(ServiceConfig::new(1));
+        let pinned = service.submit(JobRequest::Solve(Box::new(req)), Priority::Normal);
+        let next = service.submit(sa_job(1), Priority::Normal);
+        match service.wait(pinned).unwrap() {
+            JobState::Done(JobResult::Solve(r)) => {
+                let tiles: Vec<usize> = r
+                    .outcome
+                    .mapping
+                    .assignments()
+                    .map(|(_, t)| t.index())
+                    .collect();
+                assert_eq!(tiles, [0, 1]);
+                assert_eq!(r.outcome.method, "SA-pinned");
+            }
+            other => panic!("pinned job ended {}", other.name()),
+        }
+        assert!(matches!(service.wait(next), Some(JobState::Done(_))));
     }
 }

@@ -31,10 +31,13 @@
 //!
 //! A solve job carries the application either as parsed CDCG JSON
 //! (`"app"`) or as the text format (`"app_text"`), plus `"mesh"`,
-//! `"method"` (a serialized [`SearchMethod`]) and optional `"strategy"`,
+//! `"method"` (a serialized [`SearchMethod`](crate::SearchMethod)) and optional `"strategy"`,
 //! `"tech"`, `"params"`, `"routing"` (name), `"faults"` (array of
-//! `[from, to]` directed-channel tile pairs), `"route_cache"`, `"pins"`, `"sa_config"`,
-//! `"criticality"`, `"seed"`. An evaluate job carries `"app"`/
+//! `[from, to]` directed-channel tile pairs), `"route_cache"`, `"pins"`,
+//! `"sa_config"`, `"criticality"`, `"seed"`. Pins run only with the SA
+//! method (annealed under `"sa_config"`) or `"Exhaustive"`; a pinned job
+//! with any other method ends `failed` with the same error text the CLI
+//! prints. An evaluate job carries `"app"`/
 //! `"app_text"`, `"mesh"`, `"mapping"` (array of tile indices) and
 //! optional `"tech"`, `"params"`, `"routing"`, `"gantt"`. The
 //! fault-injection experiment (`fault_scenario`) is a programmatic-API
