@@ -9,7 +9,7 @@
 //! * [`suite`] — the 18-benchmark Table 1 suite built on top of it;
 //! * [`embedded`] — structural generators for the paper's four embedded
 //!   applications (Romberg, FFT, object recognition, image encoding);
-//! * [`synthetic`] — classic NoC traffic patterns (uniform, transpose,
+//! * [`mod@synthetic`] — classic NoC traffic patterns (uniform, transpose,
 //!   complement, hotspot) as CDCGs, for stress tests and ablations.
 //!
 //! # Examples

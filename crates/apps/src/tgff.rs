@@ -1,7 +1,7 @@
 //! TGFF-like random CDCG benchmark generator.
 //!
 //! The paper's random benchmarks come from "a proprietary system, which is
-//! similar to TGFF [9]; however, the system describes benchmarks through
+//! similar to TGFF \[9\]; however, the system describes benchmarks through
 //! CDCGs, representing message dependence and bit volume of each message".
 //! This module is our reimplementation: a seeded, layered task-DAG
 //! generator whose output is *calibrated* to hit an exact core count,

@@ -1,4 +1,4 @@
-//! Bit-energy model (paper Equations 1 and 2, after Ye et al. [6]),
+//! Bit-energy model (paper Equations 1 and 2, after Ye et al. \[6\]),
 //! extended with a distinct vertical-link (TSV) term for 3D meshes.
 //!
 //! `EBit` is the dynamic energy one bit dissipates when it flips polarity

@@ -3,7 +3,7 @@
 //! The paper does not publish absolute technology constants; its Table 2
 //! only depends on the *static/dynamic split* each technology induces
 //! (leakage is negligible at 0.35 µ and "a significant part" at 0.07 µ
-//! [8]). The presets here are therefore a documented substitution (see
+//! \[8\]). The presets here are therefore a documented substitution (see
 //! DESIGN.md §4): per-bit dynamic energies scale with `C·V²` between
 //! nodes, and router leakage power is chosen so that static energy is a
 //! tiny share (~1–2 %) of typical NoC energy at 0.35 µ and a large share

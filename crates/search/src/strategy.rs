@@ -2,7 +2,7 @@
 //!
 //! A [`SearchStrategy`] owns its *policy* (how to spend an evaluation
 //! budget) and is generic over the *objective* (a
-//! [`CostFunction`]/[`SwapDeltaCost`] implementation). The contract:
+//! [`CostFunction`]/[`SwapDeltaCost`](crate::SwapDeltaCost) implementation). The contract:
 //!
 //! * **Determinism** — for a fixed configuration (including the seed) a
 //!   strategy returns bit-identical [`SearchRun`]s, regardless of thread

@@ -28,7 +28,7 @@
 //! Results are **bit-identical to sequential evaluation by
 //! construction**: per candidate, the primed scratch holds exactly the
 //! state `init_run` would have produced, and the event loop is the
-//! same [`run_loop`]. The property tests in `tests/batch_eval.rs` pin
+//! same `run_loop`. The property tests in `tests/batch_eval.rs` pin
 //! this across provider tiers, mesh shapes and fault scenarios.
 
 use crate::cost::{pack, run_loop, ScheduleScratch, INJECT, PACKET_LIMIT};

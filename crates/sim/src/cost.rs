@@ -1,9 +1,9 @@
 //! Cost-only fast path of the interval scheduler.
 //!
 //! [`schedule_cost`] runs exactly the event-driven algorithm of
-//! [`crate::schedule`] — the same event order, with a non-final `DECIDE`
+//! [`crate::schedule()`] — the same event order, with a non-final `DECIDE`
 //! folded into its `LINK_REQUEST` (see `owner_event`); the same FIFO and
-//! arbitration rules; the same tie-breaking (the [`crate::event`] types
+//! arbitration rules; the same tie-breaking (the `event` module's types
 //! are shared) — but computes **only** what a mapping cost function
 //! needs: the application execution time `texec`. It does not materialize
 //! [`PacketSchedule`](crate::PacketSchedule)s, an

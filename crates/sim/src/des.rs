@@ -2,7 +2,7 @@
 //!
 //! This is a second, *independent* implementation of the paper's timing
 //! model, used to cross-validate the interval scheduler in
-//! [`crate::schedule`]: routers here have real per-port input buffers,
+//! [`crate::schedule()`]: routers here have real per-port input buffers,
 //! routing decisions are taken per header flit with an XY logic
 //! re-implemented from tile coordinates (not reusing
 //! [`noc_model::XyRouting`]), output ports arbitrate FCFS with

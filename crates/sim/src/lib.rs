@@ -4,7 +4,7 @@
 //!
 //! Two independent implementations of the same timing model live here:
 //!
-//! * [`schedule`] — the paper's CDCM execution algorithm: an event-driven
+//! * [`schedule()`] — the paper's CDCM execution algorithm: an event-driven
 //!   *interval scheduler* that walks every CDCG packet over its XY path,
 //!   annotates each CRG resource with absolute occupancy intervals (the
 //!   paper's "cost variable lists", Figure 3), arbitrates inter-router
@@ -22,7 +22,7 @@
 //! source — a dense [`noc_model::RouteCache`] or any tier of the
 //! large-mesh [`noc_model::RouteProvider`]. The contract:
 //!
-//! * **Full evaluation** ([`schedule`]) — when the *artifacts* matter:
+//! * **Full evaluation** ([`schedule()`]) — when the *artifacts* matter:
 //!   occupancy lists, per-packet timelines, contention events, Gantt
 //!   charts, paper-style reports. Allocates per call.
 //! * **Cost-only evaluation** ([`schedule_cost`] / [`CostEvaluator`]) —

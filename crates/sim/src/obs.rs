@@ -2,10 +2,10 @@
 //! metrics registry.
 //!
 //! The engine itself never touches a registry on its hot paths — it
-//! keeps counting into [`RunStats`](crate::RunStats) and
-//! [`BatchStats`](crate::BatchStats). Consumers that hold both a stats
-//! snapshot (or delta) and a registry call these helpers to publish, so
-//! the metric names stay defined in exactly one place.
+//! keeps counting into [`RunStats`] and [`BatchStats`]. Consumers that
+//! hold both a stats snapshot (or delta) and a registry call these
+//! helpers to publish, so the metric names stay defined in exactly one
+//! place.
 
 use crate::batch::{BatchStats, BATCH_SIZE_BUCKETS};
 use crate::cost::RunStats;

@@ -1,7 +1,7 @@
 //! Closed-form wormhole delay equations (paper Equations 6–8).
 //!
 //! These are the *uncontended* delays; the scheduler in
-//! [`crate::schedule`] adds contention on top. They are exposed separately
+//! [`crate::schedule()`] adds contention on top. They are exposed separately
 //! because the CWM model (which cannot see contention) and several tests
 //! use them directly.
 
