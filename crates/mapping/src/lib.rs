@@ -67,8 +67,8 @@ pub mod pareto;
 pub mod report;
 pub mod robustness;
 
-// Tests of the noc-search engines against this crate's objectives, kept
-// under the module names the engines had here before they moved.
+// Test-only: the noc-search engines (re-exported below) against this
+// crate's objectives.
 #[cfg(test)]
 mod random_search;
 #[cfg(test)]

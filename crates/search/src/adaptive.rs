@@ -21,7 +21,7 @@
 //! Rounds may execute members on any number of threads; results are
 //! collected by member index and every ranking tie breaks toward the
 //! lower index (the same deterministic-reduction rule as
-//! `anneal_multistart`).
+//! [`crate::MultiStartSa`]).
 //!
 //! The objective clones are also what keeps the walk-memoization story
 //! lock-free under round advancement: a simulator-backed objective's
