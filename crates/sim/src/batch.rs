@@ -31,7 +31,7 @@
 //! same `run_loop`. The property tests in `tests/batch_eval.rs` pin
 //! this across provider tiers, mesh shapes and fault scenarios.
 
-use crate::cost::{pack, run_loop, ScheduleScratch, INJECT, PACKET_LIMIT};
+use crate::cost::{pack, run_loop, NoRecord, ScheduleScratch, INJECT, PACKET_LIMIT};
 use crate::error::SimError;
 use crate::params::SimParams;
 use noc_model::{Cdcg, Mapping, Mesh, RouteProvider, RouteSource, RoutingKind, WalkMemo};
@@ -191,7 +191,7 @@ impl<'a> BatchEvaluator<'a> {
     ///
     /// # Errors
     ///
-    /// Same as [`schedule_cost`](crate::schedule_cost()), checked per
+    /// Same as [`schedule_cost_with`](crate::schedule_cost_with), checked per
     /// candidate; the first failing candidate aborts the batch.
     pub fn evaluate<M: std::borrow::Borrow<Mapping>>(
         &mut self,
@@ -296,8 +296,13 @@ impl<'a> BatchEvaluator<'a> {
                 Some(m) => m.arena(),
                 None => self.routes.flat(&self.walks),
             };
-            let (texec, delivered, events) =
-                run_loop(self.cdcg, &self.params, flat, &mut self.scratch);
+            let (texec, delivered, events) = run_loop(
+                self.cdcg,
+                &self.params,
+                flat,
+                &mut self.scratch,
+                &mut NoRecord,
+            );
             debug_assert_eq!(
                 delivered, n_packets,
                 "DAG execution must deliver all packets"

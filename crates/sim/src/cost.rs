@@ -1,29 +1,30 @@
-//! Cost-only fast path of the interval scheduler.
+//! The timing engine: one event loop for costs and artifacts.
 //!
-//! [`schedule_cost`] runs exactly the event-driven algorithm of
-//! [`crate::schedule()`] — the same event order, with a non-final `DECIDE`
-//! folded into its `LINK_REQUEST` (see `owner_event`); the same FIFO and
-//! arbitration rules; the same tie-breaking (the `event` module's types
-//! are shared) — but computes **only** what a mapping cost function
-//! needs: the application execution time `texec`. It does not materialize
-//! [`PacketSchedule`](crate::PacketSchedule)s, an
-//! [`OccupancyMap`](crate::OccupancyMap) or a contention log, and it
-//! performs **no per-call allocation**: all working state lives in a
-//! reusable [`ScheduleScratch`] whose per-link tables are indexed by the
-//! dense link ids of a shared route source — a dense [`RouteCache`] or
-//! any tier of [`noc_model::RouteProvider`] (see [`schedule_cost_with`])
-//! — instead of `HashMap<Link, _>`.
+//! `run_loop` is the paper's §4 CDCM execution algorithm. It walks every
+//! packet over its resource walk, arbitrates links FCFS, keeps one
+//! input-port FIFO per link, and returns `texec`; the
+//! [`schedule`](mod@crate::schedule) module states the timing rules. A
+//! non-final `DECIDE` is folded into its `LINK_REQUEST` (see
+//! `owner_event`). Every caller runs this loop:
 //!
-//! The contract, enforced by unit tests here and by the repository's
-//! property tests: for every application, mesh, mapping and parameter
-//! set, `schedule_cost` returns exactly
-//! `schedule(...)?.texec_cycles()` — bit-exact, not approximate. Use the
-//! full [`schedule`](crate::schedule()) when the occupancy lists, per-packet
-//! timelines or the contention log are needed (reports, Gantt charts,
-//! energy *breakdowns*); use this path inside search loops, where the
-//! schedule itself is discarded and only the scalar cost survives.
+//! * [`schedule_cost_with`] and [`CostEvaluator`] score a mapping with
+//!   the zero-sized `NoRecord` recorder. They allocate nothing after
+//!   warm-up: all working state lives in a reusable [`ScheduleScratch`]
+//!   whose per-link tables are indexed by the dense link ids of a shared
+//!   [`RouteSource`] (a dense route cache or any tier of
+//!   [`RouteProvider`]).
+//! * [`schedule_with`](crate::schedule_with) runs the same loop with an
+//!   artifact `Recorder` and builds the per-packet timelines, the
+//!   occupancy lists (Figure 3's cost variable lists) and the contention
+//!   log from its hooks.
+//! * [`BatchEvaluator`](crate::BatchEvaluator) runs it once per
+//!   candidate of a cohort, with `NoRecord`.
 //!
-//! [`CostEvaluator`] bundles an application with a route cache and a
+//! Costs and artifacts therefore come from the same loop and cannot
+//! drift apart. The flit-level simulator in [`crate::des`] shares no
+//! code with it and stays the independent oracle.
+//!
+//! [`CostEvaluator`] bundles an application with a route provider and a
 //! scratch into a reusable engine; it is the building block
 //! `noc-energy`'s cost-only CDCM evaluation and `noc-mapping`'s
 //! objectives are made of.
@@ -33,20 +34,17 @@ use crate::params::SimParams;
 #[cfg(test)]
 use noc_model::TileId;
 use noc_model::{
-    Cdcg, Mapping, Mesh, PacketId, RouteCache, RouteProvider, RouteSource, RoutingKind, WalkMemo,
-    WalkMemoStats,
+    Cdcg, Mapping, Mesh, PacketId, RouteProvider, RouteSource, RoutingKind, WalkMemo, WalkMemoStats,
 };
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-// The fast path packs each pending event into one `u128` key whose
-// integer ordering is *exactly* the lexicographic `(time, packet, phase)`
-// ordering of [`crate::event::Event`] — the invariant that keeps this
-// path bit-identical to the full scheduler. Layout, most significant
-// first: `time` (64 bits) | `packet` (30 bits) | phase variant (2 bits,
-// Inject=0 < RouterEntry=1 < Decide=2 < LinkRequest=3, matching the
-// declaration order the derived `Ord` of `Phase` compares by) | `hop`
-// (32 bits, the tie-breaker *within* a variant, again as derived).
+// Each pending event is one `u128` key, and the queue pops keys in
+// integer order, which is the lexicographic order of the tuple
+// `(time, packet, variant, hop)`. That order fixes every tie-break of the
+// engine. Layout, most significant first: `time` (64 bits) | `packet`
+// (30 bits) | variant (2 bits: Inject=0 < RouterEntry=1 < Decide=2 <
+// LinkRequest=3) | `hop` (32 bits).
 pub(crate) const PACKET_LIMIT: usize = 1 << 30;
 pub(crate) const INJECT: u32 = 0;
 const ROUTER_ENTRY: u32 = 1;
@@ -58,6 +56,36 @@ pub(crate) fn pack(time: u64, packet: usize, variant: u32, hop: u32) -> u128 {
     debug_assert!(packet < PACKET_LIMIT);
     ((time as u128) << 64) | ((packet as u128) << 34) | ((variant as u128) << 32) | hop as u128
 }
+
+/// What one run of `run_loop` reports beyond `texec`. Positions count
+/// along the packet's resource walk `[injection, internals..., ejection]`:
+/// router `hop` is fed by the link at position `hop`. For one packet the
+/// hooks fire in walk order, and across packets in event order. Every
+/// hook defaults to doing nothing, inlined away.
+pub(crate) trait Recorder {
+    /// Packet `p` was granted the link at walk position `at`: it asked at
+    /// `requested`, got the link at `granted` and holds it `busy` cycles.
+    #[inline(always)]
+    fn link_grant(&mut self, _p: usize, _at: usize, _requested: u64, _granted: u64, _busy: u64) {}
+    /// The header of `p` entered router `hop` at `time`.
+    #[inline(always)]
+    fn router_entry(&mut self, _p: usize, _hop: usize, _time: u64) {}
+    /// `p`, which reached router `hop`'s input FIFO at `arrival`, owns
+    /// its head from `owned`. A parked packet reports when it is woken.
+    #[inline(always)]
+    fn fifo_wait(&mut self, _p: usize, _hop: usize, _arrival: u64, _owned: u64) {}
+    /// The last flit of `p` starts on router `hop`'s output link at `time`.
+    #[inline(always)]
+    fn router_leave(&mut self, _p: usize, _hop: usize, _time: u64) {}
+    /// The last flit of `p` reached its destination core at `time`.
+    #[inline(always)]
+    fn delivery(&mut self, _p: usize, _time: u64) {}
+}
+
+/// The recorder of cost-only runs: zero-sized, with every hook empty.
+pub(crate) struct NoRecord;
+
+impl Recorder for NoRecord {}
 
 #[derive(Debug, Clone, Default)]
 struct LinkSlot {
@@ -77,7 +105,7 @@ struct FifoSlot {
     parked: VecDeque<(u32, u32, u64, bool)>,
 }
 
-/// Reusable working state of [`schedule_cost`].
+/// Reusable working state of the event loop.
 ///
 /// Buffers grow to the high-water mark of the instances they evaluate and
 /// are reused across calls — after warm-up, a cost evaluation allocates
@@ -175,6 +203,7 @@ impl ScheduleScratch {
 
     #[inline]
     fn link(&mut self, id: u32) -> &mut LinkSlot {
+        // noc-verify: allow(PANIC01) — walk ids are below the source's dense_link_count, which ensure() sized `links` to
         let slot = &mut self.links[id as usize];
         if slot.epoch != self.epoch {
             slot.epoch = self.epoch;
@@ -185,6 +214,7 @@ impl ScheduleScratch {
 
     #[inline]
     fn fifo(&mut self, id: u32) -> &mut FifoSlot {
+        // noc-verify: allow(PANIC01) — walk ids are below the source's dense_link_count, which ensure() sized `fifo` to
         let slot = &mut self.fifo[id as usize];
         if slot.epoch != self.epoch {
             slot.epoch = self.epoch;
@@ -226,43 +256,30 @@ impl ScheduleScratch {
         self.stats.runs += 1;
         self.stats.events += events;
     }
+
+    /// The per-packet walk spans, the per-packet ready times and the walk
+    /// arena that the last [`init_run`] and run left behind. Spans index
+    /// `routes.flat(arena)`.
+    pub(crate) fn run_state(&self) -> (&[(u32, u32)], &[u64], &[u32]) {
+        (&self.spans, &self.ready, &self.walks)
+    }
 }
 
 /// Computes the application execution time of `cdcg` on `mesh` under
-/// `mapping` — exactly [`schedule`](crate::schedule())'s `texec_cycles()`,
-/// but allocation-free. See the module docs for the contract.
-///
-/// `cache` must have been built for `mesh` with the routing algorithm the
-/// comparison schedule would use (XY for [`schedule`](crate::schedule())).
-///
-/// # Errors
-///
-/// Returns the same errors as [`schedule`](crate::schedule()):
-/// [`SimError::CoreCountMismatch`] on a core-count mismatch and
-/// [`SimError::Model`] for invalid mappings or out-of-mesh tiles.
-///
-/// # Panics
-///
-/// Panics if `cache` was built for a different mesh than `mesh`.
-pub fn schedule_cost(
-    cdcg: &Cdcg,
-    mesh: &Mesh,
-    mapping: &Mapping,
-    params: &SimParams,
-    cache: &RouteCache,
-    scratch: &mut ScheduleScratch,
-) -> Result<u64, SimError> {
-    schedule_cost_with(cdcg, mesh, mapping, params, cache, scratch)
-}
-
-/// [`schedule_cost`] over any [`RouteSource`] — a dense [`RouteCache`]
-/// or any tier of [`RouteProvider`]. Results are bit-identical across
-/// sources built for the same mesh and routing algorithm: the engine
-/// depends only on which walks share which links, not on the numbering.
+/// `mapping` over any [`RouteSource`] — a dense route cache or any tier
+/// of [`RouteProvider`] — without building artifacts and without
+/// allocating after warm-up. It runs the same event loop as
+/// [`schedule_with`](crate::schedule_with), so it returns exactly that
+/// schedule's `texec_cycles()` when `routes` walks the same routing
+/// algorithm. Results are bit-identical across sources built for the
+/// same mesh and routing algorithm: the engine depends only on which
+/// walks share which links, not on the numbering.
 ///
 /// # Errors
 ///
-/// Same as [`schedule_cost`].
+/// Returns [`SimError::CoreCountMismatch`] on a core-count mismatch and
+/// [`SimError::Model`] for invalid mappings, out-of-mesh tiles or (on the
+/// fault-aware tier) a partitioned pair.
 ///
 /// # Panics
 ///
@@ -275,50 +292,22 @@ pub fn schedule_cost_with<S: RouteSource + ?Sized>(
     routes: &S,
     scratch: &mut ScheduleScratch,
 ) -> Result<u64, SimError> {
-    schedule_cost_inner(cdcg, mesh, mapping, params, routes, None, scratch)
+    init_run(cdcg, mesh, mapping, params, routes, None, scratch)?;
+    Ok(run_primed(cdcg, params, routes, scratch, &mut NoRecord))
 }
 
-/// [`schedule_cost_with`] accelerated by a per-evaluator [`WalkMemo`]:
-/// route resolutions hit the memo's lock-free pair→span table instead of
-/// the provider's shared cache, turning repeat pairs into a single probe.
-/// Results are bit-identical to the unmemoized path — the memo replays
-/// the exact walks the provider produced.
-///
-/// `routes` must be a *buffering* source (one that appends walks to the
-/// caller's arena — any [`RouteProvider`] tier except dense; see
-/// [`RouteProvider::memo_compatible`]).
-///
-/// # Errors
-///
-/// Same as [`schedule_cost`].
-///
-/// # Panics
-///
-/// Panics if `routes` was built for a different mesh than `mesh`.
-pub fn schedule_cost_memoized<S: RouteSource + ?Sized>(
+/// Runs the event loop on a scratch that [`init_run`] has just primed
+/// for `routes`, reports to `rec`, accounts the run in [`RunStats`] and
+/// returns `texec`.
+pub(crate) fn run_primed<S: RouteSource + ?Sized, R: Recorder>(
     cdcg: &Cdcg,
-    mesh: &Mesh,
-    mapping: &Mapping,
     params: &SimParams,
     routes: &S,
-    memo: &mut WalkMemo,
     scratch: &mut ScheduleScratch,
-) -> Result<u64, SimError> {
-    schedule_cost_inner(cdcg, mesh, mapping, params, routes, Some(memo), scratch)
-}
-
-fn schedule_cost_inner<S: RouteSource + ?Sized>(
-    cdcg: &Cdcg,
-    mesh: &Mesh,
-    mapping: &Mapping,
-    params: &SimParams,
-    routes: &S,
-    memo: Option<&mut WalkMemo>,
-    scratch: &mut ScheduleScratch,
-) -> Result<u64, SimError> {
-    init_run(cdcg, mesh, mapping, params, routes, memo, scratch)?;
+    rec: &mut R,
+) -> u64 {
     let walks = std::mem::take(&mut scratch.walks);
-    let (texec, delivered, events_done) = run_loop(cdcg, params, routes.flat(&walks), scratch);
+    let (texec, delivered, events_done) = run_loop(cdcg, params, routes.flat(&walks), scratch, rec);
     scratch.walks = walks;
     scratch.note_run(events_done);
     debug_assert_eq!(
@@ -326,14 +315,17 @@ fn schedule_cost_inner<S: RouteSource + ?Sized>(
         cdcg.packet_count(),
         "DAG execution must deliver all packets"
     );
-    Ok(texec)
+    texec
 }
 
 /// Validates the instance, sizes the scratch, resolves spans/flits and
-/// seeds the start events — everything [`schedule_cost`] does before its
-/// event loop. For buffering route sources the packet walks land in
+/// seeds the start events — everything a run does before its event
+/// loop. For buffering route sources the packet walks land in
 /// `scratch.walks` (cleared first); dense sources leave it empty and
 /// span their shared flat array.
+///
+/// The checks run in this order: core count, `mapping.validate()`,
+/// out-of-mesh tiles, then (per packet) the source's `validate_pair`.
 ///
 /// With a `memo`, pair resolutions go through its lock-free table
 /// ([`WalkMemo::resolve_into`]) instead of the provider's shared cache;
@@ -389,9 +381,13 @@ pub(crate) fn init_run<S: RouteSource + ?Sized>(
             Some(m) => m.resolve_into(routes, src, dst, &mut scratch.walks),
             None => routes.walk_span(src, dst, &mut scratch.walks),
         };
+        // noc-verify: allow(PANIC01) — i < n_packets, and ensure() has just sized every per-packet vector to at least n_packets
         scratch.spans[i] = span;
+        // noc-verify: allow(PANIC01) — i < n_packets, and ensure() has just sized every per-packet vector to at least n_packets
         scratch.flits[i] = params.flits(p.bits).max(1);
+        // noc-verify: allow(PANIC01) — i < n_packets, and ensure() has just sized every per-packet vector to at least n_packets
         scratch.pending[i] = cdcg.predecessors(id).len() as u32;
+        // noc-verify: allow(PANIC01) — i < n_packets, and ensure() has just sized every per-packet vector to at least n_packets
         scratch.ready[i] = 0;
     }
 
@@ -403,15 +399,16 @@ pub(crate) fn init_run<S: RouteSource + ?Sized>(
     Ok(())
 }
 
-/// The shared event loop of the cost engine. Starts from a scratch
-/// primed by [`init_run`] (or [`ScheduleScratch::prime_run`]) and runs
-/// the queue dry. Returns `(texec, packets delivered, events processed)`;
-/// [`RunStats::events`] says what counts as an event.
-pub(crate) fn run_loop(
+/// The event loop of the engine. Starts from a scratch primed by
+/// [`init_run`] (or [`ScheduleScratch::prime_run`]), runs the queue dry
+/// and reports to `rec` as it goes. Returns `(texec, packets delivered,
+/// events processed)`; [`RunStats::events`] says what counts as an event.
+pub(crate) fn run_loop<R: Recorder>(
     cdcg: &Cdcg,
     params: &SimParams,
     flat: &[u32],
     scratch: &mut ScheduleScratch,
+    rec: &mut R,
 ) -> (u64, usize, u64) {
     let tl = params.link_cycles;
     let tr = params.routing_cycles;
@@ -424,13 +421,18 @@ pub(crate) fn run_loop(
         let p = ((key >> 34) as usize) & (PACKET_LIMIT - 1);
         let variant = (key >> 32) as u32 & 3;
         let hop = key as u32 as usize;
+        // noc-verify: allow(PANIC01) — queued packets are below n_packets, and spans is sized by ensure()
         let (start, len) = scratch.spans[p];
         // Resource walk of the packet: [injection, internals..., ejection].
+        // noc-verify: allow(PANIC01) — spans index `flat`: init_run/prime_run resolved them against this very array
         let path = &flat[start as usize..start as usize + len as usize];
-        let k = path.len() - 1; // router count
+        // Router count.
+        let k = path.len() - 1;
+        // noc-verify: allow(PANIC01) — queued packets are below n_packets, and flits is sized by ensure()
         let n = scratch.flits[p];
         match variant {
             INJECT => {
+                // noc-verify: allow(PANIC01) — every walk holds at least the injection and the ejection link
                 let slot = scratch.link(path[0]);
                 let entry = if params.injection_serialization {
                     time.max(slot.free)
@@ -438,12 +440,15 @@ pub(crate) fn run_loop(
                     time
                 };
                 slot.free = entry + n * tl;
+                rec.link_grant(p, 0, time, entry, n * tl);
                 scratch.queue.push(pack(entry + tl, p, ROUTER_ENTRY, 0));
             }
             ROUTER_ENTRY => {
+                rec.router_entry(p, hop, time);
                 // The feeding link of router `hop` is `path[hop]`; the
                 // input-port FIFO does not apply to un-serialized
-                // injection links (see `schedule`'s `fifo_applies`).
+                // injection links (a core link of unbounded bandwidth
+                // cannot order its arrivals).
                 let applies = hop > 0 || params.injection_serialization;
                 let last = hop + 1 == k;
                 if !applies {
@@ -451,12 +456,14 @@ pub(crate) fn run_loop(
                         .queue
                         .push(owner_event(time, p, hop as u32, last, tr));
                 } else {
+                    // noc-verify: allow(PANIC01) — router hops are below k, the walk's last position
                     let slot = scratch.fifo(path[hop]);
                     if slot.busy {
                         slot.parked.push_back((p as u32, hop as u32, time, last));
                     } else {
                         let eff = time.max(slot.clear);
                         slot.busy = true;
+                        rec.fifo_wait(p, hop, time, eff);
                         scratch
                             .queue
                             .push(owner_event(eff, p, hop as u32, last, tr));
@@ -468,6 +475,7 @@ pub(crate) fn run_loop(
                 // request the ejection link.
                 debug_assert_eq!(hop + 1, k, "DECIDE on a non-final hop");
                 let request = time + tr;
+                // noc-verify: allow(PANIC01) — k = path.len() - 1 is the ejection link's position
                 let slot = scratch.link(path[k]);
                 let entry = if params.ejection_contention && slot.free > request {
                     slot.free + tr
@@ -475,33 +483,38 @@ pub(crate) fn run_loop(
                     request
                 };
                 slot.free = entry + n * tl;
+                rec.link_grant(p, k, request, entry, n * tl);
+                let leave = entry + (n - 1) * tl;
+                rec.router_leave(p, hop, leave);
                 release_fifo(
                     scratch,
+                    rec,
+                    // noc-verify: allow(PANIC01) — hop + 1 == k, so hop is a router position of the walk
                     path[hop],
                     hop > 0 || params.injection_serialization,
-                    entry + (n - 1) * tl + 1,
+                    leave + 1,
                     tr,
                 );
                 let delivery = entry + n * tl;
+                rec.delivery(p, delivery);
                 texec = texec.max(delivery);
                 delivered += 1;
                 // Wake up dependent packets.
                 for &succ in cdcg.successors(PacketId::new(p)) {
                     let s = succ.index();
-                    scratch.ready[s] = scratch.ready[s].max(delivery);
-                    scratch.pending[s] -= 1;
-                    if scratch.pending[s] == 0 {
-                        scratch.queue.push(pack(
-                            scratch.ready[s] + cdcg.packet(succ).comp_cycles,
-                            s,
-                            INJECT,
-                            0,
-                        ));
+                    // noc-verify: allow(PANIC01) — successors are packets of cdcg, below n_packets, and ensure() sized ready and pending to n_packets
+                    let (ready, pending) = (&mut scratch.ready[s], &mut scratch.pending[s]);
+                    *ready = (*ready).max(delivery);
+                    *pending -= 1;
+                    if *pending == 0 {
+                        let inject = *ready + cdcg.packet(succ).comp_cycles;
+                        scratch.queue.push(pack(inject, s, INJECT, 0));
                     }
                 }
             }
             _ => {
                 // LINK_REQUEST
+                // noc-verify: allow(PANIC01) — a non-final hop has hop + 1 < k, inside the walk
                 let slot = scratch.link(path[hop + 1]);
                 let entry = if slot.free > time {
                     slot.free + tr
@@ -509,11 +522,16 @@ pub(crate) fn run_loop(
                     time
                 };
                 slot.free = entry + n * tl;
+                rec.link_grant(p, hop + 1, time, entry, n * tl);
+                let leave = entry + (n - 1) * tl;
+                rec.router_leave(p, hop, leave);
                 release_fifo(
                     scratch,
+                    rec,
+                    // noc-verify: allow(PANIC01) — a non-final hop is a router position of the walk
                     path[hop],
                     hop > 0 || params.injection_serialization,
-                    entry + (n - 1) * tl + 1,
+                    leave + 1,
                     tr,
                 );
                 scratch
@@ -529,10 +547,10 @@ pub(crate) fn run_loop(
 
 /// The event packet `p` queues once it owns router `hop`'s input FIFO
 /// at cycle `owned`. On the ejection hop (`last`) that is its `DECIDE`.
-/// On any other hop `schedule`'s `DECIDE` only queues the
-/// `LINK_REQUEST` `tr` cycles later, so that request is queued directly:
-/// the skipped event has no side effects, and a packet has one pending
-/// event at a time, so every other key still pops in the same order.
+/// On any other hop the `DECIDE` would only queue the `LINK_REQUEST`
+/// `tr` cycles later, so that request is queued directly: the skipped
+/// event has no side effects, and a packet has one pending event at a
+/// time, so every other key still pops in the same order.
 #[inline]
 fn owner_event(owned: u64, p: usize, hop: u32, last: bool, tr: u64) -> u128 {
     if last {
@@ -543,8 +561,16 @@ fn owner_event(owned: u64, p: usize, hop: u32, last: bool, tr: u64) -> u128 {
 }
 
 /// Releases the FIFO head of `link` at cycle `clear`, waking the next
-/// parked packet — the dense-id twin of `schedule`'s `release_fifo`.
-fn release_fifo(scratch: &mut ScheduleScratch, link: u32, applies: bool, clear: u64, tr: u64) {
+/// parked packet.
+#[inline]
+fn release_fifo<R: Recorder>(
+    scratch: &mut ScheduleScratch,
+    rec: &mut R,
+    link: u32,
+    applies: bool,
+    clear: u64,
+    tr: u64,
+) {
     if !applies {
         return;
     }
@@ -552,6 +578,7 @@ fn release_fifo(scratch: &mut ScheduleScratch, link: u32, applies: bool, clear: 
     debug_assert!(slot.busy, "owner released a tracked FIFO");
     if let Some((q, qhop, arrival, last)) = slot.parked.pop_front() {
         let eff = arrival.max(clear);
+        rec.fifo_wait(q as usize, qhop as usize, arrival, eff);
         scratch
             .queue
             .push(owner_event(eff, q as usize, qhop, last, tr));
@@ -591,11 +618,6 @@ impl<'a> CostEvaluator<'a> {
             params,
             Arc::new(RouteProvider::auto(mesh, RoutingKind::Xy)),
         )
-    }
-
-    /// Builds an evaluator sharing an existing dense route cache.
-    pub fn with_cache(cdcg: &'a Cdcg, params: &SimParams, cache: Arc<RouteCache>) -> Self {
-        Self::with_provider(cdcg, params, Arc::new(RouteProvider::from_cache(cache)))
     }
 
     /// Builds an evaluator sharing an existing route provider (any tier).
@@ -648,28 +670,37 @@ impl<'a> CostEvaluator<'a> {
     }
 
     /// `texec` of `mapping` in cycles; bit-exact with
-    /// [`schedule`](crate::schedule())'s `texec_cycles()`.
+    /// [`schedule_with`](crate::schedule_with)'s `texec_cycles()` under
+    /// the provider's routing.
     ///
     /// # Errors
     ///
-    /// Same as [`schedule_cost`].
+    /// Same as [`schedule_cost_with`].
     pub fn texec_cycles(&mut self, mapping: &Mapping) -> Result<u64, SimError> {
-        schedule_cost_inner(
+        let routes = self.routes.as_ref();
+        init_run(
             self.cdcg,
-            self.routes.mesh(),
+            routes.mesh(),
             mapping,
             &self.params,
-            self.routes.as_ref(),
+            routes,
             self.memo.as_mut(),
             &mut self.scratch,
-        )
+        )?;
+        Ok(run_primed(
+            self.cdcg,
+            &self.params,
+            routes,
+            &mut self.scratch,
+            &mut NoRecord,
+        ))
     }
 
     /// `texec` of `mapping` in nanoseconds.
     ///
     /// # Errors
     ///
-    /// Same as [`schedule_cost`].
+    /// Same as [`schedule_cost_with`].
     pub fn texec_ns(&mut self, mapping: &Mapping) -> Result<f64, SimError> {
         let cycles = self.texec_cycles(mapping)?;
         Ok(self.params.cycles_to_ns(cycles))
@@ -711,32 +742,21 @@ mod tests {
 
     #[test]
     fn packed_keys_order_exactly_like_events() {
-        // The bit-exactness contract hangs on `pack` being order-isomorphic
-        // to the derived `Ord` of `crate::event::Event`. Enumerate a grid
-        // of events (all variants, several hops/packets/times, including
-        // equal-field ties) and compare the two orderings pairwise.
-        use crate::event::{Event, Phase};
-        let phases = [
-            (Phase::Inject, INJECT, 0u32),
-            (Phase::RouterEntry(0), ROUTER_ENTRY, 0),
-            (Phase::RouterEntry(3), ROUTER_ENTRY, 3),
-            (Phase::Decide(0), DECIDE, 0),
-            (Phase::Decide(3), DECIDE, 3),
-            (Phase::LinkRequest(0), LINK_REQUEST, 0),
-            (Phase::LinkRequest(7), LINK_REQUEST, 7),
-        ];
-        let mut all: Vec<(Event, u128)> = Vec::new();
+        // Every tie-break of the engine hangs on `pack` being
+        // order-isomorphic to the tuple `(time, packet, variant, hop)`.
+        // Enumerate a grid of events (every variant, several hops,
+        // packets and times, equal-field ties and each field at its
+        // maximum) and compare the two orderings pairwise.
+        let mut all: Vec<((u64, usize, u32, u32), u128)> = Vec::new();
         for time in [0u64, 1, 5, u64::MAX] {
             for packet in [0usize, 1, 42, PACKET_LIMIT - 1] {
-                for &(phase, variant, hop) in &phases {
-                    all.push((
-                        Event {
-                            time,
-                            packet,
-                            phase,
-                        },
-                        pack(time, packet, variant, hop),
-                    ));
+                for variant in [INJECT, ROUTER_ENTRY, DECIDE, LINK_REQUEST] {
+                    for hop in [0u32, 3, 7, u32::MAX] {
+                        all.push((
+                            (time, packet, variant, hop),
+                            pack(time, packet, variant, hop),
+                        ));
+                    }
                 }
             }
         }

@@ -4,36 +4,27 @@
 //!
 //! Two independent implementations of the same timing model live here:
 //!
-//! * [`schedule()`] — the paper's CDCM execution algorithm: an event-driven
-//!   *interval scheduler* that walks every CDCG packet over its XY path,
-//!   annotates each CRG resource with absolute occupancy intervals (the
-//!   paper's "cost variable lists", Figure 3), arbitrates inter-router
-//!   links FCFS and produces the application execution time `texec`.
-//! * [`des`] — a flit-level, cycle-driven discrete-event simulator used to
-//!   cross-validate the interval scheduler (and to explore bounded router
-//!   buffers, which the analytic model cannot express).
-//!
-//! The interval scheduler additionally has a **cost-only fast path**,
-//! [`cost`]: the same algorithm (the same event order, with a non-final
-//! `DECIDE` folded into its `LINK_REQUEST`; identical arbitration and
-//! tie-breaking; bit-exact `texec`) evaluated without materializing
-//! schedules, occupancy maps or contention logs, over preallocated
-//! scratch state ([`ScheduleScratch`]) and a shared route
-//! source — a dense [`noc_model::RouteCache`] or any tier of the
-//! large-mesh [`noc_model::RouteProvider`]. The contract:
-//!
-//! * **Full evaluation** ([`schedule()`]) — when the *artifacts* matter:
-//!   occupancy lists, per-packet timelines, contention events, Gantt
-//!   charts, paper-style reports. Allocates per call.
-//! * **Cost-only evaluation** ([`schedule_cost`] / [`CostEvaluator`]) —
-//!   when only the scalar cost matters, i.e. inside search loops that
-//!   evaluate millions of candidate mappings. Allocation-free after
-//!   warm-up, several times faster, and guaranteed to return exactly the
-//!   full path's `texec_cycles()` on every input. Every cost-only run
-//!   starts at the first event and runs the event queue dry: a search
-//!   move (a tile swap) that can change a route is scored by one such
-//!   run of the swapped mapping. [`BatchEvaluator`] runs the same event
-//!   loop over a whole cohort of candidates.
+//! * **The interval scheduler**, the paper's CDCM execution algorithm:
+//!   one event-driven loop ([`cost`]) that walks every CDCG packet over
+//!   its route, arbitrates inter-router links FCFS, keeps one input-port
+//!   FIFO per link and produces the application execution time `texec`.
+//!   It has two entry points, and both run that same loop:
+//!   * [`schedule()`] / [`schedule_with`] — when the *artifacts* matter:
+//!     the loop runs with an artifact recorder and returns per-packet
+//!     timelines, the occupancy lists of every CRG resource (the paper's
+//!     "cost variable lists", Figure 3) and the contention log, for
+//!     Gantt charts, reports and energy breakdowns. Allocates per call.
+//!   * [`schedule_cost_with`] / [`CostEvaluator`] — when only the scalar
+//!     cost matters, i.e. inside search loops that evaluate millions of
+//!     candidate mappings. The loop runs with a recorder that records
+//!     nothing, over preallocated scratch state ([`ScheduleScratch`])
+//!     and a shared route source (a dense [`noc_model::RouteCache`] or
+//!     any tier of [`noc_model::RouteProvider`]); it allocates nothing
+//!     after warm-up. Every run starts at the first event and runs the
+//!     event queue dry: a search move (a tile swap) that can change a
+//!     route is scored by one such run of the swapped mapping.
+//!     [`BatchEvaluator`] runs the same loop over a whole cohort of
+//!     candidates.
 //! * **Flit-level simulation** ([`des`]) — the independent oracle. It
 //!   shares no code with the interval scheduler; the repository's
 //!   cross-validation suite checks that the two agree cycle-exactly.
@@ -76,7 +67,6 @@ pub mod batch;
 pub mod cost;
 pub mod des;
 pub mod error;
-mod event;
 pub mod gantt;
 pub mod interval;
 pub mod obs;
@@ -87,10 +77,7 @@ pub mod schedule;
 pub mod wormhole;
 
 pub use batch::{BatchEvaluator, BatchStats, BATCH_SIZE_BUCKETS};
-pub use cost::{
-    schedule_cost, schedule_cost_memoized, schedule_cost_with, CostEvaluator, DeltaStats, RunStats,
-    ScheduleScratch,
-};
+pub use cost::{schedule_cost_with, CostEvaluator, DeltaStats, RunStats, ScheduleScratch};
 pub use error::SimError;
 pub use interval::CycleInterval;
 pub use params::SimParams;
