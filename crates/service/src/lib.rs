@@ -420,4 +420,87 @@ mod tests {
         }
         assert!(matches!(service.wait(next), Some(JobState::Done(_))));
     }
+
+    fn figure1_evaluate(mesh: Mesh, params: noc_sim::SimParams) -> JobRequest {
+        JobRequest::Evaluate(Box::new(EvaluateRequest {
+            app: figure1_cdcg(),
+            mapping: noc_model::Mapping::from_tiles(&mesh, [1, 0, 3, 2].map(TileId::new)).unwrap(),
+            mesh,
+            tech: noc_energy::Technology::paper_example(),
+            params,
+            routing: noc_model::RoutingKind::Xy,
+            gantt: false,
+        }))
+    }
+
+    fn figure1_solve(mesh: Mesh, params: noc_sim::SimParams) -> JobRequest {
+        let method = SearchMethod::SimulatedAnnealing(SaConfig::quick(1));
+        let mut req = SolveRequest::new(figure1_cdcg(), mesh, method);
+        req.params = params;
+        JobRequest::Solve(Box::new(req))
+    }
+
+    /// `job` fails on a one-worker service with a message naming
+    /// `field`, and the next job on the same worker completes.
+    fn assert_rejected(job: JobRequest, field: &str) {
+        let service = MappingService::start(ServiceConfig::new(1));
+        let bad = service.submit(job, Priority::Normal);
+        let next = service.submit(
+            figure1_evaluate(mesh_2x2(), noc_sim::SimParams::new()),
+            Priority::Normal,
+        );
+        match service.wait(bad) {
+            Some(JobState::Failed(msg)) => assert!(msg.contains(field), "{msg}"),
+            other => panic!("expected a failed job, got {:?}", other.map(|s| s.name())),
+        }
+        assert!(matches!(service.wait(next), Some(JobState::Done(_))));
+    }
+
+    #[test]
+    fn a_zero_flit_width_fails_the_job_not_the_worker() {
+        let params = noc_sim::SimParams {
+            flit_width_bits: 0,
+            ..noc_sim::SimParams::new()
+        };
+        assert_rejected(figure1_evaluate(mesh_2x2(), params), "flit_width_bits");
+        assert_rejected(figure1_solve(mesh_2x2(), params), "flit_width_bits");
+    }
+
+    #[test]
+    fn cycle_counts_that_would_wrap_fail_the_job() {
+        let params = noc_sim::SimParams {
+            link_cycles: 1 << 62,
+            routing_cycles: 1 << 62,
+            ..noc_sim::SimParams::new()
+        };
+        assert_rejected(figure1_evaluate(mesh_2x2(), params), "params.link_cycles");
+        assert_rejected(figure1_solve(mesh_2x2(), params), "params.link_cycles");
+    }
+
+    #[test]
+    fn a_clock_period_that_is_not_finite_and_positive_fails_the_job() {
+        for clock in [-1.0, 0.0, f64::NAN, f64::INFINITY] {
+            let params = noc_sim::SimParams {
+                clock_period_ns: clock,
+                ..noc_sim::SimParams::new()
+            };
+            assert_rejected(figure1_evaluate(mesh_2x2(), params), "clock_period_ns");
+        }
+    }
+
+    #[test]
+    fn meshes_beyond_the_tile_limit_fail_the_job() {
+        let params = noc_sim::SimParams::new();
+        let mesh = Mesh::new(1000, 1000).unwrap();
+        assert_rejected(figure1_solve(mesh, params), "mesh 1000x1000x1");
+        assert_rejected(figure1_evaluate(mesh, params), "mesh 1000x1000x1");
+    }
+
+    #[test]
+    fn mesh_dimensions_that_wrap_the_tile_count_fail_the_job() {
+        let json = r#"{"width": 4294967296, "height": 4294967296, "depth": 2}"#;
+        let mesh: Mesh = serde_json::from_str(json).unwrap();
+        let job = figure1_solve(mesh, noc_sim::SimParams::new());
+        assert_rejected(job, "mesh 4294967296x4294967296x2");
+    }
 }

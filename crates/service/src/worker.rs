@@ -17,10 +17,63 @@ use noc_energy::{
     cdcg_dynamic_energy_cached, cwg_dynamic_energy_cached, noc_static_energy, EnergyBreakdown,
 };
 use noc_mapping::{CancelToken, Explorer, SearchMethod};
-use noc_model::{RouteProvider, RouteSource};
+use noc_model::{Cdcg, Mesh, RouteProvider, RouteSource};
 use noc_sim::gantt::GanttChart;
-use noc_sim::{schedule_cost_with, ScheduleScratch};
+use noc_sim::{schedule_cost_with, ScheduleScratch, SimParams};
 use std::sync::Arc;
+
+/// The largest mesh a job may name: 256×256 tiles, 16 times the largest
+/// mesh of the benchmark workloads. The engine sizes its per-link tables
+/// by the mesh, not by the application, so this bounds a job's memory.
+const MAX_MESH_TILES: usize = 65_536;
+
+/// Rejects a job no engine can time before any engine runs: a zero flit
+/// width, a clock period that is not finite and positive, a mesh of more
+/// than [`MAX_MESH_TILES`] tiles, or a worst-case horizon that does not
+/// fit in a `u64`.
+///
+/// The horizon is Σ_p comp_p + (tiles + 1)·(flits_p·tl + tl + 2·tr).
+/// Every event time of a run is at most `texec`, and each cycle before
+/// `texec` is spent computing, holding a link, or in a per-hop routing
+/// delay. A route crosses at most `tiles` routers, so a packet holds at
+/// most `tiles + 1` links for `flits·tl` cycles each and spends at most
+/// `tl + 2·tr` per hop on the header, the routing decision and a
+/// re-arbitration. `texec` therefore stays below the horizon, and no
+/// cycle sum of the run can wrap when the horizon fits.
+fn admit(app: &Cdcg, mesh: &Mesh, params: &SimParams) -> Result<(), String> {
+    if params.flit_width_bits == 0 {
+        return Err("params.flit_width_bits must be non-zero".to_owned());
+    }
+    let clock = params.clock_period_ns;
+    if !(clock.is_finite() && clock > 0.0) {
+        return Err(format!(
+            "params.clock_period_ns must be finite and positive, got {clock}"
+        ));
+    }
+    let (w, h, d) = (mesh.width(), mesh.height(), mesh.depth());
+    let tiles = w.checked_mul(h).and_then(|t| t.checked_mul(d));
+    let Some(tiles) = tiles.filter(|&t| t <= MAX_MESH_TILES) else {
+        return Err(format!(
+            "mesh {w}x{h}x{d} exceeds the limit of {MAX_MESH_TILES} tiles"
+        ));
+    };
+    let (tl, tr) = (params.link_cycles, params.routing_cycles);
+    let horizon = app.packet_ids().try_fold(0u64, |sum, id| {
+        let p = app.packet(id);
+        let hop = tl.checked_add(tr.checked_mul(2)?)?;
+        let per_link = params
+            .flits(p.bits)
+            .max(1)
+            .checked_mul(tl)?
+            .checked_add(hop)?;
+        let route = (tiles as u64 + 1).checked_mul(per_link)?;
+        sum.checked_add(p.comp_cycles)?.checked_add(route)
+    });
+    match horizon {
+        Some(_) => Ok(()),
+        None => Err("the worst-case horizon of comp_cycles, params.link_cycles and params.routing_cycles overflows a 64-bit cycle count".to_owned()),
+    }
+}
 
 /// Executes one job to completion (or to its cancellation checkpoint).
 /// Returns a human-readable error string for failed jobs; the service
@@ -73,6 +126,7 @@ fn execute_solve(
     scratch: &mut ScheduleScratch,
     cancel: &CancelToken,
 ) -> Result<SolveResult, String> {
+    admit(&req.app, &req.mesh, &req.params)?;
     if req.app.core_count() > req.mesh.tile_count() {
         return Err(format!(
             "{} cores cannot map onto {} tiles",
@@ -151,6 +205,7 @@ fn execute_solve(
 }
 
 fn execute_evaluate(req: &EvaluateRequest) -> Result<EvaluateResult, String> {
+    admit(&req.app, &req.mesh, &req.params)?;
     if req.mapping.core_count() != req.app.core_count() {
         return Err(format!(
             "mapping covers {} cores but the application has {}",
