@@ -2,15 +2,30 @@
 //! interval scheduler (`noc_sim::schedule`) and the flit-level
 //! discrete-event simulator (`noc_sim::des`). With unbounded buffers and
 //! `tl = 1` they must agree cycle-exactly on injections, deliveries and
-//! texec — on the paper example and on randomized applications.
+//! texec — on the paper example and on randomized applications, planar
+//! and two layers deep.
+//!
+//! The DES shares no code with the interval scheduler's event loop, so
+//! it is the oracle for every artifact and cost the engine produces. The
+//! random trial count defaults low for the regular CI run; the scheduled
+//! fuzz job raises it through `NOC_FUZZ_CASES`.
 
 use noc::apps::paper_example::{figure1_cdcg, mapping_c, mapping_d, mesh_2x2};
 use noc::apps::TgffConfig;
-use noc::model::{Mapping, Mesh, TileId};
+use noc::model::{Cdcg, Mapping, Mesh, RoutingAlgorithm, TileId, XyRouting, XyzRouting};
 use noc::sim::des::{simulate, DesParams};
-use noc::sim::{schedule, SimParams};
+use noc::sim::{schedule_with, SimParams};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// Random trials per mesh depth; override with `NOC_FUZZ_CASES` (the
+/// scheduled CI fuzz job runs hundreds).
+fn fuzz_cases() -> u64 {
+    std::env::var("NOC_FUZZ_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(25)
+}
 
 fn serialized_params() -> SimParams {
     // The DES requires serialized injection (a real core link).
@@ -20,14 +35,22 @@ fn serialized_params() -> SimParams {
     }
 }
 
-fn assert_agreement(
-    cdcg: &noc::model::Cdcg,
+fn assert_agreement(cdcg: &Cdcg, mesh: &Mesh, mapping: &Mapping, params: &SimParams, label: &str) {
+    assert_agreement_with(cdcg, mesh, mapping, params, &XyRouting, label);
+}
+
+/// The interval scheduler under `routing`, which must be the DES's
+/// dimension order (XY on planar meshes, XYZ on stacks), against the DES.
+fn assert_agreement_with(
+    cdcg: &Cdcg,
     mesh: &Mesh,
     mapping: &Mapping,
     params: &SimParams,
+    routing: &dyn RoutingAlgorithm,
     label: &str,
 ) {
-    let sched = schedule(cdcg, mesh, mapping, params).expect("interval model schedules");
+    let sched =
+        schedule_with(cdcg, mesh, mapping, params, routing).expect("interval model schedules");
     let report = simulate(cdcg, mesh, mapping, &DesParams::new(*params)).expect("DES simulates");
     assert_eq!(
         report.texec_cycles,
@@ -68,30 +91,46 @@ fn paper_example_agrees_on_every_mapping_of_the_2x2() {
     });
 }
 
+/// A random application on a random `2..=4 × 2..=3 × depth` mesh under a
+/// random injective mapping, or `None` when the cores do not fit.
+fn random_instance(rng: &mut StdRng, trial: u64, depth: usize) -> Option<(Cdcg, Mesh, Mapping)> {
+    let cores = rng.gen_range(3..=8);
+    let packets = rng.gen_range(4..=40);
+    let bits = rng.gen_range(packets as u64..=packets as u64 * 300);
+    let cdcg = noc::apps::generate(&TgffConfig::new(cores, packets, bits, trial));
+    let width = rng.gen_range(2..=4);
+    let height = rng.gen_range(2..=3);
+    let mesh = match Mesh::new3(width, height, depth) {
+        Ok(m) if m.tile_count() >= cores => m,
+        _ => return None,
+    };
+    // Random injective mapping.
+    let mut tiles: Vec<TileId> = mesh.tiles().collect();
+    for i in (1..tiles.len()).rev() {
+        let j = rng.gen_range(0..=i);
+        tiles.swap(i, j);
+    }
+    let mapping = Mapping::from_tiles(&mesh, tiles.into_iter().take(cores))
+        .expect("shuffled prefix is injective");
+    Some((cdcg, mesh, mapping))
+}
+
 #[test]
 fn random_applications_agree() {
     let mut rng = StdRng::seed_from_u64(2025);
     let params = serialized_params();
-    for trial in 0..25 {
-        let cores = rng.gen_range(3..=8);
-        let packets = rng.gen_range(4..=40);
-        let bits = rng.gen_range(packets as u64..=packets as u64 * 300);
-        let cdcg = noc::apps::generate(&TgffConfig::new(cores, packets, bits, trial));
-        let width = rng.gen_range(2..=4);
-        let height = rng.gen_range(2..=3);
-        let mesh = match Mesh::new(width, height) {
-            Ok(m) if m.tile_count() >= cores => m,
-            _ => continue,
-        };
-        // Random injective mapping.
-        let mut tiles: Vec<TileId> = mesh.tiles().collect();
-        for i in (1..tiles.len()).rev() {
-            let j = rng.gen_range(0..=i);
-            tiles.swap(i, j);
+    for trial in 0..fuzz_cases() {
+        if let Some((cdcg, mesh, mapping)) = random_instance(&mut rng, trial, 1) {
+            assert_agreement(&cdcg, &mesh, &mapping, &params, &format!("trial {trial}"));
         }
-        let mapping = Mapping::from_tiles(&mesh, tiles.into_iter().take(cores))
-            .expect("shuffled prefix is injective");
-        assert_agreement(&cdcg, &mesh, &mapping, &params, &format!("trial {trial}"));
+    }
+    // Two-layer stacks, after the planar trials: the DES routes X, then
+    // Y, then Z, which is `XyzRouting`.
+    for trial in 0..fuzz_cases() {
+        if let Some((cdcg, mesh, mapping)) = random_instance(&mut rng, trial, 2) {
+            let label = format!("depth-2 trial {trial}");
+            assert_agreement_with(&cdcg, &mesh, &mapping, &params, &XyzRouting, &label);
+        }
     }
 }
 
