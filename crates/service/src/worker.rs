@@ -27,19 +27,17 @@ use std::sync::Arc;
 /// by the mesh, not by the application, so this bounds a job's memory.
 const MAX_MESH_TILES: usize = 65_536;
 
-/// Rejects a job no engine can time before any engine runs: a zero flit
-/// width, a clock period that is not finite and positive, a mesh of more
-/// than [`MAX_MESH_TILES`] tiles, or a worst-case horizon that does not
-/// fit in a `u64`.
+/// Rejects, before any engine runs, a job with a zero flit width, a
+/// clock period that is not finite and positive, more than
+/// [`MAX_MESH_TILES`] tiles, or a worst-case horizon beyond `u64`.
 ///
 /// The horizon is Σ_p comp_p + (tiles + 1)·(flits_p·tl + tl + 2·tr).
 /// Every event time of a run is at most `texec`, and each cycle before
 /// `texec` is spent computing, holding a link, or in a per-hop routing
-/// delay. A route crosses at most `tiles` routers, so a packet holds at
-/// most `tiles + 1` links for `flits·tl` cycles each and spends at most
-/// `tl + 2·tr` per hop on the header, the routing decision and a
-/// re-arbitration. `texec` therefore stays below the horizon, and no
-/// cycle sum of the run can wrap when the horizon fits.
+/// delay: a packet holds at most `tiles + 1` links for `flits·tl` cycles
+/// each and spends at most `tl + 2·tr` per hop on the header, the
+/// routing decision and a re-arbitration. So `texec` stays below the
+/// horizon, and no cycle sum of the run wraps when the horizon fits.
 fn admit(app: &Cdcg, mesh: &Mesh, params: &SimParams) -> Result<(), String> {
     if params.flit_width_bits == 0 {
         return Err("params.flit_width_bits must be non-zero".to_owned());

@@ -1,33 +1,19 @@
 //! The timing engine: one event loop for costs and artifacts.
 //!
-//! `run_loop` is the paper's §4 CDCM execution algorithm. It walks every
-//! packet over its resource walk, arbitrates links FCFS, keeps one
-//! input-port FIFO per link, and returns `texec`; the
-//! [`schedule`](mod@crate::schedule) module states the timing rules. A
-//! non-final `DECIDE` is folded into its `LINK_REQUEST` (see
-//! `owner_event`). Every caller runs this loop:
+//! `run_loop` is the paper's §4 CDCM execution algorithm (the timing
+//! rules are in the [`schedule`](mod@crate::schedule) module), with a
+//! non-final `DECIDE` folded into its `LINK_REQUEST` (see
+//! `owner_event`). Its `Recorder` type parameter decides what a run
+//! reports besides `texec`:
 //!
-//! * [`schedule_cost_with`] and [`CostEvaluator`] score a mapping with
-//!   the zero-sized `NoRecord` recorder. They allocate nothing after
-//!   warm-up: all working state lives in a reusable [`ScheduleScratch`]
-//!   whose per-link tables are indexed by the dense link ids of a shared
-//!   [`RouteSource`] (a dense route cache or any tier of
-//!   [`RouteProvider`]).
-//! * [`schedule_with`](crate::schedule_with) runs the same loop with an
-//!   artifact `Recorder` and builds the per-packet timelines, the
-//!   occupancy lists (Figure 3's cost variable lists) and the contention
-//!   log from its hooks.
-//! * [`BatchEvaluator`](crate::BatchEvaluator) runs it once per
-//!   candidate of a cohort, with `NoRecord`.
-//!
-//! Costs and artifacts therefore come from the same loop and cannot
-//! drift apart. The flit-level simulator in [`crate::des`] shares no
-//! code with it and stays the independent oracle.
-//!
-//! [`CostEvaluator`] bundles an application with a route provider and a
-//! scratch into a reusable engine; it is the building block
-//! `noc-energy`'s cost-only CDCM evaluation and `noc-mapping`'s
-//! objectives are made of.
+//! * [`schedule_cost_with`], [`CostEvaluator`] and
+//!   [`BatchEvaluator`](crate::BatchEvaluator) pass the zero-sized
+//!   `NoRecord` and allocate nothing after warm-up: all working state
+//!   lives in a reusable [`ScheduleScratch`] indexed by the dense link
+//!   ids of a shared [`RouteSource`].
+//! * [`schedule_with`](crate::schedule_with) passes an artifact recorder
+//!   and builds timelines, occupancy lists and the contention log from
+//!   its hooks, so a schedule and a cost cannot drift apart.
 
 use crate::error::SimError;
 use crate::params::SimParams;
@@ -265,15 +251,12 @@ impl ScheduleScratch {
     }
 }
 
-/// Computes the application execution time of `cdcg` on `mesh` under
-/// `mapping` over any [`RouteSource`] — a dense route cache or any tier
-/// of [`RouteProvider`] — without building artifacts and without
-/// allocating after warm-up. It runs the same event loop as
-/// [`schedule_with`](crate::schedule_with), so it returns exactly that
-/// schedule's `texec_cycles()` when `routes` walks the same routing
-/// algorithm. Results are bit-identical across sources built for the
-/// same mesh and routing algorithm: the engine depends only on which
-/// walks share which links, not on the numbering.
+/// `texec` of `cdcg` on `mesh` under `mapping`, without artifacts and
+/// without allocating after warm-up. It is the event loop of
+/// [`schedule_with`](crate::schedule_with) with nothing recorded, so it
+/// returns that schedule's `texec_cycles()` when `routes` walks the same
+/// routing algorithm. Any [`RouteSource`] works; sources built for the
+/// same mesh and routing give bit-identical results.
 ///
 /// # Errors
 ///
@@ -369,26 +352,24 @@ pub(crate) fn init_run<S: RouteSource + ?Sized>(
         m.begin_eval();
     }
 
-    for id in cdcg.packet_ids() {
-        let i = id.index();
+    let per_packet = (scratch.spans.iter_mut())
+        .zip(&mut scratch.flits)
+        .zip(&mut scratch.pending)
+        .zip(&mut scratch.ready);
+    for (id, (((span, flits), pending), ready)) in cdcg.packet_ids().zip(per_packet) {
         let p = cdcg.packet(id);
         let (src, dst) = (mapping.tile_of(p.src), mapping.tile_of(p.dst));
         // No-op for the healthy tiers; the fault-aware tier reports
         // `ModelError::MeshPartitioned` here instead of producing a
         // nonsense schedule over a degenerate walk.
         routes.validate_pair(src, dst)?;
-        let span = match memo.as_deref_mut() {
+        *span = match memo.as_deref_mut() {
             Some(m) => m.resolve_into(routes, src, dst, &mut scratch.walks),
             None => routes.walk_span(src, dst, &mut scratch.walks),
         };
-        // noc-verify: allow(PANIC01) — i < n_packets, and ensure() has just sized every per-packet vector to at least n_packets
-        scratch.spans[i] = span;
-        // noc-verify: allow(PANIC01) — i < n_packets, and ensure() has just sized every per-packet vector to at least n_packets
-        scratch.flits[i] = params.flits(p.bits).max(1);
-        // noc-verify: allow(PANIC01) — i < n_packets, and ensure() has just sized every per-packet vector to at least n_packets
-        scratch.pending[i] = cdcg.predecessors(id).len() as u32;
-        // noc-verify: allow(PANIC01) — i < n_packets, and ensure() has just sized every per-packet vector to at least n_packets
-        scratch.ready[i] = 0;
+        *flits = params.flits(p.bits).max(1);
+        *pending = cdcg.predecessors(id).len() as u32;
+        *ready = 0;
     }
 
     for id in cdcg.start_packets() {

@@ -8,23 +8,16 @@
 //!   one event-driven loop ([`cost`]) that walks every CDCG packet over
 //!   its route, arbitrates inter-router links FCFS, keeps one input-port
 //!   FIFO per link and produces the application execution time `texec`.
-//!   It has two entry points, and both run that same loop:
-//!   * [`schedule()`] / [`schedule_with`] — when the *artifacts* matter:
-//!     the loop runs with an artifact recorder and returns per-packet
-//!     timelines, the occupancy lists of every CRG resource (the paper's
-//!     "cost variable lists", Figure 3) and the contention log, for
-//!     Gantt charts, reports and energy breakdowns. Allocates per call.
-//!   * [`schedule_cost_with`] / [`CostEvaluator`] — when only the scalar
-//!     cost matters, i.e. inside search loops that evaluate millions of
-//!     candidate mappings. The loop runs with a recorder that records
-//!     nothing, over preallocated scratch state ([`ScheduleScratch`])
-//!     and a shared route source (a dense [`noc_model::RouteCache`] or
-//!     any tier of [`noc_model::RouteProvider`]); it allocates nothing
-//!     after warm-up. Every run starts at the first event and runs the
-//!     event queue dry: a search move (a tile swap) that can change a
-//!     route is scored by one such run of the swapped mapping.
-//!     [`BatchEvaluator`] runs the same loop over a whole cohort of
-//!     candidates.
+//!   Two entry points run that same loop:
+//!   * [`schedule()`] / [`schedule_with`] record the *artifacts*:
+//!     per-packet timelines, the occupancy lists of every CRG resource
+//!     (the paper's "cost variable lists", Figure 3) and the contention
+//!     log, for Gantt charts, reports and energy breakdowns.
+//!   * [`schedule_cost_with`] / [`CostEvaluator`] / [`BatchEvaluator`]
+//!     record nothing and allocate nothing after warm-up: the search
+//!     loops score every candidate mapping with one run from the first
+//!     event to the last, over a reusable [`ScheduleScratch`] and a
+//!     shared [`noc_model::RouteProvider`].
 //! * **Flit-level simulation** ([`des`]) — the independent oracle. It
 //!   shares no code with the interval scheduler; the repository's
 //!   cross-validation suite checks that the two agree cycle-exactly.

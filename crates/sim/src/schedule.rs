@@ -33,13 +33,9 @@
 //!   agree cycle-exactly because this model tracks it too. FIFO waits
 //!   are logged as [`ContentionEvent`]s on the *incoming* link.
 //!
-//! ## One engine
-//!
-//! [`schedule_with`] does not run an event loop of its own. It primes the
-//! cost engine of [`crate::cost`] and runs its event loop with an
-//! artifact recorder, whose hooks collect the intervals and waits listed
-//! above. The cost-only evaluators run the same loop with a recorder that
-//! records nothing, so a schedule and a cost can never disagree.
+//! [`schedule_with`] has no event loop of its own: it runs the engine of
+//! [`crate::cost`] with a recorder that collects the intervals and waits
+//! above.
 
 use crate::cost::{init_run, run_primed, Recorder, ScheduleScratch};
 use crate::error::SimError;
