@@ -83,8 +83,11 @@ pub trait RouteSource {
     /// precomputed array for the dense tier, `buf` itself otherwise.
     fn flat<'s>(&'s self, buf: &'s [u32]) -> &'s [u32];
 
-    /// The physical link behind a dense id, if the id is in use (for
-    /// diagnostics; never on the evaluation hot path).
+    /// The physical link behind a dense id, if the id is in use. Never
+    /// called inside the event loop: `noc_sim::schedule_with` decodes
+    /// every packet's walk through it once per run, to label the
+    /// intervals and contention events of its artifacts with links and
+    /// routers. Every id a walk of this source yields must decode.
     fn link_at(&self, id: u32) -> Option<Link>;
 
     /// Checks that a surviving route exists for the pair. The healthy
