@@ -795,4 +795,28 @@ mod tests {
         assert!(b.is_contention_free());
         assert!(a.texec_cycles() > b.texec_cycles());
     }
+
+    #[test]
+    fn custom_routing_schedules_over_a_dense_route_cache() {
+        // A name the library does not reserve takes the dense-cache path,
+        // which calls back into `route`; wrapping XY must reproduce XY.
+        #[derive(Debug)]
+        struct RenamedXy;
+        impl RoutingAlgorithm for RenamedXy {
+            fn route(&self, mesh: &Mesh, src: TileId, dst: TileId) -> noc_model::Path {
+                XyRouting.route(mesh, src, dst)
+            }
+            fn name(&self) -> &'static str {
+                "renamed-XY"
+            }
+        }
+        let cdcg = figure1_cdcg();
+        let mesh = Mesh::new(2, 2).unwrap();
+        let params = SimParams::paper_example();
+        for mapping in [mapping_c(&mesh), mapping_d(&mesh)] {
+            let xy = schedule(&cdcg, &mesh, &mapping, &params).unwrap();
+            let custom = schedule_with(&cdcg, &mesh, &mapping, &params, &RenamedXy).unwrap();
+            assert_eq!(custom, xy);
+        }
+    }
 }
