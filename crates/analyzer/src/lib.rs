@@ -53,7 +53,7 @@ pub const DET_CRATES: &[&str] = &["search", "mapping", "model", "sim", "service"
 pub const OBS_CLOCK_MODULE: &str = "crates/obs/src/clock.rs";
 
 /// Route-resolution and scheduler inner-loop files — the paths the
-/// fault-tolerance and batch-evaluation PRs audited by hand; PANIC01
+/// fault-tolerance and walk-memo changes audited by hand; PANIC01
 /// keeps them audited.
 pub const PANIC_HOT_FILES: &[&str] = &[
     "crates/model/src/route_provider.rs",
@@ -62,7 +62,6 @@ pub const PANIC_HOT_FILES: &[&str] = &[
     "crates/model/src/walk_memo.rs",
     "crates/sim/src/cost.rs",
     "crates/sim/src/queue.rs",
-    "crates/sim/src/batch.rs",
 ];
 
 /// Workspace-relative locations of the analyzer's own state files.

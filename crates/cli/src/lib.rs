@@ -134,8 +134,8 @@ service jobs; `serve` keeps a service alive behind a Unix socket and
 `submit` is its line-protocol client. Job results are bit-identical
 for a given seed regardless of `--workers`.
 `map --trace FILE` (also on `serve`) appends every trace event —
-search rounds, SA epochs, best-so-far improvements, batch-engine
-stats — to FILE as JSON lines; tracing never changes the trajectory.
+search rounds, SA epochs, best-so-far improvements, walk-memo
+counters — to FILE as JSON lines; tracing never changes the trajectory.
 `metrics` prints a served instance's Prometheus exposition (`--json`
 for the structured snapshot); `watch` streams its live service events
 as JSON lines (`--count N` to disconnect after N events); and

@@ -15,11 +15,9 @@ use crate::technology::Technology;
 use crate::units::Energy;
 use noc_model::{
     Cdcg, Cwg, Mapping, Mesh, RouteCache, RouteProvider, RouteSource, RoutingAlgorithm,
-    RoutingKind, XyRouting,
+    RoutingKind, WalkMemoStats, XyRouting,
 };
-use noc_sim::{
-    schedule_with, BatchEvaluator, CostEvaluator, DeltaStats, Schedule, SimError, SimParams,
-};
+use noc_sim::{schedule_with, CostEvaluator, DeltaStats, RunStats, Schedule, SimError, SimParams};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::Arc;
@@ -188,14 +186,6 @@ pub struct CdcmCostEvaluator<'a> {
     /// mapping: when the caller accepts the move, the next
     /// [`Self::evaluate`] of that mapping is a cache hit, not a rerun.
     pending: Option<(Mapping, CdcmCost)>,
-    /// Lazily built batch engine ([`Self::evaluate_batch`]); shares the
-    /// route provider with `engine` but owns its own scratch and memo.
-    batch: Option<BatchEvaluator<'a>>,
-    /// Reusable `texec` buffer for batch evaluations.
-    batch_texecs: Vec<u64>,
-    /// Walk-memo policy ([`Self::set_walk_memo`]); applied to the batch
-    /// engine when it is lazily built.
-    walk_memo: bool,
     stats: DeltaStats,
 }
 
@@ -249,24 +239,23 @@ impl<'a> CdcmCostEvaluator<'a> {
             talks,
             last: None,
             pending: None,
-            batch: None,
-            batch_texecs: Vec::new(),
-            walk_memo: true,
             stats: DeltaStats::default(),
         }
     }
 
-    /// Enables or disables walk memoization in both inner engines (the
-    /// cost evaluator and the batch evaluator). A no-op under a dense
+    /// Enables or disables walk memoization in the inner engine
+    /// ([`CostEvaluator::set_walk_memo`]). A no-op under a dense
     /// provider; costs are bit-identical either way — this is a
     /// performance knob and the lever the memo-equivalence property
     /// tests flip.
     pub fn set_walk_memo(&mut self, enabled: bool) {
-        self.walk_memo = enabled;
         self.engine.set_walk_memo(enabled);
-        if let Some(batch) = self.batch.as_mut() {
-            batch.set_walk_memo(enabled);
-        }
+    }
+
+    /// Cumulative walk-memo counters of the inner engine, or `None` when
+    /// it has no memo (a dense provider, or the memo switched off).
+    pub fn walk_memo_stats(&self) -> Option<WalkMemoStats> {
+        self.engine.walk_memo_stats()
     }
 
     /// The shared route provider.
@@ -318,55 +307,38 @@ impl<'a> CdcmCostEvaluator<'a> {
         Ok(cost)
     }
 
-    /// Evaluates every mapping in `batch` through the data-oriented
-    /// batch engine ([`noc_sim::BatchEvaluator`]), appending one
-    /// [`CdcmCost`] per mapping to `out` in batch order. Each cost is
-    /// bit-identical to what [`Self::evaluate`] returns for that mapping
-    /// (identical event loop, identical floating-point energy terms);
-    /// the batch shares one workload pass and deduplicates route
-    /// resolution across sibling candidates. The single-mapping caches
-    /// are untouched, so interleaving batch and swap queries is safe.
+    /// Evaluates every mapping in `batch` with [`Self::evaluate`],
+    /// appending one [`CdcmCost`] per mapping to `out` in batch order.
+    /// Kept only because the repository benchmark (`perfbench`) times
+    /// it.
     ///
     /// # Errors
     ///
-    /// Same as [`Self::evaluate`], checked per candidate before any
-    /// evaluation runs; a failing candidate aborts the whole batch and
-    /// `out` is left unchanged.
+    /// Same as [`Self::evaluate`]; a failing mapping stops the batch and
+    /// leaves `out` as it was before the call.
     pub fn evaluate_batch(
         &mut self,
         batch: &[Mapping],
         out: &mut Vec<CdcmCost>,
     ) -> Result<(), SimError> {
-        if self.batch.is_none() {
-            let mut evaluator = BatchEvaluator::with_provider(
-                self.engine.cdcg(),
-                self.engine.params(),
-                Arc::clone(self.engine.provider()),
-            );
-            evaluator.set_walk_memo(self.walk_memo);
-            self.batch = Some(evaluator);
-        }
-        let mut texecs = std::mem::take(&mut self.batch_texecs);
-        let evaluator = self.batch.as_mut().expect("just built");
-        let result = evaluator.evaluate_into(batch, &mut texecs);
-        if result.is_ok() {
-            out.reserve(batch.len());
-            for (mapping, &texec) in batch.iter().zip(&texecs) {
-                let cost = self.cost_at(texec, mapping);
-                out.push(cost);
+        let len = out.len();
+        for mapping in batch {
+            match self.evaluate(mapping) {
+                Ok(cost) => out.push(cost),
+                Err(e) => {
+                    out.truncate(len);
+                    return Err(e);
+                }
             }
         }
-        self.batch_texecs = texecs;
-        result
+        Ok(())
     }
 
-    /// Telemetry of the batch engine: `(batch stats, memo stats)`, or
-    /// `None` before the first [`Self::evaluate_batch`] call. Memo stats
-    /// are `None` under a dense provider (no dedup needed).
-    pub fn batch_stats(&self) -> Option<(noc_sim::BatchStats, Option<noc_model::WalkMemoStats>)> {
-        self.batch
-            .as_ref()
-            .map(|b| (b.stats(), b.walk_memo_stats()))
+    /// Engine telemetry: `(run stats, walk-memo stats)`, the memo half
+    /// `None` as in [`Self::walk_memo_stats`]. Always `Some`; kept only
+    /// because the repository benchmark (`perfbench`) reads it.
+    pub fn batch_stats(&self) -> Option<(RunStats, Option<WalkMemoStats>)> {
+        Some((self.engine.run_stats(), self.walk_memo_stats()))
     }
 
     /// Evaluates `mapping` with tiles `a` and `b` swapped. Returns
@@ -728,6 +700,47 @@ mod tests {
         // The evaluator stays usable after an error.
         let m = Mapping::from_tiles(&mesh, [3, 0, 1, 4].map(TileId::new)).unwrap();
         assert_eq!(fast.evaluate(&m).unwrap(), fresh_cost(&cdcg, &mesh, &m));
+    }
+
+    #[test]
+    fn evaluate_batch_is_per_mapping_evaluate_and_all_or_nothing() {
+        let cdcg = figure1_cdcg();
+        let mesh = Mesh::new(3, 3).unwrap();
+        let tech = Technology::paper_example();
+        let params = SimParams::paper_example();
+        let batch: Vec<Mapping> = [[1, 0, 3, 2], [3, 0, 1, 2], [1, 0, 3, 2], [4, 8, 0, 6]]
+            .into_iter()
+            .map(|tiles| Mapping::from_tiles(&mesh, tiles.map(TileId::new)).unwrap())
+            .collect();
+        let mut fast = CdcmCostEvaluator::new(&cdcg, &mesh, &tech, &params);
+        let sentinel = fresh_cost(&cdcg, &mesh, &batch[3]);
+        let mut out = vec![sentinel];
+        fast.evaluate_batch(&batch, &mut out).unwrap();
+        assert_eq!(out.len(), 1 + batch.len());
+        assert_eq!(out[0], sentinel, "earlier entries are kept");
+        for (mapping, got) in batch.iter().zip(&out[1..]) {
+            let want = fresh_cost(&cdcg, &mesh, mapping);
+            // Bitwise, field by field (`CdcmCost` compares floats).
+            assert_eq!(got.objective_pj.to_bits(), want.objective_pj.to_bits());
+            assert_eq!(got.dynamic_pj.to_bits(), want.dynamic_pj.to_bits());
+            assert_eq!(got.static_pj.to_bits(), want.static_pj.to_bits());
+            assert_eq!(got.texec_cycles, want.texec_cycles);
+            assert_eq!(got.texec_ns.to_bits(), want.texec_ns.to_bits());
+        }
+
+        // A mapping the application does not fit, after two good ones:
+        // the error of `evaluate`, and `out` exactly as it was.
+        let bad = Mapping::identity(&mesh, 3).unwrap();
+        let mixed = [batch[0].clone(), batch[1].clone(), bad.clone()];
+        let before = out.clone();
+        let err = fast.evaluate_batch(&mixed, &mut out).unwrap_err();
+        assert_eq!(err, fast.evaluate(&bad).unwrap_err());
+        assert_eq!(out, before);
+        // The evaluator stays usable, and its engine counters are there.
+        assert_eq!(fast.evaluate(&batch[1]).unwrap(), out[2]);
+        let (runs, memo) = fast.batch_stats().expect("always reported");
+        assert!(runs.runs > 0);
+        assert_eq!(memo, fast.walk_memo_stats());
     }
 
     #[test]

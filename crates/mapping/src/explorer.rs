@@ -384,36 +384,20 @@ impl<'a> Explorer<'a> {
                     Arc::clone(&self.routes),
                 );
                 let run = run_method(&objective, &self.mesh, cores, method, pins, cancel);
-                // The objective (and its batch-engine counters) is
-                // dropped when this frame returns; when a batching
-                // strategy (GA generations, the portfolio) drove
-                // evaluations through it, surface the counters as a
-                // trace event so observers see them. Pure read — the
-                // outcome is already fixed.
-                if let Some((batch, memo)) = objective.batch_stats() {
+                // The objective (and its engine's walk-memo counters) is
+                // dropped when this frame returns; on a tier that
+                // memoizes walks (implicit, fault-aware), surface the
+                // counters as a trace event so observers see them. Pure
+                // read — the outcome is already fixed.
+                if let Some(memo) = objective.walk_memo_stats() {
                     noc_obs::emit_with(|| {
-                        let mut event = noc_obs::TraceEvent::new("batch_stats");
+                        let mut event = noc_obs::TraceEvent::new("walk_memo");
                         event.label = run.outcome.method.clone();
                         event.counters = vec![
-                            ("batches", batch.batches),
-                            ("candidates", batch.candidates),
-                            ("max_batch", batch.max_batch),
+                            ("memo_hits", memo.hits),
+                            ("memo_misses", memo.misses),
+                            ("memo_evictions", memo.evictions),
                         ];
-                        for (name, &n) in noc_sim::obs::BATCH_SIZE_BUCKET_NAMES
-                            .iter()
-                            .zip(&batch.size_log2)
-                        {
-                            if n > 0 {
-                                event.counters.push((*name, n));
-                            }
-                        }
-                        if let Some(memo) = memo {
-                            event.counters.extend([
-                                ("memo_hits", memo.hits),
-                                ("memo_misses", memo.misses),
-                                ("memo_evictions", memo.evictions),
-                            ]);
-                        }
                         event
                     });
                 }

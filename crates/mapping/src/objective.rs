@@ -15,7 +15,7 @@
 
 use noc_energy::{cwg_dynamic_energy_cached, CdcmCostEvaluator, Technology};
 use noc_model::{Cdcg, Cwg, Mapping, Mesh, RouteProvider, RouteSource, RoutingKind, TileId};
-use noc_sim::{BatchEvaluator, CostEvaluator, SimParams};
+use noc_sim::{CostEvaluator, SimParams};
 use std::cell::RefCell;
 use std::sync::Arc;
 
@@ -133,8 +133,7 @@ impl SwapDeltaCost for CwmObjective<'_> {
     }
 }
 
-// Hop counts are O(1) lookups, so the CWM objective gains nothing from
-// batching; the sequential default is already its fast path.
+// Every objective scores a batch with the trait's per-mapping default.
 impl BatchCost for CwmObjective<'_> {}
 
 /// The CDCM objective (Equation 10): total NoC energy including leakage
@@ -190,18 +189,16 @@ impl<'a> CdcmObjective<'a> {
         self.engine.borrow().delta_stats()
     }
 
-    /// Telemetry of the batch engine behind [`BatchCost::batch_cost`]:
-    /// batch counters plus the walk-memo dedup counters (inner `None`
-    /// under a dense provider). `None` until the first batched
-    /// evaluation.
-    pub fn batch_stats(&self) -> Option<(noc_sim::BatchStats, Option<noc_model::WalkMemoStats>)> {
-        self.engine.borrow().batch_stats()
+    /// Cumulative walk-memo counters of the backing engine, or `None`
+    /// when it has no memo (a dense provider, or the memo switched off).
+    pub fn walk_memo_stats(&self) -> Option<noc_model::WalkMemoStats> {
+        self.engine.borrow().walk_memo_stats()
     }
 
-    /// Enables or disables walk memoization in the backing engines
-    /// (cost evaluator and batch evaluator). Costs — and
-    /// therefore search trajectories — are bit-identical either way;
-    /// the memo-equivalence property tests pin that by flipping this.
+    /// Enables or disables walk memoization in the backing engine.
+    /// Costs — and therefore search trajectories — are bit-identical
+    /// either way; the memo-equivalence property tests pin that by
+    /// flipping this.
     pub fn set_walk_memo(&self, enabled: bool) {
         self.engine.borrow_mut().set_walk_memo(enabled);
     }
@@ -289,33 +286,13 @@ impl SwapDeltaCost for CdcmObjective<'_> {
     }
 }
 
-impl BatchCost for CdcmObjective<'_> {
-    /// Batched full evaluations through the data-oriented engine
-    /// ([`CdcmCostEvaluator::evaluate_batch`]): one workload pass,
-    /// deduplicated route resolution, pooled scratch. Bit-identical to
-    /// per-mapping [`CostFunction::cost`] calls; on a batch-aborting
-    /// error it falls back to the sequential path so per-mapping
-    /// infinities land exactly where `cost` would put them.
-    fn batch_cost(&self, batch: &[Mapping], out: &mut Vec<f64>) {
-        let mut engine = self.engine.borrow_mut();
-        let mut costs = Vec::with_capacity(batch.len());
-        if engine.evaluate_batch(batch, &mut costs).is_ok() {
-            out.extend(costs.iter().map(|c| c.objective_pj));
-        } else {
-            drop(engine);
-            out.extend(batch.iter().map(|m| self.cost(m)));
-        }
-    }
-}
+impl BatchCost for CdcmObjective<'_> {}
 
 /// Pure execution-time objective (`texec` in nanoseconds), evaluated on
 /// the cost-only fast path.
 #[derive(Debug)]
 pub struct ExecTimeObjective<'a> {
     engine: RefCell<CostEvaluator<'a>>,
-    /// Batch engine for [`BatchCost::batch_cost`]; shares the provider
-    /// with `engine` but owns private scratch and memo.
-    batch: RefCell<BatchEvaluator<'a>>,
 }
 
 impl<'a> ExecTimeObjective<'a> {
@@ -331,12 +308,7 @@ impl<'a> ExecTimeObjective<'a> {
     /// Creates the objective over an existing shared route provider.
     pub fn with_provider(cdcg: &'a Cdcg, params: SimParams, routes: Arc<RouteProvider>) -> Self {
         Self {
-            engine: RefCell::new(CostEvaluator::with_provider(
-                cdcg,
-                &params,
-                Arc::clone(&routes),
-            )),
-            batch: RefCell::new(BatchEvaluator::with_provider(cdcg, &params, routes)),
+            engine: RefCell::new(CostEvaluator::with_provider(cdcg, &params, routes)),
         }
     }
 }
@@ -345,7 +317,6 @@ impl Clone for ExecTimeObjective<'_> {
     fn clone(&self) -> Self {
         Self {
             engine: RefCell::new(self.engine.borrow().clone()),
-            batch: RefCell::new(self.batch.borrow().clone()),
         }
     }
 }
@@ -363,22 +334,7 @@ impl CostFunction for ExecTimeObjective<'_> {
     }
 }
 
-impl BatchCost for ExecTimeObjective<'_> {
-    /// Batched `texec` through [`noc_sim::BatchEvaluator`]: the cycle
-    /// counts are bit-identical to the sequential fast path, and the
-    /// cycles→ns conversion is the same operation `cost` performs.
-    fn batch_cost(&self, batch: &[Mapping], out: &mut Vec<f64>) {
-        let mut engine = self.batch.borrow_mut();
-        let mut texecs = Vec::with_capacity(batch.len());
-        if engine.evaluate_into(batch, &mut texecs).is_ok() {
-            let params = *engine.params();
-            out.extend(texecs.iter().map(|&t| params.cycles_to_ns(t)));
-        } else {
-            drop(engine);
-            out.extend(batch.iter().map(|m| self.cost(m)));
-        }
-    }
-}
+impl BatchCost for ExecTimeObjective<'_> {}
 
 /// Weighted blend `α·ENoC + β·texec` (energy in pJ, time in ns),
 /// evaluated on the cost-only fast path.
@@ -449,26 +405,7 @@ impl CostFunction for WeightedObjective<'_> {
     }
 }
 
-impl BatchCost for WeightedObjective<'_> {
-    /// Batched blend over [`CdcmCostEvaluator::evaluate_batch`]: the
-    /// energy and time terms are bit-identical to a sequential
-    /// evaluation, and the blend is the same two-operation expression
-    /// `cost` computes.
-    fn batch_cost(&self, batch: &[Mapping], out: &mut Vec<f64>) {
-        let mut engine = self.engine.borrow_mut();
-        let mut costs = Vec::with_capacity(batch.len());
-        if engine.evaluate_batch(batch, &mut costs).is_ok() {
-            out.extend(
-                costs
-                    .iter()
-                    .map(|c| self.energy_weight * c.objective_pj + self.time_weight * c.texec_ns),
-            );
-        } else {
-            drop(engine);
-            out.extend(batch.iter().map(|m| self.cost(m)));
-        }
-    }
-}
+impl BatchCost for WeightedObjective<'_> {}
 
 #[cfg(test)]
 mod tests {

@@ -318,17 +318,7 @@ impl CostFunction for RobustCdcmObjective<'_> {
     }
 }
 
-impl BatchCost for RobustCdcmObjective<'_> {
-    /// Batched penalized costs: the energy term comes from the inner
-    /// objective's batched engine, the HHI penalty is recomputed per
-    /// mapping — the exact expression `cost` evaluates, in the same
-    /// operation order.
-    fn batch_cost(&self, batch: &[Mapping], out: &mut Vec<f64>) {
-        let mut inner = Vec::with_capacity(batch.len());
-        self.inner.batch_cost(batch, &mut inner);
-        out.extend(batch.iter().zip(&inner).map(|(m, &c)| c * self.penalty(m)));
-    }
-}
+impl BatchCost for RobustCdcmObjective<'_> {}
 
 impl SwapDeltaCost for RobustCdcmObjective<'_> {
     fn swap_delta(&self, mapping: &Mapping, a: TileId, b: TileId) -> f64 {

@@ -3,9 +3,8 @@
 //! A shared, locked route cache costs more per lookup than the implicit
 //! walker's recomputation, so a *bigger* shared cache is the wrong
 //! lever. [`WalkMemo`] is the opposite shape — a small open-addressed
-//! pair→span table **owned by one evaluator** (one `CostEvaluator`, one
-//! batch evaluator, one service worker), probed and filled without any
-//! lock, shard, guard or atomic. Thread safety is by construction: the
+//! pair→span table **owned by one evaluator** (one `CostEvaluator`),
+//! probed and filled without any lock, shard, guard or atomic. Thread safety is by construction: the
 //! table is private state, a clone duplicates it wholesale, and nothing
 //! is ever shared.
 //!
@@ -13,16 +12,11 @@
 //! fault-aware — sources whose `walk_span` appends the walk to the
 //! caller's buffer). On a hit the resolved walk is served from
 //! the memo's private arena; on a miss the source resolves once into
-//! that arena and the pair is recorded. Two read paths cover the two
-//! engine shapes:
-//!
-//! * [`WalkMemo::resolve`] returns a span into the memo's own arena
-//!   ([`WalkMemo::arena`] is then the engine's flat link array) — the
-//!   zero-copy path of batch cost evaluations, which also deduplicates
-//!   route work across batch siblings for free;
-//! * [`WalkMemo::resolve_into`] appends the walk to a caller buffer —
-//!   the path of single-mapping cost evaluations, which keep their
-//!   walks in the scratch's own arena.
+//! that arena and the pair is recorded. Either way
+//! [`WalkMemo::resolve_into`] appends the walk to the caller's buffer
+//! (the cost engine's own walk arena), so a search that revisits a pair
+//! — every sibling mapping of a swap move, every offspring of a GA
+//! generation — walks it once.
 //!
 //! Eviction (a full clear) happens **only** at [`WalkMemo::begin_eval`]
 //! checkpoints, never mid-evaluation, so spans handed out during an
@@ -35,8 +29,8 @@ use crate::ids::TileId;
 use crate::route_provider::RouteSource;
 
 /// Cumulative telemetry of a [`WalkMemo`] (monotone; survives
-/// evictions). `hits / (hits + misses)` is the dedup ratio batch
-/// evaluation reports to observability.
+/// evictions). `hits / (hits + misses)` is the hit ratio CDCM searches
+/// report to observability.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WalkMemoStats {
     /// Pair lookups served from the table without touching the source.
@@ -61,7 +55,7 @@ impl WalkMemoStats {
 
 /// Default arena budget in link ids (4 MiB): at a typical 10–60-entry
 /// walk this memoizes tens of thousands of distinct pairs, far beyond
-/// one batch or one evaluation.
+/// one evaluation.
 const DEFAULT_ARENA_BUDGET: usize = 1 << 20;
 
 /// Initial slot count of the pair table (power of two).
@@ -114,12 +108,6 @@ impl WalkMemo {
         self.stats
     }
 
-    /// The private walk arena all [`Self::resolve`]d spans index — the
-    /// engine's flat link-id array on the zero-copy path.
-    pub fn arena(&self) -> &[u32] {
-        &self.arena
-    }
-
     /// Evaluation-boundary checkpoint: evicts the whole table if the
     /// arena has outgrown its budget. Calling this *only* between
     /// evaluations is what keeps previously returned spans valid for
@@ -133,20 +121,12 @@ impl WalkMemo {
         }
     }
 
-    /// Drops every entry and counter (a fresh memo with warm buffers).
-    pub fn reset(&mut self) {
-        self.keys.fill(0);
-        self.live = 0;
-        self.arena.clear();
-        self.stats = WalkMemoStats::default();
-    }
-
     /// Resolves the `src → dst` walk through the memo, returning its
-    /// `(start, len)` span in [`Self::arena`]. `routes` must be a
+    /// `(start, len)` span in the private arena. `routes` must be a
     /// buffering source (one whose `walk_span` appends into the caller
     /// buffer); on a miss it is consulted exactly once.
     #[inline]
-    pub fn resolve<S: RouteSource + ?Sized>(
+    fn resolve<S: RouteSource + ?Sized>(
         &mut self,
         routes: &S,
         src: TileId,
@@ -250,8 +230,10 @@ impl WalkMemo {
     }
 }
 
-/// Packs a tile pair into the table key. Tile indices fit 32 bits by
-/// mesh construction (`Mesh::new` bounds the tile count).
+/// Packs a tile pair into the table key. Tile indices must fit 32 bits.
+/// `Mesh` does not bound its tile count; the service admits meshes of
+/// at most 65,536 tiles, and a mapping of a mesh with 2^32 tiles would
+/// need a 64 GiB tile table before any walk is resolved.
 #[inline]
 fn pair_key(src: TileId, dst: TileId) -> u64 {
     ((src.index() as u64) << 32) | dst.index() as u64
@@ -283,7 +265,7 @@ mod tests {
                 assert_eq!(dl, ml, "walk length differs for {src}->{dst}");
                 assert_eq!(
                     &direct[ds as usize..(ds + dl) as usize],
-                    &memo.arena()[ms as usize..(ms + ml) as usize],
+                    &memo.arena[ms as usize..(ms + ml) as usize],
                     "walk differs for {src}->{dst}"
                 );
             }
@@ -297,10 +279,10 @@ mod tests {
         let mut memo = WalkMemo::new();
         let (a, b) = (TileId::new(3), TileId::new(22));
         let first = memo.resolve(&routes, a, b);
-        let arena_after_first = memo.arena().len();
+        let arena_after_first = memo.arena.len();
         let second = memo.resolve(&routes, a, b);
         assert_eq!(first, second, "hit must return the recorded span");
-        assert_eq!(memo.arena().len(), arena_after_first, "hit must not append");
+        assert_eq!(memo.arena.len(), arena_after_first, "hit must not append");
         assert_eq!(memo.stats().hits, 1);
         assert_eq!(memo.stats().misses, 1);
     }
@@ -333,17 +315,17 @@ mod tests {
         memo.resolve(&routes, a, b);
         // Over budget, but no eviction until the checkpoint.
         memo.resolve(&routes, TileId::new(1), TileId::new(30));
-        assert!(memo.arena().len() > 8);
+        assert!(memo.arena.len() > 8);
         assert_eq!(memo.stats().evictions, 0);
         memo.begin_eval();
         assert_eq!(memo.stats().evictions, 1);
-        assert!(memo.arena().is_empty());
+        assert!(memo.arena.is_empty());
         // Post-eviction lookups miss and re-resolve correctly.
         let span = memo.resolve(&routes, a, b);
         let mut direct = Vec::new();
         let (ds, dl) = routes.walk_span(a, b, &mut direct);
         assert_eq!(
-            &memo.arena()[span.0 as usize..(span.0 + span.1) as usize],
+            &memo.arena[span.0 as usize..(span.0 + span.1) as usize],
             &direct[ds as usize..(ds + dl) as usize]
         );
     }

@@ -20,7 +20,7 @@ use std::sync::{Arc, Mutex};
 use crate::clock::Stamp;
 
 /// One structured trace event. `kind` is a small closed vocabulary
-/// ("job_start", "round", "best", "epoch", "batch_stats", "job_end");
+/// ("job_start", "round", "best", "epoch", "walk_memo", "job_end");
 /// the other fields are optional payload — unset fields are omitted
 /// from the JSON line.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -40,7 +40,7 @@ pub struct TraceEvent {
     /// Surviving member indices for "round" events.
     pub survivors: Vec<u64>,
     /// Named integer counters ("epoch" accept/reject streams,
-    /// "batch_stats" evaluator counters).
+    /// "walk_memo" hit/miss/eviction counters).
     pub counters: Vec<(&'static str, u64)>,
     /// Microseconds since the enclosing job context was installed.
     /// Stamped by [`emit_with`]; purely informational.

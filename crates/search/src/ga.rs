@@ -17,15 +17,16 @@
 //!
 //! ## Generation batching
 //!
-//! Crossover offspring are not costed one by one: each generation packs
-//! them into a single [`BatchCost::batch_cost`] call at the generation
-//! flush, so simulator-backed objectives amortize route resolution and
-//! scratch arenas across the whole brood (see
-//! `noc_sim::BatchEvaluator`). The trajectory is bit-identical to
-//! per-offspring costing because every RNG draw happens at offspring
-//! *creation*, costs are pure per mapping (the [`BatchCost`] contract),
-//! and best-tracking/telemetry replay in creation order with the
-//! evaluation numbers billed at creation.
+//! Crossover offspring are costed together: each generation packs them
+//! into a single [`BatchCost::batch_cost`] call at the generation flush,
+//! which every objective answers with one [`CostFunction::cost`] per
+//! offspring through its one cost evaluator. The trajectory is
+//! bit-identical to per-offspring costing because every RNG draw
+//! happens at offspring *creation*, costs are pure per mapping (the
+//! [`BatchCost`] contract), and best-tracking/telemetry replay in
+//! creation order with the evaluation numbers billed at creation.
+//!
+//! [`CostFunction::cost`]: crate::objective::CostFunction::cost
 
 use crate::cancel::CancelToken;
 use crate::objective::{BatchCost, SwapDeltaCost};

@@ -41,16 +41,15 @@ pub trait SwapDeltaCost: CostFunction {
     }
 }
 
-/// Objectives that can evaluate many candidate mappings in one call,
-/// sharing route resolution and scratch state across the batch.
+/// Objectives that evaluate many candidate mappings in one call. The
+/// genetic search and the portfolio cost each generation through it.
 ///
 /// The contract is bit-exactness: `batch_cost` must push exactly
 /// `cost(m)` for every mapping, in batch order, so engines may batch
 /// freely without perturbing a search trajectory. The default loops
-/// over [`CostFunction::cost`]; simulator-backed objectives override it
-/// with [`noc_sim::BatchEvaluator`](../../noc_sim/batch/index.html),
-/// which packs candidate injections into struct-of-arrays buffers and
-/// deduplicates route resolution across sibling candidates.
+/// over [`CostFunction::cost`], and every objective in the workspace
+/// uses it. The trait is kept only because the repository benchmark
+/// (`perfbench`) implements it to time generation costing.
 pub trait BatchCost: CostFunction {
     /// Costs of every mapping in `batch`, appended to `out` in order.
     fn batch_cost(&self, batch: &[Mapping], out: &mut Vec<f64>) {

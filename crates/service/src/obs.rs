@@ -16,10 +16,8 @@
 //! | `noc_trace_events_total` | counter | Trace events recorded by the flight recorder |
 //! | `noc_search_evaluations_total` | counter | Evaluations billed by completed jobs |
 //! | `noc_schedule_runs_total` / `noc_schedule_events_total` | counter | Pooled scratch-arena engine work |
-//! | `noc_batch_batches_total` / `noc_batch_candidates_total` | counter | Batch-engine flushes and candidates evaluated |
-//! | `noc_batch_size` | histogram | Candidates per batch |
-//! | `noc_walk_memo_{hits,misses,evictions}_total` | counter | Walk-memo route-dedup outcomes |
-//! | `noc_batch_dedup_ratio_permille` | gauge | Route-dedup ratio of the last published batch work |
+//! | `noc_walk_memo_{hits,misses,evictions}_total` | counter | Walk-memo outcomes of CDCM searches on the implicit and fault-aware tiers |
+//! | `noc_walk_memo_hit_ratio_permille` | gauge | Walk-memo hit ratio of the last such search |
 
 use crate::job::Priority;
 use noc_obs::{Counter, Gauge, Histogram, MetricsRegistry};

@@ -51,7 +51,7 @@ pub struct ServiceConfig {
     /// Number of worker threads (clamped to at least 1).
     pub workers: usize,
     /// Install a per-job trace context around execution (flight
-    /// recorder, `Progress` events, batch metrics). Metrics counting is
+    /// recorder, `Progress` events, walk-memo metrics). Metrics counting is
     /// always on; this only controls tracing. Defaults to true — the
     /// determinism suite proves on ≡ off bit-identically, so there is
     /// no correctness reason to disable it.
@@ -297,41 +297,17 @@ impl TraceSink for WorkerSink {
         let shared = &*self.shared;
         shared.flight.push(job, event);
         shared.metrics.trace_events.inc(1);
-        if event.kind == "batch_stats" {
-            let mut batch = noc_sim::BatchStats::default();
+        if event.kind == "walk_memo" {
             let mut memo = noc_model::WalkMemoStats::default();
-            let mut has_memo = false;
-            for (name, value) in &event.counters {
-                match *name {
-                    "batches" => batch.batches = *value,
-                    "candidates" => batch.candidates = *value,
-                    "max_batch" => batch.max_batch = *value,
-                    "memo_hits" => {
-                        memo.hits = *value;
-                        has_memo = true;
-                    }
-                    "memo_misses" => {
-                        memo.misses = *value;
-                        has_memo = true;
-                    }
-                    "memo_evictions" => {
-                        memo.evictions = *value;
-                        has_memo = true;
-                    }
-                    other => {
-                        if let Some(i) = noc_sim::obs::BATCH_SIZE_BUCKET_NAMES
-                            .iter()
-                            .position(|n| *n == other)
-                        {
-                            batch.size_log2[i] = *value;
-                        }
-                    }
+            for &(name, value) in &event.counters {
+                match name {
+                    "memo_hits" => memo.hits = value,
+                    "memo_misses" => memo.misses = value,
+                    "memo_evictions" => memo.evictions = value,
+                    _ => {}
                 }
             }
-            noc_sim::obs::publish_batch_stats(&shared.metrics.registry, &batch);
-            if has_memo {
-                noc_sim::obs::publish_walk_memo_stats(&shared.metrics.registry, &memo);
-            }
+            noc_sim::obs::publish_walk_memo_stats(&shared.metrics.registry, &memo);
         }
         if matches!(event.kind, "round" | "best" | "epoch") {
             // The worker holds no locks while executing, so taking the

@@ -6,11 +6,12 @@
 //! `owner_event`). Its `Recorder` type parameter decides what a run
 //! reports besides `texec`:
 //!
-//! * [`schedule_cost_with`], [`CostEvaluator`] and
-//!   [`BatchEvaluator`](crate::BatchEvaluator) pass the zero-sized
+//! * [`schedule_cost_with`] and [`CostEvaluator`] pass the zero-sized
 //!   `NoRecord` and allocate nothing after warm-up: all working state
 //!   lives in a reusable [`ScheduleScratch`] indexed by the dense link
-//!   ids of a shared [`RouteSource`].
+//!   ids of a shared [`RouteSource`]. A search scores a whole cohort
+//!   (a GA generation, a tabu neighborhood) one mapping at a time
+//!   through one evaluator.
 //! * [`schedule_with`](crate::schedule_with) passes an artifact recorder
 //!   and builds timelines, occupancy lists and the contention log from
 //!   its hooks, so a schedule and a cost cannot drift apart.
@@ -31,14 +32,14 @@ use std::sync::Arc;
 // engine. Layout, most significant first: `time` (64 bits) | `packet`
 // (30 bits) | variant (2 bits: Inject=0 < RouterEntry=1 < Decide=2 <
 // LinkRequest=3) | `hop` (32 bits).
-pub(crate) const PACKET_LIMIT: usize = 1 << 30;
-pub(crate) const INJECT: u32 = 0;
+const PACKET_LIMIT: usize = 1 << 30;
+const INJECT: u32 = 0;
 const ROUTER_ENTRY: u32 = 1;
 const DECIDE: u32 = 2;
 const LINK_REQUEST: u32 = 3;
 
 #[inline]
-pub(crate) fn pack(time: u64, packet: usize, variant: u32, hop: u32) -> u128 {
+fn pack(time: u64, packet: usize, variant: u32, hop: u32) -> u128 {
     debug_assert!(packet < PACKET_LIMIT);
     ((time as u128) << 64) | ((packet as u128) << 34) | ((variant as u128) << 32) | hop as u128
 }
@@ -210,35 +211,8 @@ impl ScheduleScratch {
         slot
     }
 
-    /// Primes the scratch for one run of an already-validated instance
-    /// from precomputed per-packet buffers — the batch evaluator's
-    /// replacement for the per-call workload pass of [`init_run`].
-    /// `seeds` are the packed start events.
-    pub(crate) fn prime_run(
-        &mut self,
-        n_links: usize,
-        n_packets: usize,
-        flits: &[u64],
-        pending: &[u32],
-        spans: &[(u32, u32)],
-        seeds: &[u128],
-    ) {
-        self.ensure(n_links, n_packets);
-        // noc-verify: allow(PANIC01) — ensure() has just grown every buffer to at least n_packets, and the batch packer hands slices of exactly n_packets entries
-        self.flits[..n_packets].copy_from_slice(flits);
-        // noc-verify: allow(PANIC01) — same invariant: buffers sized by ensure(), source slices exactly n_packets long
-        self.pending[..n_packets].copy_from_slice(pending);
-        // noc-verify: allow(PANIC01) — ready is resized alongside pending in ensure(), so the prefix is in bounds
-        self.ready[..n_packets].fill(0);
-        // noc-verify: allow(PANIC01) — same invariant: buffers sized by ensure(), source slices exactly n_packets long
-        self.spans[..n_packets].copy_from_slice(spans);
-        for &key in seeds {
-            self.queue.push(key);
-        }
-    }
-
     /// Accounts one completed run in [`RunStats`].
-    pub(crate) fn note_run(&mut self, events: u64) {
+    fn note_run(&mut self, events: u64) {
         self.stats.runs += 1;
         self.stats.events += events;
     }
@@ -381,10 +355,10 @@ pub(crate) fn init_run<S: RouteSource + ?Sized>(
 }
 
 /// The event loop of the engine. Starts from a scratch primed by
-/// [`init_run`] (or [`ScheduleScratch::prime_run`]), runs the queue dry
+/// [`init_run`], runs the queue dry
 /// and reports to `rec` as it goes. Returns `(texec, packets delivered,
 /// events processed)`; [`RunStats::events`] says what counts as an event.
-pub(crate) fn run_loop<R: Recorder>(
+fn run_loop<R: Recorder>(
     cdcg: &Cdcg,
     params: &SimParams,
     flat: &[u32],
@@ -405,7 +379,7 @@ pub(crate) fn run_loop<R: Recorder>(
         // noc-verify: allow(PANIC01) — queued packets are below n_packets, and spans is sized by ensure()
         let (start, len) = scratch.spans[p];
         // Resource walk of the packet: [injection, internals..., ejection].
-        // noc-verify: allow(PANIC01) — spans index `flat`: init_run/prime_run resolved them against this very array
+        // noc-verify: allow(PANIC01) — spans index `flat`: init_run resolved them against this very array
         let path = &flat[start as usize..start as usize + len as usize];
         // Router count.
         let k = path.len() - 1;

@@ -13,9 +13,9 @@
 //!     per-packet timelines, the occupancy lists of every CRG resource
 //!     (the paper's "cost variable lists", Figure 3) and the contention
 //!     log, for Gantt charts, reports and energy breakdowns.
-//!   * [`schedule_cost_with`] / [`CostEvaluator`] / [`BatchEvaluator`]
-//!     record nothing and allocate nothing after warm-up: the search
-//!     loops score every candidate mapping with one run from the first
+//!   * [`schedule_cost_with`] / [`CostEvaluator`] record nothing and
+//!     allocate nothing after warm-up: the search loops score every
+//!     candidate mapping, one at a time, with one run from the first
 //!     event to the last, over a reusable [`ScheduleScratch`] and a
 //!     shared [`noc_model::RouteProvider`].
 //! * **Flit-level simulation** ([`des`]) — the independent oracle. It
@@ -56,7 +56,6 @@
 #![warn(missing_docs)]
 
 pub mod analysis;
-pub mod batch;
 pub mod cost;
 pub mod des;
 pub mod error;
@@ -69,7 +68,6 @@ pub mod resource;
 pub mod schedule;
 pub mod wormhole;
 
-pub use batch::{BatchEvaluator, BatchStats, BATCH_SIZE_BUCKETS};
 pub use cost::{schedule_cost_with, CostEvaluator, DeltaStats, RunStats, ScheduleScratch};
 pub use error::SimError;
 pub use interval::CycleInterval;

@@ -1,18 +1,19 @@
-//! Batch-evaluation property tests. Two contracts:
+//! Cohort-evaluation property tests: a search scores a whole cohort of
+//! sibling mappings (a GA generation, a tabu neighborhood) through one
+//! reused [`CostEvaluator`]. Two contracts:
 //!
-//! 1. **Bit-identity with sequential evaluation** — for every provider
-//!    tier (dense, implicit, fault-aware), every routing kind, random
-//!    2D/3D mesh shapes and random fault scenarios,
-//!    [`BatchEvaluator`] returns exactly the `texec` that per-mapping
-//!    [`schedule_cost_with`] computes, and a batch containing an
-//!    unschedulable candidate fails exactly when sequential evaluation
-//!    would.
+//! 1. **Bit-identity with fresh evaluation** — for every provider tier
+//!    (dense, implicit, fault-aware), every routing kind, random 2D/3D
+//!    mesh shapes and random fault scenarios, one evaluator reused
+//!    across a cohort returns, mapping by mapping, exactly what a fresh
+//!    [`schedule_cost_with`] returns: the same `texec`, or the same
+//!    error for an unschedulable mapping.
 //! 2. **Memo invisibility** — walk memoization is a performance knob,
-//!    never an arithmetic one: memo-on and memo-off batches are
-//!    bit-identical, and seed-pinned SA and GA searches walk the same
-//!    trajectory (mapping, cost bits, evaluation count, telemetry)
+//!    never an arithmetic one: memo-on and memo-off evaluators return
+//!    bit-identical cohorts, and seed-pinned SA and GA searches walk the
+//!    same trajectory (mapping, cost bits, evaluation count, telemetry)
 //!    with the memo on and off — while the memo-on run demonstrably
-//!    *did* dedup, so the equalities are never vacuous.
+//!    *did* hit its table, so the equalities are never vacuous.
 //!
 //! Case counts default low for the regular CI run; the scheduled fuzz
 //! job raises them through `NOC_FUZZ_CASES`.
@@ -26,7 +27,7 @@ use noc::mapping::{
 use noc::model::{
     Cdcg, FaultScenario, FaultSet, Mapping, Mesh, RouteProvider, RoutingKind, TileId,
 };
-use noc::sim::{schedule_cost_with, BatchEvaluator, ScheduleScratch, SimParams};
+use noc::sim::{schedule_cost_with, CostEvaluator, ScheduleScratch, SimError, SimParams};
 use std::sync::Arc;
 
 /// Cases for the property loops; override with `NOC_FUZZ_CASES` (the
@@ -79,7 +80,7 @@ fn permuted_mapping(mesh: &Mesh, cores: usize, seed: u64) -> Mapping {
     Mapping::from_tiles(mesh, tiles.into_iter().take(cores)).expect("injective")
 }
 
-/// A batch shaped like real search cohorts: a base mapping, single-swap
+/// A cohort shaped like real search cohorts: a base mapping, single-swap
 /// siblings of it (the GA/tabu neighborhood structure the memo dedups),
 /// an exact duplicate (populations carry those, and it guarantees the
 /// memo-hit assertions are never vacuous) and fresh random permutations.
@@ -112,9 +113,22 @@ fn scenario_of(index: usize, count: usize, seed: u64) -> FaultScenario {
     }
 }
 
-/// Contract 1, healthy tiers: batch `texec`s equal per-mapping
-/// sequential `schedule_cost_with` bitwise, for every provider tier and
-/// routing kind on random 2D/3D meshes.
+/// `texec` of `mapping` from a fresh scratch: the reference a reused
+/// evaluator must reproduce.
+fn fresh(
+    cdcg: &Cdcg,
+    mesh: &Mesh,
+    mapping: &Mapping,
+    params: &SimParams,
+    provider: &RouteProvider,
+) -> Result<u64, SimError> {
+    let mut scratch = ScheduleScratch::new();
+    schedule_cost_with(cdcg, mesh, mapping, params, provider, &mut scratch)
+}
+
+/// Contract 1, healthy tiers: one evaluator reused across a cohort
+/// equals a fresh `schedule_cost_with` per mapping bitwise, for every
+/// provider tier and routing kind on random 2D/3D meshes.
 #[test]
 fn batch_matches_sequential_across_tiers_and_meshes() {
     for case in 0..fuzz_cases() {
@@ -122,29 +136,22 @@ fn batch_matches_sequential_across_tiers_and_meshes() {
         let (cdcg, mesh) = instance(splitmix(&mut state));
         let kind = kind_of(case as usize);
         let params = SimParams::new();
-        let batch = sibling_batch(&mesh, cdcg.core_count(), splitmix(&mut state));
-        let mut scratch = ScheduleScratch::new();
+        let cohort = sibling_batch(&mesh, cdcg.core_count(), splitmix(&mut state));
         for provider in [
             RouteProvider::dense(&mesh, kind).expect("small mesh"),
             RouteProvider::implicit(&mesh, kind),
             RouteProvider::fault_aware(&mesh, kind, FaultSet::new()),
         ] {
             let provider = Arc::new(provider);
-            let mut evaluator =
-                BatchEvaluator::with_provider(&cdcg, &params, Arc::clone(&provider));
-            let got = evaluator.evaluate(&batch).expect("healthy tiers schedule");
-            for (i, (mapping, &texec)) in batch.iter().zip(&got).enumerate() {
-                let want = schedule_cost_with(
-                    &cdcg,
-                    &mesh,
-                    mapping,
-                    &params,
-                    provider.as_ref(),
-                    &mut scratch,
-                )
-                .expect("healthy tiers schedule");
+            let mut evaluator = CostEvaluator::with_provider(&cdcg, &params, Arc::clone(&provider));
+            for (i, mapping) in cohort.iter().enumerate() {
+                let got = evaluator
+                    .texec_cycles(mapping)
+                    .expect("healthy tiers schedule");
+                let want = fresh(&cdcg, &mesh, mapping, &params, &provider)
+                    .expect("healthy tiers schedule");
                 assert_eq!(
-                    texec,
+                    got,
                     want,
                     "case {case}, {kind:?}, tier {:?}, candidate {i}",
                     provider.tier()
@@ -154,9 +161,11 @@ fn batch_matches_sequential_across_tiers_and_meshes() {
     }
 }
 
-/// Contract 1, fault tier: under random fault scenarios the batch
-/// succeeds exactly when every candidate schedules sequentially (and
-/// then matches bitwise); one partitioned candidate fails the batch.
+/// Contract 1, fault tier: under random fault scenarios a reused
+/// evaluator answers every mapping of a cohort exactly as a fresh
+/// evaluation does — the same `texec`, or the same error for a mapping
+/// whose traffic the faults partition — and an error leaves it usable
+/// for the next mapping.
 #[test]
 fn batch_matches_sequential_under_fault_scenarios() {
     for case in 0..fuzz_cases() {
@@ -167,44 +176,21 @@ fn batch_matches_sequential_under_fault_scenarios() {
         let faults = scenario.generate(&mesh);
         let provider = Arc::new(RouteProvider::fault_aware(&mesh, kind, faults));
         let params = SimParams::new();
-        let batch = sibling_batch(&mesh, cdcg.core_count(), splitmix(&mut state));
-        let mut scratch = ScheduleScratch::new();
-        let sequential: Vec<Result<u64, _>> = batch
-            .iter()
-            .map(|mapping| {
-                schedule_cost_with(
-                    &cdcg,
-                    &mesh,
-                    mapping,
-                    &params,
-                    provider.as_ref(),
-                    &mut scratch,
-                )
-            })
-            .collect();
-        let mut evaluator = BatchEvaluator::with_provider(&cdcg, &params, provider);
-        match evaluator.evaluate(&batch) {
-            Ok(got) => {
-                for (i, (result, &texec)) in sequential.iter().zip(&got).enumerate() {
-                    match result {
-                        Ok(want) => assert_eq!(texec, *want, "case {case}, candidate {i}"),
-                        Err(e) => panic!(
-                            "case {case}: batch succeeded but candidate {i} fails sequentially: {e}"
-                        ),
-                    }
-                }
-            }
-            Err(_) => assert!(
-                sequential.iter().any(Result::is_err),
-                "case {case}: batch failed but every sequential evaluation succeeded"
-            ),
+        let cohort = sibling_batch(&mesh, cdcg.core_count(), splitmix(&mut state));
+        let mut evaluator = CostEvaluator::with_provider(&cdcg, &params, Arc::clone(&provider));
+        for (i, mapping) in cohort.iter().enumerate() {
+            assert_eq!(
+                evaluator.texec_cycles(mapping),
+                fresh(&cdcg, &mesh, mapping, &params, &provider),
+                "case {case}, candidate {i}"
+            );
         }
     }
 }
 
-/// Contract 2 at the engine level: memo-on and memo-off batches are
-/// bit-identical, the memo-on run really deduped, and the memo-off run
-/// really had no table.
+/// Contract 2 at the engine level: memo-on and memo-off evaluators
+/// return bit-identical cohorts, the memo-on run really hit its table,
+/// and the memo-off run really had none.
 #[test]
 fn memo_on_and_off_batches_are_bit_identical() {
     for case in 0..fuzz_cases() {
@@ -212,15 +198,19 @@ fn memo_on_and_off_batches_are_bit_identical() {
         let (cdcg, mesh) = instance(splitmix(&mut state));
         let kind = kind_of(case as usize);
         let params = SimParams::new();
-        let batch = sibling_batch(&mesh, cdcg.core_count(), splitmix(&mut state));
+        let cohort = sibling_batch(&mesh, cdcg.core_count(), splitmix(&mut state));
         let provider = Arc::new(RouteProvider::implicit(&mesh, kind));
-        let mut on = BatchEvaluator::with_provider(&cdcg, &params, Arc::clone(&provider));
-        let mut off = BatchEvaluator::with_provider(&cdcg, &params, provider);
+        let mut on = CostEvaluator::with_provider(&cdcg, &params, Arc::clone(&provider));
+        let mut off = CostEvaluator::with_provider(&cdcg, &params, provider);
         off.set_walk_memo(false);
         assert!(on.walk_memo_enabled() && !off.walk_memo_enabled());
-        let with_memo = on.evaluate(&batch).expect("schedules");
-        let without = off.evaluate(&batch).expect("schedules");
-        assert_eq!(with_memo, without, "case {case}: memo changed a texec");
+        for (i, mapping) in cohort.iter().enumerate() {
+            assert_eq!(
+                on.texec_cycles(mapping).expect("schedules"),
+                off.texec_cycles(mapping).expect("schedules"),
+                "case {case}, candidate {i}: memo changed a texec"
+            );
+        }
         let stats = on.walk_memo_stats().expect("memo on");
         assert!(
             stats.hits > 0,
@@ -250,9 +240,10 @@ fn assert_identical(label: &str, case: u64, first: &SearchRun, second: &SearchRu
     );
 }
 
-/// Contract 2 end-to-end: seed-pinned SA (delta path) and GA (batch
+/// Contract 2 end-to-end: seed-pinned SA (delta path) and GA (generation
 /// path) trajectories on the CDCM objective are bit-identical with walk
-/// memoization on and off, and the memo-on GA demonstrably deduped.
+/// memoization on and off, and the memo-on objective demonstrably hit
+/// its table.
 #[test]
 fn memo_on_and_off_search_trajectories_are_bit_identical() {
     let tech = Technology::t007();
@@ -296,13 +287,16 @@ fn memo_on_and_off_search_trajectories_are_bit_identical() {
             &ga.search(&off, &mesh, cores),
         );
 
-        // Non-vacuity: the memo-on GA batched and deduped; the memo-off
-        // GA batched with no table at all.
-        let (batch, memo) = on.batch_stats().expect("GA batched");
-        assert!(batch.candidates > 0, "case {case}: GA never batched");
-        let memo = memo.expect("implicit tier memoizes when enabled");
-        assert!(memo.hits > 0, "case {case}: memo-on GA never deduped");
-        let (_, memo_off) = off.batch_stats().expect("GA batched");
-        assert!(memo_off.is_none(), "case {case}: memo-off GA had a table");
+        // Non-vacuity: the memo-on objective resolved walks through its
+        // table and hit it; the memo-off objective had no table at all.
+        let memo = on
+            .walk_memo_stats()
+            .expect("implicit tier memoizes when enabled");
+        assert!(memo.misses > 0, "case {case}: memo-on objective never ran");
+        assert!(memo.hits > 0, "case {case}: memo-on objective never hit");
+        assert!(
+            off.walk_memo_stats().is_none(),
+            "case {case}: memo-off objective had a table"
+        );
     }
 }

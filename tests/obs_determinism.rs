@@ -159,9 +159,9 @@ fn tracing_on_and_off_are_bit_identical() {
     }
 }
 
-/// A batching engine (the GA) on a memo-compatible tier must surface
-/// its batch and walk-memo counters in the service registry — the
-/// source the `metrics` socket op (and `noc-cli metrics`) renders.
+/// A CDCM search (the GA) on a memo-compatible tier must surface its
+/// walk-memo counters in the service registry — the source the
+/// `metrics` socket op (and `noc-cli metrics`) renders.
 #[test]
 fn batch_and_memo_counters_reach_the_service_registry() {
     let (app, mesh) = instance(0xBA7C);
@@ -174,19 +174,11 @@ fn batch_and_memo_counters_reach_the_service_registry() {
     service.submit(JobRequest::Solve(Box::new(request)), Priority::Normal);
     service.wait_all();
     let registry = service.handle().metrics();
-    assert!(registry.counter("noc_batch_batches_total").get() > 0);
-    assert!(registry.counter("noc_batch_candidates_total").get() > 0);
-    let size = registry.histogram("noc_batch_size");
-    assert_eq!(
-        size.count(),
-        registry.counter("noc_batch_batches_total").get(),
-        "every batch contributes one size observation"
-    );
     assert!(registry.counter("noc_walk_memo_hits_total").get() > 0);
-    let ratio = registry.gauge("noc_batch_dedup_ratio_permille").get();
+    let ratio = registry.gauge("noc_walk_memo_hit_ratio_permille").get();
     assert!(
         (1..=1000).contains(&ratio),
-        "dedup ratio gauge out of range: {ratio}"
+        "hit ratio gauge out of range: {ratio}"
     );
 }
 
