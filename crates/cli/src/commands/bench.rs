@@ -1,11 +1,14 @@
 //! `bench`: measure service throughput on a batch of small jobs.
 
-use crate::options::{load_app, parse_mesh, Options};
+use crate::options::{load_app, parse_mesh_options, Options};
 use crate::CliError;
 use noc_service::{
     JobRequest, MappingService, Priority, SaConfig, SearchMethod, ServiceConfig, SolveRequest,
 };
 use std::fmt::Write as _;
+
+/// The flags `bench` reads.
+pub(crate) const FLAGS: &[&[&str]] = &[&["--jobs", "--workers", "--evals", "--app", "--mesh"]];
 
 /// `bench`: submit a batch of seeded solve jobs to one service instance
 /// and report throughput, registry reuse and scratch pooling. The
@@ -28,7 +31,7 @@ pub fn cmd_bench(options: &Options) -> Result<String, CliError> {
         None => noc_apps::large_mesh_workload(4, 4, 1),
     };
     let mesh = match options.get("--mesh") {
-        Some(spec) => parse_mesh(spec)?,
+        Some(_) => parse_mesh_options(options)?,
         None => noc_model::Mesh::new(4, 4)?,
     };
     if app.core_count() > mesh.tile_count() {

@@ -33,6 +33,31 @@ use crate::options::Options;
 use crate::CliError;
 use noc_service::{JobRequest, JobResult, JobState, MappingService, Priority, ServiceConfig};
 
+/// A subcommand: its entry point and the flags it reads (in groups).
+pub(crate) type Command = (
+    fn(&Options) -> Result<String, CliError>,
+    &'static [&'static [&'static str]],
+);
+
+/// The subcommand called `name`, if there is one.
+pub(crate) fn command(name: &str) -> Option<Command> {
+    Some(match name {
+        "generate" => (cmd_generate, generate::FLAGS),
+        "info" => (cmd_info, info::FLAGS),
+        "map" | "solve" => (cmd_map, solve::FLAGS),
+        "evaluate" => (cmd_evaluate, evaluate::FLAGS),
+        "explore" => (cmd_explore, explore::FLAGS),
+        "bench" => (cmd_bench, bench::FLAGS),
+        "serve" => (cmd_serve, serve::FLAGS),
+        "submit" => (cmd_submit, submit::FLAGS),
+        "metrics" => (cmd_metrics, metrics::FLAGS),
+        "watch" => (cmd_watch, watch::FLAGS),
+        "suite" => (cmd_suite, suite::FLAGS),
+        "dot" => (cmd_dot, dot::FLAGS),
+        _ => return None,
+    })
+}
+
 /// Builds the service configuration shared by the one-shot commands and
 /// `serve`: `workers` threads, plus a line-JSON trace sink when
 /// `--trace FILE` is given (every `noc-obs` trace event of every job is

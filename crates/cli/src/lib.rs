@@ -140,6 +140,9 @@ counters — to FILE as JSON lines; tracing never changes the trajectory.
 for the structured snapshot); `watch` streams its live service events
 as JSON lines (`--count N` to disconnect after N events); and
 `submit --op trace --job N` fetches job N's recorded flight tape.
+Each subcommand refuses an option it does not read, naming the nearest
+one it does. Names (tech, strategy, routing, route cache, priority)
+ignore case and surrounding spaces, here and on the socket alike.
 "
     .to_owned()
 }
@@ -148,28 +151,19 @@ as JSON lines (`--count N` to disconnect after N events); and
 ///
 /// # Errors
 ///
-/// Returns an error for unknown commands or any command failure.
+/// Returns an error for unknown commands, options the command does not
+/// read (naming the nearest one it does) or any command failure.
 pub fn run(args: &[String]) -> Result<String, CliError> {
-    let Some(command) = args.first() else {
+    let Some((command, rest)) = args.split_first() else {
         return Ok(usage());
     };
-    let options = Options::parse(&args[1..])?;
-    match command.as_str() {
-        "generate" => cmd_generate(&options),
-        "info" => cmd_info(&options),
-        "map" | "solve" => cmd_map(&options),
-        "evaluate" => cmd_evaluate(&options),
-        "explore" => cmd_explore(&options),
-        "bench" => cmd_bench(&options),
-        "serve" => cmd_serve(&options),
-        "submit" => cmd_submit(&options),
-        "metrics" => cmd_metrics(&options),
-        "watch" => cmd_watch(&options),
-        "suite" => cmd_suite(&options),
-        "dot" => cmd_dot(&options),
-        "help" | "--help" | "-h" => Ok(usage()),
-        other => Err(format!("unknown command `{other}`; try `noc-cli help`").into()),
+    if matches!(command.as_str(), "help" | "--help" | "-h") {
+        return Ok(usage());
     }
+    let (cmd, flags) = commands::command(command)
+        .ok_or_else(|| format!("unknown command `{command}`; try `noc-cli help`"))?;
+    options::check_options(rest, command, flags)?;
+    cmd(&Options::parse(rest)?)
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@
 use crate::CliError;
 use noc_energy::Technology;
 use noc_model::{Cdcg, FaultScenario, Mapping, Mesh, RoutingKind, TileId};
-use noc_service::{Constraints, Tenure};
+use noc_service::{names, Constraints, Tenure};
 
 /// A parsed option bag: `--key value` pairs plus bare flags.
 #[derive(Debug, Clone, Default)]
@@ -94,6 +94,32 @@ impl Options {
     }
 }
 
+/// Checks that every option of `args` (each argument that starts with
+/// `--`; no option value does) is one of `known`, the flags subcommand
+/// `command` reads, in groups. Runs before [`Options::parse`], so a
+/// misspelled bare flag is named too, not taken for a key without a
+/// value.
+///
+/// # Errors
+///
+/// Names the first option that is not known, and the nearest one that
+/// is.
+pub fn check_options(
+    args: &[String],
+    command: &str,
+    known: &[&[&'static str]],
+) -> Result<(), CliError> {
+    let options = args.iter().filter(|arg| arg.starts_with("--"));
+    let place = format!("for `noc-cli {command}`");
+    names::check_keys(
+        options.map(String::as_str),
+        &known.concat(),
+        "option",
+        &place,
+    )?;
+    Ok(())
+}
+
 /// Parses `WxH` or `WxHxD` mesh syntax (e.g. `3x2`, `4x4x4`).
 ///
 /// # Errors
@@ -120,19 +146,22 @@ pub fn parse_mesh(spec: &str) -> Result<Mesh, CliError> {
 ///
 /// # Errors
 ///
-/// Returns an error for a zero depth or a conflicting 3D `--mesh` spec.
+/// Returns an error for a zero depth, a conflicting 3D `--mesh` spec or
+/// a mesh above [`noc_service::MAX_MESH_TILES`] tiles.
 pub fn parse_mesh_options(options: &Options) -> Result<Mesh, CliError> {
     let mesh = parse_mesh(options.require("--mesh")?)?;
-    match options.get("--depth") {
-        None => Ok(mesh),
+    let mesh = match options.get("--depth") {
+        None => mesh,
         Some(_) if mesh.depth() > 1 => {
-            Err("pass either --mesh WxHxD or --depth N, not both".into())
+            return Err("pass either --mesh WxHxD or --depth N, not both".into())
         }
         Some(d) => {
             let depth: usize = d.parse().map_err(|_| format!("bad depth `{d}`"))?;
-            Ok(Mesh::new3(mesh.width(), mesh.height(), depth)?)
+            Mesh::new3(mesh.width(), mesh.height(), depth)?
         }
-    }
+    };
+    noc_service::check_mesh(&mesh)?;
+    Ok(mesh)
 }
 
 /// Parses a comma-separated tile list into a mapping on `mesh`.
@@ -155,19 +184,13 @@ pub fn parse_mapping(spec: &str, mesh: &Mesh) -> Result<Mapping, CliError> {
 }
 
 /// Resolves a routing-algorithm name (`xy`, `yx`, `torus-xy`, `xyz`,
-/// `torus-xyz`).
+/// `torus-xyz`) through [`RoutingKind::from_name`].
 ///
 /// # Errors
 ///
 /// Returns an error for unknown names.
 pub fn parse_routing(name: &str) -> Result<RoutingKind, CliError> {
-    RoutingKind::from_name(name.trim()).ok_or_else(|| {
-        format!(
-            "unknown routing `{}` (xy|yx|torus-xy|xyz|torus-xyz)",
-            name.trim()
-        )
-        .into()
-    })
+    Ok(names::routing(name)?)
 }
 
 /// Parses a `--tenure` value: a fixed iteration count, or `auto` to
@@ -186,18 +209,14 @@ pub fn parse_tenure(value: &str) -> Result<Tenure, CliError> {
     }
 }
 
-/// Resolves a technology name (`paper`, `0.35`, `0.07`, `0.35um`, …).
+/// Resolves a technology name (`paper`, `0.35`, `0.07`, `0.35um`, …)
+/// through [`Technology::from_name`].
 ///
 /// # Errors
 ///
 /// Returns an error for unknown names.
 pub fn parse_technology(name: &str) -> Result<Technology, CliError> {
-    match name.trim().trim_end_matches("um") {
-        "paper" | "paper-example" => Ok(Technology::paper_example()),
-        "0.35" | "350" => Ok(Technology::t035()),
-        "0.07" | "70" => Ok(Technology::t007()),
-        other => Err(format!("unknown technology `{other}` (paper|0.35|0.07)").into()),
-    }
+    Ok(names::technology(name)?)
 }
 
 /// Loads the `--app` application graph: JSON by default, the

@@ -12,36 +12,67 @@ use crate::options::{
 };
 use crate::CliError;
 use noc_service::{
-    AdaptiveConfig, CacheTier, Crossover, EvaluateRequest, GaConfig, PortfolioConfig, Priority,
-    RestartBudget, SaConfig, SearchMethod, SolveRequest, Strategy, TabuConfig,
+    names, AdaptiveConfig, CacheTier, Crossover, EvaluateRequest, GaConfig, PortfolioConfig,
+    Priority, RestartBudget, SaConfig, SearchMethod, SolveRequest, Strategy, TabuConfig,
 };
 use noc_sim::SimParams;
 
-/// Parses a `--priority` class name (`high`, `normal`, `low`).
+/// The flags [`build_solve_request_with_method`] reads: the instance,
+/// the SA profile, every method's tuning flags, pins and faults.
+pub(crate) const SOLVE_FLAGS: &[&str] = &[
+    "--app",
+    "--mesh",
+    "--depth",
+    "--strategy",
+    "--tech",
+    "--routing",
+    "--route-cache",
+    "--seed",
+    "--quick",
+    "--evals",
+    "--restarts",
+    "--population",
+    "--rounds",
+    "--crossover",
+    "--tenure",
+    "--neighborhood",
+    "--pin",
+    "--faults",
+    "--fault-kind",
+    "--fault-seed",
+    "--fault-evals",
+    "--robustness-report",
+];
+
+/// The flags [`build_evaluate_request`] reads.
+pub(crate) const EVALUATE_FLAGS: &[&str] = &[
+    "--app",
+    "--mesh",
+    "--depth",
+    "--mapping",
+    "--tech",
+    "--routing",
+    "--gantt",
+];
+
+/// Parses a `--priority` class name (`high`, `normal`, `low`) through
+/// [`Priority::from_name`].
 ///
 /// # Errors
 ///
 /// Returns an error for unknown names.
 pub fn parse_priority(name: &str) -> Result<Priority, CliError> {
-    match name.trim().to_ascii_lowercase().as_str() {
-        "high" => Ok(Priority::High),
-        "normal" => Ok(Priority::Normal),
-        "low" => Ok(Priority::Low),
-        other => Err(format!("unknown priority `{other}` (high|normal|low)").into()),
-    }
+    Ok(names::priority(name)?)
 }
 
-/// Parses a `--strategy` name (`cwm`, `cdcm`).
+/// Parses a `--strategy` name (`cwm`, `cdcm`) through
+/// [`Strategy::from_name`].
 ///
 /// # Errors
 ///
 /// Returns an error for unknown names.
 pub fn parse_strategy(name: &str) -> Result<Strategy, CliError> {
-    match name {
-        "cwm" | "CWM" => Ok(Strategy::Cwm),
-        "cdcm" | "CDCM" => Ok(Strategy::Cdcm),
-        other => Err(format!("unknown strategy `{other}` (cwm|cdcm)").into()),
-    }
+    Ok(names::strategy(name)?)
 }
 
 /// The SA profile shared by every method: `--quick` picks the short

@@ -79,6 +79,19 @@ impl Technology {
         }
     }
 
+    /// Resolves a technology name: `paper` (or `paper-example`), `0.35`
+    /// (or `350`) and `0.07` (or `70`), each optionally suffixed `um`,
+    /// ignoring surrounding whitespace and ASCII case. `None` for any
+    /// other name.
+    pub fn from_name(name: &str) -> Option<Self> {
+        match name.trim().to_ascii_lowercase().trim_end_matches("um") {
+            "paper" | "paper-example" => Some(Self::paper_example()),
+            "0.35" | "350" => Some(Self::t035()),
+            "0.07" | "70" => Some(Self::t007()),
+            _ => None,
+        }
+    }
+
     /// Builder-style override of the leakage power (used by calibration
     /// ablations).
     pub fn with_router_static_power(mut self, power: Power) -> Self {

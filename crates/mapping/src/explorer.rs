@@ -45,6 +45,22 @@ impl Strategy {
             Self::Cdcm => "CDCM",
         }
     }
+
+    /// Request name: `cwm` or `cdcm`.
+    pub fn name(self) -> &'static str {
+        match self {
+            Self::Cwm => "cwm",
+            Self::Cdcm => "cdcm",
+        }
+    }
+
+    /// Resolves a request name, ignoring surrounding whitespace and ASCII
+    /// case; `None` for any other name.
+    pub fn from_name(name: &str) -> Option<Self> {
+        [Self::Cwm, Self::Cdcm]
+            .into_iter()
+            .find(|s| s.name().eq_ignore_ascii_case(name.trim()))
+    }
 }
 
 /// Which engine explores the mapping space.

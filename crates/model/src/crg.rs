@@ -191,11 +191,29 @@ impl fmt::Display for Link {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct Mesh {
     width: usize,
     height: usize,
     depth: usize,
+}
+
+/// The serialized fields of a [`Mesh`], before [`Mesh::new3`] checks them.
+#[derive(Deserialize)]
+struct MeshFields {
+    width: usize,
+    height: usize,
+    depth: usize,
+}
+
+/// Decodes through [`Mesh::new3`], so a decoded mesh has no zero
+/// dimension either.
+impl<'de> Deserialize<'de> for Mesh {
+    fn from_value(value: &serde::Value) -> Result<Self, serde::DeserializeError> {
+        let fields = MeshFields::from_value(value)?;
+        Mesh::new3(fields.width, fields.height, fields.depth)
+            .map_err(serde::DeserializeError::custom)
+    }
 }
 
 impl Mesh {

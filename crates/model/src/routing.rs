@@ -364,10 +364,11 @@ impl RoutingKind {
         self.algorithm().name()
     }
 
-    /// Resolves an algorithm name ("XY", "yx", "torus-xy", "xyz", …) back
-    /// to its kind; `None` for algorithms outside the closed set.
+    /// Resolves an algorithm name ("XY", " yx ", "torus-xy", "xyz", …)
+    /// back to its kind, ignoring surrounding whitespace and ASCII case;
+    /// `None` for algorithms outside the closed set.
     pub fn from_name(name: &str) -> Option<Self> {
-        match name.to_ascii_lowercase().as_str() {
+        match name.trim().to_ascii_lowercase().as_str() {
             "xy" => Some(Self::Xy),
             "yx" => Some(Self::Yx),
             "torus-xy" | "torus" => Some(Self::TorusXy),

@@ -71,6 +71,36 @@ impl Priority {
             Self::Low => "low",
         }
     }
+
+    /// Resolves a class name, ignoring surrounding whitespace and ASCII
+    /// case; `None` for any other name.
+    pub fn from_name(name: &str) -> Option<Self> {
+        [Self::High, Self::Normal, Self::Low]
+            .into_iter()
+            .find(|p| p.name().eq_ignore_ascii_case(name.trim()))
+    }
+}
+
+/// The largest mesh a job may name: 256×256 tiles, 16 times the largest
+/// mesh of the benchmark workloads. The engine sizes its per-link tables
+/// by the mesh, not by the application, so this bounds a job's memory.
+pub const MAX_MESH_TILES: usize = 65_536;
+
+/// The tile count of `mesh`, if it has at most [`MAX_MESH_TILES`] tiles.
+/// Both surfaces call this as soon as they know the mesh, before
+/// anything is sized by it (a mapping holds one slot per tile), and the
+/// worker calls it again before a job runs.
+///
+/// # Errors
+///
+/// Names the mesh and the limit when the checked product
+/// `width · height · depth` exceeds it or overflows.
+pub fn check_mesh(mesh: &Mesh) -> Result<usize, String> {
+    let (w, h, d) = (mesh.width(), mesh.height(), mesh.depth());
+    w.checked_mul(h)
+        .and_then(|t| t.checked_mul(d))
+        .filter(|&t| t <= MAX_MESH_TILES)
+        .ok_or_else(|| format!("mesh {w}x{h}x{d} exceeds the limit of {MAX_MESH_TILES} tiles"))
 }
 
 /// Which route-provisioning tier a solve job asks for. Only [`Auto`]

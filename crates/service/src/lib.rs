@@ -32,6 +32,9 @@
 //!   the service).
 //! * [`protocol`] — the line-oriented JSON wire format and the Unix
 //!   socket server behind `noc-cli serve`.
+//! * [`names`] — the request names and keys the CLI and the wire
+//!   protocol share: one lookup per request enum, and the check that
+//!   rejects a key a request does not read.
 //!
 //! Observability: each service owns a `noc-obs`
 //! [`MetricsRegistry`] (job/queue/worker/registry/engine metrics, see
@@ -62,6 +65,7 @@
 
 pub mod events;
 pub mod job;
+pub mod names;
 mod obs;
 pub mod protocol;
 pub mod registry;
@@ -70,8 +74,8 @@ mod worker;
 
 pub use events::EventStream;
 pub use job::{
-    CacheTier, EvaluateRequest, EvaluateResult, JobId, JobRequest, JobResult, JobState, Priority,
-    SolveRequest, SolveResult, UnknownCacheTier,
+    check_mesh, CacheTier, EvaluateRequest, EvaluateResult, JobId, JobRequest, JobResult, JobState,
+    Priority, SolveRequest, SolveResult, UnknownCacheTier, MAX_MESH_TILES,
 };
 pub use registry::{ProviderKey, ProviderLease, ProviderRegistry, RegistryStats};
 pub use service::{MappingService, ServiceConfig, ServiceEvent, ServiceHandle, ServiceStats};

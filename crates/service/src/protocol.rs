@@ -43,6 +43,14 @@
 //! fault-injection experiment (`fault_scenario`) is a programmatic-API
 //! feature and is not exposed on the wire.
 //!
+//! Names (`"tech"`, `"strategy"`, `"routing"`, `"route_cache"`,
+//! `"priority"`) resolve through the same tables as the CLI flags
+//! ([`names`]). A request line or a job with a key the list above does
+//! not name is refused with an error naming the nearest key that it
+//! does. A `"mesh"` with a zero dimension or more than
+//! [`MAX_MESH_TILES`](crate::MAX_MESH_TILES) tiles is refused as soon as
+//! it is decoded, before anything is sized by it.
+//!
 //! # Responses
 //!
 //! Every response is an object with `"ok"`. Terminal job states carry
@@ -57,8 +65,10 @@
 //! [`EvaluateResult`]: crate::job::EvaluateResult
 
 use crate::job::{
-    CacheTier, EvaluateRequest, JobId, JobRequest, JobResult, JobState, Priority, SolveRequest,
+    check_mesh, CacheTier, EvaluateRequest, JobId, JobRequest, JobResult, JobState, Priority,
+    SolveRequest,
 };
+use crate::names::{self, check_keys};
 use crate::service::ServiceHandle;
 use noc_energy::Technology;
 use noc_model::{Cdcg, FaultSet, Link, Mapping, Mesh, RoutingKind, TileId};
@@ -120,7 +130,7 @@ fn solve_to_value(req: &SolveRequest) -> Value {
         ("mesh".to_owned(), req.mesh.to_value()),
         (
             "strategy".to_owned(),
-            Value::Str(strategy_name(req.strategy).to_owned()),
+            Value::Str(req.strategy.name().to_owned()),
         ),
         ("method".to_owned(), req.method.to_value()),
         ("tech".to_owned(), req.tech.to_value()),
@@ -163,16 +173,60 @@ fn evaluate_to_value(req: &EvaluateRequest) -> Value {
     ])
 }
 
-fn strategy_name(strategy: noc_mapping::Strategy) -> &'static str {
-    match strategy {
-        noc_mapping::Strategy::Cwm => "cwm",
-        noc_mapping::Strategy::Cdcm => "cdcm",
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Decoding (server side)
 // ---------------------------------------------------------------------------
+
+/// The keys of a request line: what [`encode_submit`] and [`encode_op`]
+/// write.
+const REQUEST_KEYS: [&str; 3] = ["op", "priority", "job"];
+
+/// The keys of a solve job: what [`encode_submit`] writes, plus
+/// `app_text`.
+const SOLVE_KEYS: [&str; 16] = [
+    "kind",
+    "app",
+    "app_text",
+    "mesh",
+    "strategy",
+    "method",
+    "tech",
+    "params",
+    "routing",
+    "faults",
+    "route_cache",
+    "pins",
+    "sa_config",
+    "criticality",
+    "fault_evals",
+    "seed",
+];
+
+/// The keys of an evaluate job: what [`encode_submit`] writes, plus
+/// `app_text`.
+const EVALUATE_KEYS: [&str; 9] = [
+    "kind", "app", "app_text", "mesh", "mapping", "tech", "params", "routing", "gantt",
+];
+
+/// Rejects a key of the object `value` that is not in `known`, naming
+/// the nearest one that is.
+fn check_fields(value: &Value, known: &[&'static str], place: &str) -> Result<(), String> {
+    let keys = value.as_map().unwrap_or_default().iter();
+    check_keys(keys.map(|(key, _)| key.as_str()), known, "key", place).map_err(|e| e.to_string())
+}
+
+/// Decodes a job's `mesh` and checks its size before anything is sized
+/// by it.
+fn parse_mesh(value: &Value, kind: &str) -> Result<Mesh, String> {
+    let mesh = de(
+        value
+            .get_field("mesh")
+            .ok_or_else(|| format!("{kind} needs `mesh`"))?,
+        "mesh",
+    )?;
+    check_mesh(&mesh)?;
+    Ok(mesh)
+}
 
 fn de<T: for<'de> Deserialize<'de>>(value: &Value, what: &str) -> Result<T, String> {
     T::from_value(value).map_err(|e| format!("bad `{what}`: {e}"))
@@ -204,11 +258,7 @@ fn parse_app(value: &Value) -> Result<Cdcg, String> {
 fn parse_strategy(value: &Value) -> Result<noc_mapping::Strategy, String> {
     match value.get_field("strategy") {
         None | Some(Value::Null) => Ok(noc_mapping::Strategy::Cdcm),
-        Some(Value::Str(s)) => match s.to_ascii_lowercase().as_str() {
-            "cwm" => Ok(noc_mapping::Strategy::Cwm),
-            "cdcm" => Ok(noc_mapping::Strategy::Cdcm),
-            other => Err(format!("unknown strategy `{other}` (cwm|cdcm)")),
-        },
+        Some(Value::Str(s)) => names::strategy(s).map_err(|e| e.to_string()),
         Some(v) => de(v, "strategy"),
     }
 }
@@ -216,12 +266,7 @@ fn parse_strategy(value: &Value) -> Result<noc_mapping::Strategy, String> {
 fn parse_tech(value: &Value) -> Result<Technology, String> {
     match value.get_field("tech") {
         None | Some(Value::Null) => Ok(Technology::t007()),
-        Some(Value::Str(s)) => match s.trim_end_matches("um") {
-            "paper" => Ok(Technology::paper_example()),
-            "0.35" => Ok(Technology::t035()),
-            "0.07" => Ok(Technology::t007()),
-            other => Err(format!("unknown technology `{other}` (paper|0.35|0.07)")),
-        },
+        Some(Value::Str(s)) => names::technology(s).map_err(|e| e.to_string()),
         Some(v) => de(v, "tech"),
     }
 }
@@ -229,8 +274,7 @@ fn parse_tech(value: &Value) -> Result<Technology, String> {
 fn parse_routing(value: &Value) -> Result<RoutingKind, String> {
     match value.get_field("routing") {
         None | Some(Value::Null) => Ok(RoutingKind::Xy),
-        Some(Value::Str(s)) => RoutingKind::from_name(s)
-            .ok_or_else(|| format!("unknown routing `{s}` (xy|yx|torus-xy|xyz|torus-xyz)")),
+        Some(Value::Str(s)) => names::routing(s).map_err(|e| e.to_string()),
         Some(v) => Err(format!("bad `routing`: expected string, got {v:?}")),
     }
 }
@@ -257,11 +301,9 @@ fn parse_faults(value: &Value) -> Result<FaultSet, String> {
 }
 
 fn parse_solve(value: &Value) -> Result<SolveRequest, String> {
+    check_fields(value, &SOLVE_KEYS, "in a solve job")?;
     let app = parse_app(value)?;
-    let mesh: Mesh = de(
-        value.get_field("mesh").ok_or("a solve job needs `mesh`")?,
-        "mesh",
-    )?;
+    let mesh = parse_mesh(value, "a solve job")?;
     let method = de(
         value
             .get_field("method")
@@ -288,13 +330,9 @@ fn parse_solve(value: &Value) -> Result<SolveRequest, String> {
 }
 
 fn parse_evaluate(value: &Value) -> Result<EvaluateRequest, String> {
+    check_fields(value, &EVALUATE_KEYS, "in an evaluate job")?;
     let app = parse_app(value)?;
-    let mesh: Mesh = de(
-        value
-            .get_field("mesh")
-            .ok_or("an evaluate job needs `mesh`")?,
-        "mesh",
-    )?;
+    let mesh = parse_mesh(value, "an evaluate job")?;
     let tiles: Vec<u64> = de(
         value
             .get_field("mapping")
@@ -329,12 +367,7 @@ pub fn parse_job(value: &Value) -> Result<JobRequest, String> {
 fn parse_priority(value: &Value) -> Result<Priority, String> {
     match value.get_field("priority") {
         None | Some(Value::Null) => Ok(Priority::Normal),
-        Some(Value::Str(s)) => match s.as_str() {
-            "high" => Ok(Priority::High),
-            "normal" => Ok(Priority::Normal),
-            "low" => Ok(Priority::Low),
-            other => Err(format!("unknown priority `{other}` (high|normal|low)")),
-        },
+        Some(Value::Str(s)) => names::priority(s).map_err(|e| e.to_string()),
         Some(v) => Err(format!("bad `priority`: expected string, got {v:?}")),
     }
 }
@@ -417,6 +450,9 @@ pub fn handle_line(handle: &ServiceHandle, line: &str) -> Reply {
         Ok(v) => v,
         Err(e) => return Reply::respond(error_line(&format!("bad request: {e}"))),
     };
+    if let Err(e) = check_fields(&value, &REQUEST_KEYS, "in a request") {
+        return Reply::respond(error_line(&e));
+    }
     let op = match value.get_field("op") {
         Some(Value::Str(op)) => op.clone(),
         _ => return Reply::respond(error_line("request needs `op`")),
@@ -849,6 +885,64 @@ mod tests {
         let reply = handle_line(&service.handle(), &encode_op("shutdown", None));
         assert!(reply.shutdown);
         assert!(reply.line.contains("\"ok\":true"));
+    }
+
+    /// `line` with its first `"mesh":{…}` object replaced by `mesh`.
+    fn with_mesh(line: &str, mesh: &str) -> String {
+        let start = line.find("\"mesh\":").expect("a job line has a mesh");
+        let end = start + line[start..].find('}').expect("the mesh object closes");
+        format!("{}\"mesh\":{mesh}{}", &line[..start], &line[end + 1..])
+    }
+
+    #[test]
+    fn empty_and_oversized_meshes_are_refused_at_decode() {
+        let service = service();
+        let handle = service.handle();
+        let evaluate = JobRequest::Evaluate(Box::new(EvaluateRequest {
+            app: noc_apps::paper_example::figure1_cdcg(),
+            mesh: noc_apps::paper_example::mesh_2x2(),
+            mapping: noc_apps::paper_example::mapping_c(),
+            tech: Technology::paper_example(),
+            params: SimParams::new(),
+            routing: RoutingKind::Xy,
+            gantt: false,
+        }));
+        for job in [solve_request(), evaluate] {
+            let line = encode_submit(&job, Priority::Normal);
+            assert!(handle_line(&handle, &line).line.contains("\"ok\":true"));
+            for (mesh, error) in [
+                (
+                    "{\"width\":0,\"height\":2,\"depth\":1}",
+                    "mesh must have at least one tile",
+                ),
+                (
+                    "{\"width\":2,\"height\":2,\"depth\":0}",
+                    "mesh must have at least one tile",
+                ),
+                // 16 million tiles: a mapping of it alone would take
+                // 256 MB.
+                (
+                    "{\"width\":4000,\"height\":4000,\"depth\":1}",
+                    "mesh 4000x4000x1 exceeds the limit of 65536 tiles",
+                ),
+                // The product overflows a 64-bit tile count.
+                (
+                    "{\"width\":4294967296,\"height\":4294967296,\"depth\":1}",
+                    "mesh 4294967296x4294967296x1 exceeds the limit of 65536 tiles",
+                ),
+            ] {
+                let reply = handle_line(&handle, &with_mesh(&line, mesh));
+                assert!(
+                    reply.line.contains("\"ok\":false"),
+                    "{mesh}: {}",
+                    reply.line
+                );
+                assert!(reply.line.contains(error), "{mesh}: {}", reply.line);
+            }
+        }
+        // Only the two well-formed submissions became jobs.
+        let stats = handle_line(&handle, &encode_op("stats", None));
+        assert!(stats.line.contains("\"submitted\":2"), "{}", stats.line);
     }
 
     #[test]

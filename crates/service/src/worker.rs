@@ -9,7 +9,8 @@
 //! counters are the observable evidence of reuse.
 
 use crate::job::{
-    CacheTier, EvaluateRequest, EvaluateResult, JobRequest, JobResult, SolveRequest, SolveResult,
+    check_mesh, CacheTier, EvaluateRequest, EvaluateResult, JobRequest, JobResult, SolveRequest,
+    SolveResult,
 };
 use crate::registry::ProviderRegistry;
 use noc_energy::total::evaluate_cdcm_with;
@@ -22,14 +23,10 @@ use noc_sim::gantt::GanttChart;
 use noc_sim::{schedule_cost_with, ScheduleScratch, SimParams};
 use std::sync::Arc;
 
-/// The largest mesh a job may name: 256×256 tiles, 16 times the largest
-/// mesh of the benchmark workloads. The engine sizes its per-link tables
-/// by the mesh, not by the application, so this bounds a job's memory.
-const MAX_MESH_TILES: usize = 65_536;
-
 /// Rejects, before any engine runs, a job with a zero flit width, a
 /// clock period that is not finite and positive, more than
-/// [`MAX_MESH_TILES`] tiles, or a worst-case horizon beyond `u64`.
+/// [`MAX_MESH_TILES`](crate::MAX_MESH_TILES) tiles ([`check_mesh`]), or
+/// a worst-case horizon beyond `u64`.
 ///
 /// The horizon is Σ_p comp_p + (tiles + 1)·(flits_p·tl + tl + 2·tr).
 /// Every event time of a run is at most `texec`, and each cycle before
@@ -48,13 +45,7 @@ fn admit(app: &Cdcg, mesh: &Mesh, params: &SimParams) -> Result<(), String> {
             "params.clock_period_ns must be finite and positive, got {clock}"
         ));
     }
-    let (w, h, d) = (mesh.width(), mesh.height(), mesh.depth());
-    let tiles = w.checked_mul(h).and_then(|t| t.checked_mul(d));
-    let Some(tiles) = tiles.filter(|&t| t <= MAX_MESH_TILES) else {
-        return Err(format!(
-            "mesh {w}x{h}x{d} exceeds the limit of {MAX_MESH_TILES} tiles"
-        ));
-    };
+    let tiles = check_mesh(mesh)?;
     let (tl, tr) = (params.link_cycles, params.routing_cycles);
     let horizon = app.packet_ids().try_fold(0u64, |sum, id| {
         let p = app.packet(id);
