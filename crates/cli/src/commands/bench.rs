@@ -7,9 +7,6 @@ use noc_service::{
 };
 use std::fmt::Write as _;
 
-/// The flags `bench` reads.
-pub(crate) const FLAGS: &[&[&str]] = &[&["--jobs", "--workers", "--evals", "--app", "--mesh"]];
-
 /// `bench`: submit a batch of seeded solve jobs to one service instance
 /// and report throughput, registry reuse and scratch pooling. The
 /// per-job results are deterministic; the timing lines are wall clock.

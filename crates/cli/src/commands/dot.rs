@@ -3,9 +3,6 @@
 use crate::options::{emit, load_app, Options};
 use crate::CliError;
 
-/// The flags `dot` reads.
-pub(crate) const FLAGS: &[&[&str]] = &[&["--app", "--graph", "--cwg", "--out"]];
-
 /// `dot`: Graphviz export of the CDCG (default) or collapsed CWG.
 ///
 /// # Errors

@@ -3,12 +3,9 @@
 use crate::commands::run_job;
 use crate::options::Options;
 use crate::render::render_evaluate;
-use crate::request::{build_evaluate_request, EVALUATE_FLAGS};
+use crate::request::build_evaluate_request;
 use crate::CliError;
 use noc_service::JobRequest;
-
-/// The flags `evaluate` reads.
-pub(crate) const FLAGS: &[&[&str]] = &[EVALUATE_FLAGS, &["--workers"]];
 
 /// `evaluate`: score one explicit mapping (optionally with a Gantt
 /// chart) through the service layer.

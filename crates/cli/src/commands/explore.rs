@@ -1,13 +1,10 @@
 //! `explore`: fan one instance out across search methods concurrently.
 
 use crate::options::Options;
-use crate::request::{build_solve_request_with_method, SOLVE_FLAGS};
+use crate::request::build_solve_request_with_method;
 use crate::CliError;
 use noc_service::{JobRequest, JobState, MappingService, Priority, ServiceConfig, SolveResult};
 use std::fmt::Write as _;
-
-/// The flags `explore` reads.
-pub(crate) const FLAGS: &[&[&str]] = &[SOLVE_FLAGS, &["--methods", "--workers"]];
 
 /// `explore`: run several search methods over the same instance as
 /// concurrent service jobs and tabulate the outcomes. Every method

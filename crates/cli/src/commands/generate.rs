@@ -3,16 +3,6 @@
 use crate::options::{emit, Options};
 use crate::CliError;
 
-/// The flags `generate` reads.
-pub(crate) const FLAGS: &[&[&str]] = &[&[
-    "--cores",
-    "--packets",
-    "--bits",
-    "--seed",
-    "--paper-example",
-    "--out",
-]];
-
 /// `generate`: produce a TGFF-style application (or the paper example).
 ///
 /// # Errors

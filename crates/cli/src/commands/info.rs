@@ -4,9 +4,6 @@ use crate::options::{load_app, Options};
 use crate::CliError;
 use std::fmt::Write as _;
 
-/// The flags `info` reads.
-pub(crate) const FLAGS: &[&[&str]] = &[&["--app"]];
-
 /// `info`: summarize an application graph.
 ///
 /// # Errors

@@ -3,9 +3,6 @@
 use crate::options::Options;
 use crate::CliError;
 
-/// The flags `metrics` reads.
-pub(crate) const FLAGS: &[&[&str]] = &[&["--socket", "--json"]];
-
 /// `metrics`: ask a running `noc-cli serve` instance for its metrics
 /// via the `metrics` socket op. By default prints the Prometheus text
 /// exposition; `--json` prints the raw JSON reply (exposition plus the

@@ -33,27 +33,33 @@ use crate::options::Options;
 use crate::CliError;
 use noc_service::{JobRequest, JobResult, JobState, MappingService, Priority, ServiceConfig};
 
-/// A subcommand: its entry point and the flags it reads (in groups).
-pub(crate) type Command = (
+/// A subcommand: its entry point and the flags it reads, in groups of
+/// whitespace-separated names.
+type Command = (
     fn(&Options) -> Result<String, CliError>,
-    &'static [&'static [&'static str]],
+    &'static [&'static str],
 );
 
 /// The subcommand called `name`, if there is one.
 pub(crate) fn command(name: &str) -> Option<Command> {
+    use crate::request::{EVALUATE_FLAGS as EVALUATE, SOLVE_FLAGS as SOLVE};
+    const SUBMIT: &str = "--socket --op --job --priority --wait --method";
     Some(match name {
-        "generate" => (cmd_generate, generate::FLAGS),
-        "info" => (cmd_info, info::FLAGS),
-        "map" | "solve" => (cmd_map, solve::FLAGS),
-        "evaluate" => (cmd_evaluate, evaluate::FLAGS),
-        "explore" => (cmd_explore, explore::FLAGS),
-        "bench" => (cmd_bench, bench::FLAGS),
-        "serve" => (cmd_serve, serve::FLAGS),
-        "submit" => (cmd_submit, submit::FLAGS),
-        "metrics" => (cmd_metrics, metrics::FLAGS),
-        "watch" => (cmd_watch, watch::FLAGS),
-        "suite" => (cmd_suite, suite::FLAGS),
-        "dot" => (cmd_dot, dot::FLAGS),
+        "generate" => (
+            cmd_generate,
+            &["--cores --packets --bits --seed --paper-example --out"],
+        ),
+        "info" => (cmd_info, &["--app"]),
+        "map" | "solve" => (cmd_map, &[SOLVE, "--method --workers --trace --telemetry"]),
+        "evaluate" => (cmd_evaluate, &[EVALUATE, "--workers"]),
+        "explore" => (cmd_explore, &[SOLVE, "--methods --workers"]),
+        "bench" => (cmd_bench, &["--jobs --workers --evals --app --mesh"]),
+        "serve" => (cmd_serve, &["--socket --workers --trace"]),
+        "submit" => (cmd_submit, &[SUBMIT, SOLVE, EVALUATE]),
+        "metrics" => (cmd_metrics, &["--socket --json"]),
+        "watch" => (cmd_watch, &["--socket --count"]),
+        "suite" => (cmd_suite, &["--row --out"]),
+        "dot" => (cmd_dot, &["--app --graph --cwg --out"]),
         _ => return None,
     })
 }

@@ -3,9 +3,6 @@
 use crate::options::Options;
 use crate::CliError;
 
-/// The flags `serve` reads.
-pub(crate) const FLAGS: &[&[&str]] = &[&["--socket", "--workers", "--trace"]];
-
 /// `serve`: start a service instance and speak the line-oriented JSON
 /// protocol over a Unix domain socket until a `shutdown` op arrives.
 /// Pending jobs drain before the process returns. `--trace FILE`

@@ -3,15 +3,9 @@
 use crate::commands::{run_job_with_config, service_config};
 use crate::options::Options;
 use crate::render::render_solve;
-use crate::request::{build_solve_request, SOLVE_FLAGS};
+use crate::request::build_solve_request;
 use crate::CliError;
 use noc_service::JobRequest;
-
-/// The flags `map` reads.
-pub(crate) const FLAGS: &[&[&str]] = &[
-    SOLVE_FLAGS,
-    &["--method", "--workers", "--trace", "--telemetry"],
-];
 
 /// `map` (alias `solve`): search the best mapping for an application.
 /// Builds a solve request, runs it through the service layer and

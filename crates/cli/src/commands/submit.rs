@@ -1,22 +1,7 @@
 //! `submit`: client side of the Unix-socket protocol.
 
 use crate::options::Options;
-use crate::request::{EVALUATE_FLAGS, SOLVE_FLAGS};
 use crate::CliError;
-
-/// The flags `submit` reads: its own, plus a solve or evaluate job's.
-pub(crate) const FLAGS: &[&[&str]] = &[
-    &[
-        "--socket",
-        "--op",
-        "--job",
-        "--priority",
-        "--wait",
-        "--method",
-    ],
-    SOLVE_FLAGS,
-    EVALUATE_FLAGS,
-];
 
 /// `submit`: send one request to a running `noc-cli serve` instance and
 /// print the JSON reply. Without `--op`, the solve/evaluate flags build

@@ -4,9 +4,6 @@ use crate::options::{emit, Options};
 use crate::CliError;
 use std::fmt::Write as _;
 
-/// The flags `suite` reads.
-pub(crate) const FLAGS: &[&[&str]] = &[&["--row", "--out"]];
-
 /// `suite`: list the Table 1 benchmarks or export one as JSON.
 ///
 /// # Errors

@@ -3,9 +3,6 @@
 use crate::options::Options;
 use crate::CliError;
 
-/// The flags `watch` reads.
-pub(crate) const FLAGS: &[&[&str]] = &[&["--socket", "--count"]];
-
 /// `watch`: subscribe to a running `noc-cli serve` instance via the
 /// `watch` socket op and print every service event as one JSON line,
 /// live, as jobs move through the queue (submit, start, per-round

@@ -49,7 +49,7 @@ pub use options::{
 };
 pub use request::{
     build_evaluate_request, build_solve_request, build_solve_request_with_method, parse_method,
-    parse_priority, parse_strategy, sa_profile,
+    parse_priority, sa_profile,
 };
 
 use std::error::Error;

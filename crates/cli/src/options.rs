@@ -96,28 +96,23 @@ impl Options {
 
 /// Checks that every option of `args` (each argument that starts with
 /// `--`; no option value does) is one of `known`, the flags subcommand
-/// `command` reads, in groups. Runs before [`Options::parse`], so a
-/// misspelled bare flag is named too, not taken for a key without a
-/// value.
+/// `command` reads. Runs before [`Options::parse`], so a misspelled bare
+/// flag is named too, not taken for a key without a value.
 ///
 /// # Errors
 ///
-/// Names the first option that is not known, and the nearest one that
-/// is.
+/// [`names::UnknownKey`] for the first unknown option.
 pub fn check_options(
     args: &[String],
     command: &str,
-    known: &[&[&'static str]],
+    known: &[&'static str],
 ) -> Result<(), CliError> {
-    let options = args.iter().filter(|arg| arg.starts_with("--"));
+    let options = args
+        .iter()
+        .map(String::as_str)
+        .filter(|a| a.starts_with("--"));
     let place = format!("for `noc-cli {command}`");
-    names::check_keys(
-        options.map(String::as_str),
-        &known.concat(),
-        "option",
-        &place,
-    )?;
-    Ok(())
+    Ok(names::check_keys(options, known, "option", &place)?)
 }
 
 /// Parses `WxH` or `WxHxD` mesh syntax (e.g. `3x2`, `4x4x4`).

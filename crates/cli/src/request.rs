@@ -13,47 +13,18 @@ use crate::options::{
 use crate::CliError;
 use noc_service::{
     names, AdaptiveConfig, CacheTier, Crossover, EvaluateRequest, GaConfig, PortfolioConfig,
-    Priority, RestartBudget, SaConfig, SearchMethod, SolveRequest, Strategy, TabuConfig,
+    Priority, RestartBudget, SaConfig, SearchMethod, SolveRequest, TabuConfig,
 };
 use noc_sim::SimParams;
 
 /// The flags [`build_solve_request_with_method`] reads: the instance,
 /// the SA profile, every method's tuning flags, pins and faults.
-pub(crate) const SOLVE_FLAGS: &[&str] = &[
-    "--app",
-    "--mesh",
-    "--depth",
-    "--strategy",
-    "--tech",
-    "--routing",
-    "--route-cache",
-    "--seed",
-    "--quick",
-    "--evals",
-    "--restarts",
-    "--population",
-    "--rounds",
-    "--crossover",
-    "--tenure",
-    "--neighborhood",
-    "--pin",
-    "--faults",
-    "--fault-kind",
-    "--fault-seed",
-    "--fault-evals",
-    "--robustness-report",
-];
+pub(crate) const SOLVE_FLAGS: &str = "--app --mesh --depth --strategy --tech --routing \
+    --route-cache --seed --quick --evals --restarts --population --rounds --crossover --tenure \
+    --neighborhood --pin --faults --fault-kind --fault-seed --fault-evals --robustness-report";
 
 /// The flags [`build_evaluate_request`] reads.
-pub(crate) const EVALUATE_FLAGS: &[&str] = &[
-    "--app",
-    "--mesh",
-    "--depth",
-    "--mapping",
-    "--tech",
-    "--routing",
-    "--gantt",
-];
+pub(crate) const EVALUATE_FLAGS: &str = "--app --mesh --depth --mapping --tech --routing --gantt";
 
 /// Parses a `--priority` class name (`high`, `normal`, `low`) through
 /// [`Priority::from_name`].
@@ -63,16 +34,6 @@ pub(crate) const EVALUATE_FLAGS: &[&str] = &[
 /// Returns an error for unknown names.
 pub fn parse_priority(name: &str) -> Result<Priority, CliError> {
     Ok(names::priority(name)?)
-}
-
-/// Parses a `--strategy` name (`cwm`, `cdcm`) through
-/// [`Strategy::from_name`].
-///
-/// # Errors
-///
-/// Returns an error for unknown names.
-pub fn parse_strategy(name: &str) -> Result<Strategy, CliError> {
-    Ok(names::strategy(name)?)
 }
 
 /// The SA profile shared by every method: `--quick` picks the short
@@ -221,7 +182,7 @@ pub fn build_solve_request_with_method(
     }
 
     let mut request = SolveRequest::new(app, mesh, method);
-    request.strategy = parse_strategy(options.get("--strategy").unwrap_or("cdcm"))?;
+    request.strategy = names::strategy(options.get("--strategy").unwrap_or("cdcm"))?;
     request.tech = parse_technology(options.get("--tech").unwrap_or("0.07"))?;
     request.params = SimParams::new();
     request.routing = parse_routing(options.get("--routing").unwrap_or("xy"))?;

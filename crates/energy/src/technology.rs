@@ -79,10 +79,9 @@ impl Technology {
         }
     }
 
-    /// Resolves a technology name: `paper` (or `paper-example`), `0.35`
-    /// (or `350`) and `0.07` (or `70`), each optionally suffixed `um`,
-    /// ignoring surrounding whitespace and ASCII case. `None` for any
-    /// other name.
+    /// Resolves `paper` (or `paper-example`), `0.35` (or `350`) and `0.07`
+    /// (or `70`), optionally suffixed `um`, ignoring surrounding
+    /// whitespace and ASCII case.
     pub fn from_name(name: &str) -> Option<Self> {
         match name.trim().to_ascii_lowercase().trim_end_matches("um") {
             "paper" | "paper-example" => Some(Self::paper_example()),

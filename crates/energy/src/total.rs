@@ -321,16 +321,8 @@ impl<'a> CdcmCostEvaluator<'a> {
         batch: &[Mapping],
         out: &mut Vec<CdcmCost>,
     ) -> Result<(), SimError> {
-        let len = out.len();
-        for mapping in batch {
-            match self.evaluate(mapping) {
-                Ok(cost) => out.push(cost),
-                Err(e) => {
-                    out.truncate(len);
-                    return Err(e);
-                }
-            }
-        }
+        let costs: Result<Vec<CdcmCost>, _> = batch.iter().map(|m| self.evaluate(m)).collect();
+        out.extend(costs?);
         Ok(())
     }
 

@@ -46,7 +46,7 @@ impl Strategy {
         }
     }
 
-    /// Request name: `cwm` or `cdcm`.
+    /// Request name: the lowercase label.
     pub fn name(self) -> &'static str {
         match self {
             Self::Cwm => "cwm",

@@ -198,7 +198,8 @@ pub struct Mesh {
     depth: usize,
 }
 
-/// The serialized fields of a [`Mesh`], before [`Mesh::new3`] checks them.
+/// The serialized fields of a [`Mesh`]: it decodes through
+/// [`Mesh::new3`], so a decoded mesh has no zero dimension either.
 #[derive(Deserialize)]
 struct MeshFields {
     width: usize,
@@ -206,13 +207,10 @@ struct MeshFields {
     depth: usize,
 }
 
-/// Decodes through [`Mesh::new3`], so a decoded mesh has no zero
-/// dimension either.
 impl<'de> Deserialize<'de> for Mesh {
     fn from_value(value: &serde::Value) -> Result<Self, serde::DeserializeError> {
-        let fields = MeshFields::from_value(value)?;
-        Mesh::new3(fields.width, fields.height, fields.depth)
-            .map_err(serde::DeserializeError::custom)
+        let m = MeshFields::from_value(value)?;
+        Mesh::new3(m.width, m.height, m.depth).map_err(serde::DeserializeError::custom)
     }
 }
 

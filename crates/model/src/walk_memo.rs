@@ -41,18 +41,6 @@ pub struct WalkMemoStats {
     pub evictions: u64,
 }
 
-impl WalkMemoStats {
-    /// Fraction of lookups served locally (`0.0` when idle).
-    pub fn hit_ratio(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
 /// Default arena budget in link ids (4 MiB): at a typical 10–60-entry
 /// walk this memoizes tens of thousands of distinct pairs, far beyond
 /// one evaluation.

@@ -87,14 +87,13 @@ impl Priority {
 pub const MAX_MESH_TILES: usize = 65_536;
 
 /// The tile count of `mesh`, if it has at most [`MAX_MESH_TILES`] tiles.
-/// Both surfaces call this as soon as they know the mesh, before
-/// anything is sized by it (a mapping holds one slot per tile), and the
-/// worker calls it again before a job runs.
+/// The CLI and the wire call this before anything is sized by the mesh,
+/// and the worker again before a job runs.
 ///
 /// # Errors
 ///
-/// Names the mesh and the limit when the checked product
-/// `width · height · depth` exceeds it or overflows.
+/// Names the mesh and the limit when `width · height · depth` exceeds it
+/// (or overflows).
 pub fn check_mesh(mesh: &Mesh) -> Result<usize, String> {
     let (w, h, d) = (mesh.width(), mesh.height(), mesh.depth());
     w.checked_mul(h)

@@ -1,15 +1,9 @@
 //! The names and keys of a request, shared by the CLI flags and the
-//! socket decoder, so both surfaces accept the same spellings and
-//! reject the same mistakes with the same text.
-//!
-//! * Names: one lookup per request enum over that type's own
-//!   `from_name` table ([`Technology::from_name`],
-//!   [`Strategy::from_name`], [`Priority::from_name`],
-//!   [`RoutingKind::from_name`]; route-cache tiers have
-//!   [`CacheTier::from_name`](crate::CacheTier::from_name)). An unknown
-//!   name is an [`UnknownName`].
-//! * Keys: [`check_keys`] rejects a key (a CLI flag, a JSON field) that
-//!   the request does not read, naming the nearest key it does read.
+//! socket decoder so that both accept the same spellings and refuse the
+//! same mistakes with the same text: one lookup per request enum over
+//! that type's own `from_name` table (route-cache tiers have
+//! [`CacheTier::from_name`](crate::CacheTier::from_name)), and
+//! [`check_keys`], which refuses a key the request does not read.
 
 use crate::job::Priority;
 use noc_energy::Technology;
@@ -17,161 +11,78 @@ use noc_mapping::Strategy;
 use noc_model::RoutingKind;
 use std::fmt;
 
-/// A name that no `from_name` table lists, e.g. ``unknown technology
-/// `5nm` (paper|0.35|0.07)``.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct UnknownName {
-    /// What the name was for: `technology`, `strategy`, `priority` or
-    /// `routing`.
-    pub what: &'static str,
-    /// The name as given, without surrounding whitespace.
-    pub name: String,
-    /// The accepted names, `|`-separated.
-    pub expected: &'static str,
+fn lookup<T>(found: Option<T>, what: &str, name: &str, expected: &str) -> Result<T, String> {
+    found.ok_or_else(|| format!("unknown {what} `{}` ({expected})", name.trim()))
 }
 
-impl fmt::Display for UnknownName {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "unknown {} `{}` ({})",
-            self.what, self.name, self.expected
-        )
-    }
+/// [`Technology::from_name`]; an unknown name gets ``unknown technology
+/// `NAME` (paper|0.35|0.07)``.
+pub fn technology(name: &str) -> Result<Technology, String> {
+    let found = Technology::from_name(name);
+    lookup(found, "technology", name, "paper|0.35|0.07")
 }
 
-impl std::error::Error for UnknownName {}
-
-fn named<T>(
-    found: Option<T>,
-    what: &'static str,
-    name: &str,
-    expected: &'static str,
-) -> Result<T, UnknownName> {
-    found.ok_or_else(|| UnknownName {
-        what,
-        name: name.trim().to_owned(),
-        expected,
-    })
+/// [`Strategy::from_name`]; an unknown name gets ``unknown strategy
+/// `NAME` (cwm|cdcm)``.
+pub fn strategy(name: &str) -> Result<Strategy, String> {
+    lookup(Strategy::from_name(name), "strategy", name, "cwm|cdcm")
 }
 
-/// [`Technology::from_name`].
-///
-/// # Errors
-///
-/// [`UnknownName`] for a name the table does not list.
-pub fn technology(name: &str) -> Result<Technology, UnknownName> {
-    named(
-        Technology::from_name(name),
-        "technology",
-        name,
-        "paper|0.35|0.07",
-    )
+/// [`Priority::from_name`]; an unknown name gets ``unknown priority
+/// `NAME` (high|normal|low)``.
+pub fn priority(name: &str) -> Result<Priority, String> {
+    let found = Priority::from_name(name);
+    lookup(found, "priority", name, "high|normal|low")
 }
 
-/// [`Strategy::from_name`].
-///
-/// # Errors
-///
-/// [`UnknownName`] for a name the table does not list.
-pub fn strategy(name: &str) -> Result<Strategy, UnknownName> {
-    named(Strategy::from_name(name), "strategy", name, "cwm|cdcm")
-}
-
-/// [`Priority::from_name`].
-///
-/// # Errors
-///
-/// [`UnknownName`] for a name the table does not list.
-pub fn priority(name: &str) -> Result<Priority, UnknownName> {
-    named(
-        Priority::from_name(name),
-        "priority",
-        name,
-        "high|normal|low",
-    )
-}
-
-/// [`RoutingKind::from_name`].
-///
-/// # Errors
-///
-/// [`UnknownName`] for a name the table does not list.
-pub fn routing(name: &str) -> Result<RoutingKind, UnknownName> {
-    named(
-        RoutingKind::from_name(name),
-        "routing",
-        name,
-        "xy|yx|torus-xy|xyz|torus-xyz",
-    )
+/// [`RoutingKind::from_name`]; an unknown name gets ``unknown routing
+/// `NAME` (xy|yx|torus-xy|xyz|torus-xyz)``.
+pub fn routing(name: &str) -> Result<RoutingKind, String> {
+    let found = RoutingKind::from_name(name);
+    lookup(found, "routing", name, "xy|yx|torus-xy|xyz|torus-xyz")
 }
 
 /// A key that the request it came with does not read, e.g. ``unknown
 /// key `sed` in a solve job; did you mean `seed`?``.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct UnknownKey {
-    /// `option` for a CLI flag, `key` for a JSON field.
-    pub noun: &'static str,
-    /// The key as given.
-    pub key: String,
-    /// Where it was given, e.g. ``for `noc-cli map` `` or `in a solve job`.
-    pub place: String,
-    /// The known key nearest to it.
-    pub nearest: &'static str,
-}
+pub struct UnknownKey(pub String);
 
 impl fmt::Display for UnknownKey {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "unknown {} `{}` {}; did you mean `{}`?",
-            self.noun, self.key, self.place, self.nearest
-        )
+        f.write_str(&self.0)
     }
 }
 
 impl std::error::Error for UnknownKey {}
 
-/// Checks that each of `keys` is one of `known`.
+/// Checks that each of `keys` is one of `known`, whose entries each hold
+/// whitespace-separated keys; `noun` (`option`, `key`) and `place`
+/// (``for `noc-cli map` ``, `in a solve job`) word the error. It names
+/// the first unknown key and the known key nearest to it: the first one
+/// it abbreviates, else the one the fewest one-character edits away.
 ///
 /// # Errors
 ///
-/// [`UnknownKey`] for the first key that is not, naming the nearest of
-/// `known`.
+/// [`UnknownKey`] for the first key that is not known.
 ///
 /// # Panics
 ///
-/// Panics if `known` is empty.
+/// Panics if `known` holds no key.
 pub fn check_keys<'k>(
     keys: impl IntoIterator<Item = &'k str>,
     known: &[&'static str],
-    noun: &'static str,
+    noun: &str,
     place: &str,
 ) -> Result<(), UnknownKey> {
-    match keys.into_iter().find(|key| !known.contains(key)) {
-        None => Ok(()),
-        Some(key) => Err(UnknownKey {
-            noun,
-            key: key.to_owned(),
-            place: place.to_owned(),
-            nearest: nearest(key, known).expect("a request reads at least one key"),
-        }),
-    }
-}
-
-/// The entry of `known` nearest to `key`: the first one that `key`
-/// abbreviates (is a prefix of), else the one that takes the fewest
-/// one-character insertions, deletions and substitutions to reach from
-/// `key` (the first of equals). `None` when `known` is empty.
-pub fn nearest(key: &str, known: &[&'static str]) -> Option<&'static str> {
-    let distance = |candidate: &&str| {
-        if candidate.starts_with(key) {
-            0
-        } else {
-            edit_distance(key, candidate)
-        }
+    let known: Vec<&str> = known.iter().flat_map(|k| k.split_whitespace()).collect();
+    let Some(key) = keys.into_iter().find(|key| !known.contains(key)) else {
+        return Ok(());
     };
-    known.iter().copied().min_by_key(distance)
+    let distance = |k: &&str| (!k.starts_with(key)).then(|| edit_distance(key, k));
+    let nearest = known.into_iter().min_by_key(distance).expect("known keys");
+    Err(UnknownKey(format!(
+        "unknown {noun} `{key}` {place}; did you mean `{nearest}`?"
+    )))
 }
 
 /// Levenshtein distance over `char`s, one row at a time.
@@ -205,29 +116,30 @@ mod tests {
     }
 
     #[test]
-    fn nearest_takes_the_first_of_equals() {
-        assert_eq!(nearest("sed", &["seed", "mesh"]), Some("seed"));
-        assert_eq!(nearest("ab", &["ax", "xb"]), Some("ax"));
-        // An abbreviation names the key it abbreviates.
-        assert_eq!(nearest("prio", &["op", "priority"]), Some("priority"));
-        assert_eq!(nearest("x", &[]), None);
-    }
-
-    #[test]
-    fn check_keys_names_the_first_unknown_key() {
-        let known = ["op", "priority", "job"];
+    fn check_keys_names_the_nearest_known_key() {
+        let known = ["op priority", "job"];
         assert!(check_keys(["op", "job"], &known, "key", "in a request").is_ok());
-        let err = check_keys(["op", "prio", "jbo"], &known, "key", "in a request").unwrap_err();
+        let error = |key| {
+            let err = check_keys(["op", key, "jbo"], &known, "key", "in a request");
+            err.unwrap_err().0
+        };
+        // The first unknown key is named, and an abbreviation names the
+        // key it abbreviates.
+        assert!(error("prio").ends_with("`prio` in a request; did you mean `priority`?"));
+        assert!(error("jb").ends_with("did you mean `job`?"));
+        // Otherwise the fewest edits win, the first of equals on a tie.
+        assert!(error("pb").ends_with("did you mean `op`?"));
+        let err = check_keys(["sed"], &["seed mesh"], "key", "in a solve job").unwrap_err();
         assert_eq!(
             err.to_string(),
-            "unknown key `prio` in a request; did you mean `priority`?"
+            "unknown key `sed` in a solve job; did you mean `seed`?"
         );
     }
 
     #[test]
     fn unknown_names_trim_and_list_the_choices() {
         assert_eq!(
-            technology(" 5nm ").unwrap_err().to_string(),
+            technology(" 5nm ").unwrap_err(),
             "unknown technology `5nm` (paper|0.35|0.07)"
         );
         assert_eq!(strategy("CwM").unwrap(), Strategy::Cwm);

@@ -177,42 +177,18 @@ fn evaluate_to_value(req: &EvaluateRequest) -> Value {
 // Decoding (server side)
 // ---------------------------------------------------------------------------
 
-/// The keys of a request line: what [`encode_submit`] and [`encode_op`]
-/// write.
-const REQUEST_KEYS: [&str; 3] = ["op", "priority", "job"];
+/// The keys of a request line, a solve job and an evaluate job: what
+/// [`encode_op`] and [`encode_submit`] write, plus `app_text`.
+const REQUEST_KEYS: &str = "op priority job";
+const SOLVE_KEYS: &str = "kind app app_text mesh strategy method tech params routing faults \
+                          route_cache pins sa_config criticality fault_evals seed";
+const EVALUATE_KEYS: &str = "kind app app_text mesh mapping tech params routing gantt";
 
-/// The keys of a solve job: what [`encode_submit`] writes, plus
-/// `app_text`.
-const SOLVE_KEYS: [&str; 16] = [
-    "kind",
-    "app",
-    "app_text",
-    "mesh",
-    "strategy",
-    "method",
-    "tech",
-    "params",
-    "routing",
-    "faults",
-    "route_cache",
-    "pins",
-    "sa_config",
-    "criticality",
-    "fault_evals",
-    "seed",
-];
-
-/// The keys of an evaluate job: what [`encode_submit`] writes, plus
-/// `app_text`.
-const EVALUATE_KEYS: [&str; 9] = [
-    "kind", "app", "app_text", "mesh", "mapping", "tech", "params", "routing", "gantt",
-];
-
-/// Rejects a key of the object `value` that is not in `known`, naming
-/// the nearest one that is.
-fn check_fields(value: &Value, known: &[&'static str], place: &str) -> Result<(), String> {
+/// Refuses a key of the object `value` that `known` does not list,
+/// naming the nearest one that it does.
+fn check_fields(value: &Value, known: &'static str, place: &str) -> Result<(), String> {
     let keys = value.as_map().unwrap_or_default().iter();
-    check_keys(keys.map(|(key, _)| key.as_str()), known, "key", place).map_err(|e| e.to_string())
+    check_keys(keys.map(|(key, _)| key.as_str()), &[known], "key", place).map_err(|e| e.to_string())
 }
 
 /// Decodes a job's `mesh` and checks its size before anything is sized
@@ -255,27 +231,27 @@ fn parse_app(value: &Value) -> Result<Cdcg, String> {
     }
 }
 
-fn parse_strategy(value: &Value) -> Result<noc_mapping::Strategy, String> {
-    match value.get_field("strategy") {
-        None | Some(Value::Null) => Ok(noc_mapping::Strategy::Cdcm),
-        Some(Value::Str(s)) => names::strategy(s).map_err(|e| e.to_string()),
-        Some(v) => de(v, "strategy"),
+/// The name field `key` of `value`: `default` when absent or null, else
+/// a string resolved by `by_name`.
+fn named<T>(
+    value: &Value,
+    key: &str,
+    default: T,
+    by_name: impl FnOnce(&str) -> Result<T, String>,
+) -> Result<T, String> {
+    match value.get_field(key) {
+        None | Some(Value::Null) => Ok(default),
+        Some(Value::Str(s)) => by_name(s),
+        Some(v) => Err(format!("bad `{key}`: expected string, got {v:?}")),
     }
 }
 
+/// `tech` is a name or a serialized [`Technology`] (what
+/// [`encode_submit`] writes).
 fn parse_tech(value: &Value) -> Result<Technology, String> {
     match value.get_field("tech") {
-        None | Some(Value::Null) => Ok(Technology::t007()),
-        Some(Value::Str(s)) => names::technology(s).map_err(|e| e.to_string()),
-        Some(v) => de(v, "tech"),
-    }
-}
-
-fn parse_routing(value: &Value) -> Result<RoutingKind, String> {
-    match value.get_field("routing") {
-        None | Some(Value::Null) => Ok(RoutingKind::Xy),
-        Some(Value::Str(s)) => names::routing(s).map_err(|e| e.to_string()),
-        Some(v) => Err(format!("bad `routing`: expected string, got {v:?}")),
+        Some(tech @ Value::Map(_)) => de(tech, "tech"),
+        _ => named(value, "tech", Technology::t007(), names::technology),
     }
 }
 
@@ -301,7 +277,7 @@ fn parse_faults(value: &Value) -> Result<FaultSet, String> {
 }
 
 fn parse_solve(value: &Value) -> Result<SolveRequest, String> {
-    check_fields(value, &SOLVE_KEYS, "in a solve job")?;
+    check_fields(value, SOLVE_KEYS, "in a solve job")?;
     let app = parse_app(value)?;
     let mesh = parse_mesh(value, "a solve job")?;
     let method = de(
@@ -311,15 +287,13 @@ fn parse_solve(value: &Value) -> Result<SolveRequest, String> {
         "method",
     )?;
     let mut req = SolveRequest::new(app, mesh, method);
-    req.strategy = parse_strategy(value)?;
+    req.strategy = named(value, "strategy", req.strategy, names::strategy)?;
     req.tech = parse_tech(value)?;
-    req.routing = parse_routing(value)?;
+    req.routing = named(value, "routing", req.routing, names::routing)?;
     req.faults = parse_faults(value)?;
-    req.route_cache = match value.get_field("route_cache") {
-        None | Some(Value::Null) => CacheTier::Auto,
-        Some(Value::Str(s)) => CacheTier::from_name(s).map_err(|e| e.to_string())?,
-        Some(v) => return Err(format!("bad `route_cache`: expected string, got {v:?}")),
-    };
+    req.route_cache = named(value, "route_cache", req.route_cache, |s| {
+        CacheTier::from_name(s).map_err(|e| e.to_string())
+    })?;
     req.params = opt_field(value, "params", req.params)?;
     req.pins = opt_field(value, "pins", None)?;
     req.sa_config = opt_field(value, "sa_config", req.sa_config)?;
@@ -330,7 +304,7 @@ fn parse_solve(value: &Value) -> Result<SolveRequest, String> {
 }
 
 fn parse_evaluate(value: &Value) -> Result<EvaluateRequest, String> {
-    check_fields(value, &EVALUATE_KEYS, "in an evaluate job")?;
+    check_fields(value, EVALUATE_KEYS, "in an evaluate job")?;
     let app = parse_app(value)?;
     let mesh = parse_mesh(value, "an evaluate job")?;
     let tiles: Vec<u64> = de(
@@ -347,7 +321,7 @@ fn parse_evaluate(value: &Value) -> Result<EvaluateRequest, String> {
         mapping,
         tech: parse_tech(value)?,
         params: opt_field(value, "params", SimParams::new())?,
-        routing: parse_routing(value)?,
+        routing: named(value, "routing", RoutingKind::Xy, names::routing)?,
         gantt: opt_field(value, "gantt", false)?,
     })
 }
@@ -361,14 +335,6 @@ pub fn parse_job(value: &Value) -> Result<JobRequest, String> {
             other => Err(format!("unknown job kind `{other}` (solve|evaluate)")),
         },
         _ => Err("a job needs `kind` (solve|evaluate)".to_owned()),
-    }
-}
-
-fn parse_priority(value: &Value) -> Result<Priority, String> {
-    match value.get_field("priority") {
-        None | Some(Value::Null) => Ok(Priority::Normal),
-        Some(Value::Str(s)) => names::priority(s).map_err(|e| e.to_string()),
-        Some(v) => Err(format!("bad `priority`: expected string, got {v:?}")),
     }
 }
 
@@ -450,7 +416,7 @@ pub fn handle_line(handle: &ServiceHandle, line: &str) -> Reply {
         Ok(v) => v,
         Err(e) => return Reply::respond(error_line(&format!("bad request: {e}"))),
     };
-    if let Err(e) = check_fields(&value, &REQUEST_KEYS, "in a request") {
+    if let Err(e) = check_fields(&value, REQUEST_KEYS, "in a request") {
         return Reply::respond(error_line(&e));
     }
     let op = match value.get_field("op") {
@@ -465,7 +431,7 @@ pub fn handle_line(handle: &ServiceHandle, line: &str) -> Reply {
     };
     match op.as_str() {
         "submit" => {
-            let priority = match parse_priority(&value) {
+            let priority = match named(&value, "priority", Priority::Normal, names::priority) {
                 Ok(p) => p,
                 Err(e) => return Reply::respond(error_line(&e)),
             };
