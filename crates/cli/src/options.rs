@@ -102,7 +102,7 @@ impl Options {
 /// # Errors
 ///
 /// [`names::UnknownKey`] for the first unknown option.
-pub fn check_options(
+pub(crate) fn check_options(
     args: &[String],
     command: &str,
     known: &[&'static str],

@@ -45,7 +45,7 @@ pub fn routing(name: &str) -> Result<RoutingKind, String> {
 /// A key that the request it came with does not read, e.g. ``unknown
 /// key `sed` in a solve job; did you mean `seed`?``.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct UnknownKey(pub String);
+pub struct UnknownKey(String);
 
 impl fmt::Display for UnknownKey {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
