@@ -1,4 +1,4 @@
-// SHIM01 fixture: a miniature shim crate whose public surface the
+// API01 fixture: a miniature shim crate whose public surface the
 // manifest tests pin down. `hidden` must never appear in the surface.
 pub struct Widget {
     pub size: u32,

@@ -17,11 +17,11 @@ pub enum Suppression {
 /// One rule violation at one source location.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Finding {
-    /// Rule identifier (`DET01` … `SHIM01`, `ALLOW01`).
+    /// Rule identifier (`DET01` … `API02`, `ALLOW01`).
     pub rule: &'static str,
     /// Workspace-relative path.
     pub path: String,
-    /// 1-based line number (0 for whole-file findings such as SHIM01).
+    /// 1-based line number (0 for whole-surface findings such as API01).
     pub line: usize,
     /// What went wrong and why it matters.
     pub message: String,

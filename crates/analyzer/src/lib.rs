@@ -13,31 +13,40 @@
 //! | PANIC01 | panic paths   | `unwrap`/`expect`/`panic!`/`unreachable!`/unchecked indexing on route-resolution and scheduler hot files |
 //! | LOCK01  | lock discipline | a second guard acquired while one is live in the same scope |
 //! | LOCK02  | lock discipline | a guard held across a call into user-supplied objective/callback code |
-//! | SHIM01  | shim conformance | `crates/shims/*` public surface vs the checked-in manifest |
+//! | API01   | public surface | every workspace crate's public surface vs the checked-in manifest |
+//! | API02   | public surface | a public item of a non-shim crate with no caller outside tests |
 //! | ALLOW01 | meta          | malformed/reasonless `noc-verify:` annotations |
 //!
 //! Suppression is explicit only: an inline
 //! `// noc-verify: allow(RULE) — reason` (reason mandatory) or an entry
 //! in the checked-in baseline (`crates/analyzer/baseline.txt`) for
-//! grandfathered sites. Zero unsuppressed findings is the CI gate.
+//! grandfathered sites. API01, API02 and ALLOW01 are never baselined.
+//! Zero unsuppressed findings is the CI gate.
 
 #![forbid(unsafe_code)]
 
 pub mod allow;
+pub mod api;
 pub mod findings;
 pub mod rules;
 pub mod scan;
-pub mod shim;
 
 use allow::Baseline;
+use api::Source;
 use findings::{Finding, Report, Suppression};
 use rules::RuleSet;
+use scan::ScanLine;
 use std::path::{Path, PathBuf};
 
 /// Every rule id the gate knows (the set `allow(…)` validates against).
 pub const KNOWN_RULES: &[&str] = &[
-    "DET01", "DET02", "DET03", "DET04", "PANIC01", "LOCK01", "LOCK02", "SHIM01", "ALLOW01",
+    "DET01", "DET02", "DET03", "DET04", "PANIC01", "LOCK01", "LOCK02", "API01", "API02", "ALLOW01",
 ];
+
+/// Rules whose findings no baseline entry suppresses: the manifest is
+/// regenerated, an uncalled item is deleted, narrowed or allowed with a
+/// reason, and a bad annotation is fixed.
+pub const NEVER_BASELINED: &[&str] = &["API01", "API02", "ALLOW01"];
 
 /// Crates whose behavior must be bit-reproducible from a seed. DET
 /// rules scan these; `cli` and `bench` may read clocks freely (their
@@ -67,7 +76,11 @@ pub const PANIC_HOT_FILES: &[&str] = &[
 /// Workspace-relative locations of the analyzer's own state files.
 pub const BASELINE_PATH: &str = "crates/analyzer/baseline.txt";
 /// See [`BASELINE_PATH`].
-pub const SHIM_MANIFEST_PATH: &str = "crates/analyzer/shim_manifest.txt";
+pub const API_MANIFEST_PATH: &str = "crates/analyzer/api_manifest.txt";
+
+/// Files outside `crates/*/src` whose calls count for API02: the
+/// examples and the repository benchmark. Workspace-relative directories.
+const CALLER_DIRS: &[&str] = &["examples", "perfbench/src"];
 
 /// Analysis configuration.
 #[derive(Debug, Clone)]
@@ -108,7 +121,7 @@ pub fn find_workspace_root(start: &Path) -> Option<PathBuf> {
 pub fn ruleset_for(rel_path: &str) -> RuleSet {
     if rel_path.starts_with("crates/shims/") {
         // Shims are API mirrors, not seed-deterministic engine code;
-        // SHIM01 owns them (checked separately against the manifest).
+        // API01 owns them (checked separately against the manifest).
         return RuleSet::default();
     }
     let determinism = DET_CRATES
@@ -125,10 +138,16 @@ pub fn ruleset_for(rel_path: &str) -> RuleSet {
 /// Analyzes one source string as if it lived at `rel_path` — rule
 /// scoping is decided by the pretend path. This is the entry the
 /// fixture suite drives.
+// noc-verify: allow(API02) — the fixture suite's entry: it analyzes one source at a pretend path
 pub fn analyze_source(rel_path: &str, source: &str, baseline: &Baseline) -> Vec<Finding> {
-    let lines = scan::scan(source);
-    let (allows, mut findings) = allow::collect_allows(rel_path, &lines);
-    let raw = rules::check_file(rel_path, &lines, ruleset_for(rel_path));
+    check_lines(rel_path, &scan::scan(source), baseline)
+}
+
+/// The per-file rules over one scanned file, with its allows and the
+/// baseline applied.
+fn check_lines(rel_path: &str, lines: &[ScanLine], baseline: &Baseline) -> Vec<Finding> {
+    let (allows, mut findings) = allow::collect_allows(rel_path, lines);
+    let raw = rules::check_file(rel_path, lines, ruleset_for(rel_path));
     for mut f in raw {
         if let Some(site) = allows
             .iter()
@@ -145,8 +164,9 @@ pub fn analyze_source(rel_path: &str, source: &str, baseline: &Baseline) -> Vec<
     findings
 }
 
-/// Runs the full workspace analysis: every `crates/*/src/**/*.rs` under
-/// the configured root plus the shim-manifest diff.
+/// Runs the full workspace analysis: the per-file rules over every
+/// `crates/*/src/**/*.rs` under the configured root, the API manifest
+/// diff (API01) and the caller check (API02).
 pub fn analyze_workspace(config: &Config) -> std::io::Result<Report> {
     let baseline = if config.use_baseline {
         match std::fs::read_to_string(config.root.join(BASELINE_PATH)) {
@@ -158,39 +178,57 @@ pub fn analyze_workspace(config: &Config) -> std::io::Result<Report> {
     };
 
     let mut report = Report::default();
-    let mut files = Vec::new();
-    collect_crate_sources(&config.root.join("crates"), &mut files)?;
-    files.sort();
-
-    for file in files {
-        let rel = file
-            .strip_prefix(&config.root)
-            .unwrap_or(&file)
-            .to_string_lossy()
-            .replace('\\', "/");
-        let rules = ruleset_for(&rel);
-        let scanned_for_rules = rules.determinism || rules.panic_paths || rules.locks;
-        if !scanned_for_rules {
-            continue;
+    let sources = workspace_sources(&config.root)?;
+    for (rel, lines) in &sources {
+        let rules = ruleset_for(rel);
+        if rules.determinism || rules.panic_paths || rules.locks {
+            report.findings.extend(check_lines(rel, lines, &baseline));
+            report.files_scanned += 1;
         }
-        let source = std::fs::read_to_string(&file)?;
-        report
-            .findings
-            .extend(analyze_source(&rel, &source, &baseline));
-        report.files_scanned += 1;
     }
 
-    // SHIM01: live surfaces vs the checked-in manifest.
     let manifest_text =
-        std::fs::read_to_string(config.root.join(SHIM_MANIFEST_PATH)).unwrap_or_default();
-    report.findings.extend(shim::check_manifest(
-        &config.root,
+        std::fs::read_to_string(config.root.join(API_MANIFEST_PATH)).unwrap_or_default();
+    report.findings.extend(api::check_manifest(
+        &api::surfaces(&sources),
         &manifest_text,
-        SHIM_MANIFEST_PATH,
-    )?);
+        API_MANIFEST_PATH,
+    ));
+    let mut callers = Vec::new();
+    for dir in CALLER_DIRS {
+        scan_files(&config.root, &config.root.join(dir), &mut callers)?;
+    }
+    report.findings.extend(api::uncalled(&sources, &callers));
 
     report.sort();
     Ok(report)
+}
+
+/// Every `crates/*/src/**/*.rs` file under `root`, scanned, in path
+/// order (`target/`, `fixtures/` and crate `tests/` directories are
+/// skipped: integration tests are test code).
+pub fn workspace_sources(root: &Path) -> std::io::Result<Vec<Source>> {
+    let mut sources = Vec::new();
+    scan_files(root, &root.join("crates"), &mut sources)?;
+    sources.retain(|(rel, _)| rel.split('/').any(|c| c == "src"));
+    Ok(sources)
+}
+
+/// Scans the `.rs` files under `dir` into `out`, sorted by their path
+/// relative to `root`.
+fn scan_files(root: &Path, dir: &Path, out: &mut Vec<Source>) -> std::io::Result<()> {
+    let mut files = Vec::new();
+    collect_rs_files(dir, &mut files)?;
+    files.sort();
+    for file in files {
+        let rel = file
+            .strip_prefix(root)
+            .unwrap_or(&file)
+            .to_string_lossy()
+            .replace('\\', "/");
+        out.push((rel, scan::scan(&std::fs::read_to_string(&file)?)));
+    }
+    Ok(())
 }
 
 /// Baseline entries that match no finding in `report` — stale
@@ -215,10 +253,9 @@ pub fn baseline_drift(config: &Config, report: &Report) -> Vec<(String, String, 
         .collect()
 }
 
-/// Collects `src/**/*.rs` files of every crate under `dir` (skipping
-/// `target/`, `fixtures/` and crate `tests/` directories — integration
-/// tests are test code).
-fn collect_crate_sources(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
+/// Collects the `.rs` files under `dir`, skipping `target/`, `fixtures/`
+/// and `tests/` directories.
+fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     if !dir.exists() {
         return Ok(());
     }
@@ -232,8 +269,8 @@ fn collect_crate_sources(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<
             if matches!(name.as_str(), "target" | "fixtures" | "tests") {
                 continue;
             }
-            collect_crate_sources(&path, out)?;
-        } else if name.ends_with(".rs") && path.components().any(|c| c.as_os_str() == "src") {
+            collect_rs_files(&path, out)?;
+        } else if name.ends_with(".rs") {
             out.push(path);
         }
     }

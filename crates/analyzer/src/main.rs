@@ -4,13 +4,15 @@
 //! 2 = usage or I/O error.
 
 use noc_analyzer::{
-    allow::Baseline, analyze_workspace, baseline_drift, find_workspace_root, shim, Config,
+    allow::Baseline, analyze_workspace, api, baseline_drift, find_workspace_root,
+    workspace_sources, Config, NEVER_BASELINED,
 };
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 const USAGE: &str = "\
-noc-verify: static-analysis gate for determinism, panic-freedom and lock discipline
+noc-verify: static-analysis gate for determinism, panic-freedom, lock discipline
+and the public API surface
 
 USAGE:
     noc-verify [OPTIONS]
@@ -22,8 +24,8 @@ OPTIONS:
     --baseline-drift         fail if the baseline has stale entries matching
                              no current finding (prune with --update-baseline)
     --update-baseline        rewrite the baseline to cover current findings
-                             (DET/PANIC/LOCK only; SHIM01/ALLOW01 are never baselined)
-    --update-shim-manifest   rewrite the shim API manifest from the live sources
+                             (DET/PANIC/LOCK only; API01/API02/ALLOW01 are never baselined)
+    --update-api-manifest    rewrite the API manifest from the live sources
     -h, --help               show this help
 ";
 
@@ -42,7 +44,7 @@ fn main() -> ExitCode {
             "--no-baseline" => use_baseline = false,
             "--baseline-drift" => check_drift = true,
             "--update-baseline" => update_baseline = true,
-            "--update-shim-manifest" => update_manifest = true,
+            "--update-api-manifest" => update_manifest = true,
             "--root" => match argv.next() {
                 Some(p) => root = Some(PathBuf::from(p)),
                 None => {
@@ -74,15 +76,15 @@ fn main() -> ExitCode {
     };
 
     if update_manifest {
-        let surfaces = match shim::collect_shim_surfaces(&root) {
-            Ok(s) => s,
+        let surfaces = match workspace_sources(&root) {
+            Ok(sources) => api::surfaces(&sources),
             Err(e) => {
-                eprintln!("error: scanning shims: {e}");
+                eprintln!("error: scanning the workspace: {e}");
                 return ExitCode::from(2);
             }
         };
-        let path = root.join(noc_analyzer::SHIM_MANIFEST_PATH);
-        if let Err(e) = std::fs::write(&path, shim::render_manifest(&surfaces)) {
+        let path = root.join(noc_analyzer::API_MANIFEST_PATH);
+        if let Err(e) = std::fs::write(&path, api::render_manifest(&surfaces)) {
             eprintln!("error: writing {}: {e}", path.display());
             return ExitCode::from(2);
         }
@@ -102,11 +104,12 @@ fn main() -> ExitCode {
 
     if update_baseline {
         // Grandfather every currently-unsuppressed DET/PANIC/LOCK
-        // finding. SHIM01 must go through --update-shim-manifest and a
-        // bad annotation (ALLOW01) must simply be fixed.
+        // finding. API01 goes through --update-api-manifest, an API02
+        // item is deleted, narrowed or allowed with a reason, and a bad
+        // annotation (ALLOW01) is simply fixed.
         let eligible: Vec<_> = report
             .unsuppressed()
-            .filter(|f| f.rule != "SHIM01" && f.rule != "ALLOW01")
+            .filter(|f| !NEVER_BASELINED.contains(&f.rule))
             .collect();
         let path = root.join(noc_analyzer::BASELINE_PATH);
         if let Err(e) = std::fs::write(&path, Baseline::render(&eligible)) {
@@ -116,11 +119,11 @@ fn main() -> ExitCode {
         println!("wrote {} ({} entries)", path.display(), eligible.len());
         let residual = report
             .unsuppressed()
-            .filter(|f| f.rule == "SHIM01" || f.rule == "ALLOW01")
+            .filter(|f| NEVER_BASELINED.contains(&f.rule))
             .count();
         if residual > 0 {
             eprintln!(
-                "note: {residual} SHIM01/ALLOW01 finding(s) cannot be baselined and remain open"
+                "note: {residual} API01/API02/ALLOW01 finding(s) cannot be baselined and remain open"
             );
             return ExitCode::FAILURE;
         }

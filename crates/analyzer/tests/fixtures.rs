@@ -5,7 +5,8 @@
 
 use noc_analyzer::allow::Baseline;
 use noc_analyzer::findings::{Finding, Suppression};
-use noc_analyzer::{analyze_source, shim};
+use noc_analyzer::scan::scan;
+use noc_analyzer::{analyze_source, api, workspace_sources};
 use std::path::{Path, PathBuf};
 
 fn fixtures_dir() -> PathBuf {
@@ -44,11 +45,20 @@ fn unsuppressed(findings: &[Finding]) -> Vec<(usize, String)> {
 /// A known-bad fixture must produce exactly the marked findings.
 fn assert_bad(name: &str, pretend_path: &str) {
     let src = fixture(name);
-    let findings = analyze_source(pretend_path, &src, &Baseline::default());
-    let expected = markers(&src);
+    expect_markers(
+        name,
+        &src,
+        &analyze_source(pretend_path, &src, &Baseline::default()),
+    );
+}
+
+/// `findings` of the fixture `name` (source `src`) are exactly its
+/// `//~` markers.
+fn expect_markers(name: &str, src: &str, findings: &[Finding]) {
+    let expected = markers(src);
     assert!(!expected.is_empty(), "{name}: fixture has no //~ markers");
     assert_eq!(
-        unsuppressed(&findings),
+        unsuppressed(findings),
         expected,
         "{name}: findings diverge from //~ markers\nall findings: {findings:#?}"
     );
@@ -59,9 +69,17 @@ fn assert_bad(name: &str, pretend_path: &str) {
 /// proof that suppression-with-reason works end to end.
 fn assert_good(name: &str, pretend_path: &str) {
     let src = fixture(name);
-    let findings = analyze_source(pretend_path, &src, &Baseline::default());
+    expect_clean(
+        name,
+        &analyze_source(pretend_path, &src, &Baseline::default()),
+    );
+}
+
+/// `findings` of the fixture `name` leave the gate clean, with at least
+/// one allow that carries a reason.
+fn expect_clean(name: &str, findings: &[Finding]) {
     assert_eq!(
-        unsuppressed(&findings),
+        unsuppressed(findings),
         Vec::new(),
         "{name}: expected a clean gate\nall findings: {findings:#?}"
     );
@@ -166,40 +184,74 @@ fn baseline_reopens_on_edit() {
     assert_eq!(reopened[0].1, "PANIC01");
 }
 
+/// API02 over one fixture file, as if it were the whole workspace.
+fn api02(src: &str, callers: &[api::Source]) -> Vec<Finding> {
+    let path = "crates/mapping/src/fixture.rs".to_owned();
+    api::uncalled(&[(path, scan(src))], callers)
+}
+
 #[test]
-fn shim01_good_manifest_is_clean() {
-    let root = fixtures_dir().join("shim_ws");
-    let manifest = fixture("shim_ws_manifest_good.txt");
-    let live = shim::collect_shim_surfaces(&root).expect("scan fixture shim");
-    assert!(
-        live.iter().all(|e| !e.contains("hidden")),
-        "private items leaked into the surface: {live:#?}"
+fn api02_fires_and_suppresses() {
+    let bad = fixture("api02_bad.rs");
+    expect_markers("api02_bad.rs", &bad, &api02(&bad, &[]));
+    expect_clean("api02_good.rs", &api02(&fixture("api02_good.rs"), &[]));
+}
+
+#[test]
+fn api02_counts_callers_outside_the_crates() {
+    let caller = (
+        "examples/demo.rs".to_owned(),
+        scan("fn main() { orphan(); }\n"),
     );
-    let findings = shim::check_manifest(&root, &manifest, "manifest.txt").expect("diff");
+    let findings = api02(&fixture("api02_bad.rs"), &[caller]);
+    let flagged: Vec<_> = findings.iter().map(|f| f.line).collect();
+    assert_eq!(
+        flagged,
+        [7, 13, 18],
+        "`orphan` has a caller now: {findings:#?}"
+    );
+}
+
+#[test]
+fn api01_good_manifest_is_clean() {
+    let root = fixtures_dir().join("api_ws");
+    let live = api::surfaces(&workspace_sources(&root).expect("scan fixture workspace"));
+    for private in ["hidden", "internal", "main_only", "bin_only"] {
+        assert!(
+            live.iter().all(|e| !e.contains(private)),
+            "`{private}` leaked into the surface: {live:#?}"
+        );
+    }
+    let findings = api::check_manifest(&live, &fixture("api_ws_manifest_good.txt"), "manifest.txt");
     assert_eq!(findings, Vec::new(), "good manifest should be drift-free");
 }
 
 #[test]
-fn shim01_stale_manifest_reports_both_drift_directions() {
-    let root = fixtures_dir().join("shim_ws");
-    let manifest = fixture("shim_ws_manifest_stale.txt");
-    let findings = shim::check_manifest(&root, &manifest, "manifest.txt").expect("diff");
+fn api01_stale_manifest_reports_both_drift_directions_in_every_crate() {
+    let root = fixtures_dir().join("api_ws");
+    let live = api::surfaces(&workspace_sources(&root).expect("scan fixture workspace"));
+    let findings =
+        api::check_manifest(&live, &fixture("api_ws_manifest_stale.txt"), "manifest.txt");
     assert_eq!(
         findings.len(),
-        2,
-        "one grown + one vanished entry: {findings:#?}"
+        4,
+        "one grown and one vanished entry per crate: {findings:#?}"
     );
-    assert!(findings.iter().all(|f| f.rule == "SHIM01"));
-    assert!(
+    assert!(findings.iter().all(|f| f.rule == "API01"));
+    let has = |words: &[&str]| {
         findings
             .iter()
-            .any(|f| f.message.contains("grew") && f.message.contains("widget_default")),
-        "missing growth finding: {findings:#?}"
-    );
+            .any(|f| words.iter().all(|w| f.message.contains(w)))
+    };
     assert!(
-        findings
-            .iter()
-            .any(|f| f.message.contains("no longer present") && f.message.contains("retired")),
-        "missing removal finding: {findings:#?}"
+        has(&["grew", "widget_default", "the real crate's API"]),
+        "{findings:#?}"
+    );
+    assert!(has(&["grew", "gadget_count", "review it"]), "{findings:#?}");
+    assert!(!has(&["gadget_count", "real crate"]), "{findings:#?}");
+    assert!(has(&["no longer present", "retired"]), "{findings:#?}");
+    assert!(
+        has(&["no longer present", "removed_helper"]),
+        "{findings:#?}"
     );
 }

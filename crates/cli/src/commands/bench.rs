@@ -14,7 +14,7 @@ use std::fmt::Write as _;
 /// # Errors
 ///
 /// Returns an error on bad options or any failed job.
-pub fn cmd_bench(options: &Options) -> Result<String, CliError> {
+pub(crate) fn cmd_bench(options: &Options) -> Result<String, CliError> {
     let jobs: usize = options.get_parsed("--jobs", 64)?;
     let workers: usize = options.get_parsed("--workers", 4)?;
     let evals: u64 = options.get_parsed("--evals", 200)?;

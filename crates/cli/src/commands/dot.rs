@@ -8,7 +8,7 @@ use crate::CliError;
 /// # Errors
 ///
 /// Returns an error on load failures.
-pub fn cmd_dot(options: &Options) -> Result<String, CliError> {
+pub(crate) fn cmd_dot(options: &Options) -> Result<String, CliError> {
     let app = load_app(options)?;
     let dot = if options.flag("--cwg") || options.get("--graph") == Some("cwg") {
         noc_model::dot::cwg_to_dot(&app.to_cwg())

@@ -13,7 +13,7 @@ use noc_service::JobRequest;
 /// # Errors
 ///
 /// Returns an error on bad options or an invalid mapping.
-pub fn cmd_evaluate(options: &Options) -> Result<String, CliError> {
+pub(crate) fn cmd_evaluate(options: &Options) -> Result<String, CliError> {
     let request = build_evaluate_request(options)?;
     let workers: usize = options.get_parsed("--workers", 1)?;
     let result = run_job(JobRequest::Evaluate(Box::new(request)), workers)?;

@@ -14,7 +14,7 @@ use std::fmt::Write as _;
 /// # Errors
 ///
 /// Returns an error on bad options, load failures, or any failed job.
-pub fn cmd_explore(options: &Options) -> Result<String, CliError> {
+pub(crate) fn cmd_explore(options: &Options) -> Result<String, CliError> {
     let spec = options
         .get("--methods")
         .unwrap_or("sa,sa-multi,ga,tabu,portfolio");

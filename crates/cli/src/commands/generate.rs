@@ -8,7 +8,7 @@ use crate::CliError;
 /// # Errors
 ///
 /// Returns an error on bad options or IO failures.
-pub fn cmd_generate(options: &Options) -> Result<String, CliError> {
+pub(crate) fn cmd_generate(options: &Options) -> Result<String, CliError> {
     let app = if options.get("--paper-example").is_some_and(|v| v == "true")
         || options.get("--cores").is_none()
     {

@@ -9,7 +9,7 @@ use std::fmt::Write as _;
 /// # Errors
 ///
 /// Returns an error on load failures.
-pub fn cmd_info(options: &Options) -> Result<String, CliError> {
+pub(crate) fn cmd_info(options: &Options) -> Result<String, CliError> {
     let app = load_app(options)?;
     let cwg = app.to_cwg();
     let mut out = String::new();

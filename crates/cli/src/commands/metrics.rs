@@ -13,7 +13,7 @@ use crate::CliError;
 /// Returns an error on bad options, socket failures, or a malformed
 /// reply.
 #[cfg(unix)]
-pub fn cmd_metrics(options: &Options) -> Result<String, CliError> {
+pub(crate) fn cmd_metrics(options: &Options) -> Result<String, CliError> {
     use noc_service::protocol::{encode_op, request_unix};
     use serde::Value;
     use std::path::Path;
@@ -38,6 +38,6 @@ pub fn cmd_metrics(options: &Options) -> Result<String, CliError> {
 ///
 /// Always errors on non-Unix platforms.
 #[cfg(not(unix))]
-pub fn cmd_metrics(_options: &Options) -> Result<String, CliError> {
+pub(crate) fn cmd_metrics(_options: &Options) -> Result<String, CliError> {
     Err("`metrics` requires Unix domain sockets, unavailable on this platform".into())
 }

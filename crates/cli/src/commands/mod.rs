@@ -14,18 +14,18 @@ mod submit;
 mod suite;
 mod watch;
 
-pub use bench::cmd_bench;
-pub use dot::cmd_dot;
-pub use evaluate::cmd_evaluate;
-pub use explore::cmd_explore;
-pub use generate::cmd_generate;
-pub use info::cmd_info;
-pub use metrics::cmd_metrics;
-pub use serve::cmd_serve;
-pub use solve::cmd_map;
-pub use submit::cmd_submit;
-pub use suite::cmd_suite;
-pub use watch::cmd_watch;
+pub(crate) use bench::cmd_bench;
+pub(crate) use dot::cmd_dot;
+pub(crate) use evaluate::cmd_evaluate;
+pub(crate) use explore::cmd_explore;
+pub(crate) use generate::cmd_generate;
+pub(crate) use info::cmd_info;
+pub(crate) use metrics::cmd_metrics;
+pub(crate) use serve::cmd_serve;
+pub(crate) use solve::cmd_map;
+pub(crate) use submit::cmd_submit;
+pub(crate) use suite::cmd_suite;
+pub(crate) use watch::cmd_watch;
 #[cfg(all(unix, test))]
 pub(crate) use watch::watch_stream;
 

@@ -14,7 +14,7 @@ use crate::CliError;
 ///
 /// Returns an error on bad options or socket failures.
 #[cfg(unix)]
-pub fn cmd_serve(options: &Options) -> Result<String, CliError> {
+pub(crate) fn cmd_serve(options: &Options) -> Result<String, CliError> {
     use noc_service::MappingService;
 
     let socket = options.require("--socket")?.to_owned();
@@ -38,6 +38,6 @@ pub fn cmd_serve(options: &Options) -> Result<String, CliError> {
 ///
 /// Always errors on non-Unix platforms.
 #[cfg(not(unix))]
-pub fn cmd_serve(_options: &Options) -> Result<String, CliError> {
+pub(crate) fn cmd_serve(_options: &Options) -> Result<String, CliError> {
     Err("`serve` requires Unix domain sockets, unavailable on this platform".into())
 }

@@ -17,7 +17,7 @@ use noc_service::JobRequest;
 ///
 /// Returns an error on bad options, load failures, infeasible instances
 /// (more cores than tiles), or failed jobs.
-pub fn cmd_map(options: &Options) -> Result<String, CliError> {
+pub(crate) fn cmd_map(options: &Options) -> Result<String, CliError> {
     let request = build_solve_request(options)?;
     let workers: usize = options.get_parsed("--workers", 1)?;
     let config = service_config(options, workers)?;

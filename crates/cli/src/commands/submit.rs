@@ -15,8 +15,8 @@ use crate::CliError;
 ///
 /// Returns an error on bad options or socket failures.
 #[cfg(unix)]
-pub fn cmd_submit(options: &Options) -> Result<String, CliError> {
-    use crate::request::{build_evaluate_request, build_solve_request, parse_priority};
+pub(crate) fn cmd_submit(options: &Options) -> Result<String, CliError> {
+    use crate::request::{build_evaluate_request, build_solve_request};
     use noc_service::protocol::{encode_op, encode_submit, request_unix};
     use noc_service::{JobId, JobRequest};
     use serde::Value;
@@ -49,7 +49,7 @@ pub fn cmd_submit(options: &Options) -> Result<String, CliError> {
     } else {
         JobRequest::Solve(Box::new(build_solve_request(options)?))
     };
-    let priority = parse_priority(options.get("--priority").unwrap_or("normal"))?;
+    let priority = noc_service::names::priority(options.get("--priority").unwrap_or("normal"))?;
     let reply = send(&encode_submit(&request, priority))?;
     if !options.flag("--wait") {
         return Ok(format!("{reply}\n"));
@@ -72,6 +72,6 @@ pub fn cmd_submit(options: &Options) -> Result<String, CliError> {
 ///
 /// Always errors on non-Unix platforms.
 #[cfg(not(unix))]
-pub fn cmd_submit(_options: &Options) -> Result<String, CliError> {
+pub(crate) fn cmd_submit(_options: &Options) -> Result<String, CliError> {
     Err("`submit` requires Unix domain sockets, unavailable on this platform".into())
 }

@@ -9,7 +9,7 @@ use std::fmt::Write as _;
 /// # Errors
 ///
 /// Returns an error for out-of-range rows or IO failures.
-pub fn cmd_suite(options: &Options) -> Result<String, CliError> {
+pub(crate) fn cmd_suite(options: &Options) -> Result<String, CliError> {
     match options.get("--row") {
         None => {
             let mut out = String::new();

@@ -15,7 +15,7 @@ use crate::CliError;
 /// Returns an error on bad options, socket failures, or a rejected
 /// watch handshake.
 #[cfg(unix)]
-pub fn cmd_watch(options: &Options) -> Result<String, CliError> {
+pub(crate) fn cmd_watch(options: &Options) -> Result<String, CliError> {
     use std::io::Write;
 
     let socket = options.require("--socket")?.to_owned();
@@ -90,6 +90,6 @@ pub(crate) fn watch_stream(
 ///
 /// Always errors on non-Unix platforms.
 #[cfg(not(unix))]
-pub fn cmd_watch(_options: &Options) -> Result<String, CliError> {
+pub(crate) fn cmd_watch(_options: &Options) -> Result<String, CliError> {
     Err("`watch` requires Unix domain sockets, unavailable on this platform".into())
 }

@@ -17,10 +17,10 @@
 //! noc-cli dot      --app app.json --graph cdcg
 //! ```
 //!
-//! The CLI contains only request building and rendering: [`options`]
-//! parses flags, [`request`] assembles `noc-service` job requests, the
+//! The CLI contains only request building and rendering: `options`
+//! parses flags, `request` assembles `noc-service` job requests, the
 //! subcommands submit them (to an in-process service for the one-shot
-//! commands, over a Unix socket for `submit`), and [`render`] prints
+//! commands, over a Unix socket for `submit`), and `render` prints
 //! the results. All orchestration — queueing, worker pools,
 //! route-provider sharing, cancellation — lives in `noc-service`.
 //!
@@ -29,28 +29,21 @@
 //! benchmarks, hand-written graphs and downstream tooling interoperate.
 //!
 //! All argument parsing and command logic lives in this library so it is
-//! unit-testable; `main.rs` is a thin shell.
+//! unit-testable; `main.rs` is a thin shell over [`run`]. The library
+//! exports only that entry point and what a harness needs to build the
+//! same solve request `map` builds: [`Options`], [`load_app`] and
+//! [`build_solve_request`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod commands;
-pub mod options;
-pub mod render;
-pub mod request;
+mod options;
+mod render;
+mod request;
 
-pub use commands::{
-    cmd_bench, cmd_dot, cmd_evaluate, cmd_explore, cmd_generate, cmd_info, cmd_map, cmd_metrics,
-    cmd_serve, cmd_submit, cmd_suite, cmd_watch,
-};
-pub use options::{
-    emit, load_app, parse_fault_scenario, parse_mapping, parse_mesh, parse_mesh_options,
-    parse_pins, parse_routing, parse_technology, parse_tenure, Options,
-};
-pub use request::{
-    build_evaluate_request, build_solve_request, build_solve_request_with_method, parse_method,
-    parse_priority, sa_profile,
-};
+pub use options::{load_app, Options};
+pub use request::build_solve_request;
 
 use std::error::Error;
 
@@ -58,7 +51,7 @@ use std::error::Error;
 pub type CliError = Box<dyn Error + Send + Sync>;
 
 /// Usage text.
-pub fn usage() -> String {
+pub(crate) fn usage() -> String {
     "noc-cli — energy- and timing-aware NoC mapping (DATE'05 CDCM reproduction)
 
 USAGE:
@@ -141,7 +134,7 @@ for the structured snapshot); `watch` streams its live service events
 as JSON lines (`--count N` to disconnect after N events); and
 `submit --op trace --job N` fetches job N's recorded flight tape.
 Each subcommand refuses an option it does not read, naming the nearest
-one it does. Names (tech, strategy, routing, route cache, priority)
+one it does, and an option given twice. Names (tech, strategy, routing, route cache, priority)
 ignore case and surrounding spaces, here and on the socket alike.
 "
     .to_owned()
@@ -152,7 +145,8 @@ ignore case and surrounding spaces, here and on the socket alike.
 /// # Errors
 ///
 /// Returns an error for unknown commands, options the command does not
-/// read (naming the nearest one it does) or any command failure.
+/// read (naming the nearest one it does) or gets twice, or any command
+/// failure.
 pub fn run(args: &[String]) -> Result<String, CliError> {
     let Some((command, rest)) = args.split_first() else {
         return Ok(usage());
@@ -169,7 +163,13 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::commands::cmd_generate;
+    use crate::options::{
+        parse_fault_scenario, parse_mapping, parse_mesh, parse_mesh_options, parse_pins,
+        parse_tenure,
+    };
     use noc_model::{Cdcg, FaultScenario};
+    use noc_service::names;
 
     fn strs(args: &[&str]) -> Vec<String> {
         args.iter().map(|s| s.to_string()).collect()
@@ -258,10 +258,10 @@ mod tests {
 
     #[test]
     fn technology_names() {
-        assert_eq!(parse_technology("paper").unwrap().name, "paper-example");
-        assert_eq!(parse_technology("0.35").unwrap().feature_nm, 350);
-        assert_eq!(parse_technology("0.07um").unwrap().feature_nm, 70);
-        assert!(parse_technology("5nm").is_err());
+        assert_eq!(names::technology("paper").unwrap().name, "paper-example");
+        assert_eq!(names::technology("0.35").unwrap().feature_nm, 350);
+        assert_eq!(names::technology("0.07um").unwrap().feature_nm, 70);
+        assert!(names::technology("5nm").is_err());
     }
 
     #[test]
@@ -276,10 +276,10 @@ mod tests {
         for removed in ["on-demand", "ondemand", "lazy", "hashmap"] {
             assert!(CacheTier::from_name(removed).is_err(), "{removed}");
         }
-        assert_eq!(parse_priority("high").unwrap(), Priority::High);
-        assert_eq!(parse_priority("normal").unwrap(), Priority::Normal);
-        assert_eq!(parse_priority("low").unwrap(), Priority::Low);
-        assert!(parse_priority("urgent").is_err());
+        assert_eq!(names::priority("high").unwrap(), Priority::High);
+        assert_eq!(names::priority("normal").unwrap(), Priority::Normal);
+        assert_eq!(names::priority("low").unwrap(), Priority::Low);
+        assert!(names::priority("urgent").is_err());
     }
 
     #[test]
@@ -523,9 +523,9 @@ mod tests {
 
     #[test]
     fn routing_option_threads_through_map_and_evaluate() {
-        assert_eq!(parse_routing("yx").unwrap().name(), "YX");
-        assert_eq!(parse_routing("torus-xy").unwrap().name(), "torus-XY");
-        assert!(parse_routing("zigzag").is_err());
+        assert_eq!(names::routing("yx").unwrap().name(), "YX");
+        assert_eq!(names::routing("torus-xy").unwrap().name(), "torus-XY");
+        assert!(names::routing("zigzag").is_err());
 
         let path = write_example_app();
         // Figure 1(c) under YX routing avoids the contention (see the

@@ -6,8 +6,7 @@
 //! [`crate::request`] compose these parsers into full job requests.
 
 use crate::CliError;
-use noc_energy::Technology;
-use noc_model::{Cdcg, FaultScenario, Mapping, Mesh, RoutingKind, TileId};
+use noc_model::{Cdcg, FaultScenario, Mapping, Mesh, TileId};
 use noc_service::{names, Constraints, Tenure};
 
 /// A parsed option bag: `--key value` pairs plus bare flags.
@@ -59,7 +58,6 @@ impl Options {
     pub fn get(&self, key: &str) -> Option<&str> {
         self.pairs
             .iter()
-            .rev()
             .find(|(k, _)| k == key)
             .map(|(_, v)| v.as_str())
     }
@@ -96,12 +94,13 @@ impl Options {
 
 /// Checks that every option of `args` (each argument that starts with
 /// `--`; no option value does) is one of `known`, the flags subcommand
-/// `command` reads. Runs before [`Options::parse`], so a misspelled bare
-/// flag is named too, not taken for a key without a value.
+/// `command` reads, and that none is given twice. Runs before
+/// [`Options::parse`], so a misspelled bare flag is named too, not taken
+/// for a key without a value.
 ///
 /// # Errors
 ///
-/// [`names::UnknownKey`] for the first unknown option.
+/// [`names::KeyError`] for the first unknown or repeated option.
 pub(crate) fn check_options(
     args: &[String],
     command: &str,
@@ -120,7 +119,7 @@ pub(crate) fn check_options(
 /// # Errors
 ///
 /// Returns an error for malformed syntax or zero dimensions.
-pub fn parse_mesh(spec: &str) -> Result<Mesh, CliError> {
+pub(crate) fn parse_mesh(spec: &str) -> Result<Mesh, CliError> {
     let dims: Result<Vec<usize>, CliError> = spec
         .split(['x', 'X'])
         .map(|part| {
@@ -143,7 +142,7 @@ pub fn parse_mesh(spec: &str) -> Result<Mesh, CliError> {
 ///
 /// Returns an error for a zero depth, a conflicting 3D `--mesh` spec or
 /// a mesh above [`noc_service::MAX_MESH_TILES`] tiles.
-pub fn parse_mesh_options(options: &Options) -> Result<Mesh, CliError> {
+pub(crate) fn parse_mesh_options(options: &Options) -> Result<Mesh, CliError> {
     let mesh = parse_mesh(options.require("--mesh")?)?;
     let mesh = match options.get("--depth") {
         None => mesh,
@@ -165,7 +164,7 @@ pub fn parse_mesh_options(options: &Options) -> Result<Mesh, CliError> {
 ///
 /// Returns an error for unparsable indices or invalid (non-injective /
 /// out-of-mesh) placements.
-pub fn parse_mapping(spec: &str, mesh: &Mesh) -> Result<Mapping, CliError> {
+pub(crate) fn parse_mapping(spec: &str, mesh: &Mesh) -> Result<Mapping, CliError> {
     let tiles: Result<Vec<TileId>, CliError> = spec
         .split(',')
         .map(|part| {
@@ -178,23 +177,13 @@ pub fn parse_mapping(spec: &str, mesh: &Mesh) -> Result<Mapping, CliError> {
     Ok(Mapping::from_tiles(mesh, tiles?)?)
 }
 
-/// Resolves a routing-algorithm name (`xy`, `yx`, `torus-xy`, `xyz`,
-/// `torus-xyz`) through [`RoutingKind::from_name`].
-///
-/// # Errors
-///
-/// Returns an error for unknown names.
-pub fn parse_routing(name: &str) -> Result<RoutingKind, CliError> {
-    Ok(names::routing(name)?)
-}
-
 /// Parses a `--tenure` value: a fixed iteration count, or `auto` to
 /// scale the tabu tenure with √tile_count.
 ///
 /// # Errors
 ///
 /// Returns an error for values that are neither `auto` nor an integer.
-pub fn parse_tenure(value: &str) -> Result<Tenure, CliError> {
+pub(crate) fn parse_tenure(value: &str) -> Result<Tenure, CliError> {
     match value.trim() {
         "auto" => Ok(Tenure::Auto),
         n => n
@@ -202,16 +191,6 @@ pub fn parse_tenure(value: &str) -> Result<Tenure, CliError> {
             .map(Tenure::Fixed)
             .map_err(|_| format!("invalid value `{n}` for `--tenure` (auto|N)").into()),
     }
-}
-
-/// Resolves a technology name (`paper`, `0.35`, `0.07`, `0.35um`, …)
-/// through [`Technology::from_name`].
-///
-/// # Errors
-///
-/// Returns an error for unknown names.
-pub fn parse_technology(name: &str) -> Result<Technology, CliError> {
-    Ok(names::technology(name)?)
 }
 
 /// Loads the `--app` application graph: JSON by default, the
@@ -242,7 +221,7 @@ pub fn load_app(options: &Options) -> Result<Cdcg, CliError> {
 /// # Errors
 ///
 /// Returns an error for unknown kinds or unparsable counts/seeds.
-pub fn parse_fault_scenario(options: &Options) -> Result<Option<FaultScenario>, CliError> {
+pub(crate) fn parse_fault_scenario(options: &Options) -> Result<Option<FaultScenario>, CliError> {
     let Some(count) = options.get("--faults") else {
         return Ok(None);
     };
@@ -269,7 +248,7 @@ pub fn parse_fault_scenario(options: &Options) -> Result<Option<FaultScenario>, 
 /// # Errors
 ///
 /// Returns an error for malformed entries or conflicting pins.
-pub fn parse_pins(spec: &str) -> Result<Constraints, CliError> {
+pub(crate) fn parse_pins(spec: &str) -> Result<Constraints, CliError> {
     let mut constraints = Constraints::new();
     for entry in spec.split(',') {
         let (core, tile) = entry
@@ -296,7 +275,7 @@ pub fn parse_pins(spec: &str) -> Result<Constraints, CliError> {
 /// # Errors
 ///
 /// Returns an error on IO failures.
-pub fn emit(options: &Options, content: &str) -> Result<String, CliError> {
+pub(crate) fn emit(options: &Options, content: &str) -> Result<String, CliError> {
     match options.get("--out") {
         Some(path) => {
             std::fs::write(path, content).map_err(|e| format!("cannot write `{path}`: {e}"))?;

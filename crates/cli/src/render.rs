@@ -10,7 +10,7 @@ use std::fmt::Write as _;
 /// Renders a solve result: the `map` output block, plus telemetry when
 /// `show_telemetry` (the `--telemetry` flag) is set. Criticality and
 /// remap sections render whenever the job computed them.
-pub fn render_solve(out: &mut String, result: &SolveResult, show_telemetry: bool) {
+pub(crate) fn render_solve(out: &mut String, result: &SolveResult, show_telemetry: bool) {
     let _ = writeln!(
         out,
         "strategy:     {} ({})",
@@ -49,7 +49,7 @@ pub fn render_solve(out: &mut String, result: &SolveResult, show_telemetry: bool
 
 /// Renders an evaluate result: the `evaluate` output block, including
 /// the Gantt chart when the job produced one.
-pub fn render_evaluate(out: &mut String, result: &EvaluateResult) {
+pub(crate) fn render_evaluate(out: &mut String, result: &EvaluateResult) {
     let _ = writeln!(out, "mapping:    {}", result.mapping);
     let _ = writeln!(out, "routing:    {}", result.routing);
     let _ = writeln!(out, "texec:      {} ns", result.texec_ns);
@@ -65,7 +65,7 @@ pub fn render_evaluate(out: &mut String, result: &EvaluateResult) {
 }
 
 /// Renders the link-criticality report of a mapping.
-pub fn render_criticality(out: &mut String, report: &CriticalityReport) {
+pub(crate) fn render_criticality(out: &mut String, report: &CriticalityReport) {
     let _ = writeln!(
         out,
         "link load:    {} links carry {} routed bits (HHI {:.4})",
@@ -88,7 +88,7 @@ pub fn render_criticality(out: &mut String, report: &CriticalityReport) {
 }
 
 /// Renders a fault-injection / re-mapping report.
-pub fn render_remap(out: &mut String, report: &RemapReport) {
+pub(crate) fn render_remap(out: &mut String, report: &RemapReport) {
     let _ = writeln!(out, "fault tolerance:");
     let _ = writeln!(out, "  dead links:  {}", report.dead_links);
     let _ = writeln!(out, "  baseline:    {:.3} pJ", report.baseline_cost);
@@ -132,7 +132,7 @@ pub fn render_remap(out: &mut String, report: &RemapReport) {
 
 /// Renders search telemetry: budget rounds, survivors, best-so-far curve,
 /// and portfolio children (indented).
-pub fn render_telemetry(out: &mut String, telemetry: &SearchTelemetry, indent: &str) {
+pub(crate) fn render_telemetry(out: &mut String, telemetry: &SearchTelemetry, indent: &str) {
     let _ = writeln!(
         out,
         "{indent}telemetry:    {} ({} evals, {} curve points)",

@@ -6,14 +6,11 @@
 //! funnels through [`build_solve_request`], so a flag means the same
 //! thing locally and over the wire.
 
-use crate::options::{
-    load_app, parse_fault_scenario, parse_mesh_options, parse_pins, parse_routing,
-    parse_technology, Options,
-};
+use crate::options::{load_app, parse_fault_scenario, parse_mesh_options, parse_pins, Options};
 use crate::CliError;
 use noc_service::{
     names, AdaptiveConfig, CacheTier, Crossover, EvaluateRequest, GaConfig, PortfolioConfig,
-    Priority, RestartBudget, SaConfig, SearchMethod, SolveRequest, TabuConfig,
+    RestartBudget, SaConfig, SearchMethod, SolveRequest, TabuConfig,
 };
 use noc_sim::SimParams;
 
@@ -26,23 +23,13 @@ pub(crate) const SOLVE_FLAGS: &str = "--app --mesh --depth --strategy --tech --r
 /// The flags [`build_evaluate_request`] reads.
 pub(crate) const EVALUATE_FLAGS: &str = "--app --mesh --depth --mapping --tech --routing --gantt";
 
-/// Parses a `--priority` class name (`high`, `normal`, `low`) through
-/// [`Priority::from_name`].
-///
-/// # Errors
-///
-/// Returns an error for unknown names.
-pub fn parse_priority(name: &str) -> Result<Priority, CliError> {
-    Ok(names::priority(name)?)
-}
-
 /// The SA profile shared by every method: `--quick` picks the short
 /// profile, `--evals N` caps the evaluation budget.
 ///
 /// # Errors
 ///
 /// Returns an error for an unparsable `--evals` value.
-pub fn sa_profile(options: &Options, seed: u64) -> Result<SaConfig, CliError> {
+pub(crate) fn sa_profile(options: &Options, seed: u64) -> Result<SaConfig, CliError> {
     let mut sa_config = if options.flag("--quick") {
         SaConfig::quick(seed)
     } else {
@@ -63,7 +50,7 @@ pub fn sa_profile(options: &Options, seed: u64) -> Result<SaConfig, CliError> {
 /// # Errors
 ///
 /// Returns an error for unknown method names or bad tuning values.
-pub fn parse_method(
+pub(crate) fn parse_method(
     name: &str,
     options: &Options,
     sa_config: SaConfig,
@@ -157,7 +144,7 @@ pub fn build_solve_request(options: &Options) -> Result<SolveRequest, CliError> 
 ///
 /// Returns an error on bad options, load failures, or infeasible
 /// instances (more cores than tiles).
-pub fn build_solve_request_with_method(
+pub(crate) fn build_solve_request_with_method(
     options: &Options,
     method_name: &str,
 ) -> Result<SolveRequest, CliError> {
@@ -183,9 +170,9 @@ pub fn build_solve_request_with_method(
 
     let mut request = SolveRequest::new(app, mesh, method);
     request.strategy = names::strategy(options.get("--strategy").unwrap_or("cdcm"))?;
-    request.tech = parse_technology(options.get("--tech").unwrap_or("0.07"))?;
+    request.tech = names::technology(options.get("--tech").unwrap_or("0.07"))?;
     request.params = SimParams::new();
-    request.routing = parse_routing(options.get("--routing").unwrap_or("xy"))?;
+    request.routing = names::routing(options.get("--routing").unwrap_or("xy"))?;
     request.route_cache = CacheTier::from_name(options.get("--route-cache").unwrap_or("auto"))?;
     request.pins = pins;
     request.sa_config = sa_config;
@@ -202,7 +189,7 @@ pub fn build_solve_request_with_method(
 ///
 /// Returns an error on bad options or a mapping that does not cover the
 /// application's cores.
-pub fn build_evaluate_request(options: &Options) -> Result<EvaluateRequest, CliError> {
+pub(crate) fn build_evaluate_request(options: &Options) -> Result<EvaluateRequest, CliError> {
     let app = load_app(options)?;
     let mesh = parse_mesh_options(options)?;
     let mapping = crate::options::parse_mapping(options.require("--mapping")?, &mesh)?;
@@ -218,9 +205,9 @@ pub fn build_evaluate_request(options: &Options) -> Result<EvaluateRequest, CliE
         app,
         mesh,
         mapping,
-        tech: parse_technology(options.get("--tech").unwrap_or("0.07"))?,
+        tech: names::technology(options.get("--tech").unwrap_or("0.07"))?,
         params: SimParams::new(),
-        routing: parse_routing(options.get("--routing").unwrap_or("xy"))?,
+        routing: names::routing(options.get("--routing").unwrap_or("xy"))?,
         gantt: options.flag("--gantt"),
     })
 }

@@ -3,7 +3,8 @@
 //! same value; every name, key or mesh one refuses, the other refuses,
 //! with the same text where both surfaces parse the same thing.
 
-use noc_cli::{build_solve_request, parse_priority, run, Options};
+use noc_cli::{build_solve_request, run, Options};
+use noc_service::names::priority as parse_priority;
 use noc_service::protocol::{encode_submit, handle_line, parse_job};
 use noc_service::{
     JobRequest, MappingService, Priority, ServiceConfig, ServiceEvent, SolveRequest,
@@ -290,6 +291,85 @@ fn a_misspelled_key_is_refused_on_every_subcommand_and_wire_level() {
     ] {
         let reply = handle_line(&handle, &line);
         assert!(reply.line.contains("\"ok\":true"), "{line}: {}", reply.line);
+    }
+    service.wait_all();
+}
+
+#[test]
+fn a_repeated_key_is_refused_on_both_surfaces() {
+    let app = App::new("repeats");
+    let app = app.path();
+    // A repeated option is refused, not resolved to one of its values.
+    for (args, key) in [
+        (
+            &[
+                "map", "--app", app, "--mesh", "2x2", "--seed", "1", "--seed", "2",
+            ][..],
+            "--seed",
+        ),
+        (
+            &[
+                "evaluate",
+                "--app",
+                app,
+                "--mesh",
+                "2x2",
+                "--mapping",
+                "1,0,3,2",
+                "--tech",
+                "0.35",
+                "--tech",
+                "0.07",
+            ],
+            "--tech",
+        ),
+        (
+            &[
+                "submit",
+                "--socket",
+                "/nonexistent/x.sock",
+                "--priority",
+                "low",
+                "--wait",
+                "--priority",
+                "high",
+            ],
+            "--priority",
+        ),
+    ] {
+        let err = run(&strs(args)).unwrap_err().to_string();
+        let want = format!("repeated option `{key}` for `noc-cli {}`", args[0]);
+        assert_eq!(err, want, "{args:?}");
+    }
+
+    // The same holds for a repeated key, at each wire level.
+    let service = MappingService::start(ServiceConfig::new(1));
+    let handle = service.handle();
+    let solve = "{\"kind\":\"solve\",\"app_text\":\"core A\\ncore B\\npacket p0 A B comp=6 bits=15\\n\",\"mesh\":{\"width\":2,\"height\":1,\"depth\":1},\"method\":\"Exhaustive\"";
+    let evaluate = "{\"kind\":\"evaluate\",\"app_text\":\"core A\\ncore B\\npacket p0 A B comp=6 bits=15\\n\",\"mesh\":{\"width\":2,\"height\":1,\"depth\":1},\"mapping\":[0,1]";
+    for (line, want) in [
+        (
+            format!("{{\"op\":\"submit\",\"op\":\"submit\",\"job\":{solve}}}}}"),
+            "repeated key `op` in a request",
+        ),
+        (
+            format!("{{\"op\":\"submit\",\"job\":{solve},\"seed\":1,\"seed\":2}}}}"),
+            "repeated key `seed` in a solve job",
+        ),
+        (
+            format!(
+                "{{\"op\":\"submit\",\"job\":{evaluate},\"tech\":\"0.35\",\"tech\":\"0.07\"}}}}"
+            ),
+            "repeated key `tech` in an evaluate job",
+        ),
+    ] {
+        let reply = handle_line(&handle, &line);
+        assert!(
+            reply.line.contains("\"ok\":false"),
+            "{line}: {}",
+            reply.line
+        );
+        assert!(reply.line.contains(want), "{line}: {}", reply.line);
     }
     service.wait_all();
 }

@@ -89,14 +89,9 @@ impl BitEnergy {
         )
     }
 
-    /// Equation 2 extended with the two core links (injection and
-    /// ejection) for users who do not want to neglect `ECbit`.
-    pub fn per_bit_with_core_links(&self, k: usize) -> Energy {
-        self.per_bit(k) + Energy::from_picojoules(2.0 * self.core_link_pj)
-    }
-
     /// Energy of a whole `bits`-bit transfer across `k` routers
     /// (`EBit_ab = w_ab × EBit_ij`).
+    // noc-verify: allow(API02) — the paper's EBit_ab of one transfer; its tests pin the 105 pJ golden
     pub fn per_transfer(&self, k: usize, bits: u64) -> Energy {
         self.per_bit(k) * bits as f64
     }
@@ -132,17 +127,6 @@ mod tests {
             core_link_pj: 0.0,
         };
         assert_eq!(be.per_bit(1).picojoules(), 2.0);
-    }
-
-    #[test]
-    fn core_links_add_twice_ecbit() {
-        let be = BitEnergy {
-            router_pj: 1.0,
-            link_pj: 1.0,
-            vertical_link_pj: 1.0,
-            core_link_pj: 0.25,
-        };
-        assert_eq!(be.per_bit_with_core_links(2).picojoules(), 3.5);
     }
 
     #[test]

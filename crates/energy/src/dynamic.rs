@@ -58,6 +58,7 @@ pub fn pair_transfer_energy<S: RouteSource + ?Sized>(
 
 /// `EDyNoC` for a CWG under a mapping (Equation 3): the sum over all
 /// communications of their per-transfer energies, using XY routing.
+// noc-verify: allow(API02) — test oracle: the XY reference fold of Eq. 3 the cached folds are checked against
 pub fn cwg_dynamic_energy(cwg: &Cwg, mesh: &Mesh, mapping: &Mapping, tech: &Technology) -> Energy {
     cwg_dynamic_energy_with(cwg, mesh, mapping, tech, &XyRouting)
 }
@@ -78,6 +79,7 @@ pub fn cwg_dynamic_energy_with(
 /// `EDyNoC` for a CDCG under a mapping (Equation 4): the per-packet sum.
 /// Numerically equal to Equation 3 on the collapsed CWG, but evaluated
 /// per packet.
+// noc-verify: allow(API02) — test oracle: the XY reference fold of Eq. 4 the cached folds are checked against
 pub fn cdcg_dynamic_energy(
     cdcg: &Cdcg,
     mesh: &Mesh,

@@ -91,13 +91,6 @@ impl Technology {
         }
     }
 
-    /// Builder-style override of the leakage power (used by calibration
-    /// ablations).
-    pub fn with_router_static_power(mut self, power: Power) -> Self {
-        self.router_static_power = power;
-        self
-    }
-
     /// Builder-style override of the bit energies.
     pub fn with_bit_energy(mut self, bit_energy: BitEnergy) -> Self {
         self.bit_energy = bit_energy;
@@ -138,9 +131,7 @@ mod tests {
 
     #[test]
     fn builders_override_fields() {
-        let t = Technology::t035().with_router_static_power(Power::from_pj_per_ns(1.0));
-        assert_eq!(t.router_static_power.pj_per_ns(), 1.0);
-        let t = t.with_bit_energy(BitEnergy::paper_example());
+        let t = Technology::t035().with_bit_energy(BitEnergy::paper_example());
         assert_eq!(t.bit_energy.router_pj, 1.0);
     }
 

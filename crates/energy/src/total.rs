@@ -14,8 +14,8 @@ use crate::statics::noc_static_energy;
 use crate::technology::Technology;
 use crate::units::Energy;
 use noc_model::{
-    Cdcg, Cwg, Mapping, Mesh, RouteCache, RouteProvider, RouteSource, RoutingAlgorithm,
-    RoutingKind, WalkMemoStats, XyRouting,
+    Cdcg, Cwg, Mapping, Mesh, RouteProvider, RouteSource, RoutingAlgorithm, RoutingKind,
+    WalkMemoStats, XyRouting,
 };
 use noc_sim::{schedule_with, CostEvaluator, DeltaStats, RunStats, Schedule, SimError, SimParams};
 use serde::{Deserialize, Serialize};
@@ -199,23 +199,6 @@ impl<'a> CdcmCostEvaluator<'a> {
             tech,
             params,
             Arc::new(RouteProvider::auto(mesh, RoutingKind::Xy)),
-        )
-    }
-
-    /// Builds the engine over an existing shared dense route cache (any
-    /// routing algorithm; results then match [`evaluate_cdcm_with`] for
-    /// it).
-    pub fn with_cache(
-        cdcg: &'a Cdcg,
-        tech: &'a Technology,
-        params: &SimParams,
-        cache: Arc<RouteCache>,
-    ) -> Self {
-        Self::with_provider(
-            cdcg,
-            tech,
-            params,
-            Arc::new(RouteProvider::from_cache(cache)),
         )
     }
 
@@ -742,8 +725,8 @@ mod tests {
         let mesh = Mesh::new(2, 2).unwrap();
         let tech = Technology::paper_example();
         let params = SimParams::paper_example();
-        let cache = Arc::new(RouteCache::with_routing(&mesh, &YxRouting).unwrap());
-        let mut fast = CdcmCostEvaluator::with_cache(&cdcg, &tech, &params, cache);
+        let routes = Arc::new(RouteProvider::for_algorithm(&mesh, &YxRouting).unwrap());
+        let mut fast = CdcmCostEvaluator::with_provider(&cdcg, &tech, &params, routes);
         for tiles in [[1, 0, 3, 2], [3, 0, 1, 2], [0, 1, 2, 3]] {
             let mapping = Mapping::from_tiles(&mesh, tiles.map(TileId::new)).unwrap();
             let full =

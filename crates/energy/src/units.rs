@@ -29,21 +29,6 @@ impl Energy {
     pub const fn picojoules(self) -> f64 {
         self.0
     }
-
-    /// Value in joules.
-    pub fn joules(self) -> f64 {
-        self.0 * 1e-12
-    }
-
-    /// Relative saving of `self` with respect to `baseline`:
-    /// `(baseline − self) / baseline`. Returns 0 for a zero baseline.
-    pub fn saving_vs(self, baseline: Energy) -> f64 {
-        if baseline.0 == 0.0 {
-            0.0
-        } else {
-            (baseline.0 - self.0) / baseline.0
-        }
-    }
 }
 
 impl Add for Energy {
@@ -107,13 +92,9 @@ impl Power {
     }
 
     /// Value in picojoules per nanosecond.
+    // noc-verify: allow(API02) — the value of a Power, the unit the paper states PSRouter in; the leakage goldens read it
     pub const fn pj_per_ns(self) -> f64 {
         self.0
-    }
-
-    /// Value in watts.
-    pub fn watts(self) -> f64 {
-        self.0 * 1e-3
     }
 
     /// Energy dissipated over a duration in nanoseconds (Equation 9 is
@@ -157,9 +138,8 @@ mod tests {
     fn conversions() {
         let e = Energy::from_picojoules(390.0);
         assert_eq!(e.picojoules(), 390.0);
-        assert!((e.joules() - 390e-12).abs() < 1e-24);
         let p = Power::from_pj_per_ns(0.1);
-        assert!((p.watts() - 1e-4).abs() < 1e-12);
+        assert_eq!(p.pj_per_ns(), 0.1);
     }
 
     #[test]
@@ -180,15 +160,6 @@ mod tests {
         let p = Power::from_pj_per_ns(0.1);
         assert_eq!(p.energy_over_ns(100.0).picojoules(), 10.0);
         assert_eq!(p.energy_over_ns(90.0).picojoules(), 9.0);
-    }
-
-    #[test]
-    fn savings() {
-        let base = Energy::from_picojoules(400.0);
-        let better = Energy::from_picojoules(399.0);
-        let s = better.saving_vs(base);
-        assert!((s - 1.0 / 400.0).abs() < 1e-12);
-        assert_eq!(better.saving_vs(Energy::ZERO), 0.0);
     }
 
     #[test]

@@ -27,6 +27,7 @@ pub fn search_space_size(cores: usize, tiles: usize) -> u64 {
 /// Enumerates every injective placement, invoking `visit` with each
 /// mapping. Placements are visited in lexicographic tile order, so runs
 /// are reproducible.
+// noc-verify: allow(API02) — test oracle: the cross-validation tests enumerate every mapping with it
 pub fn for_each_mapping<F: FnMut(&Mapping)>(mesh: &Mesh, core_count: usize, visit: F) {
     let n = mesh.tile_count();
     assert!(core_count <= n, "{core_count} cores cannot fit {n} tiles");

@@ -400,11 +400,13 @@ impl<'a> Explorer<'a> {
                     Arc::clone(&self.routes),
                 );
                 let run = run_method(&objective, &self.mesh, cores, method, pins, cancel);
-                // The objective (and its engine's walk-memo counters) is
-                // dropped when this frame returns; on a tier that
-                // memoizes walks (implicit, fault-aware), surface the
-                // counters as a trace event so observers see them. Pure
-                // read — the outcome is already fixed.
+                // The objective (and its engine's walk-memo counters,
+                // which include those of the clones multi-start and
+                // adaptive searches evaluate on) is dropped when this
+                // frame returns; on a tier that memoizes walks (implicit,
+                // fault-aware), surface the counters as a trace event so
+                // observers see them. Pure read — the outcome is already
+                // fixed.
                 if let Some(memo) = objective.walk_memo_stats() {
                     noc_obs::emit_with(|| {
                         let mut event = noc_obs::TraceEvent::new("walk_memo");
@@ -564,5 +566,52 @@ mod tests {
         let a = explorer.cwg().core_by_name("A").unwrap();
         assert_eq!(explorer.cwg().volume(e, a), Some(35));
         let _ = TileId::new(0);
+    }
+
+    #[test]
+    fn walk_memo_event_counts_the_clones_a_search_evaluates_on() {
+        // One restart of multi-start SA anneals a clone of the objective
+        // along the trajectory `sa` anneals the objective itself on, so
+        // both report the same walk-memo counters.
+        let cdcg = figure1_cdcg();
+        let mesh = Mesh::new(5, 5).unwrap();
+        let routes = Arc::new(RouteProvider::implicit(&mesh, RoutingKind::Xy));
+        let explorer = Explorer::with_provider(
+            &cdcg,
+            mesh,
+            Technology::paper_example(),
+            SimParams::paper_example(),
+            routes,
+        );
+        let memo_event = |method| {
+            let sink = Arc::new(noc_obs::MemorySink::new());
+            let run = noc_obs::with_job(1, Arc::clone(&sink) as _, || {
+                explorer.search(Strategy::Cdcm, method, None, &CancelToken::default())
+            })
+            .unwrap();
+            let events = sink.take().into_iter().map(|(_, event)| event);
+            let memo: Vec<_> = events.filter(|e| e.kind == "walk_memo").collect();
+            assert_eq!(memo.len(), 1, "one walk_memo event per search");
+            (run.outcome.mapping, memo[0].counters.clone())
+        };
+        let config = SaConfig {
+            max_evaluations: 400,
+            ..SaConfig::quick(3)
+        };
+        let (sa_best, sa) = memo_event(SearchMethod::SimulatedAnnealing(config));
+        let (multi_best, multi) = memo_event(SearchMethod::MultiStartSa {
+            config,
+            restarts: 1,
+            budget: RestartBudget::Total,
+        });
+        assert_eq!(
+            multi_best, sa_best,
+            "one restart anneals the same trajectory"
+        );
+        assert_eq!(multi, sa);
+        assert!(
+            sa[0].1 > 0 && sa[1].1 > 0,
+            "the memo hit and missed: {sa:?}"
+        );
     }
 }

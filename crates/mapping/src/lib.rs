@@ -58,7 +58,6 @@
 #![warn(missing_docs)]
 
 pub mod constraints;
-pub mod constructive;
 pub mod exhaustive;
 pub mod explorer;
 pub mod greedy;
@@ -77,7 +76,6 @@ mod result;
 mod sa;
 
 pub use constraints::exhaustive_constrained;
-pub use constructive::{constructive, constructive_mapping};
 pub use exhaustive::{exhaustive, for_each_mapping, search_space_size};
 pub use explorer::{ExploreError, Explorer, SearchMethod, Strategy};
 pub use greedy::greedy;
@@ -94,6 +92,5 @@ pub use objective::{
 pub use pareto::{pareto_front, ParetoPoint};
 pub use report::{Comparison, TechComparison};
 pub use robustness::{
-    fault_sibling, link_criticality, remap_after_faults, traffic_concentration, CriticalityReport,
-    LinkLoad, RemapReport, RobustCdcmObjective,
+    link_criticality, remap_after_faults, CriticalityReport, LinkLoad, RemapReport,
 };

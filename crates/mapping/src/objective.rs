@@ -14,10 +14,12 @@
 //!   (listed by the paper as a natural extension).
 
 use noc_energy::{cwg_dynamic_energy_cached, CdcmCostEvaluator, Technology};
-use noc_model::{Cdcg, Cwg, Mapping, Mesh, RouteProvider, RouteSource, RoutingKind, TileId};
+use noc_model::{
+    Cdcg, Cwg, Mapping, Mesh, RouteProvider, RouteSource, RoutingKind, TileId, WalkMemoStats,
+};
 use noc_sim::{CostEvaluator, SimParams};
 use std::cell::RefCell;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 // The objective traits every search engine minimizes live in the search
 // subsystem (`noc-search`), which the engines share; they are re-exported
@@ -147,19 +149,24 @@ impl BatchCost for CwmObjective<'_> {}
 ///
 /// Clones share the route provider but own private scratch state, so each
 /// search thread clones the objective once and evaluates independently.
+/// A clone hands its walk-memo counters back when it is dropped, so
+/// [`Self::walk_memo_stats`] covers every evaluator a search used.
 #[derive(Debug)]
 pub struct CdcmObjective<'a> {
     cdcg: &'a Cdcg,
     engine: RefCell<CdcmCostEvaluator<'a>>,
+    /// Walk-memo counters of the dropped clones, shared by every clone
+    /// of one original.
+    dropped: Arc<Mutex<WalkMemoStats>>,
+    /// The counters this objective's memo copied when it was cloned;
+    /// they were counted by the objective it was cloned from.
+    inherited: WalkMemoStats,
 }
 
 impl<'a> CdcmObjective<'a> {
     /// Creates the objective for an application CDCG, under XY routing.
     pub fn new(cdcg: &'a Cdcg, mesh: &'a Mesh, tech: &'a Technology, params: SimParams) -> Self {
-        Self {
-            cdcg,
-            engine: RefCell::new(CdcmCostEvaluator::new(cdcg, mesh, tech, &params)),
-        }
+        Self::from_engine(cdcg, CdcmCostEvaluator::new(cdcg, mesh, tech, &params))
     }
 
     /// Creates the objective over an existing shared route provider (any
@@ -170,11 +177,18 @@ impl<'a> CdcmObjective<'a> {
         params: SimParams,
         routes: Arc<RouteProvider>,
     ) -> Self {
+        Self::from_engine(
+            cdcg,
+            CdcmCostEvaluator::with_provider(cdcg, tech, &params, routes),
+        )
+    }
+
+    fn from_engine(cdcg: &'a Cdcg, engine: CdcmCostEvaluator<'a>) -> Self {
         Self {
             cdcg,
-            engine: RefCell::new(CdcmCostEvaluator::with_provider(
-                cdcg, tech, &params, routes,
-            )),
+            engine: RefCell::new(engine),
+            dropped: Arc::default(),
+            inherited: WalkMemoStats::default(),
         }
     }
 
@@ -189,10 +203,17 @@ impl<'a> CdcmObjective<'a> {
         self.engine.borrow().delta_stats()
     }
 
-    /// Cumulative walk-memo counters of the backing engine, or `None`
-    /// when it has no memo (a dense provider, or the memo switched off).
-    pub fn walk_memo_stats(&self) -> Option<noc_model::WalkMemoStats> {
-        self.engine.borrow().walk_memo_stats()
+    /// Cumulative walk-memo counters of the backing engine plus those of
+    /// every dropped clone of the same original, or `None` when the
+    /// engine has no memo (a dense provider, or the memo switched off).
+    pub fn walk_memo_stats(&self) -> Option<WalkMemoStats> {
+        let own = self.engine.borrow().walk_memo_stats()?;
+        let dropped = *self.dropped.lock().unwrap_or_else(PoisonError::into_inner);
+        Some(WalkMemoStats {
+            hits: own.hits + dropped.hits,
+            misses: own.misses + dropped.misses,
+            evictions: own.evictions + dropped.evictions,
+        })
     }
 
     /// Enables or disables walk memoization in the backing engine.
@@ -206,10 +227,25 @@ impl<'a> CdcmObjective<'a> {
 
 impl Clone for CdcmObjective<'_> {
     fn clone(&self) -> Self {
+        let engine = self.engine.borrow().clone();
         Self {
             cdcg: self.cdcg,
-            engine: RefCell::new(self.engine.borrow().clone()),
+            inherited: engine.walk_memo_stats().unwrap_or_default(),
+            engine: RefCell::new(engine),
+            dropped: Arc::clone(&self.dropped),
         }
+    }
+}
+
+impl Drop for CdcmObjective<'_> {
+    fn drop(&mut self) {
+        let Some(own) = self.engine.get_mut().walk_memo_stats() else {
+            return;
+        };
+        let mut dropped = self.dropped.lock().unwrap_or_else(PoisonError::into_inner);
+        dropped.hits += own.hits.saturating_sub(self.inherited.hits);
+        dropped.misses += own.misses.saturating_sub(self.inherited.misses);
+        dropped.evictions += own.evictions.saturating_sub(self.inherited.evictions);
     }
 }
 

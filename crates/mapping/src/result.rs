@@ -7,20 +7,6 @@ mod tests {
     use std::time::Duration;
 
     #[test]
-    fn throughput_handles_zero_time() {
-        let mesh = Mesh::new(2, 2).unwrap();
-        let outcome = SearchOutcome {
-            mapping: Mapping::identity(&mesh, 2).unwrap(),
-            cost: 1.0,
-            evaluations: 10,
-            elapsed: Duration::ZERO,
-            method: "test".into(),
-            objective: "CWM".into(),
-        };
-        assert_eq!(outcome.throughput(), 0.0);
-    }
-
-    #[test]
     fn serde_roundtrip() {
         let mesh = Mesh::new(2, 2).unwrap();
         let outcome = SearchOutcome {

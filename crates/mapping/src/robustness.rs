@@ -1,7 +1,7 @@
 //! Mapping robustness under link/TSV failures.
 //!
 //! The paper optimizes mappings for a pristine mesh; this module asks
-//! what happens when the mesh degrades. Three tools:
+//! what happens when the mesh degrades. Two tools:
 //!
 //! * [`remap_after_faults`] — inject a [`FaultSet`], re-route the
 //!   incumbent mapping over the fault-aware provider tier, measure the
@@ -16,13 +16,10 @@
 //!   link failure away from a large degradation; the report's
 //!   max-share and Herfindahl index quantify that single-point-of-
 //!   failure exposure.
-//! * [`RobustCdcmObjective`] — the CDCM objective with a concentration
-//!   penalty `cost × (1 + w·HHI)`, for searches that should trade a
-//!   little energy for spreading traffic across more links.
 
-use crate::objective::{BatchCost, CdcmObjective, CostFunction, SwapDeltaCost};
+use crate::objective::{CdcmObjective, CostFunction, SwapDeltaCost};
 use noc_energy::Technology;
-use noc_model::{Cdcg, Cwg, FaultSet, Link, Mapping, RouteProvider, RouteSource, TileId};
+use noc_model::{Cdcg, Cwg, FaultSet, Link, Mapping, RouteProvider, RouteSource};
 use noc_search::propose_swap;
 use noc_sim::SimParams;
 use rand::rngs::StdRng;
@@ -118,12 +115,6 @@ pub fn link_criticality(cwg: &Cwg, routes: &RouteProvider, mapping: &Mapping) ->
         max_share,
         hhi,
     }
-}
-
-/// Concentration of `mapping`'s traffic (the Herfindahl index of
-/// [`link_criticality`] alone, skipping the per-link report).
-pub fn traffic_concentration(cwg: &Cwg, routes: &RouteProvider, mapping: &Mapping) -> f64 {
-    link_criticality(cwg, routes, mapping).hhi
 }
 
 /// Outcome of one fault-injection / re-mapping experiment
@@ -270,91 +261,10 @@ pub fn remap_after_faults(
     }
 }
 
-/// The CDCM objective with a traffic-concentration penalty:
-/// `cost(m) = CDCM(m) × (1 + weight × HHI(m))`, where `HHI` is the
-/// Herfindahl index of the mapping's link-load distribution
-/// ([`link_criticality`]). With `weight = 0` this is exactly
-/// [`CdcmObjective`]; positive weights trade energy for spreading the
-/// communication volume across more links, lowering single-point-of-
-/// failure exposure.
-#[derive(Debug, Clone)]
-pub struct RobustCdcmObjective<'a> {
-    inner: CdcmObjective<'a>,
-    cwg: Cwg,
-    routes: Arc<RouteProvider>,
-    weight: f64,
-}
-
-impl<'a> RobustCdcmObjective<'a> {
-    /// Creates the penalized objective over a shared route provider.
-    pub fn with_provider(
-        cdcg: &'a Cdcg,
-        tech: &'a Technology,
-        params: SimParams,
-        routes: Arc<RouteProvider>,
-        weight: f64,
-    ) -> Self {
-        Self {
-            inner: CdcmObjective::with_provider(cdcg, tech, params, Arc::clone(&routes)),
-            cwg: cdcg.to_cwg(),
-            routes,
-            weight,
-        }
-    }
-
-    /// The concentration penalty factor `1 + weight × HHI(mapping)`.
-    pub fn penalty(&self, mapping: &Mapping) -> f64 {
-        1.0 + self.weight * traffic_concentration(&self.cwg, &self.routes, mapping)
-    }
-}
-
-impl CostFunction for RobustCdcmObjective<'_> {
-    fn cost(&self, mapping: &Mapping) -> f64 {
-        self.inner.cost(mapping) * self.penalty(mapping)
-    }
-
-    fn name(&self) -> String {
-        format!("CDCM*(1+{}*HHI)", self.weight)
-    }
-}
-
-impl BatchCost for RobustCdcmObjective<'_> {}
-
-impl SwapDeltaCost for RobustCdcmObjective<'_> {
-    fn swap_delta(&self, mapping: &Mapping, a: TileId, b: TileId) -> f64 {
-        if a == b {
-            return 0.0;
-        }
-        // The energy term rides the inner incremental path; the HHI
-        // term is a full recompute over the (few) route-changed
-        // communications' walks — still far cheaper than a schedule.
-        let base = self.inner.cost(mapping);
-        let delta = self.inner.swap_delta(mapping, a, b);
-        if !base.is_finite() || !delta.is_finite() {
-            return f64::INFINITY;
-        }
-        let mut swapped = mapping.clone();
-        swapped.swap_tiles(a, b);
-        (base + delta) * self.penalty(&swapped) - base * self.penalty(mapping)
-    }
-}
-
-/// Convenience: builds the fault-aware sibling of an existing provider
-/// (same mesh, same routing kind) for a fault set.
-///
-/// # Panics
-///
-/// Panics if `healthy` was built for a custom routing algorithm.
-pub fn fault_sibling(healthy: &RouteProvider, faults: FaultSet) -> RouteProvider {
-    let kind = noc_model::RoutingKind::from_name(healthy.routing_name())
-        .expect("fault-aware rerouting requires a library routing kind");
-    RouteProvider::fault_aware(healthy.mesh(), kind, faults)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use noc_model::{FaultScenario, Mesh, RoutingKind};
+    use noc_model::{Mesh, RoutingKind, TileId};
 
     fn figure1_cdcg() -> Cdcg {
         let mut g = Cdcg::new();
@@ -477,42 +387,5 @@ mod tests {
         // B↔F (40 bits each hop) dominates: the busiest link carries
         // at least that much.
         assert!(report.top[0].bits >= 40);
-    }
-
-    #[test]
-    fn robust_objective_delta_matches_cost_difference() {
-        let (cdcg, mesh, tech, params) = instance();
-        let routes = Arc::new(RouteProvider::auto(&mesh, RoutingKind::Xy));
-        let obj = RobustCdcmObjective::with_provider(&cdcg, &tech, params, routes, 2.0);
-        let m = Mapping::from_tiles(&mesh, [0, 1, 3, 4].map(TileId::new)).unwrap();
-        for (a, b) in [(0, 8), (1, 4), (3, 3), (0, 1)] {
-            let (a, b) = (TileId::new(a), TileId::new(b));
-            let delta = obj.swap_delta(&m, a, b);
-            let mut swapped = m.clone();
-            swapped.swap_tiles(a, b);
-            let full = obj.cost(&swapped) - obj.cost(&m);
-            assert!(
-                (delta - full).abs() < 1e-9,
-                "swap {a}-{b}: delta {delta} vs full {full}"
-            );
-        }
-        // Weight 0 degenerates to plain CDCM.
-        let routes = Arc::new(RouteProvider::auto(&mesh, RoutingKind::Xy));
-        let plain = CdcmObjective::with_provider(&cdcg, &tech, params, Arc::clone(&routes));
-        let zero = RobustCdcmObjective::with_provider(&cdcg, &tech, params, routes, 0.0);
-        assert_eq!(zero.cost(&m), plain.cost(&m));
-    }
-
-    #[test]
-    fn fault_sibling_matches_the_healthy_provider_when_empty() {
-        let mesh = Mesh::new(4, 4).unwrap();
-        let healthy = RouteProvider::auto(&mesh, RoutingKind::Xy);
-        let sibling = fault_sibling(&healthy, FaultSet::new());
-        assert_eq!(sibling.tier().name(), "fault-aware");
-        assert_eq!(sibling.routing_name(), healthy.routing_name());
-        // And a generated scenario wires through.
-        let faults = FaultScenario::RandomLinks { count: 2, seed: 5 }.generate(&mesh);
-        let sibling = fault_sibling(&healthy, faults);
-        assert_eq!(sibling.as_fault_aware().unwrap().faults().len(), 4);
     }
 }

@@ -180,6 +180,7 @@ impl Cdcg {
     }
 
     /// Looks a core up by name (first match).
+    // noc-verify: allow(API02) — test oracle: tests look cores up by their paper names
     pub fn core_by_name(&self, name: &str) -> Option<CoreId> {
         self.core_names
             .iter()
@@ -237,6 +238,7 @@ impl Cdcg {
 
     /// All packets sent from `src` to `dst` in insertion order (the set
     /// `P_ab` of Definition 2).
+    // noc-verify: allow(API02) — the paper's P_ab (Definition 2); tests in three crates check packet sets with it
     pub fn packets_between(&self, src: CoreId, dst: CoreId) -> Vec<PacketId> {
         self.packet_ids()
             .filter(|p| {

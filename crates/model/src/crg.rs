@@ -94,23 +94,6 @@ pub enum Direction {
 }
 
 impl Direction {
-    /// The opposite direction (`Local` is its own opposite).
-    pub fn opposite(self) -> Self {
-        match self {
-            Self::North => Self::South,
-            Self::South => Self::North,
-            Self::East => Self::West,
-            Self::West => Self::East,
-            Self::Up => Self::Down,
-            Self::Down => Self::Up,
-            Self::Local => Self::Local,
-        }
-    }
-
-    /// The four planar mesh directions (excluding the vertical pair and
-    /// `Local`).
-    pub const CARDINAL: [Direction; 4] = [Self::North, Self::South, Self::East, Self::West];
-
     /// All six mesh directions of a 3D mesh (excluding `Local`).
     pub const AXIAL: [Direction; 6] = [
         Self::North,
@@ -328,6 +311,7 @@ impl Mesh {
     /// Direction from `from` to an adjacent tile `to`.
     ///
     /// Returns `None` if the tiles are not mesh-adjacent.
+    // noc-verify: allow(API02) — test oracle: the routing tests check each hop's port with it
     pub fn direction_between(&self, from: TileId, to: TileId) -> Option<Direction> {
         let a = self.coord(from);
         let b = self.coord(to);
@@ -486,16 +470,6 @@ mod tests {
             m.direction_between(c, m.tile_at(Coord::new(0, 0)).unwrap()),
             None
         );
-    }
-
-    #[test]
-    fn direction_opposites() {
-        for d in Direction::AXIAL {
-            assert_eq!(d.opposite().opposite(), d);
-            assert_ne!(d.opposite(), d);
-        }
-        assert_eq!(Direction::Local.opposite(), Direction::Local);
-        assert_eq!(Direction::Up.opposite(), Direction::Down);
     }
 
     #[test]

@@ -326,6 +326,7 @@ impl FaultAwareRoutes {
     /// the concurrency stress tests use this to exercise the
     /// resolve-under-eviction paths that the default 16M-entry budget
     /// would never reach.
+    // noc-verify: allow(API02) — test fixture: lock_stress caps the shard arenas with it to force eviction
     pub fn with_shard_capacity(
         mesh: &Mesh,
         kind: RoutingKind,
@@ -770,7 +771,6 @@ mod tests {
         let provider = RouteProvider::fault_aware(&mesh, RoutingKind::Xy, FaultSet::new());
         assert_eq!(provider.tier().name(), "fault-aware");
         assert!(provider.as_fault_aware().is_some());
-        assert!(provider.as_dense().is_none());
         provider
             .validate_pair(TileId::new(0), TileId::new(8))
             .unwrap();

@@ -8,7 +8,6 @@
 //! flat, allocation-free lookups:
 //!
 //! * [`RouteCache::router_count`] — the paper's `K` for a pair, `O(1)`;
-//! * [`RouteCache::routers`] — the ordered router list of the pair;
 //! * [`RouteCache::link_ids`] — the complete resource walk of the pair
 //!   (injection link, inter-router links, ejection link) as **dense link
 //!   ids**: consecutive `u32` indices assigned per mesh, so per-link state
@@ -22,7 +21,7 @@
 //!
 //! The tables are `O(n² · diameter)`: negligible for the paper's flow
 //! (a few hundred tiles ⇒ a few megabytes), but growing fast — roughly
-//! 150 MB at 32×32 and over 3 GB at 64×64. Construction therefore
+//! 100 MB at 32×32 and over 3 GB at 64×64. Construction therefore
 //! *refuses* meshes whose tables would be unreasonably large
 //! ([`ModelError::RouteCacheTooLarge`], checked analytically **before**
 //! any allocation) instead of thrashing or overflowing the `u32` offset
@@ -38,10 +37,10 @@ use crate::routing::{RoutingAlgorithm, XyRouting};
 use std::collections::HashMap;
 
 /// Hard ceiling on the estimated dense table entries a [`RouteCache`]
-/// will agree to precompute (~1 GB of tables). Beyond it construction
+/// will agree to precompute (~256 MB of tables). Beyond it construction
 /// returns [`ModelError::RouteCacheTooLarge`]; use the implicit provider
 /// tier instead.
-pub const MAX_DENSE_ENTRIES: u128 = 1 << 27;
+pub const MAX_DENSE_ENTRIES: u128 = 1 << 26;
 
 /// All routes of a mesh under one deterministic routing function, with
 /// dense link numbering. See the module docs.
@@ -49,18 +48,14 @@ pub const MAX_DENSE_ENTRIES: u128 = 1 << 27;
 pub struct RouteCache {
     mesh: Mesh,
     routing_name: &'static str,
-    /// Per pair `src * n + dst`: start offset into `routers`/`link_ids`.
-    /// The pair's routers are `routers[offsets[p]..offsets[p + 1]]` and its
-    /// links are `link_ids[offsets[p] + p..offsets[p + 1] + p + 1]` (every
-    /// pair has exactly one more link than routers).
+    /// Per pair `src * n + dst`: the routers of every earlier pair. The
+    /// pair has `offsets[p + 1] - offsets[p]` routers and its links are
+    /// `link_ids[offsets[p] + p..offsets[p + 1] + p + 1]` (every pair has
+    /// exactly one more link than routers).
     offsets: Vec<u32>,
-    routers: Vec<TileId>,
     link_ids: Vec<u32>,
     /// Dense id → physical link.
     links: Vec<Link>,
-    /// Physical link → dense id (the interning map retained from
-    /// construction, so reverse lookups are `O(1)`).
-    index: HashMap<Link, u32>,
     /// Per pair: vertical (TSV) link count of the route. Empty on
     /// depth-1 meshes, where every route is planar — no memory is spent
     /// and lookups return `0` without touching a table.
@@ -79,7 +74,7 @@ impl RouteCache {
         Self::with_routing(mesh, &XyRouting)
     }
 
-    /// Estimated total table entries (routers + link ids + offsets) the
+    /// Estimated total table entries (link ids + offsets) the
     /// dense cache needs for `mesh` under any *minimal* routing, in
     /// closed form: the sum of Manhattan distances over all ordered tile
     /// pairs plus the per-pair constants. Non-minimal custom routings may
@@ -97,11 +92,11 @@ impl RouteCache {
         let manhattan_sum = (h * d) * (h * d) * w * (w * w - 1) / 3
             + (w * d) * (w * d) * h * (h * h - 1) / 3
             + (w * h) * (w * h) * d * (d * d - 1) / 3;
-        let routers = pairs + manhattan_sum; // K = distance + 1 per pair
-        let links = routers + pairs; // K + 1 link ids per pair
-                                     // 3D meshes additionally carry the per-pair vertical-hop table.
+        // K = distance + 1 routers per pair, so K + 1 link ids.
+        let links = manhattan_sum + 2 * pairs;
+        // 3D meshes additionally carry the per-pair vertical-hop table.
         let vertical = if d > 1 { pairs } else { 0 };
-        routers + links + pairs + 1 + vertical // + the offsets table
+        links + pairs + 1 + vertical // + the offsets table
     }
 
     /// Builds the cache for `mesh` under an explicit routing algorithm.
@@ -122,7 +117,7 @@ impl RouteCache {
         }
         let n = mesh.tile_count();
         let mut offsets = Vec::with_capacity(n * n + 1);
-        let mut routers = Vec::new();
+        let mut routers = 0usize;
         let mut link_ids = Vec::new();
         let mut links = Vec::new();
         let mut vertical = Vec::new();
@@ -145,13 +140,13 @@ impl RouteCache {
                 if mesh.depth() > 1 {
                     vertical.push(path.vertical_link_count(mesh) as u32);
                 }
-                routers.extend_from_slice(path.routers());
-                let offset = u32::try_from(routers.len()).map_err(|_| {
+                routers += path.router_count();
+                let offset = u32::try_from(routers).map_err(|_| {
                     // Only reachable for non-minimal custom routings that
                     // blow past the analytic estimate.
                     ModelError::RouteCacheTooLarge {
                         tiles: n,
-                        entries: estimate.max(routers.len() as u128),
+                        entries: estimate.max(routers as u128),
                     }
                 })?;
                 offsets.push(offset);
@@ -161,10 +156,8 @@ impl RouteCache {
             mesh: *mesh,
             routing_name: routing.name(),
             offsets,
-            routers,
             link_ids,
             links,
-            index,
             vertical,
         })
     }
@@ -201,13 +194,6 @@ impl RouteCache {
             return 0;
         }
         self.vertical[self.pair(src, dst)] as usize
-    }
-
-    /// The ordered router list of the route.
-    #[inline]
-    pub fn routers(&self, src: TileId, dst: TileId) -> &[TileId] {
-        let p = self.pair(src, dst);
-        &self.routers[self.offsets[p] as usize..self.offsets[p + 1] as usize]
     }
 
     /// The complete resource walk of the route as dense link ids:
@@ -250,12 +236,6 @@ impl RouteCache {
     pub fn link_of(&self, id: u32) -> Link {
         self.links[id as usize]
     }
-
-    /// Dense id of a physical link, if any route uses it — an `O(1)`
-    /// lookup in the interning map retained from construction.
-    pub fn dense_id(&self, link: Link) -> Option<u32> {
-        self.index.get(&link).copied()
-    }
 }
 
 #[cfg(test)]
@@ -270,7 +250,6 @@ mod tests {
         for src in mesh.tiles() {
             for dst in mesh.tiles() {
                 let path = XyRouting.route(&mesh, src, dst);
-                assert_eq!(cache.routers(src, dst), path.routers());
                 assert_eq!(cache.router_count(src, dst), path.router_count());
                 let links: Vec<Link> = cache
                     .link_ids(src, dst)
@@ -289,41 +268,14 @@ mod tests {
         assert_eq!(yx.routing_name(), "YX");
         for src in mesh.tiles() {
             for dst in mesh.tiles() {
-                assert_eq!(
-                    yx.routers(src, dst),
-                    YxRouting.route(&mesh, src, dst).routers()
-                );
+                let links: Vec<Link> = yx
+                    .link_ids(src, dst)
+                    .iter()
+                    .map(|&id| yx.link_of(id))
+                    .collect();
+                assert_eq!(links, YxRouting.route(&mesh, src, dst).links());
             }
         }
-    }
-
-    #[test]
-    fn dense_ids_round_trip_for_every_id() {
-        // `dense_id(link_of(id)) == id` must hold for every dense id —
-        // this exercises the O(1) interning-map reverse lookup.
-        for (mesh, routing) in [
-            (
-                Mesh::new(3, 2).unwrap(),
-                &XyRouting as &dyn RoutingAlgorithm,
-            ),
-            (Mesh::new(5, 4).unwrap(), &XyRouting),
-            (Mesh::new(4, 4).unwrap(), &YxRouting),
-        ] {
-            let cache = RouteCache::with_routing(&mesh, routing).unwrap();
-            for id in 0..cache.dense_link_count() as u32 {
-                assert_eq!(cache.dense_id(cache.link_of(id)), Some(id));
-            }
-            // Every injection and ejection link is used (self-routes).
-            assert!(cache.dense_link_count() >= 2 * mesh.tile_count());
-        }
-    }
-
-    #[test]
-    fn dense_id_misses_unused_links() {
-        let mesh = Mesh::new(2, 2).unwrap();
-        let cache = RouteCache::new(&mesh).unwrap();
-        let foreign = Link::between(TileId::new(7), TileId::new(8));
-        assert_eq!(cache.dense_id(foreign), None);
     }
 
     #[test]
@@ -366,10 +318,8 @@ mod tests {
         ] {
             let mesh = Mesh::new3(w, h, d).unwrap();
             let cache = RouteCache::new(&mesh).unwrap();
-            let actual = (cache.routers.len()
-                + cache.link_ids.len()
-                + cache.offsets.len()
-                + cache.vertical.len()) as u128;
+            let actual =
+                (cache.link_ids.len() + cache.offsets.len() + cache.vertical.len()) as u128;
             assert_eq!(
                 RouteCache::dense_entry_estimate(&mesh),
                 actual,

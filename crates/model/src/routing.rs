@@ -49,11 +49,6 @@ impl Path {
         self.routers.len()
     }
 
-    /// Number of inter-router links traversed (`K − 1`).
-    pub fn internal_link_count(&self) -> usize {
-        self.routers.len() - 1
-    }
-
     /// Number of *vertical* (TSV) inter-router links traversed: the steps
     /// whose endpoints lie on different layers of `mesh`. Always `0` on a
     /// depth-1 mesh, so the planar energy model is untouched.
@@ -542,7 +537,6 @@ mod tests {
         let t = TileId::new(5);
         let path = XyRouting.route(&m, t, t);
         assert_eq!(path.router_count(), 1);
-        assert_eq!(path.internal_link_count(), 0);
         assert_eq!(path.source(), t);
         assert_eq!(path.destination(), t);
     }
@@ -636,7 +630,7 @@ mod tests {
         let links = path.links();
         assert_eq!(links.first(), Some(&Link::Injection(src)));
         assert_eq!(links.last(), Some(&Link::Ejection(dst)));
-        assert_eq!(links.len(), path.internal_link_count() + 2);
+        assert_eq!(links.len(), path.router_count() + 1);
         assert!(links[1..links.len() - 1].iter().all(Link::is_internal));
     }
 

@@ -40,6 +40,4 @@ pub mod trace;
 pub use clock::{stamp, Stamp};
 pub use flight::{FlightRecorder, Tape};
 pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry};
-pub use trace::{
-    active, emit_with, with_job, JsonLinesSink, MemorySink, NullSink, TraceEvent, TraceSink,
-};
+pub use trace::{active, emit_with, with_job, JsonLinesSink, MemorySink, TraceEvent, TraceSink};

@@ -35,15 +35,3 @@ mod duration_secs {
         Ok(Duration::from_secs_f64(secs))
     }
 }
-
-impl SearchOutcome {
-    /// Evaluations per second (0 if the search was instantaneous).
-    pub fn throughput(&self) -> f64 {
-        let secs = self.elapsed.as_secs_f64();
-        if secs == 0.0 {
-            0.0
-        } else {
-            self.evaluations as f64 / secs
-        }
-    }
-}

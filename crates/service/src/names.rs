@@ -3,7 +3,8 @@
 //! same mistakes with the same text: one lookup per request enum over
 //! that type's own `from_name` table (route-cache tiers have
 //! [`CacheTier::from_name`](crate::CacheTier::from_name)), and
-//! [`check_keys`], which refuses a key the request does not read.
+//! [`check_keys`], which refuses a key the request does not read or
+//! gives twice.
 
 use crate::job::Priority;
 use noc_energy::Technology;
@@ -43,27 +44,29 @@ pub fn routing(name: &str) -> Result<RoutingKind, String> {
 }
 
 /// A key that the request it came with does not read, e.g. ``unknown
-/// key `sed` in a solve job; did you mean `seed`?``.
+/// key `sed` in a solve job; did you mean `seed`?``, or gives twice,
+/// e.g. ``repeated key `tech` in an evaluate job``.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct UnknownKey(String);
+pub struct KeyError(String);
 
-impl fmt::Display for UnknownKey {
+impl fmt::Display for KeyError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&self.0)
     }
 }
 
-impl std::error::Error for UnknownKey {}
+impl std::error::Error for KeyError {}
 
 /// Checks that each of `keys` is one of `known`, whose entries each hold
-/// whitespace-separated keys; `noun` (`option`, `key`) and `place`
-/// (``for `noc-cli map` ``, `in a solve job`) word the error. It names
-/// the first unknown key and the known key nearest to it: the first one
-/// it abbreviates, else the one the fewest one-character edits away.
+/// whitespace-separated keys, and that no key comes twice; `noun`
+/// (`option`, `key`) and `place` (``for `noc-cli map` ``, `in a solve
+/// job`) word the error. An unknown key is named with the known key
+/// nearest to it: the first one it abbreviates, else the one the fewest
+/// one-character edits away.
 ///
 /// # Errors
 ///
-/// [`UnknownKey`] for the first key that is not known.
+/// [`KeyError`] for the first key that is unknown or repeated.
 ///
 /// # Panics
 ///
@@ -73,16 +76,23 @@ pub fn check_keys<'k>(
     known: &[&'static str],
     noun: &str,
     place: &str,
-) -> Result<(), UnknownKey> {
+) -> Result<(), KeyError> {
     let known: Vec<&str> = known.iter().flat_map(|k| k.split_whitespace()).collect();
-    let Some(key) = keys.into_iter().find(|key| !known.contains(key)) else {
-        return Ok(());
-    };
-    let distance = |k: &&str| (!k.starts_with(key)).then(|| edit_distance(key, k));
-    let nearest = known.into_iter().min_by_key(distance).expect("known keys");
-    Err(UnknownKey(format!(
-        "unknown {noun} `{key}` {place}; did you mean `{nearest}`?"
-    )))
+    let mut seen = Vec::new();
+    for key in keys {
+        if !known.contains(&key) {
+            let distance = |k: &&str| (!k.starts_with(key)).then(|| edit_distance(key, k));
+            let nearest = known.into_iter().min_by_key(distance).expect("known keys");
+            return Err(KeyError(format!(
+                "unknown {noun} `{key}` {place}; did you mean `{nearest}`?"
+            )));
+        }
+        if seen.contains(&key) {
+            return Err(KeyError(format!("repeated {noun} `{key}` {place}")));
+        }
+        seen.push(key);
+    }
+    Ok(())
 }
 
 /// Levenshtein distance over `char`s, one row at a time.
@@ -134,6 +144,29 @@ mod tests {
             err.to_string(),
             "unknown key `sed` in a solve job; did you mean `seed`?"
         );
+    }
+
+    #[test]
+    fn check_keys_refuses_a_repeated_key() {
+        let known = ["tech mesh"];
+        let err = check_keys(
+            ["tech", "mesh", "tech"],
+            &known,
+            "key",
+            "in an evaluate job",
+        );
+        assert_eq!(
+            err.unwrap_err().to_string(),
+            "repeated key `tech` in an evaluate job"
+        );
+        // An unknown key before the repeat is named first.
+        let err = check_keys(
+            ["tehc", "tech", "tech"],
+            &known,
+            "key",
+            "in an evaluate job",
+        );
+        assert!(err.unwrap_err().0.starts_with("unknown key `tehc`"));
     }
 
     #[test]

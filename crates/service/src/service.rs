@@ -103,6 +103,7 @@ impl ServiceConfig {
     }
 
     /// Overrides the per-subscriber event-queue bound.
+    #[cfg(test)]
     pub fn with_event_capacity(mut self, capacity: usize) -> Self {
         self.event_capacity = capacity.max(1);
         self

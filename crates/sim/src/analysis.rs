@@ -88,6 +88,7 @@ pub fn analyze(schedule: &Schedule) -> ScheduleStats {
 /// only help `texec` if they shorten (or de-contend) packets on this
 /// chain, which makes it the first thing to inspect when a mapping
 /// underperforms.
+// noc-verify: allow(API02) — the module goes when `explain` replaces it (ROADMAP item 1); its tests stay until then
 pub fn critical_path(schedule: &Schedule, cdcg: &noc_model::Cdcg) -> Vec<noc_model::PacketId> {
     let Some(last) = schedule
         .packets()
@@ -178,20 +179,18 @@ mod tests {
         let sched = figure1_schedule([1, 0, 3, 2]);
         let loads = link_loads(&sched);
         // τ1→τ3 carries B→F (40) and A→F (15).
-        let l = Link::between(TileId::new(0), TileId::new(2));
-        assert_eq!(loads.get(&l), Some(&55));
+        let l55 = Link::between(TileId::new(0), TileId::new(2));
+        assert_eq!(loads.get(&l55), Some(&55));
         // τ2→τ1 carries A→B and A→F (15 + 15).
         let l = Link::between(TileId::new(1), TileId::new(0));
         assert_eq!(loads.get(&l), Some(&30));
-        assert_eq!(
-            sched
-                .occupancy()
-                .bits_through(crate::resource::Resource::Link(Link::between(
-                    TileId::new(0),
-                    TileId::new(2)
-                ))),
-            55
-        );
+        let bits: u64 = sched
+            .occupancy()
+            .of(crate::resource::Resource::Link(l55))
+            .iter()
+            .map(|o| o.bits)
+            .sum();
+        assert_eq!(bits, 55);
     }
 
     #[test]

@@ -597,11 +597,6 @@ impl<'a> CostEvaluator<'a> {
             .then(|| self.memo.take().unwrap_or_default());
     }
 
-    /// Whether the walk memo is currently active.
-    pub fn walk_memo_enabled(&self) -> bool {
-        self.memo.is_some()
-    }
-
     /// Cumulative hit/miss/eviction counters of the walk memo, or `None`
     /// when the memo is disabled. The hit ratio doubles as the
     /// route-dedup ratio the observability layer reports.

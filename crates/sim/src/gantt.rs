@@ -69,6 +69,7 @@ impl GanttRow {
     }
 
     /// Total cycles spent in one delay class.
+    // noc-verify: allow(API02) — test oracle: the Figure 4/5 timing-diagram tests sum delay classes with it
     pub fn cycles_in(&self, kind: SegmentKind) -> u64 {
         self.segments
             .iter()

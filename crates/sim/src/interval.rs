@@ -40,6 +40,7 @@ impl CycleInterval {
     }
 
     /// True if the two intervals share at least one cycle.
+    // noc-verify: allow(API02) — test oracle: the contention tests check interval overlap with it
     pub fn overlaps(&self, other: &CycleInterval) -> bool {
         self.start < other.end && other.start < self.end
     }

@@ -23,6 +23,7 @@ pub fn packet_delay_cycles(params: &SimParams, flits: u64) -> u64 {
 
 /// Total uncontended packet delay (Equation 8):
 /// `d = (K·(tr + tl) + tl·n)` cycles, i.e. the sum of Equations 6 and 7.
+// noc-verify: allow(API02) — the paper's Eq. 8 contention-free bound; the schedule tests check packets against it
 pub fn total_delay_cycles(params: &SimParams, k: usize, flits: u64) -> u64 {
     debug_assert_eq!(
         routing_delay_cycles(params, k) + packet_delay_cycles(params, flits),
@@ -30,12 +31,6 @@ pub fn total_delay_cycles(params: &SimParams, k: usize, flits: u64) -> u64 {
         "Eq. 8 must equal Eq. 6 + Eq. 7"
     );
     k as u64 * (params.routing_cycles + params.link_cycles) + params.link_cycles * flits
-}
-
-/// Total uncontended delay in nanoseconds (Equation 8 with the `λ`
-/// factor applied).
-pub fn total_delay_ns(params: &SimParams, k: usize, flits: u64) -> f64 {
-    params.cycles_to_ns(total_delay_cycles(params, k, flits))
 }
 
 #[cfg(test)]
@@ -72,13 +67,6 @@ mod tests {
         let p = SimParams::paper_example();
         assert_eq!(packet_delay_cycles(&p, 1), 0);
         assert_eq!(total_delay_cycles(&p, 1, 1), routing_delay_cycles(&p, 1));
-    }
-
-    #[test]
-    fn delay_in_ns_scales_with_lambda() {
-        let mut p = SimParams::paper_example();
-        p.clock_period_ns = 2.0;
-        assert_eq!(total_delay_ns(&p, 2, 15), 42.0);
     }
 
     #[test]

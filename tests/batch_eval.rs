@@ -203,7 +203,7 @@ fn memo_on_and_off_batches_are_bit_identical() {
         let mut on = CostEvaluator::with_provider(&cdcg, &params, Arc::clone(&provider));
         let mut off = CostEvaluator::with_provider(&cdcg, &params, provider);
         off.set_walk_memo(false);
-        assert!(on.walk_memo_enabled() && !off.walk_memo_enabled());
+        assert!(on.walk_memo_stats().is_some() && off.walk_memo_stats().is_none());
         for (i, mapping) in cohort.iter().enumerate() {
             assert_eq!(
                 on.texec_cycles(mapping).expect("schedules"),
