@@ -134,8 +134,9 @@ for the structured snapshot); `watch` streams its live service events
 as JSON lines (`--count N` to disconnect after N events); and
 `submit --op trace --job N` fetches job N's recorded flight tape.
 Each subcommand refuses an option it does not read, naming the nearest
-one it does, and an option given twice. Names (tech, strategy, routing, route cache, priority)
-ignore case and surrounding spaces, here and on the socket alike.
+one it does, and an option given twice. Names (tech, strategy, routing,
+route cache, priority) ignore case and surrounding spaces, here and on
+the socket alike.
 "
     .to_owned()
 }

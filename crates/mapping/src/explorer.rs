@@ -400,13 +400,12 @@ impl<'a> Explorer<'a> {
                     Arc::clone(&self.routes),
                 );
                 let run = run_method(&objective, &self.mesh, cores, method, pins, cancel);
-                // The objective (and its engine's walk-memo counters,
-                // which include those of the clones multi-start and
-                // adaptive searches evaluate on) is dropped when this
-                // frame returns; on a tier that memoizes walks (implicit,
-                // fault-aware), surface the counters as a trace event so
-                // observers see them. Pure read — the outcome is already
-                // fixed.
+                // The objective is dropped when this frame returns; on a
+                // tier that memoizes walks (implicit, fault-aware),
+                // surface its walk-memo counters, which include those of
+                // the clones a multi-start or adaptive search evaluated
+                // on, as a trace event. Pure read — the outcome is
+                // already fixed.
                 if let Some(memo) = objective.walk_memo_stats() {
                     noc_obs::emit_with(|| {
                         let mut event = noc_obs::TraceEvent::new("walk_memo");

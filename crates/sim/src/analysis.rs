@@ -88,7 +88,7 @@ pub fn analyze(schedule: &Schedule) -> ScheduleStats {
 /// only help `texec` if they shorten (or de-contend) packets on this
 /// chain, which makes it the first thing to inspect when a mapping
 /// underperforms.
-// noc-verify: allow(API02) — the module goes when `explain` replaces it (ROADMAP item 1); its tests stay until then
+// noc-verify: allow(API02) — the planned `explain` report replaces this module; its tests stay until then
 pub fn critical_path(schedule: &Schedule, cdcg: &noc_model::Cdcg) -> Vec<noc_model::PacketId> {
     let Some(last) = schedule
         .packets()
