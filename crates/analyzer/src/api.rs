@@ -1,8 +1,9 @@
 //! API01 and API02: the public surface of the workspace.
 //!
 //! **API01** extracts the public surface of every workspace crate —
-//! top-level `pub` items, `pub fn`s inside `impl` blocks, trait methods
-//! inside `pub trait` blocks, exported macros — from its `src/`
+//! top-level `pub` items (a `pub use` with its whole list), `pub fn`s
+//! inside `impl` blocks, trait methods inside `pub trait` blocks,
+//! exported macros — from its `src/`
 //! (binaries excluded) and diffs it against the checked-in manifest
 //! (`crates/analyzer/api_manifest.txt`). Any delta is an API01 finding
 //! until the manifest is deliberately regenerated with
