@@ -156,8 +156,24 @@ fn assemble_signature(lines: &[ScanLine], start: usize) -> (String, bool, usize)
     (normalize_ws(&sig), opened, i.max(start + 1))
 }
 
+/// Collapses whitespace and the layout rustfmt picks for a long item:
+/// no space just inside a bracket and no trailing comma before a closing
+/// one, so a wrapped signature or `pub use` list and its one-line form
+/// give the same entry.
 fn normalize_ws(s: &str) -> String {
-    s.split_whitespace().collect::<Vec<_>>().join(" ")
+    let mut out = String::with_capacity(s.len());
+    for word in s.split_whitespace() {
+        if !out.is_empty() && !out.ends_with(['(', '[', '{']) {
+            out.push(' ');
+        }
+        for c in word.chars() {
+            if matches!(c, ')' | ']' | '}') {
+                out.truncate(out.trim_end_matches([' ', ',']).len());
+            }
+            out.push(c);
+        }
+    }
+    out
 }
 
 /// The crate (its directory under `crates/`, e.g. `model` or
@@ -469,15 +485,20 @@ pub fn free() {}\n";
     fn multiline_signatures_collapse() {
         let src = "pub fn with_capacity(\n    a: usize,\n    b: usize,\n) -> Self {\n}\n";
         let s = public_surface(&scan(src));
-        assert!(s.contains("pub fn with_capacity( a: usize, b: usize, ) -> Self"));
+        assert!(s.contains("pub fn with_capacity(a: usize, b: usize) -> Self"));
+        // A rustfmt re-wrap is no surface change.
+        let one_line = "pub fn with_capacity(a: usize, b: usize) -> Self {\n}\n";
+        assert_eq!(s, public_surface(&scan(one_line)));
     }
 
     #[test]
     fn re_exported_names_are_surface() {
         let src = "pub use a::{\n    b,\n    c::D,\n};\npub use e::F;\n";
         let s = public_surface(&scan(src));
-        assert!(s.contains("pub use a::{ b, c::D, }"), "{s:?}");
+        assert!(s.contains("pub use a::{b, c::D}"), "{s:?}");
         assert!(s.contains("pub use e::F"), "{s:?}");
+        let one_line = "pub use a::{b, c::D};\npub use e::F;\n";
+        assert_eq!(s, public_surface(&scan(one_line)));
     }
 
     #[test]

@@ -42,7 +42,7 @@ type Command = (
 
 /// The subcommand called `name`, if there is one.
 pub(crate) fn command(name: &str) -> Option<Command> {
-    use crate::request::{EVALUATE_FLAGS as EVALUATE, SOLVE_FLAGS as SOLVE};
+    use crate::request::{EVALUATE_FLAGS as EVALUATE, FAULT_FLAGS as FAULT, SOLVE_FLAGS as SOLVE};
     const SUBMIT: &str = "--socket --op --job --priority --wait --method";
     Some(match name {
         "generate" => (
@@ -50,9 +50,9 @@ pub(crate) fn command(name: &str) -> Option<Command> {
             &["--cores --packets --bits --seed --paper-example --out"],
         ),
         "info" => (cmd_info, &["--app"]),
-        "map" | "solve" => (cmd_map, &[SOLVE, "--method --workers --trace --telemetry"]),
-        "evaluate" => (cmd_evaluate, &[EVALUATE, "--workers"]),
-        "explore" => (cmd_explore, &[SOLVE, "--methods --workers"]),
+        "map" | "solve" => (cmd_map, &[SOLVE, FAULT, "--method --trace --telemetry"]),
+        "evaluate" => (cmd_evaluate, &[EVALUATE]),
+        "explore" => (cmd_explore, &[SOLVE, FAULT, "--methods --workers"]),
         "bench" => (cmd_bench, &["--jobs --workers --evals --app --mesh"]),
         "serve" => (cmd_serve, &["--socket --workers --trace"]),
         "submit" => (cmd_submit, &[SUBMIT, SOLVE, EVALUATE]),
@@ -64,8 +64,8 @@ pub(crate) fn command(name: &str) -> Option<Command> {
     })
 }
 
-/// Builds the service configuration shared by the one-shot commands and
-/// `serve`: `workers` threads, plus a line-JSON trace sink when
+/// Builds the service configuration of `map` and `serve`: `workers`
+/// threads, plus a line-JSON trace sink when
 /// `--trace FILE` is given (every `noc-obs` trace event of every job is
 /// appended to `FILE`, one JSON object per line). Tracing never alters
 /// results — trajectories are bit-identical with and without `--trace`.
@@ -81,19 +81,11 @@ pub(crate) fn service_config(options: &Options, workers: usize) -> Result<Servic
     Ok(config)
 }
 
-/// Runs one job on a short-lived service instance and returns its
-/// result. This is how the one-shot subcommands (`map`, `evaluate`)
-/// use the service layer; `serve` keeps an instance alive instead.
-pub(crate) fn run_job(request: JobRequest, workers: usize) -> Result<JobResult, CliError> {
-    run_job_with_config(request, ServiceConfig::new(workers))
-}
-
-/// [`run_job`] with a caller-built configuration (trace sinks, event
-/// capacities).
-pub(crate) fn run_job_with_config(
-    request: JobRequest,
-    config: ServiceConfig,
-) -> Result<JobResult, CliError> {
+/// Runs one job on a short-lived service instance built from `config`
+/// and returns its result. This is how the one-shot subcommands (`map`,
+/// `evaluate`) use the service layer; `serve` keeps an instance alive
+/// instead.
+pub(crate) fn run_job(request: JobRequest, config: ServiceConfig) -> Result<JobResult, CliError> {
     let service = MappingService::start(config);
     let id = service.submit(request, Priority::Normal);
     match service.wait(id) {

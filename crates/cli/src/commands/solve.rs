@@ -1,6 +1,6 @@
 //! `map` / `solve`: search the best mapping for an application.
 
-use crate::commands::{run_job_with_config, service_config};
+use crate::commands::{run_job, service_config};
 use crate::options::Options;
 use crate::render::render_solve;
 use crate::request::build_solve_request;
@@ -19,9 +19,10 @@ use noc_service::JobRequest;
 /// (more cores than tiles), or failed jobs.
 pub(crate) fn cmd_map(options: &Options) -> Result<String, CliError> {
     let request = build_solve_request(options)?;
-    let workers: usize = options.get_parsed("--workers", 1)?;
-    let config = service_config(options, workers)?;
-    let result = run_job_with_config(JobRequest::Solve(Box::new(request)), config)?;
+    let result = run_job(
+        JobRequest::Solve(Box::new(request)),
+        service_config(options, 1)?,
+    )?;
     let result = result
         .as_solve()
         .ok_or("service returned the wrong result kind")?;

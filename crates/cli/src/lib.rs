@@ -65,12 +65,11 @@ USAGE:
                    [--neighborhood N] [--crossover pmx|cycle]
                    [--tech paper|0.35|0.07]
                    [--routing xy|yx|torus-xy|xyz|torus-xyz]
-                   [--route-cache auto|dense|implicit]
                    [--seed S] [--quick] [--evals N] [--telemetry]
                    [--pin c0:t3,c2:t0]   (sa or es only)
                    [--faults K] [--fault-kind link|tsv|region]
                    [--fault-seed S] [--fault-evals N]
-                   [--robustness-report] [--workers N] [--trace FILE]
+                   [--robustness-report] [--trace FILE]
   noc-cli solve    (alias of map)
   noc-cli evaluate --app app.json --mesh WxH[xD] [--depth N]
                    --mapping t0,t1,...
@@ -83,7 +82,8 @@ USAGE:
   noc-cli bench    [--jobs N] [--workers N] [--evals N]
                    [--app app.json] [--mesh WxH]
   noc-cli serve    --socket PATH [--workers N] [--trace FILE]
-  noc-cli submit   --socket PATH [map/evaluate flags]
+  noc-cli submit   --socket PATH [map/evaluate flags but --faults,
+                    --fault-kind and --fault-seed]
                    [--priority high|normal|low] [--wait]
                    [--op status|wait|cancel|stats|shutdown|metrics|trace]
                    [--job N]
@@ -101,10 +101,9 @@ the budget to the best basins (successive halving + reheating);
 `portfolio` splits the budget across all four metaheuristics. All
 methods spend the same `--evals` total, so they compare fairly;
 `--telemetry` prints where the budget went.
-`--route-cache` picks the route-provisioning tier: `auto` (default)
-precomputes densely on meshes up to 29x29 and switches to `implicit`,
-which stores no routes at all, on larger ones. Results are identical
-across tiers. `--evals N` caps the SA evaluation
+The route tier follows the mesh: dense tables up to 29x29 and
+`implicit`, which stores no routes at all, on larger meshes (`map`
+prints it as `route cache:`). `--evals N` caps the SA evaluation
 budget.
 `--mesh 4x4x4` (or `--mesh 4x4 --depth 4`) targets a 3D stacked mesh;
 `xyz` is dimension-ordered 3D routing and `torus-xyz` wraps all three
@@ -118,9 +117,10 @@ any other method is refused with an error.
 KxK tile block; `--fault-seed S` picks the draw), re-routes the found
 mapping on the fault-aware route tier and re-optimizes within
 `--fault-evals N` (default 20000) evaluations, reporting degraded and
-recovered cost. `--robustness-report` prints the traffic-weighted
-link-criticality table (single-point-of-failure exposure) of the
-found mapping. `--app FILE.cdcg` (or `.txt`) reads the line-oriented
+recovered cost. The socket carries no fault experiment, so `submit`
+refuses `--faults`, `--fault-kind` and `--fault-seed`.
+`--robustness-report` prints the traffic-weighted link-criticality
+table (single-point-of-failure exposure) of the found mapping. `--app FILE.cdcg` (or `.txt`) reads the line-oriented
 text format instead of JSON; parse errors name the offending line.
 `explore` fans the same instance out across methods as concurrent
 service jobs; `serve` keeps a service alive behind a Unix socket and
@@ -135,8 +135,8 @@ as JSON lines (`--count N` to disconnect after N events); and
 `submit --op trace --job N` fetches job N's recorded flight tape.
 Each subcommand refuses an option it does not read, naming the nearest
 one it does, and an option given twice. Names (tech, strategy, routing,
-route cache, priority) ignore case and surrounding spaces, here and on
-the socket alike.
+priority) ignore case and surrounding spaces, here and on the socket
+alike.
 "
     .to_owned()
 }
@@ -266,17 +266,8 @@ mod tests {
     }
 
     #[test]
-    fn cache_tiers_and_priorities_parse_symbolically() {
-        use noc_service::{CacheTier, Priority};
-        assert_eq!(CacheTier::from_name("auto").unwrap(), CacheTier::Auto);
-        assert_eq!(CacheTier::from_name("dense").unwrap(), CacheTier::Dense);
-        assert_eq!(
-            CacheTier::from_name(" Implicit ").unwrap(),
-            CacheTier::Implicit
-        );
-        for removed in ["on-demand", "ondemand", "lazy", "hashmap"] {
-            assert!(CacheTier::from_name(removed).is_err(), "{removed}");
-        }
+    fn priorities_parse_symbolically() {
+        use noc_service::Priority;
         assert_eq!(names::priority("high").unwrap(), Priority::High);
         assert_eq!(names::priority("normal").unwrap(), Priority::Normal);
         assert_eq!(names::priority("low").unwrap(), Priority::Low);
@@ -759,74 +750,6 @@ mod tests {
         assert_eq!(refused, 9);
     }
 
-    #[test]
-    fn route_cache_tiers_parse() {
-        // Every tier name survives flag -> SolveRequest -> wire -> decoder.
-        use noc_service::protocol::{encode_submit, parse_job};
-        use noc_service::{CacheTier, JobRequest, Priority};
-        let path = write_example_app();
-        for tier in CacheTier::ALL {
-            let options = Options::parse(&strs(&[
-                "--app",
-                path.as_str(),
-                "--mesh",
-                "2x2",
-                "--route-cache",
-                tier.name(),
-            ]))
-            .unwrap();
-            let request = build_solve_request(&options).unwrap();
-            assert_eq!(request.route_cache, tier, "{}", tier.name());
-            let line = encode_submit(&JobRequest::Solve(Box::new(request)), Priority::Normal);
-            let wire = serde_json::parse(&line).unwrap();
-            let job = wire.get_field("job").expect("submit carries the job");
-            match parse_job(job).unwrap() {
-                JobRequest::Solve(decoded) => {
-                    assert_eq!(decoded.route_cache, tier, "{}", tier.name())
-                }
-                JobRequest::Evaluate(_) => panic!("a solve job decoded as evaluate"),
-            }
-        }
-    }
-
-    #[test]
-    fn removed_route_cache_tier_gets_one_typed_error_on_both_surfaces() {
-        use noc_service::protocol::handle_line;
-        use noc_service::{MappingService, ServiceConfig, UnknownCacheTier};
-        let path = write_example_app();
-        let cli_err = run(&strs(&[
-            "map",
-            "--app",
-            path.as_str(),
-            "--mesh",
-            "2x2",
-            "--route-cache",
-            "on-demand",
-        ]))
-        .unwrap_err();
-        assert_eq!(
-            cli_err.downcast_ref::<UnknownCacheTier>(),
-            Some(&UnknownCacheTier("on-demand".to_owned()))
-        );
-        let message = cli_err.to_string();
-        assert!(message.ends_with("(auto|dense|implicit)"), "{message}");
-
-        let service = MappingService::start(ServiceConfig::new(1));
-        let line = concat!(
-            "{\"op\": \"submit\", \"job\": {\"kind\": \"solve\", ",
-            "\"app_text\": \"core A\\ncore B\\npacket p0 A B comp=6 bits=15\\n\", ",
-            "\"mesh\": {\"width\": 2, \"height\": 2, \"depth\": 1}, ",
-            "\"method\": \"Exhaustive\", \"route_cache\": \"on-demand\"}}"
-        );
-        let reply = handle_line(&service.handle(), line);
-        assert!(reply.line.contains("\"ok\":false"), "{}", reply.line);
-        assert!(
-            reply.line.contains(&format!("\"error\":\"{message}\"")),
-            "{}",
-            reply.line
-        );
-    }
-
     fn write_generated_app(cores: usize, packets: usize) -> tempfile::TempPath {
         let app = noc_apps::generate(&noc_apps::TgffConfig::new(
             cores,
@@ -851,57 +774,26 @@ mod tests {
     #[test]
     fn map_completes_on_a_64x64_mesh_with_fallback_tiers() {
         // The acceptance scenario: a 64x64-mesh CDCM SA run through the
-        // CLI on `auto` and `implicit` — the mesh the dense cache refuses,
-        // where `auto` resolves to the implicit tier.
+        // CLI — the mesh the dense cache refuses, where the registry
+        // falls back to the implicit tier.
         let path = write_generated_app(16, 40);
-        let mut tile_lists = Vec::new();
-        for tier in ["auto", "implicit"] {
-            let out = run(&strs(&[
-                "map",
-                "--app",
-                path.as_str(),
-                "--mesh",
-                "64x64",
-                "--method",
-                "sa",
-                "--quick",
-                "--evals",
-                "300",
-                "--seed",
-                "3",
-                "--route-cache",
-                tier,
-            ]))
-            .unwrap();
-            assert!(out.contains("route cache:  implicit"), "{tier}: {out}");
-            assert!(out.contains("texec:"), "{out}");
-            tile_lists.push(
-                out.lines()
-                    .find(|l| l.starts_with("tile list:"))
-                    .map(str::to_owned)
-                    .expect("tile list printed"),
-            );
-        }
-        // Same seed, different tiers: identical search trajectory.
-        assert_eq!(tile_lists[0], tile_lists[1]);
-    }
-
-    #[test]
-    fn dense_tier_fails_gracefully_on_a_large_mesh() {
-        let path = write_example_app();
-        let err = run(&strs(&[
+        let out = run(&strs(&[
             "map",
             "--app",
             path.as_str(),
             "--mesh",
             "64x64",
-            "--route-cache",
-            "dense",
+            "--method",
+            "sa",
             "--quick",
+            "--evals",
+            "300",
+            "--seed",
+            "3",
         ]))
-        .unwrap_err()
-        .to_string();
-        assert!(err.contains("route provider"), "{err}");
+        .unwrap();
+        assert!(out.contains("route cache:  implicit"), "{out}");
+        assert!(out.contains("texec:"), "{out}");
     }
 
     #[test]
@@ -1135,40 +1027,6 @@ mod tests {
             .unwrap_err()
             .to_string();
         assert!(err.contains("cannot map"), "{err}");
-    }
-
-    #[test]
-    fn map_is_identical_across_worker_counts() {
-        // The service guarantee, surfaced at the CLI: --workers never
-        // changes the result, only the wall clock.
-        let path = write_example_app();
-        let args = |workers: &str| {
-            strs(&[
-                "map",
-                "--app",
-                path.as_str(),
-                "--mesh",
-                "2x2",
-                "--method",
-                "sa",
-                "--quick",
-                "--tech",
-                "paper",
-                "--seed",
-                "13",
-                "--workers",
-                workers,
-            ])
-        };
-        let strip = |out: String| {
-            out.lines()
-                .filter(|l| !l.starts_with("elapsed:"))
-                .collect::<Vec<_>>()
-                .join("\n")
-        };
-        let one = strip(run(&args("1")).unwrap());
-        let four = strip(run(&args("4")).unwrap());
-        assert_eq!(one, four);
     }
 
     #[test]

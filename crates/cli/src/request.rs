@@ -9,16 +9,21 @@
 use crate::options::{load_app, parse_fault_scenario, parse_mesh_options, parse_pins, Options};
 use crate::CliError;
 use noc_service::{
-    names, AdaptiveConfig, CacheTier, Crossover, EvaluateRequest, GaConfig, PortfolioConfig,
-    RestartBudget, SaConfig, SearchMethod, SolveRequest, TabuConfig,
+    names, AdaptiveConfig, Crossover, EvaluateRequest, GaConfig, PortfolioConfig, RestartBudget,
+    SaConfig, SearchMethod, SolveRequest, TabuConfig,
 };
 use noc_sim::SimParams;
 
-/// The flags [`build_solve_request_with_method`] reads: the instance,
-/// the SA profile, every method's tuning flags, pins and faults.
+/// The flags [`build_solve_request_with_method`] reads that reach the
+/// wire: the instance, the SA profile, every method's tuning flags and
+/// pins.
 pub(crate) const SOLVE_FLAGS: &str = "--app --mesh --depth --strategy --tech --routing \
-    --route-cache --seed --quick --evals --restarts --population --rounds --crossover --tenure \
-    --neighborhood --pin --faults --fault-kind --fault-seed --fault-evals --robustness-report";
+    --seed --quick --evals --restarts --population --rounds --crossover --tenure \
+    --neighborhood --pin --fault-evals --robustness-report";
+
+/// The flags of the fault experiment, which runs in process only: the
+/// wire carries no fault scenario, so `submit` refuses them.
+pub(crate) const FAULT_FLAGS: &str = "--faults --fault-kind --fault-seed";
 
 /// The flags [`build_evaluate_request`] reads.
 pub(crate) const EVALUATE_FLAGS: &str = "--app --mesh --depth --mapping --tech --routing --gantt";
@@ -173,7 +178,6 @@ pub(crate) fn build_solve_request_with_method(
     request.tech = names::technology(options.get("--tech").unwrap_or("0.07"))?;
     request.params = SimParams::new();
     request.routing = names::routing(options.get("--routing").unwrap_or("xy"))?;
-    request.route_cache = CacheTier::from_name(options.get("--route-cache").unwrap_or("auto"))?;
     request.pins = pins;
     request.sa_config = sa_config;
     request.criticality = options.flag("--robustness-report");

@@ -211,6 +211,20 @@ fn a_misspelled_key_is_refused_on_every_subcommand_and_wire_level() {
             "--evlas",
             "--evals",
         ),
+        // No request names a route tier any more.
+        (
+            &[
+                "map",
+                "--app",
+                app,
+                "--mesh",
+                "2x2",
+                "--route-cache",
+                "dense",
+            ],
+            "--route-cache",
+            "--tech",
+        ),
         (
             &["evaluate", "--app", app, "--mapingg", "0"],
             "--mapingg",
@@ -273,6 +287,10 @@ fn a_misspelled_key_is_refused_on_every_subcommand_and_wire_level() {
         (
             format!("{{\"op\":\"submit\",\"job\":{evaluate},\"gant\":true}}}}"),
             "unknown key `gant` in an evaluate job; did you mean `gantt`?",
+        ),
+        (
+            format!("{{\"op\":\"submit\",\"job\":{solve},\"route_cache\":\"dense\"}}}}"),
+            "unknown key `route_cache` in a solve job; did you mean `tech`?",
         ),
     ] {
         let reply = handle_line(&handle, &line);
@@ -451,4 +469,66 @@ fn meshes_above_the_tile_limit_are_refused_before_anything_is_sized() {
         .unwrap_err()
         .to_string();
     assert!(err.contains(limit), "{err}");
+}
+
+/// Every option `submit` accepts reaches the server: the solve request
+/// it builds survives `encode_submit` and `parse_job` unchanged. The
+/// wire carries no fault experiment, so `submit` refuses its options
+/// instead of dropping them.
+#[test]
+fn every_option_submit_accepts_survives_the_wire() {
+    let app = App::new("submit");
+    // Each solve option with a value other than its default.
+    let groups: [&[&str]; 18] = [
+        &["--depth", "1"],
+        &["--strategy", "cwm"],
+        &["--tech", "0.35"],
+        &["--routing", "yx"],
+        &["--seed", "7"],
+        &["--quick"],
+        &["--evals", "300"],
+        &["--method", "sa-multi", "--restarts", "3"],
+        &["--method", "adaptive", "--population", "6", "--rounds", "3"],
+        &["--method", "ga", "--crossover", "cycle"],
+        &["--method", "tabu", "--tenure", "5", "--neighborhood", "12"],
+        &["--method", "es", "--pin", "c0:t1"],
+        &["--fault-evals", "500"],
+        &["--robustness-report"],
+        &["--faults", "2"],
+        &["--faults", "1", "--fault-kind", "tsv"],
+        &["--fault-kind", "region"],
+        &["--fault-seed", "4"],
+    ];
+    let mut refused = Vec::new();
+    for group in groups {
+        let mut args = vec!["--app", app.path(), "--mesh", "2x2"];
+        args.extend_from_slice(group);
+        let mut submit = vec!["submit", "--socket", "/nonexistent/x.sock"];
+        submit.extend_from_slice(&args);
+        let err = run(&strs(&submit)).unwrap_err().to_string();
+        if err.starts_with("unknown option") {
+            refused.push(group[0]);
+            continue;
+        }
+        let options = Options::parse(&strs(&args)).expect("parses");
+        let built = build_solve_request(&options).expect("the request builds");
+        let line = encode_submit(
+            &JobRequest::Solve(Box::new(built.clone())),
+            Priority::Normal,
+        );
+        let envelope = serde_json::parse(&line).expect("the encoder writes JSON");
+        let job = envelope.get_field("job").expect("submit carries a job");
+        let JobRequest::Solve(decoded) = parse_job(job).expect("the decoder reads it") else {
+            panic!("a solve job decoded as an evaluate job");
+        };
+        assert_eq!(
+            format!("{decoded:?}"),
+            format!("{built:?}"),
+            "{group:?} changed on the wire"
+        );
+    }
+    assert_eq!(
+        refused,
+        ["--faults", "--faults", "--fault-kind", "--fault-seed"]
+    );
 }

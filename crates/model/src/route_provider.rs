@@ -36,8 +36,9 @@
 //!
 //! [`RouteProvider::auto`] picks dense while the estimated tables stay
 //! small and implicit beyond — large meshes work out of the box instead
-//! of failing at construction time. The CLI exposes the choice as
-//! `--route-cache auto|dense|implicit`.
+//! of failing at construction time. The service's provider registry
+//! applies that policy to every job (the fault-aware tier when a job
+//! names faults); no request picks a tier.
 
 use crate::crg::{Coord, Link, Mesh};
 use crate::error::ModelError;

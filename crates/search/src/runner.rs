@@ -19,16 +19,16 @@ use rand::{Rng, SeedableRng};
 #[derive(Debug, Clone)]
 pub(crate) struct SaMember<C> {
     /// Stable member index (ties in selection break on it).
-    pub id: usize,
+    pub(crate) id: usize,
     objective: C,
     rng: StdRng,
     current: Mapping,
     current_cost: f64,
     /// Best mapping this member has visited.
-    pub best: Mapping,
+    pub(crate) best: Mapping,
     /// Cost of [`Self::best`] as tracked incrementally (resynced on
     /// revival; the scheduler re-verifies the final winner from scratch).
-    pub best_cost: f64,
+    pub(crate) best_cost: f64,
     /// `None` until enough budget arrived to auto-calibrate.
     temperature: Option<f64>,
     cooling: f64,
@@ -38,13 +38,13 @@ pub(crate) struct SaMember<C> {
     /// (billed) before proposing moves, bounding delta drift per round.
     needs_resync: bool,
     /// Evaluations billed to this member so far.
-    pub evaluations: u64,
+    pub(crate) evaluations: u64,
 }
 
 impl<C: SwapDeltaCost> SaMember<C> {
     /// Creates a parked member with seed `base_seed + id`. No evaluations
     /// are performed until [`Self::advance`] grants budget.
-    pub fn new(
+    pub(crate) fn new(
         objective: C,
         mesh: &Mesh,
         core_count: usize,
@@ -73,14 +73,14 @@ impl<C: SwapDeltaCost> SaMember<C> {
     }
 
     /// True once the member has evaluated its starting mapping.
-    pub fn started(&self) -> bool {
+    pub(crate) fn started(&self) -> bool {
         self.best_cost.is_finite()
     }
 
     /// Revives a surviving member: multiplies the temperature by
     /// `factor` (escaping the cooled-down local basin) and schedules a
     /// full re-synchronisation of the incremental cost.
-    pub fn reheat(&mut self, factor: f64) {
+    pub(crate) fn reheat(&mut self, factor: f64) {
         if let Some(t) = self.temperature.as_mut() {
             *t *= factor;
         }
@@ -90,7 +90,7 @@ impl<C: SwapDeltaCost> SaMember<C> {
     /// Runs annealing moves until exactly `quota` evaluations are billed
     /// (initial evaluation and temperature calibration included), then
     /// parks. Returns the evaluations consumed (always `quota`).
-    pub fn advance(&mut self, mesh: &Mesh, quota: u64) -> u64 {
+    pub(crate) fn advance(&mut self, mesh: &Mesh, quota: u64) -> u64 {
         let mut used = 0u64;
         if quota == 0 {
             return 0;
@@ -147,7 +147,7 @@ impl<C: SwapDeltaCost> SaMember<C> {
 
     /// From-scratch cost of a mapping under this member's objective
     /// (used by the scheduler for the final verification evaluation).
-    pub fn verify_cost(&self, mapping: &Mapping) -> f64 {
+    pub(crate) fn verify_cost(&self, mapping: &Mapping) -> f64 {
         self.objective.cost(mapping)
     }
 }

@@ -102,64 +102,6 @@ pub fn check_mesh(mesh: &Mesh) -> Result<usize, String> {
         .ok_or_else(|| format!("mesh {w}x{h}x{d} exceeds the limit of {MAX_MESH_TILES} tiles"))
 }
 
-/// Which route-provisioning tier a solve job asks for. Only [`Auto`]
-/// requests are eligible for the shared provider registry — the explicit
-/// tiers are built per job, exactly as the CLI always did.
-///
-/// [`Auto`]: CacheTier::Auto
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CacheTier {
-    /// Size-based automatic choice; shared through the registry.
-    #[default]
-    Auto,
-    /// Dense precomputed tables (fails on meshes too large to cache).
-    Dense,
-    /// No stored routes at all.
-    Implicit,
-}
-
-impl CacheTier {
-    /// Every tier, in the order usage and error texts list them.
-    pub const ALL: [Self; 3] = [Self::Auto, Self::Dense, Self::Implicit];
-
-    /// The tier's name: the `--route-cache` flag value and the wire's
-    /// `"route_cache"` string.
-    pub fn name(self) -> &'static str {
-        match self {
-            Self::Auto => "auto",
-            Self::Dense => "dense",
-            Self::Implicit => "implicit",
-        }
-    }
-
-    /// Parses a tier [`name`](Self::name), ignoring ASCII case and
-    /// surrounding whitespace. The CLI flag parser and the wire decoder
-    /// both go through here, so a bad name gets the same error on both.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`UnknownCacheTier`] for any other name.
-    pub fn from_name(name: &str) -> Result<Self, UnknownCacheTier> {
-        Self::ALL
-            .into_iter()
-            .find(|tier| tier.name().eq_ignore_ascii_case(name.trim()))
-            .ok_or_else(|| UnknownCacheTier(name.to_owned()))
-    }
-}
-
-/// A route-cache tier name [`CacheTier::from_name`] does not know.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct UnknownCacheTier(pub String);
-
-impl std::fmt::Display for UnknownCacheTier {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let names: Vec<&str> = CacheTier::ALL.iter().map(|tier| tier.name()).collect();
-        write!(f, "unknown route cache `{}` ({})", self.0, names.join("|"))
-    }
-}
-
-impl std::error::Error for UnknownCacheTier {}
-
 /// A mapping-search work order: everything `noc-cli map` used to
 /// orchestrate inline, as one self-contained request.
 #[derive(Debug, Clone)]
@@ -181,8 +123,6 @@ pub struct SolveRequest {
     /// Dead links baked into the routing function. Part of the provider
     /// identity: jobs differing only in faults never share a provider.
     pub faults: FaultSet,
-    /// Route-provisioning tier (only `Auto` uses the shared registry).
-    pub route_cache: CacheTier,
     /// Optional core→tile pins. Only `SimulatedAnnealing` (the full-cost
     /// annealer over the free tiles) and `Exhaustive` take them; any other
     /// method fails the job with [`noc_mapping::ExploreError`]. A present
@@ -203,7 +143,7 @@ pub struct SolveRequest {
 
 impl SolveRequest {
     /// A request with the CLI's defaults: CDCM strategy, XY routing, no
-    /// faults, auto tier, quick SA.
+    /// faults, quick SA.
     pub fn new(app: Cdcg, mesh: Mesh, method: SearchMethod) -> Self {
         Self {
             app,
@@ -214,7 +154,6 @@ impl SolveRequest {
             params: SimParams::new(),
             routing: RoutingKind::Xy,
             faults: FaultSet::new(),
-            route_cache: CacheTier::Auto,
             pins: None,
             sa_config: SaConfig::quick(0),
             criticality: false,
@@ -284,7 +223,7 @@ pub struct SolveResult {
     pub routing: String,
     /// Route-provider tier name the job ran on.
     pub route_tier: String,
-    /// True if the job's provider came out of the shared registry.
+    /// True if the shared registry already held the job's provider.
     pub registry_hit: bool,
     /// Link-criticality report, when requested.
     pub criticality: Option<CriticalityReport>,

@@ -74,8 +74,8 @@ mod worker;
 
 pub use events::EventStream;
 pub use job::{
-    check_mesh, CacheTier, EvaluateRequest, EvaluateResult, JobId, JobRequest, JobResult, JobState,
-    Priority, SolveRequest, SolveResult, UnknownCacheTier, MAX_MESH_TILES,
+    check_mesh, EvaluateRequest, EvaluateResult, JobId, JobRequest, JobResult, JobState, Priority,
+    SolveRequest, SolveResult, MAX_MESH_TILES,
 };
 pub use registry::{ProviderKey, ProviderLease, ProviderRegistry, RegistryStats};
 pub use service::{MappingService, ServiceConfig, ServiceEvent, ServiceHandle, ServiceStats};
@@ -162,6 +162,40 @@ mod tests {
         assert_eq!(stats.registry_hits, seeds.len() as u64 - 1);
         // The pooled worker scratches served every final verification.
         assert!(stats.scratch_runs >= seeds.len() as u64);
+    }
+
+    #[test]
+    fn evaluate_jobs_count_in_the_registry_and_scratch_stats() {
+        let service = MappingService::start(ServiceConfig::new(2));
+        for seed in [1, 2] {
+            service.submit(sa_job(seed), Priority::Normal);
+        }
+        let app = noc_apps::large_mesh_workload(4, 4, 1);
+        let mesh = Mesh::new(4, 4).unwrap();
+        for _ in 0..3 {
+            let eval = EvaluateRequest {
+                mapping: noc_model::Mapping::identity(&mesh, app.core_count()).unwrap(),
+                app: app.clone(),
+                mesh,
+                tech: noc_energy::Technology::t007(),
+                params: noc_sim::SimParams::new(),
+                routing: noc_model::RoutingKind::Xy,
+                gantt: false,
+            };
+            service.submit(JobRequest::Evaluate(Box::new(eval)), Priority::Normal);
+        }
+        service.wait_all();
+        // Five jobs on one (mesh, routing, faults) identity: one build,
+        // four hits, and one verification run each on a pooled scratch.
+        let stats = service.stats();
+        assert_eq!(stats.done, 5);
+        assert_eq!((stats.registry_hits, stats.registry_misses), (4, 1));
+        assert_eq!(stats.scratch_runs, 5);
+        let registry = service.handle().registry_stats();
+        assert_eq!((registry.hits, registry.misses), (4, 1));
+        let metrics = service.handle().metrics();
+        assert_eq!(metrics.counter("noc_registry_hits_total").get(), 4);
+        assert_eq!(metrics.counter("noc_registry_misses_total").get(), 1);
     }
 
     #[test]

@@ -1,10 +1,8 @@
 //! The names and keys of a request, shared by the CLI flags and the
 //! socket decoder so that both accept the same spellings and refuse the
 //! same mistakes with the same text: one lookup per request enum over
-//! that type's own `from_name` table (route-cache tiers have
-//! [`CacheTier::from_name`](crate::CacheTier::from_name)), and
-//! [`check_keys`], which refuses a key the request does not read or
-//! gives twice.
+//! that type's own `from_name` table, and [`check_keys`], which refuses
+//! a key the request does not read or gives twice.
 
 use crate::job::Priority;
 use noc_energy::Technology;

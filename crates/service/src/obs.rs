@@ -11,7 +11,7 @@
 //! | `noc_queue_depth{class}` | gauge | Jobs waiting per priority class |
 //! | `noc_workers_busy` | gauge | Workers currently executing a job |
 //! | `noc_job_sojourn_us{class}` | histogram | Submit→terminal latency per class |
-//! | `noc_registry_hits_total` / `noc_registry_misses_total` | counter | Shared route-provider registry outcomes |
+//! | `noc_registry_hits_total` / `noc_registry_misses_total` | counter | Shared route-provider registry lookups, one per solve or evaluate job |
 //! | `noc_subscriber_dropped_events_total` | counter | Events lost to subscriber backpressure |
 //! | `noc_trace_events_total` | counter | Trace events recorded by the flight recorder |
 //! | `noc_search_evaluations_total` | counter | Evaluations billed by completed jobs |
@@ -27,19 +27,19 @@ use std::sync::Arc;
 /// catalogue). One per service instance — separate services never
 /// cross-count.
 pub(crate) struct ServiceMetrics {
-    pub registry: Arc<MetricsRegistry>,
-    pub submitted: [Arc<Counter>; Priority::COUNT],
-    pub queue_depth: [Arc<Gauge>; Priority::COUNT],
-    pub sojourn: [Arc<Histogram>; Priority::COUNT],
-    pub completed: Arc<Counter>,
-    pub failed: Arc<Counter>,
-    pub cancelled: Arc<Counter>,
-    pub workers_busy: Arc<Gauge>,
-    pub registry_hits: Arc<Counter>,
-    pub registry_misses: Arc<Counter>,
-    pub dropped_events: Arc<Counter>,
-    pub trace_events: Arc<Counter>,
-    pub search_evaluations: Arc<Counter>,
+    pub(crate) registry: Arc<MetricsRegistry>,
+    pub(crate) submitted: [Arc<Counter>; Priority::COUNT],
+    pub(crate) queue_depth: [Arc<Gauge>; Priority::COUNT],
+    pub(crate) sojourn: [Arc<Histogram>; Priority::COUNT],
+    pub(crate) completed: Arc<Counter>,
+    pub(crate) failed: Arc<Counter>,
+    pub(crate) cancelled: Arc<Counter>,
+    pub(crate) workers_busy: Arc<Gauge>,
+    pub(crate) registry_hits: Arc<Counter>,
+    pub(crate) registry_misses: Arc<Counter>,
+    pub(crate) dropped_events: Arc<Counter>,
+    pub(crate) trace_events: Arc<Counter>,
+    pub(crate) search_evaluations: Arc<Counter>,
 }
 
 const CLASSES: [Priority; Priority::COUNT] = [Priority::High, Priority::Normal, Priority::Low];

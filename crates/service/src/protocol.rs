@@ -33,19 +33,20 @@
 //! (`"app"`) or as the text format (`"app_text"`), plus `"mesh"`,
 //! `"method"` (a serialized [`SearchMethod`](crate::SearchMethod)) and optional `"strategy"`,
 //! `"tech"`, `"params"`, `"routing"` (name), `"faults"` (array of
-//! `[from, to]` directed-channel tile pairs), `"route_cache"`, `"pins"`,
-//! `"sa_config"`, `"criticality"`, `"seed"`. Pins run only with the SA
+//! `[from, to]` directed-channel tile pairs), `"pins"`, `"sa_config"`,
+//! `"criticality"`, `"fault_evals"`, `"seed"`. Pins run only with the SA
 //! method (annealed under `"sa_config"`) or `"Exhaustive"`; a pinned job
 //! with any other method ends `failed` with the same error text the CLI
 //! prints. An evaluate job carries `"app"`/
 //! `"app_text"`, `"mesh"`, `"mapping"` (array of tile indices) and
 //! optional `"tech"`, `"params"`, `"routing"`, `"gantt"`. The
 //! fault-injection experiment (`fault_scenario`) is a programmatic-API
-//! feature and is not exposed on the wire.
+//! feature and is not exposed on the wire. No job names a route tier:
+//! the shared registry picks it from the mesh and the fault set.
 //!
-//! Names (`"tech"`, `"strategy"`, `"routing"`, `"route_cache"`,
-//! `"priority"`) resolve through the same tables as the CLI flags
-//! ([`names`]). A request line or a job with a key the list above does
+//! Names (`"tech"`, `"strategy"`, `"routing"`, `"priority"`) resolve
+//! through the same tables as the CLI flags ([`names`]). A request line
+//! or a job with a key the list above does
 //! not name is refused with an error naming the nearest key that it
 //! does. A `"mesh"` with a zero dimension or more than
 //! [`MAX_MESH_TILES`](crate::MAX_MESH_TILES) tiles is refused as soon as
@@ -65,8 +66,7 @@
 //! [`EvaluateResult`]: crate::job::EvaluateResult
 
 use crate::job::{
-    check_mesh, CacheTier, EvaluateRequest, JobId, JobRequest, JobResult, JobState, Priority,
-    SolveRequest,
+    check_mesh, EvaluateRequest, JobId, JobRequest, JobResult, JobState, Priority, SolveRequest,
 };
 use crate::names::{self, check_keys};
 use crate::service::ServiceHandle;
@@ -140,10 +140,6 @@ fn solve_to_value(req: &SolveRequest) -> Value {
             Value::Str(req.routing.name().to_ascii_lowercase()),
         ),
         ("faults".to_owned(), fault_pairs(&req.faults)),
-        (
-            "route_cache".to_owned(),
-            Value::Str(req.route_cache.name().to_owned()),
-        ),
         ("pins".to_owned(), req.pins.to_value()),
         ("sa_config".to_owned(), req.sa_config.to_value()),
         ("criticality".to_owned(), Value::Bool(req.criticality)),
@@ -181,7 +177,7 @@ fn evaluate_to_value(req: &EvaluateRequest) -> Value {
 /// [`encode_op`] and [`encode_submit`] write, plus `app_text`.
 const REQUEST_KEYS: &str = "op priority job";
 const SOLVE_KEYS: &str = "kind app app_text mesh strategy method tech params routing faults \
-                          route_cache pins sa_config criticality fault_evals seed";
+                          pins sa_config criticality fault_evals seed";
 const EVALUATE_KEYS: &str = "kind app app_text mesh mapping tech params routing gantt";
 
 /// Refuses a key of the object `value` that `known` does not list,
@@ -291,9 +287,6 @@ fn parse_solve(value: &Value) -> Result<SolveRequest, String> {
     req.tech = parse_tech(value)?;
     req.routing = named(value, "routing", req.routing, names::routing)?;
     req.faults = parse_faults(value)?;
-    req.route_cache = named(value, "route_cache", req.route_cache, |s| {
-        CacheTier::from_name(s).map_err(|e| e.to_string())
-    })?;
     req.params = opt_field(value, "params", req.params)?;
     req.pins = opt_field(value, "pins", None)?;
     req.sa_config = opt_field(value, "sa_config", req.sa_config)?;

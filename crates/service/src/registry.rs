@@ -12,8 +12,8 @@
 //! makes `FaultSet: Hash + Eq` load-bearing.
 
 use noc_model::{FaultSet, Mesh, RouteProvider, RoutingKind};
+use noc_obs::Counter;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Identity of a shared provider: the mesh, the routing algorithm and
@@ -40,19 +40,26 @@ pub struct RegistryStats {
 }
 
 /// Provider cache keyed by [`ProviderKey`], shared by every worker.
+/// Every lookup counts once, as a hit or a miss, in the counters the
+/// registry is built with.
 #[derive(Debug, Default)]
 pub struct ProviderRegistry {
     // Lookups and inserts only — the map is never iterated, so its
     // nondeterministic order can't leak into any result.
     providers: Mutex<HashMap<ProviderKey, Arc<RouteProvider>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
+    hits: Arc<Counter>,
+    misses: Arc<Counter>,
 }
 
 impl ProviderRegistry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        Self::default()
+    /// An empty registry that counts its lookups in `hits` and `misses`
+    /// (a service passes its `noc_registry_{hits,misses}_total`).
+    pub fn new(hits: Arc<Counter>, misses: Arc<Counter>) -> Self {
+        Self {
+            providers: Mutex::default(),
+            hits,
+            misses,
+        }
     }
 
     /// The shared provider for `(mesh, routing, faults)`, building it on
@@ -68,13 +75,13 @@ impl ProviderRegistry {
         };
         let mut providers = self.providers.lock().expect("registry lock poisoned");
         if let Some(existing) = providers.get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
+            self.hits.inc(1);
             return ProviderLease {
                 provider: Arc::clone(existing),
                 hit: true,
             };
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
+        self.misses.inc(1);
         let provider = Arc::new(if key.faults.is_empty() {
             RouteProvider::auto(mesh, routing)
         } else {
@@ -90,8 +97,8 @@ impl ProviderRegistry {
     /// Hit/miss counters and cache size.
     pub fn stats(&self) -> RegistryStats {
         RegistryStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
+            hits: self.hits.get(),
+            misses: self.misses.get(),
             entries: self.providers.lock().expect("registry lock poisoned").len(),
         }
     }
@@ -114,7 +121,7 @@ mod tests {
 
     #[test]
     fn same_key_reuses_the_provider() {
-        let registry = ProviderRegistry::new();
+        let registry = ProviderRegistry::default();
         let mesh = Mesh::new(3, 3).unwrap();
         let empty = FaultSet::new();
         let a = registry.provider(&mesh, RoutingKind::Xy, &empty);
@@ -131,7 +138,7 @@ mod tests {
         // Satellite regression: two jobs differing ONLY in their fault
         // sets must get distinct providers — a shared one would route
         // the faulty job through dead links.
-        let registry = ProviderRegistry::new();
+        let registry = ProviderRegistry::default();
         let mesh = Mesh::new(3, 3).unwrap();
         let healthy = FaultSet::new();
         let mut faulty = FaultSet::new();
@@ -158,7 +165,7 @@ mod tests {
 
     #[test]
     fn routing_and_mesh_also_separate_providers() {
-        let registry = ProviderRegistry::new();
+        let registry = ProviderRegistry::default();
         let empty = FaultSet::new();
         let mesh_a = Mesh::new(3, 3).unwrap();
         let mesh_b = Mesh::new(4, 4).unwrap();

@@ -536,6 +536,11 @@ impl std::fmt::Debug for MappingService {
 impl MappingService {
     /// Starts the service with `config.workers` threads.
     pub fn start(config: ServiceConfig) -> Self {
+        let metrics = ServiceMetrics::new();
+        let registry = ProviderRegistry::new(
+            Arc::clone(&metrics.registry_hits),
+            Arc::clone(&metrics.registry_misses),
+        );
         let shared = Arc::new(Shared {
             state: Mutex::new(State {
                 jobs: Vec::new(),
@@ -545,10 +550,10 @@ impl MappingService {
             }),
             work_ready: Condvar::new(),
             job_done: Condvar::new(),
-            registry: ProviderRegistry::new(),
+            registry,
             scratch_runs: AtomicU64::new(0),
             scratch_events: AtomicU64::new(0),
-            metrics: ServiceMetrics::new(),
+            metrics,
             flight: Arc::new(FlightRecorder::new(FLIGHT_EVENTS_PER_JOB, FLIGHT_MAX_JOBS)),
             observe: config.observe,
             event_capacity: config.event_capacity,
@@ -697,20 +702,9 @@ fn worker_loop(shared: &Arc<Shared>) {
         noc_sim::obs::publish_run_stats(&shared.metrics.registry, delta);
         reported = now;
 
-        // Registry and evaluation metrics from the finished result.
-        // Hit/miss only counts auto-tier jobs — explicit tiers build
-        // providers privately without consulting the registry, matching
-        // what `registry.stats()` reports.
+        // The registry counted its own lookups; a solve job bills its
+        // evaluations.
         if let Ok(JobResult::Solve(r)) = &result {
-            if matches!(&request, JobRequest::Solve(req)
-                if req.route_cache == crate::job::CacheTier::Auto)
-            {
-                if r.registry_hit {
-                    shared.metrics.registry_hits.inc(1);
-                } else {
-                    shared.metrics.registry_misses.inc(1);
-                }
-            }
             shared.metrics.search_evaluations.inc(r.outcome.evaluations);
         }
 

@@ -2,25 +2,29 @@
 //!
 //! Execution is a pure function of the request (plus the shared
 //! provider registry): workers hold no job state of their own beyond a
-//! pooled [`ScheduleScratch`] arena that the final full-model
-//! verification of every job reuses. That pooling is why a service
-//! processing thousands of small jobs does not allocate per-link tables
-//! thousands of times — the arena's [`RunStats`](noc_sim::RunStats)
-//! counters are the observable evidence of reuse.
+//! pooled [`ScheduleScratch`] arena. Every job takes its route provider
+//! from the registry, and both job kinds score their mapping through
+//! `score`: one cost-only run on that arena, which also counts
+//! contention, then the Equation 10 energy terms. That pooling is why a
+//! service processing thousands of small jobs does not allocate
+//! per-link tables thousands of times — the arena's
+//! [`RunStats`](noc_sim::RunStats) counters are the observable evidence
+//! of reuse.
 
 use crate::job::{
-    check_mesh, CacheTier, EvaluateRequest, EvaluateResult, JobRequest, JobResult, SolveRequest,
-    SolveResult,
+    check_mesh, EvaluateRequest, EvaluateResult, JobRequest, JobResult, SolveRequest, SolveResult,
 };
-use crate::registry::ProviderRegistry;
-use noc_energy::total::evaluate_cdcm_with;
+use crate::registry::{ProviderLease, ProviderRegistry};
 use noc_energy::{
     cdcg_dynamic_energy_cached, cwg_dynamic_energy_cached, noc_static_energy, EnergyBreakdown,
+    Technology,
 };
 use noc_mapping::{CancelToken, Explorer, SearchMethod};
-use noc_model::{Cdcg, Mesh, RouteProvider, RouteSource};
+use noc_model::{Cdcg, FaultSet, Mapping, Mesh, RouteProvider, RouteSource};
 use noc_sim::gantt::GanttChart;
-use noc_sim::{schedule_cost_with, ScheduleScratch, SimParams};
+use noc_sim::{
+    schedule_contention_with, schedule_with, ContentionCount, ScheduleScratch, SimParams,
+};
 use std::sync::Arc;
 
 /// Rejects, before any engine runs, a job with a zero flit width, a
@@ -78,35 +82,43 @@ pub(crate) fn execute(
             execute_solve(req, registry, scratch, cancel).map(|r| JobResult::Solve(Box::new(r)))
         }
         JobRequest::Evaluate(req) => {
-            execute_evaluate(req).map(|r| JobResult::Evaluate(Box::new(r)))
+            execute_evaluate(req, registry, scratch).map(|r| JobResult::Evaluate(Box::new(r)))
         }
     }
 }
 
-/// Resolves a solve request's route provider: the shared registry for
-/// the auto tier, a private per-job provider for the explicit tiers
-/// (exactly what the CLI always built).
-fn resolve_provider(
-    req: &SolveRequest,
-    registry: &ProviderRegistry,
-) -> Result<(Arc<RouteProvider>, bool), String> {
-    match req.route_cache {
-        CacheTier::Auto => {
-            let lease = registry.provider(&req.mesh, req.routing, &req.faults);
-            Ok((lease.provider, lease.hit))
-        }
-        _ if !req.faults.is_empty() => Err(
-            "fault sets need the auto route-cache tier (the registry builds fault-aware routes)"
-                .to_owned(),
-        ),
-        CacheTier::Dense => RouteProvider::dense(&req.mesh, req.routing)
-            .map(|p| (Arc::new(p), false))
-            .map_err(|e| e.to_string()),
-        CacheTier::Implicit => Ok((
-            Arc::new(RouteProvider::implicit(&req.mesh, req.routing)),
-            false,
-        )),
-    }
+/// The Equation 10 score of one mapping: what both job kinds report.
+struct Score {
+    /// `texec` and the contention of the run.
+    run: ContentionCount,
+    texec_ns: f64,
+    breakdown: EnergyBreakdown,
+}
+
+/// Scores `mapping` over `provider`: one cost-only run on the worker's
+/// pooled `scratch` that also counts contention, then the dynamic energy
+/// from the provider's hop counts and the static energy over `texec`.
+fn score(
+    app: &Cdcg,
+    mesh: &Mesh,
+    mapping: &Mapping,
+    tech: &Technology,
+    params: &SimParams,
+    provider: &RouteProvider,
+    scratch: &mut ScheduleScratch,
+) -> Result<Score, String> {
+    let run = schedule_contention_with(app, mesh, mapping, params, provider, scratch)
+        .map_err(|e| e.to_string())?;
+    let texec_ns = params.cycles_to_ns(run.texec_cycles);
+    let breakdown = EnergyBreakdown {
+        dynamic: cdcg_dynamic_energy_cached(app, provider, mapping, tech),
+        static_energy: noc_static_energy(mesh, tech, texec_ns),
+    };
+    Ok(Score {
+        run,
+        texec_ns,
+        breakdown,
+    })
 }
 
 fn execute_solve(
@@ -124,7 +136,10 @@ fn execute_solve(
         ));
     }
     req.app.validate().map_err(|e| e.to_string())?;
-    let (provider, registry_hit) = resolve_provider(req, registry)?;
+    let ProviderLease {
+        provider,
+        hit: registry_hit,
+    } = registry.provider(&req.mesh, req.routing, &req.faults);
     let route_tier = provider.tier().name().to_owned();
     let explorer = Explorer::with_provider(
         &req.app,
@@ -148,19 +163,15 @@ fn execute_solve(
 
     // Full-model verification of the winner, over the job's provider and
     // this worker's pooled scratch arena (no per-job allocation).
-    let texec_cycles = schedule_cost_with(
+    let scored = score(
         &req.app,
         &req.mesh,
         &outcome.mapping,
+        &req.tech,
         &req.params,
-        provider.as_ref(),
+        &provider,
         scratch,
-    )
-    .map_err(|e| e.to_string())?;
-    let texec_ns = req.params.cycles_to_ns(texec_cycles);
-    let dynamic =
-        cdcg_dynamic_energy_cached(&req.app, provider.as_ref(), &outcome.mapping, &req.tech);
-    let static_energy = noc_static_energy(&req.mesh, &req.tech, texec_ns);
+    )?;
     let cwm_dynamic = cwg_dynamic_energy_cached(
         explorer.cwg(),
         provider.as_ref(),
@@ -177,12 +188,9 @@ fn execute_solve(
 
     Ok(SolveResult {
         telemetry: run.telemetry,
-        breakdown: EnergyBreakdown {
-            dynamic,
-            static_energy,
-        },
-        texec_ns,
-        texec_cycles,
+        breakdown: scored.breakdown,
+        texec_ns: scored.texec_ns,
+        texec_cycles: scored.run.texec_cycles,
         cwm_dynamic,
         routing: provider.routing_name().to_owned(),
         route_tier,
@@ -193,7 +201,11 @@ fn execute_solve(
     })
 }
 
-fn execute_evaluate(req: &EvaluateRequest) -> Result<EvaluateResult, String> {
+fn execute_evaluate(
+    req: &EvaluateRequest,
+    registry: &ProviderRegistry,
+    scratch: &mut ScheduleScratch,
+) -> Result<EvaluateResult, String> {
     admit(&req.app, &req.mesh, &req.params)?;
     if req.mapping.core_count() != req.app.core_count() {
         return Err(format!(
@@ -203,26 +215,34 @@ fn execute_evaluate(req: &EvaluateRequest) -> Result<EvaluateResult, String> {
         ));
     }
     req.app.validate().map_err(|e| e.to_string())?;
-    let routing = req.routing.algorithm();
-    let eval = evaluate_cdcm_with(
+    let provider = registry
+        .provider(&req.mesh, req.routing, &FaultSet::new())
+        .provider;
+    let scored = score(
         &req.app,
         &req.mesh,
         &req.mapping,
         &req.tech,
         &req.params,
-        routing,
-    )
-    .map_err(|e| e.to_string())?;
-    let gantt = req
-        .gantt
-        .then(|| GanttChart::from_schedule(&eval.schedule, &req.app).render(100));
+        &provider,
+        scratch,
+    )?;
+    // Only the chart needs the artifacts, so only it builds a schedule.
+    let gantt = if req.gantt {
+        let routing = req.routing.algorithm();
+        let schedule = schedule_with(&req.app, &req.mesh, &req.mapping, &req.params, routing)
+            .map_err(|e| e.to_string())?;
+        Some(GanttChart::from_schedule(&schedule, &req.app).render(100))
+    } else {
+        None
+    };
     Ok(EvaluateResult {
         mapping: req.mapping.clone(),
-        routing: routing.name().to_owned(),
-        texec_ns: eval.texec_ns,
-        breakdown: eval.breakdown,
-        contention_events: eval.schedule.contention_events().len(),
-        contention_cycles: eval.schedule.total_contention_cycles(),
+        routing: req.routing.name().to_owned(),
+        texec_ns: scored.texec_ns,
+        breakdown: scored.breakdown,
+        contention_events: scored.run.events,
+        contention_cycles: scored.run.cycles,
         gantt,
     })
 }

@@ -12,6 +12,8 @@
 //!   ids of a shared [`RouteSource`]. A search scores a whole cohort
 //!   (a GA generation, a tabu neighborhood) one mapping at a time
 //!   through one evaluator.
+//! * [`schedule_contention_with`] passes a recorder that only counts
+//!   waits, for callers that report contention but need no schedule.
 //! * [`schedule_with`](crate::schedule_with) passes an artifact recorder
 //!   and builds timelines, occupancy lists and the contention log from
 //!   its hooks, so a schedule and a cost cannot drift apart.
@@ -73,6 +75,48 @@ pub(crate) trait Recorder {
 pub(crate) struct NoRecord;
 
 impl Recorder for NoRecord {}
+
+/// `texec` of one run and the contention it met, as
+/// [`schedule_contention_with`] counts it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ContentionCount {
+    /// Execution time in cycles, as [`schedule_cost_with`] returns it.
+    pub texec_cycles: u64,
+    /// Waits: the schedule's `contention_events().len()`.
+    pub events: usize,
+    /// Cycles lost to them: the schedule's `total_contention_cycles()`.
+    pub cycles: u64,
+}
+
+/// The recorder of counting runs: one event and `granted - requested`
+/// cycles per late grant, exactly as the artifact recorder logs a wait.
+#[derive(Default)]
+struct CountWaits {
+    events: usize,
+    cycles: u64,
+}
+
+impl CountWaits {
+    #[inline(always)]
+    fn wait(&mut self, requested: u64, granted: u64) {
+        if granted > requested {
+            self.events += 1;
+            self.cycles += granted - requested;
+        }
+    }
+}
+
+impl Recorder for CountWaits {
+    #[inline(always)]
+    fn link_grant(&mut self, _p: usize, _at: usize, requested: u64, granted: u64, _busy: u64) {
+        self.wait(requested, granted);
+    }
+
+    #[inline(always)]
+    fn fifo_wait(&mut self, _p: usize, _hop: usize, arrival: u64, owned: u64) {
+        self.wait(arrival, owned);
+    }
+}
 
 #[derive(Debug, Clone, Default)]
 struct LinkSlot {
@@ -251,6 +295,37 @@ pub fn schedule_cost_with<S: RouteSource + ?Sized>(
 ) -> Result<u64, SimError> {
     init_run(cdcg, mesh, mapping, params, routes, None, scratch)?;
     Ok(run_primed(cdcg, params, routes, scratch, &mut NoRecord))
+}
+
+/// [`schedule_cost_with`] that also counts contention: the run's
+/// `texec`, its waits and the cycles lost to them, equal to the
+/// `texec_cycles()`, `contention_events().len()` and
+/// `total_contention_cycles()` of [`schedule_with`](crate::schedule_with)
+/// on the same inputs, without building the schedule.
+///
+/// # Errors
+///
+/// Same as [`schedule_cost_with`].
+///
+/// # Panics
+///
+/// Panics if `routes` was built for a different mesh than `mesh`.
+pub fn schedule_contention_with<S: RouteSource + ?Sized>(
+    cdcg: &Cdcg,
+    mesh: &Mesh,
+    mapping: &Mapping,
+    params: &SimParams,
+    routes: &S,
+    scratch: &mut ScheduleScratch,
+) -> Result<ContentionCount, SimError> {
+    init_run(cdcg, mesh, mapping, params, routes, None, scratch)?;
+    let mut waits = CountWaits::default();
+    let texec_cycles = run_primed(cdcg, params, routes, scratch, &mut waits);
+    Ok(ContentionCount {
+        texec_cycles,
+        events: waits.events,
+        cycles: waits.cycles,
+    })
 }
 
 /// Runs the event loop on a scratch that [`init_run`] has just primed

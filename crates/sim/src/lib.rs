@@ -8,7 +8,7 @@
 //!   one event-driven loop ([`cost`]) that walks every CDCG packet over
 //!   its route, arbitrates inter-router links FCFS, keeps one input-port
 //!   FIFO per link and produces the application execution time `texec`.
-//!   Two entry points run that same loop:
+//!   Three entry points run that same loop:
 //!   * [`schedule()`] / [`schedule_with`] record the *artifacts*:
 //!     per-packet timelines, the occupancy lists of every CRG resource
 //!     (the paper's "cost variable lists", Figure 3) and the contention
@@ -18,14 +18,16 @@
 //!     candidate mapping, one at a time, with one run from the first
 //!     event to the last, over a reusable [`ScheduleScratch`] and a
 //!     shared [`noc_model::RouteProvider`].
+//!   * [`schedule_contention_with`] is the cost-only run that also
+//!     counts contention events and cycles, for reports that need those
+//!     totals but no schedule.
 //! * **Flit-level simulation** ([`des`]) — the independent oracle. It
 //!   shares no code with the interval scheduler; the repository's
 //!   cross-validation suite checks that the two agree cycle-exactly.
 //!
 //! Supporting modules: [`params`] (the `tr`/`tl`/`λ`/flit-width parameter
-//! set), [`wormhole`] (Equations 6–8 in closed form), [`gantt`] (the
-//! timing diagrams of Figures 4–5) and [`analysis`] (link-load and
-//! latency statistics).
+//! set), [`wormhole`] (Equations 6–8 in closed form) and [`gantt`] (the
+//! timing diagrams of Figures 4–5).
 //!
 //! # Examples
 //!
@@ -55,7 +57,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod analysis;
 pub mod cost;
 pub mod des;
 pub mod error;
@@ -68,7 +69,10 @@ pub mod resource;
 pub mod schedule;
 pub mod wormhole;
 
-pub use cost::{schedule_cost_with, CostEvaluator, DeltaStats, RunStats, ScheduleScratch};
+pub use cost::{
+    schedule_contention_with, schedule_cost_with, ContentionCount, CostEvaluator, DeltaStats,
+    RunStats, ScheduleScratch,
+};
 pub use error::SimError;
 pub use interval::CycleInterval;
 pub use params::SimParams;

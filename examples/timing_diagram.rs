@@ -6,8 +6,8 @@
 
 use noc::apps::embedded::{image_encoding, ImageEncodingConfig};
 use noc::prelude::*;
-use noc::sim::analysis::{analyze, link_loads};
 use noc::sim::gantt::GanttChart;
+use noc::sim::Resource;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let app = image_encoding(&ImageEncodingConfig::new(6));
@@ -23,13 +23,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let sched = schedule(&app, &mesh, mapping, &params)?;
         println!("=== {name} mapping {mapping} ===");
         println!("{}", GanttChart::from_schedule(&sched, &app).render(100));
-        let stats = analyze(&sched);
+        let packets = sched.packets();
+        let latency: u64 = packets.iter().map(|p| p.latency()).sum();
         println!(
             "texec {} cycles; mean latency {:.1}; contention {} cycles in {} events",
-            stats.texec_cycles,
-            stats.mean_latency,
-            stats.contention_cycles,
-            stats.contention_events
+            sched.texec_cycles(),
+            latency as f64 / packets.len().max(1) as f64,
+            sched.total_contention_cycles(),
+            sched.contention_events().len()
         );
         for ev in sched.contention_events().iter().take(5) {
             let p = app.packet(ev.packet);
@@ -43,10 +44,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             );
         }
         println!("  busiest links (bits):");
-        let loads = link_loads(&sched);
-        let mut sorted: Vec<_> = loads.iter().collect();
-        sorted.sort_by_key(|(_, &bits)| std::cmp::Reverse(bits));
-        for (link, bits) in sorted.into_iter().take(3) {
+        // Bits carried by each inter-router link, busiest first.
+        let mut loads: Vec<_> = sched
+            .occupancy()
+            .iter()
+            .filter_map(|(resource, occs)| match resource {
+                Resource::Link(link) if link.is_internal() => {
+                    Some((link, occs.iter().map(|o| o.bits).sum::<u64>()))
+                }
+                _ => None,
+            })
+            .collect();
+        loads.sort_by_key(|&(link, bits)| (std::cmp::Reverse(bits), link));
+        for (link, bits) in loads.into_iter().take(3) {
             println!("    {link}: {bits}");
         }
         println!();

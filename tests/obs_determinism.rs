@@ -20,7 +20,7 @@ use noc::model::{Cdcg, Mesh};
 use noc_obs::metrics::HISTOGRAM_BUCKETS;
 use noc_obs::{MemorySink, MetricsRegistry};
 use noc_service::{
-    CacheTier, GaConfig, JobRequest, JobState, MappingService, Priority, SaConfig, SearchMethod,
+    GaConfig, JobRequest, JobState, MappingService, Priority, SaConfig, SearchMethod,
     ServiceConfig, SolveRequest, SolveResult, TabuConfig,
 };
 use std::sync::Arc;
@@ -161,15 +161,16 @@ fn tracing_on_and_off_are_bit_identical() {
 
 /// A CDCM search (the GA) on a memo-compatible tier must surface its
 /// walk-memo counters in the service registry — the source the
-/// `metrics` socket op (and `noc-cli metrics`) renders.
+/// `metrics` socket op (and `noc-cli metrics`) renders. A 30x30 mesh is
+/// the smallest square one the registry serves from the implicit tier.
 #[test]
 fn batch_and_memo_counters_reach_the_service_registry() {
-    let (app, mesh) = instance(0xBA7C);
+    let (app, _) = instance(0xBA7C);
+    let mesh = Mesh::new(30, 30).expect("valid dims");
     let mut ga = GaConfig::new(3);
     ga.budget = 300;
     let mut request = SolveRequest::new(app, mesh, SearchMethod::Genetic(ga));
     request.seed = 3;
-    request.route_cache = CacheTier::Implicit;
     let service = MappingService::start(ServiceConfig::new(1));
     service.submit(JobRequest::Solve(Box::new(request)), Priority::Normal);
     service.wait_all();

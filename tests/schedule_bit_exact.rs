@@ -13,15 +13,18 @@
 //! and torus routings (2-wide rings included), 3D stacks and sparse
 //! schedules with stretched computation. The values were recorded from
 //! the `HashMap`-keyed scheduler that preceded the single event loop;
-//! any divergence means an artifact changed.
+//! any divergence means an artifact changed. The counting run
+//! (`schedule_contention_with`) over the size-picked route tier
+//! (`RouteProvider::auto`) must match each row's `texec` and contention
+//! counts too, without building the schedule.
 
 use noc::apps::paper_example::{figure1_cdcg, mapping_c, mapping_d, mesh_2x2};
 use noc::apps::suite::table1_suite;
 use noc::model::{
-    Cdcg, Mapping, Mesh, RoutingAlgorithm, TileId, TorusXyRouting, TorusXyzRouting, XyRouting,
-    XyzRouting, YxRouting,
+    Cdcg, Mapping, Mesh, RouteProvider, RoutingAlgorithm, RoutingKind, TileId, TorusXyRouting,
+    TorusXyzRouting, XyRouting, XyzRouting, YxRouting,
 };
-use noc::sim::{schedule_with, Schedule, SimParams};
+use noc::sim::{schedule_contention_with, schedule_with, Schedule, ScheduleScratch, SimParams};
 
 /// FNV-1a, 64-bit.
 fn fnv1a64(bytes: &[u8]) -> u64 {
@@ -676,17 +679,34 @@ const PINS: &[(&str, u64, usize, u64, u64)] = &[
 #[test]
 fn schedules_match_recorded_artifacts() {
     let cases = cases();
-    let got: Vec<(String, Pin)> = cases
+    // One scratch for every counting run, as a service worker reuses its own.
+    let mut scratch = ScheduleScratch::new();
+    let got: Vec<(String, Pin, (u64, usize, u64))> = cases
         .iter()
         .map(|c| {
             let s = schedule_with(&c.cdcg, &c.mesh, &c.mapping, &c.params, c.routing)
                 .unwrap_or_else(|e| panic!("{}: {e}", c.label));
-            (c.label.clone(), pin(&s))
+            let kind = RoutingKind::from_name(c.routing.name()).expect("a library routing");
+            let routes = RouteProvider::auto(&c.mesh, kind);
+            let run = schedule_contention_with(
+                &c.cdcg,
+                &c.mesh,
+                &c.mapping,
+                &c.params,
+                &routes,
+                &mut scratch,
+            )
+            .unwrap_or_else(|e| panic!("{}: {e}", c.label));
+            let counted = (run.texec_cycles, run.events, run.cycles);
+            (c.label.clone(), pin(&s), counted)
         })
         .collect();
     assert_eq!(got.len(), PINS.len(), "row count");
-    for ((label, got), &(want_label, texec, events, cycles, digest)) in got.iter().zip(PINS) {
+    for ((label, got, counted), &(want_label, texec, events, cycles, digest)) in
+        got.iter().zip(PINS)
+    {
         assert_eq!(label, want_label, "row order");
         assert_eq!(*got, (texec, events, cycles, digest), "{label}");
+        assert_eq!(*counted, (texec, events, cycles), "{label}: counting run");
     }
 }
