@@ -17,3 +17,21 @@ impl Gadget {
 pub fn gadget_count() -> usize {
     0
 }
+
+// Impls of a type or trait declared without plain `pub` are no surface,
+// even where their methods are `pub`.
+struct Hidden;
+
+impl Hidden {
+    pub fn peek(&self) -> u32 {
+        0
+    }
+}
+
+pub(crate) trait Internal {
+    fn poke(&self);
+}
+
+impl Internal for Gadget {
+    fn poke(&self) {}
+}

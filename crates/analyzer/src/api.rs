@@ -3,7 +3,9 @@
 //! **API01** extracts the public surface of every workspace crate —
 //! top-level `pub` items (a `pub use` with its whole list), `pub fn`s
 //! inside `impl` blocks, trait methods inside `pub trait` blocks,
-//! exported macros — from its `src/`
+//! exported macros — from its `src/`. An `impl` block of a type or trait
+//! that its file declares without plain `pub` (private or `pub(…)`) is
+//! no surface, whatever its methods say
 //! (binaries excluded) and diffs it against the checked-in manifest
 //! (`crates/analyzer/api_manifest.txt`). Any delta is an API01 finding
 //! until the manifest is deliberately regenerated with
@@ -35,6 +37,7 @@ pub type Source = (String, Vec<ScanLine>);
 /// Extracts the public surface of one scanned source file. Entries are
 /// `context :: signature` with whitespace collapsed.
 pub fn public_surface(lines: &[ScanLine]) -> BTreeSet<String> {
+    let restricted = restricted_types(lines);
     let mut out = BTreeSet::new();
     // Context stack: (header, depth at which the block opened).
     let mut stack: Vec<(String, usize)> = Vec::new();
@@ -80,6 +83,12 @@ pub fn public_surface(lines: &[ScanLine]) -> BTreeSet<String> {
 
         // Assemble the signature across lines until `{`, `;` or `where`.
         let (sig, opened, next_i) = assemble_signature(lines, i);
+        if let Some((trait_name, ty)) = impl_header(&sig) {
+            if restricted.contains(&ty) || trait_name.is_some_and(|t| restricted.contains(&t)) {
+                i = item_end(lines, i) + 1;
+                continue;
+            }
+        }
         let context = stack
             .iter()
             .map(|(h, _)| h.as_str())
@@ -293,10 +302,38 @@ fn declared_item(code: &str) -> Option<(String, bool)> {
     (!name.is_empty()).then_some((name, is_type))
 }
 
-/// The type an `impl` header implements for (`impl<T> Trait for Foo<T>`
-/// and `impl Foo` both give `Foo`), or `None` if `code` is no impl
-/// header.
-fn impl_self_type(code: &str) -> Option<String> {
+/// Names of the types and traits `lines` declares without plain `pub`
+/// (private or `pub(…)`), outside tests.
+fn restricted_types(lines: &[ScanLine]) -> BTreeSet<String> {
+    let declared = |code: &str| {
+        let code = code.trim_start();
+        if code.starts_with("pub ") {
+            return None;
+        }
+        let rest = code
+            .strip_prefix("pub(")
+            .and_then(|r| r.split_once(") "))
+            .map_or(code, |(_, r)| r);
+        let rest = ["struct ", "enum ", "trait ", "union "]
+            .iter()
+            .find_map(|kw| rest.strip_prefix(kw))?;
+        let name: String = rest
+            .chars()
+            .take_while(|c| c.is_alphanumeric() || *c == '_')
+            .collect();
+        (!name.is_empty()).then_some(name)
+    };
+    lines
+        .iter()
+        .filter(|l| !l.in_test)
+        .filter_map(|l| declared(&l.code))
+        .collect()
+}
+
+/// The trait, if any, and the type of an `impl` header: `impl<T> Trait
+/// for Foo<T>` gives `(Some("Trait"), "Foo")`, `impl Foo` gives
+/// `(None, "Foo")`. `None` if `code` is no impl header.
+fn impl_header(code: &str) -> Option<(Option<String>, String)> {
     let rest = code.trim_start().strip_prefix("impl")?;
     if !rest.starts_with([' ', '<']) {
         return None;
@@ -316,14 +353,19 @@ fn impl_self_type(code: &str) -> Option<String> {
         }
     }
     let rest = &rest[start..];
-    let path: String = rest
-        .find(" for ")
-        .map_or(rest, |i| &rest[i + 5..])
-        .trim_start()
-        .chars()
-        .take_while(|c| c.is_alphanumeric() || *c == '_' || *c == ':')
-        .collect();
-    path.rsplit("::").next().map(str::to_owned)
+    // The last segment of the path `text` starts with.
+    let name = |text: &str| {
+        let path: String = text
+            .trim_start()
+            .chars()
+            .take_while(|c| c.is_alphanumeric() || *c == '_' || *c == ':')
+            .collect();
+        path.rsplit("::").next().unwrap_or_default().to_owned()
+    };
+    Some(match rest.find(" for ") {
+        Some(i) => (Some(name(&rest[..i])), name(&rest[i + 5..])),
+        None => (None, name(rest)),
+    })
 }
 
 /// The last line of the item or block that starts on line `start`: the
@@ -371,7 +413,7 @@ pub fn uncalled(sources: &[Source], callers: &[Source]) -> Vec<Finding> {
             continue;
         }
         for (i, line) in lines.iter().enumerate().filter(|(_, l)| !l.in_test) {
-            if let Some(ty) = impl_self_type(&line.code) {
+            if let Some((_, ty)) = impl_header(&line.code) {
                 let span = (file, i, item_end(lines, i));
                 impls.entry((krate, ty)).or_default().push(span);
             } else if let Some((name, is_type)) = declared_item(&line.code) {

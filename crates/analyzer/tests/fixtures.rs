@@ -216,7 +216,14 @@ fn api02_counts_callers_outside_the_crates() {
 fn api01_good_manifest_is_clean() {
     let root = fixtures_dir().join("api_ws");
     let live = api::surfaces(&workspace_sources(&root).expect("scan fixture workspace"));
-    for private in ["hidden", "internal", "main_only", "bin_only"] {
+    for private in [
+        "hidden",
+        "internal",
+        "main_only",
+        "bin_only",
+        "Hidden",
+        "Internal",
+    ] {
         assert!(
             live.iter().all(|e| !e.contains(private)),
             "`{private}` leaked into the surface: {live:#?}"

@@ -18,7 +18,7 @@ use noc_bench::{write_record, TextTable};
 use noc_energy::total::evaluate_cdcm_with;
 use noc_energy::Technology;
 use noc_mapping::{Explorer, SaConfig, SearchMethod, Strategy};
-use noc_model::{RouteProvider, RoutingAlgorithm, TorusXyRouting, XyRouting};
+use noc_model::{RouteProvider, RoutingKind};
 use noc_sim::SimParams;
 use serde::Serialize;
 use std::sync::Arc;
@@ -45,8 +45,9 @@ fn main() {
     let mut rows = Vec::new();
     for bench in table1_suite().iter().take(9) {
         let mut results = Vec::new();
-        for routing in [&XyRouting as &dyn RoutingAlgorithm, &TorusXyRouting] {
-            let routes = Arc::new(RouteProvider::for_algorithm(&bench.mesh, routing).unwrap());
+        for kind in [RoutingKind::Xy, RoutingKind::TorusXy] {
+            let routing = kind.algorithm();
+            let routes = Arc::new(RouteProvider::auto(&bench.mesh, kind));
             let explorer =
                 Explorer::with_provider(&bench.cdcg, bench.mesh, tech.clone(), params, routes);
             let outcome = explorer.explore(

@@ -83,7 +83,7 @@ USAGE:
                    [--app app.json] [--mesh WxH]
   noc-cli serve    --socket PATH [--workers N] [--trace FILE]
   noc-cli submit   --socket PATH [map/evaluate flags but --faults,
-                    --fault-kind and --fault-seed]
+                    --fault-kind, --fault-seed and --fault-evals]
                    [--priority high|normal|low] [--wait]
                    [--op status|wait|cancel|stats|shutdown|metrics|trace]
                    [--job N]
@@ -118,7 +118,7 @@ KxK tile block; `--fault-seed S` picks the draw), re-routes the found
 mapping on the fault-aware route tier and re-optimizes within
 `--fault-evals N` (default 20000) evaluations, reporting degraded and
 recovered cost. The socket carries no fault experiment, so `submit`
-refuses `--faults`, `--fault-kind` and `--fault-seed`.
+refuses `--faults`, `--fault-kind`, `--fault-seed` and `--fault-evals`.
 `--robustness-report` prints the traffic-weighted link-criticality
 table (single-point-of-failure exposure) of the found mapping. `--app FILE.cdcg` (or `.txt`) reads the line-oriented
 text format instead of JSON; parse errors name the offending line.

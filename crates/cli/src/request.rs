@@ -19,11 +19,11 @@ use noc_sim::SimParams;
 /// pins.
 pub(crate) const SOLVE_FLAGS: &str = "--app --mesh --depth --strategy --tech --routing \
     --seed --quick --evals --restarts --population --rounds --crossover --tenure \
-    --neighborhood --pin --fault-evals --robustness-report";
+    --neighborhood --pin --robustness-report";
 
 /// The flags of the fault experiment, which runs in process only: the
 /// wire carries no fault scenario, so `submit` refuses them.
-pub(crate) const FAULT_FLAGS: &str = "--faults --fault-kind --fault-seed";
+pub(crate) const FAULT_FLAGS: &str = "--faults --fault-kind --fault-seed --fault-evals";
 
 /// The flags [`build_evaluate_request`] reads.
 pub(crate) const EVALUATE_FLAGS: &str = "--app --mesh --depth --mapping --tech --routing --gantt";

@@ -292,6 +292,10 @@ fn a_misspelled_key_is_refused_on_every_subcommand_and_wire_level() {
             format!("{{\"op\":\"submit\",\"job\":{solve},\"route_cache\":\"dense\"}}}}"),
             "unknown key `route_cache` in a solve job; did you mean `tech`?",
         ),
+        (
+            format!("{{\"op\":\"submit\",\"job\":{solve},\"fault_evals\":500}}}}"),
+            "unknown key `fault_evals` in a solve job; did you mean `faults`?",
+        ),
     ] {
         let reply = handle_line(&handle, &line);
         assert!(
@@ -529,6 +533,12 @@ fn every_option_submit_accepts_survives_the_wire() {
     }
     assert_eq!(
         refused,
-        ["--faults", "--faults", "--fault-kind", "--fault-seed"]
+        [
+            "--fault-evals",
+            "--faults",
+            "--faults",
+            "--fault-kind",
+            "--fault-seed"
+        ]
     );
 }

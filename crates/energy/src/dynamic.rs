@@ -9,8 +9,6 @@
 
 use crate::technology::Technology;
 use crate::units::Energy;
-#[allow(unused_imports)] // `RouteCache` appears in doc links.
-use noc_model::RouteCache;
 use noc_model::{
     Cdcg, Communication, Cwg, Mapping, Mesh, RouteSource, RoutingAlgorithm, XyRouting,
 };
@@ -111,9 +109,9 @@ pub fn cdcg_dynamic_energy_with(
 }
 
 /// Equation 4 over any cached/implicit [`RouteSource`] (a dense
-/// [`RouteCache`] or any [`noc_model::RouteProvider`] tier): no route is
-/// re-derived per call, router counts are `O(1)` lookups or closed
-/// forms. Bit-exact with [`cdcg_dynamic_energy_with`] for the source's
+/// [`noc_model::RouteCache`] or any [`noc_model::RouteProvider`] tier):
+/// no route is re-derived per call, router counts are `O(1)` lookups or
+/// closed forms. Bit-exact with [`cdcg_dynamic_energy_with`] for the source's
 /// routing algorithm (same per-packet terms, same summation order).
 pub fn cdcg_dynamic_energy_cached<S: RouteSource + ?Sized>(
     cdcg: &Cdcg,

@@ -725,7 +725,7 @@ mod tests {
         let mesh = Mesh::new(2, 2).unwrap();
         let tech = Technology::paper_example();
         let params = SimParams::paper_example();
-        let routes = Arc::new(RouteProvider::for_algorithm(&mesh, &YxRouting).unwrap());
+        let routes = Arc::new(RouteProvider::auto(&mesh, RoutingKind::Yx));
         let mut fast = CdcmCostEvaluator::with_provider(&cdcg, &tech, &params, routes);
         for tiles in [[1, 0, 3, 2], [3, 0, 1, 2], [0, 1, 2, 3]] {
             let mapping = Mapping::from_tiles(&mesh, tiles.map(TileId::new)).unwrap();

@@ -523,7 +523,7 @@ mod tests {
         use noc_model::YxRouting;
         let cdcg = figure1_cdcg();
         let mesh = Mesh::new(2, 2).unwrap();
-        let routes = Arc::new(RouteProvider::for_algorithm(&mesh, &YxRouting).unwrap());
+        let routes = Arc::new(RouteProvider::auto(&mesh, RoutingKind::Yx));
         let explorer = Explorer::with_provider(
             &cdcg,
             mesh,

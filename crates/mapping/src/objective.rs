@@ -571,7 +571,7 @@ mod tests {
         let params = SimParams::paper_example();
         let mapping = Mapping::from_tiles(&mesh, [5, 0, 1, 4].map(TileId::new)).unwrap();
 
-        let routes = Arc::new(RouteProvider::for_algorithm(&mesh, &YxRouting).unwrap());
+        let routes = Arc::new(RouteProvider::auto(&mesh, RoutingKind::Yx));
         let cdcm = CdcmObjective::with_provider(&cdcg, &tech, params, Arc::clone(&routes));
         let want = noc_energy::total::evaluate_cdcm_with(
             &cdcg, &mesh, &mapping, &tech, &params, &YxRouting,

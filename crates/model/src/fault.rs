@@ -9,9 +9,9 @@
 //!
 //! * **Fast path** — when the canonical dimension-order route of a pair
 //!   touches no dead link, the exact walk of the implicit tier is
-//!   emitted. With an empty fault set every pair takes this path, so
-//!   the tier is bit-identical to the healthy tiers (pinned by the
-//!   repository's property tests).
+//!   emitted. With an empty fault set the tier hands every call to its
+//!   [`ImplicitRoutes`], so it is bit-identical to the healthy tiers
+//!   (pinned by the repository's property tests).
 //! * **Detour path** — otherwise a breadth-first search over the
 //!   surviving channels finds a shortest detour, with deterministic
 //!   tie-breaking (FIFO order, neighbours expanded in the fixed
@@ -32,7 +32,7 @@
 use crate::crg::{Coord, Direction, Link, Mesh};
 use crate::error::ModelError;
 use crate::ids::TileId;
-use crate::route_provider::{LinkNumbering, RouteSource};
+use crate::route_provider::{ImplicitRoutes, RouteSource};
 use crate::routing::RoutingKind;
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::sync::Mutex;
@@ -290,12 +290,10 @@ pub struct FaultRouteStats {
 /// to construct one.
 #[derive(Debug)]
 pub struct FaultAwareRoutes {
-    mesh: Mesh,
-    kind: RoutingKind,
-    numbering: LinkNumbering,
+    /// The healthy walker: it answers every call while no link is dead,
+    /// and its link numbering names the links of every detour.
+    healthy: ImplicitRoutes,
     faults: FaultSet,
-    wrap_xy: bool,
-    wrap_z: bool,
     shards: Box<[Mutex<FaultShard>]>,
     shard_capacity: usize,
 }
@@ -304,18 +302,13 @@ impl FaultAwareRoutes {
     /// Creates the fault-aware router for `mesh` under the canonical
     /// routing `kind`, surviving `faults`.
     pub fn new(mesh: &Mesh, kind: RoutingKind, faults: FaultSet) -> Self {
-        let order = kind.order();
         let shards = (0..FAULT_SHARDS)
             .map(|_| Mutex::new(FaultShard::default()))
             .collect::<Vec<_>>()
             .into_boxed_slice();
         Self {
-            mesh: *mesh,
-            kind,
-            numbering: LinkNumbering::new(mesh),
+            healthy: ImplicitRoutes::new(mesh, kind),
             faults,
-            wrap_xy: order.wrap_xy,
-            wrap_z: order.wrap_z,
             shards,
             shard_capacity: (FAULT_CACHE_CAPACITY / FAULT_SHARDS).max(64),
         }
@@ -340,7 +333,7 @@ impl FaultAwareRoutes {
 
     /// The canonical routing kind (used whenever it survives).
     pub fn kind(&self) -> RoutingKind {
-        self.kind
+        self.healthy.kind()
     }
 
     /// The injected fault set.
@@ -370,21 +363,23 @@ impl FaultAwareRoutes {
     /// wrap neighbour of border tiles when the routing kind wraps that
     /// axis.
     fn port_neighbor(&self, tile: TileId, dir: Direction) -> Option<TileId> {
-        if let Some(n) = self.mesh.neighbor(tile, dir) {
+        let mesh = self.mesh();
+        if let Some(n) = mesh.neighbor(tile, dir) {
             return Some(n);
         }
-        let c = self.mesh.coord(tile);
-        let (w, h, d) = (self.mesh.width(), self.mesh.height(), self.mesh.depth());
+        let c = mesh.coord(tile);
+        let (w, h, d) = (mesh.width(), mesh.height(), mesh.depth());
+        let (wrap_xy, wrap_z) = self.healthy.wraps();
         let wrapped = match dir {
-            Direction::North if self.wrap_xy && h > 1 => Coord::new3(c.x, h - 1, c.z),
-            Direction::South if self.wrap_xy && h > 1 => Coord::new3(c.x, 0, c.z),
-            Direction::East if self.wrap_xy && w > 1 => Coord::new3(0, c.y, c.z),
-            Direction::West if self.wrap_xy && w > 1 => Coord::new3(w - 1, c.y, c.z),
-            Direction::Up if self.wrap_z && d > 1 => Coord::new3(c.x, c.y, d - 1),
-            Direction::Down if self.wrap_z && d > 1 => Coord::new3(c.x, c.y, 0),
+            Direction::North if wrap_xy && h > 1 => Coord::new3(c.x, h - 1, c.z),
+            Direction::South if wrap_xy && h > 1 => Coord::new3(c.x, 0, c.z),
+            Direction::East if wrap_xy && w > 1 => Coord::new3(0, c.y, c.z),
+            Direction::West if wrap_xy && w > 1 => Coord::new3(w - 1, c.y, c.z),
+            Direction::Up if wrap_z && d > 1 => Coord::new3(c.x, c.y, d - 1),
+            Direction::Down if wrap_z && d > 1 => Coord::new3(c.x, c.y, 0),
             _ => return None,
         };
-        self.mesh.tile_at(wrapped)
+        mesh.tile_at(wrapped)
     }
 
     /// The canonical dimension-order steps of a pair, and whether any
@@ -392,13 +387,13 @@ impl FaultAwareRoutes {
     fn canonical_steps(&self, src: TileId, dst: TileId) -> (Vec<(Coord, Coord)>, bool) {
         let mut steps = Vec::new();
         let mut touched = false;
-        self.kind
+        self.kind()
             .order()
-            .for_each_step(&self.mesh, src, dst, |a, b| {
+            .for_each_step(self.mesh(), src, dst, |a, b| {
                 let (ta, tb) = (
                     // noc-verify: allow(PANIC01) — for_each_step yields only in-mesh coordinates by construction, so tile_at cannot return None
-                    self.mesh.tile_at(a).expect("walk stays inside mesh"),
-                    self.mesh.tile_at(b).expect("walk stays inside mesh"), // noc-verify: allow(PANIC01) — same invariant as the line above
+                    self.mesh().tile_at(a).expect("walk stays inside mesh"),
+                    self.mesh().tile_at(b).expect("walk stays inside mesh"), // noc-verify: allow(PANIC01) — same invariant as the line above
                 );
                 touched |= self.faults.is_dead(&Link::between(ta, tb));
                 steps.push((a, b));
@@ -411,7 +406,7 @@ impl FaultAwareRoutes {
     /// FIFO breadth-first search expanding neighbours in
     /// [`Direction::AXIAL`] order assigns every tile a unique parent.
     fn detour(&self, src: TileId, dst: TileId) -> Option<Vec<TileId>> {
-        let n = self.mesh.tile_count();
+        let n = self.mesh().tile_count();
         let mut parent: Vec<u32> = vec![u32::MAX; n];
         parent[src.index()] = src.index() as u32;
         let mut queue = VecDeque::new();
@@ -443,7 +438,7 @@ impl FaultAwareRoutes {
 
     /// The pair's cache key and owning shard index.
     fn shard_of(&self, src: TileId, dst: TileId) -> (usize, u64) {
-        let n = self.mesh.tile_count() as u64;
+        let n = self.mesh().tile_count() as u64;
         let key = src.index() as u64 * n + dst.index() as u64;
         (key as usize % self.shards.len(), key)
     }
@@ -478,8 +473,9 @@ impl FaultAwareRoutes {
         } else {
             match self.detour(src, dst) {
                 Some(path) => (
-                    path.windows(2)
-                        .map(|w| (self.mesh.coord(w[0]), self.mesh.coord(w[1])))
+                    path.iter()
+                        .zip(path.iter().skip(1))
+                        .map(|(&a, &b)| (self.mesh().coord(a), self.mesh().coord(b)))
                         .collect(),
                     true,
                 ),
@@ -492,13 +488,13 @@ impl FaultAwareRoutes {
 
         let start = shard.walks.len() as u32;
         let mut vertical = 0u32;
-        shard.walks.push(self.numbering.injection(src));
+        shard.walks.push(self.healthy.numbering.injection(src));
         for &(a, b) in &steps {
             vertical += u32::from(a.z != b.z);
-            let id = self.numbering.internal(a, b);
+            let id = self.healthy.numbering.internal(a, b);
             shard.walks.push(id);
         }
-        shard.walks.push(self.numbering.ejection(dst));
+        shard.walks.push(self.healthy.numbering.ejection(dst));
         let entry = PairEntry::Route {
             start,
             len: shard.walks.len() as u32 - start,
@@ -512,20 +508,20 @@ impl FaultAwareRoutes {
 
 impl RouteSource for FaultAwareRoutes {
     fn mesh(&self) -> &Mesh {
-        &self.mesh
+        self.healthy.mesh()
     }
 
     fn routing_name(&self) -> &'static str {
-        self.kind.name()
+        self.healthy.routing_name()
     }
 
     fn dense_link_count(&self) -> usize {
-        self.numbering.id_count()
+        self.healthy.dense_link_count()
     }
 
     fn router_count(&self, src: TileId, dst: TileId) -> usize {
         if self.faults.is_empty() {
-            return self.kind.hop_distance(&self.mesh, src, dst) + 1;
+            return self.healthy.router_count(src, dst);
         }
         match self.resolve(src, dst) {
             // Walk = injection + internals + ejection; routers = internals + 1.
@@ -536,7 +532,7 @@ impl RouteSource for FaultAwareRoutes {
 
     fn vertical_hops(&self, src: TileId, dst: TileId) -> usize {
         if self.faults.is_empty() {
-            return self.kind.vertical_hops(&self.mesh, src, dst);
+            return self.healthy.vertical_hops(src, dst);
         }
         match self.resolve(src, dst) {
             PairEntry::Route { vertical, .. } => vertical as usize,
@@ -545,19 +541,11 @@ impl RouteSource for FaultAwareRoutes {
     }
 
     fn walk_span(&self, src: TileId, dst: TileId, buf: &mut Vec<u32>) -> (u32, u32) {
-        let start = buf.len();
         if self.faults.is_empty() {
-            // Bit-identical to the implicit tier: same coordinate walk,
-            // same closed-form numbering, no locking.
-            buf.push(self.numbering.injection(src));
-            self.kind
-                .order()
-                .for_each_step(&self.mesh, src, dst, |a, b| {
-                    buf.push(self.numbering.internal(a, b));
-                });
-            buf.push(self.numbering.ejection(dst));
-            return (start as u32, (buf.len() - start) as u32);
+            // No locking: the healthy walk is the route.
+            return self.healthy.walk_span(src, dst, buf);
         }
+        let start = buf.len();
         // Resolve and copy under ONE guard: releasing the shard between
         // resolution and the walk copy would let a concurrent thread
         // evict the shard and leave the span pointing at cleared (or
@@ -572,8 +560,8 @@ impl RouteSource for FaultAwareRoutes {
             PairEntry::Partitioned => {
                 // Degenerate walk; callers learn the truth from
                 // `validate_pair`, which the engines check.
-                buf.push(self.numbering.injection(src));
-                buf.push(self.numbering.ejection(dst));
+                buf.push(self.healthy.numbering.injection(src));
+                buf.push(self.healthy.numbering.ejection(dst));
                 (start as u32, 2)
             }
         }
@@ -584,7 +572,7 @@ impl RouteSource for FaultAwareRoutes {
     }
 
     fn link_at(&self, id: u32) -> Option<Link> {
-        self.numbering.link_at(id, self.wrap_xy, self.wrap_z)
+        self.healthy.link_at(id)
     }
 
     fn validate_pair(&self, src: TileId, dst: TileId) -> Result<(), ModelError> {

@@ -3,35 +3,32 @@
 //! The evaluation engine consumes routes as *dense-link-id walks*: per
 //! packet, the ordered list of `u32` resource ids (injection link,
 //! inter-router links, ejection link) that per-link state vectors are
-//! indexed by. [`RouteCache`] precomputes every pair's walk — unbeatable
-//! for small meshes, but its `O(n²·diameter)` tables stop fitting well
-//! before the meshes the large-scale NoC-mapping literature evaluates
-//! (3D and hundred-by-hundred grids). [`RouteProvider`] generalizes the
-//! supply side into one tier per regime behind one interface
-//! ([`RouteSource`]):
+//! indexed by. One coordinate walker generates every walk
+//! ([`ImplicitRoutes`]: the step sequence of the routing kind's own
+//! `RoutingAlgorithm`), and one closed-form **per-tile-port numbering**
+//! names every link: one slot per injection and ejection link plus one
+//! per outgoing router port — four ports per tile on planar meshes (the
+//! historical `6·n` total), six on 3D meshes (`8·n`, adding the up/down
+//! TSV ports). [`RouteProvider`] puts one tier per regime behind one
+//! interface ([`RouteSource`]):
 //!
-//! * **[`RouteProvider::Dense`]** — the precomputed [`RouteCache`],
-//!   the fast path for meshes up to [`AUTO_DENSE_MAX_ENTRIES`]. Walks
-//!   are spans into the cache's shared flat array; resolving one
-//!   allocates and copies nothing.
-//! * **[`RouteProvider::Implicit`]** — no stored routes at all
-//!   ([`ImplicitRoutes`]): XY/YX/torus/XYZ walks are generated directly
-//!   from tile coordinates into the caller's buffer, and link ids come
-//!   from a closed-form **per-tile-port numbering**: one slot per
-//!   injection and ejection link plus one per outgoing router port —
-//!   four ports per tile on planar meshes (the historical `6·n` total),
-//!   six on 3D meshes (`8·n`, adding the up/down TSV ports). Zero
-//!   resident memory; `O(route length)` per resolution. Evaluators
-//!   front it with a private [`crate::WalkMemo`], so a search pays for
-//!   each pair's walk once.
+//! * **[`RouteProvider::Dense`]** — the walker's output for every pair,
+//!   precomputed into one flat array ([`RouteCache`]); the fast path for
+//!   meshes up to [`AUTO_DENSE_MAX_ENTRIES`]. Walks are spans into the
+//!   shared array; resolving one allocates and copies nothing.
+//! * **[`RouteProvider::Implicit`]** — the walker itself, no stored
+//!   routes: XY/YX/torus/XYZ walks are generated from tile coordinates
+//!   into the caller's buffer. Zero resident memory; `O(route length)`
+//!   per resolution. Evaluators front it with a private
+//!   [`crate::WalkMemo`], so a search pays for each pair's walk once.
 //! * **[`RouteProvider::FaultAware`]** — detour routing around a fault
-//!   set of dead links (`crate::fault`).
+//!   set of dead links (`crate::fault`); with no dead links it is the
+//!   walker.
 //!
-//! Dense ids differ between the tiers (interning order versus the
-//! closed form), but evaluation results do not: the ids are a bijection
-//! onto the same physical links, and the timing/energy engines depend
-//! only on which walks share which resources. The repository's property
-//! tests pin bit-identical costs across the tiers, on planar and 3D
+//! All three tiers yield the same ids for the same walk, so evaluation
+//! results are bit-identical across them. The repository's property
+//! tests check every tier's decoded walks against the routing
+//! algorithm's routes, and its costs across the tiers, on planar and 3D
 //! meshes alike.
 //!
 //! [`RouteProvider::auto`] picks dense while the estimated tables stay
@@ -44,16 +41,17 @@ use crate::crg::{Coord, Link, Mesh};
 use crate::error::ModelError;
 use crate::ids::TileId;
 use crate::route_cache::RouteCache;
-use crate::routing::{RoutingAlgorithm, RoutingKind};
+use crate::routing::RoutingKind;
 use std::sync::Arc;
 
-/// Entry-estimate threshold up to which [`RouteProvider::auto`] picks
-/// the dense tier (29×29 is the largest square mesh under it).
+/// Entry-estimate limit of the dense tier: [`RouteCache::new`] refuses a
+/// mesh beyond it, where [`RouteProvider::auto`] picks the implicit tier
+/// (29×29 is the largest square mesh under it).
 pub const AUTO_DENSE_MAX_ENTRIES: u128 = 1 << 24;
 
 /// A supplier of routes in the dense-link-id form the evaluation engine
-/// consumes. Implemented by [`RouteCache`] (shared flat array) and
-/// [`RouteProvider`] (every tier).
+/// consumes. Implemented by each tier ([`RouteCache`], [`ImplicitRoutes`],
+/// [`crate::FaultAwareRoutes`]) and by [`RouteProvider`], which holds one.
 pub trait RouteSource {
     /// The mesh the routes traverse.
     fn mesh(&self) -> &Mesh;
@@ -101,41 +99,6 @@ pub trait RouteSource {
     /// than a panic or a silently wrong cost.
     fn validate_pair(&self, _src: TileId, _dst: TileId) -> Result<(), ModelError> {
         Ok(())
-    }
-}
-
-impl RouteSource for RouteCache {
-    fn mesh(&self) -> &Mesh {
-        self.mesh()
-    }
-
-    fn routing_name(&self) -> &'static str {
-        self.routing_name()
-    }
-
-    fn dense_link_count(&self) -> usize {
-        self.dense_link_count()
-    }
-
-    fn router_count(&self, src: TileId, dst: TileId) -> usize {
-        self.router_count(src, dst)
-    }
-
-    fn vertical_hops(&self, src: TileId, dst: TileId) -> usize {
-        self.vertical_hops(src, dst)
-    }
-
-    fn walk_span(&self, src: TileId, dst: TileId, _buf: &mut Vec<u32>) -> (u32, u32) {
-        let span = self.link_span(src, dst);
-        (span.start as u32, (span.end - span.start) as u32)
-    }
-
-    fn flat<'s>(&'s self, _buf: &'s [u32]) -> &'s [u32] {
-        self.link_ids_flat()
-    }
-
-    fn link_at(&self, id: u32) -> Option<Link> {
-        ((id as usize) < self.dense_link_count()).then(|| self.link_of(id))
     }
 }
 
@@ -300,7 +263,9 @@ impl LinkNumbering {
 pub struct ImplicitRoutes {
     mesh: Mesh,
     kind: RoutingKind,
-    numbering: LinkNumbering,
+    /// The link numbering of every tier (the fault-aware tier names its
+    /// detours with it).
+    pub(crate) numbering: LinkNumbering,
 }
 
 impl ImplicitRoutes {
@@ -319,9 +284,10 @@ impl ImplicitRoutes {
     }
 
     /// Whether the planar / vertical axes wrap under this kind (for id
-    /// decoding) — read from the kind's own [`DimensionOrder`] so the
-    /// decoder can never diverge from the walk encoder.
-    fn wraps(&self) -> (bool, bool) {
+    /// decoding and the fault tier's detour neighbours) — read from the
+    /// kind's own [`DimensionOrder`] so neither can diverge from the
+    /// walk encoder.
+    pub(crate) fn wraps(&self) -> (bool, bool) {
         let order = self.kind.order();
         (order.wrap_xy, order.wrap_z)
     }
@@ -413,18 +379,10 @@ impl RouteProvider {
     /// # Errors
     ///
     /// Returns [`ModelError::RouteCacheTooLarge`] when the mesh exceeds
-    /// what the dense cache agrees to precompute.
+    /// [`AUTO_DENSE_MAX_ENTRIES`], where [`Self::auto`] would not build
+    /// it either.
     pub fn dense(mesh: &Mesh, kind: RoutingKind) -> Result<Self, ModelError> {
-        Ok(Self::Dense(Arc::new(RouteCache::with_routing(
-            mesh,
-            kind.algorithm(),
-        )?)))
-    }
-
-    /// Wraps an already-built dense cache.
-    // noc-verify: allow(API02) — test fixture: the tier-equivalence tests wrap a directly built cache
-    pub fn from_cache(cache: Arc<RouteCache>) -> Self {
-        Self::Dense(cache)
+        Ok(Self::Dense(Arc::new(RouteCache::new(mesh, kind)?)))
     }
 
     /// Implicit tier for `mesh` under `kind`.
@@ -444,36 +402,7 @@ impl RouteProvider {
     /// tables stay within [`AUTO_DENSE_MAX_ENTRIES`], implicit beyond.
     /// Never fails and never precomputes more than the threshold allows.
     pub fn auto(mesh: &Mesh, kind: RoutingKind) -> Self {
-        if RouteCache::dense_entry_estimate(mesh) <= AUTO_DENSE_MAX_ENTRIES {
-            if let Ok(provider) = Self::dense(mesh, kind) {
-                return provider;
-            }
-        }
-        Self::implicit(mesh, kind)
-    }
-
-    /// Automatic tier choice for any routing algorithm: library
-    /// algorithms resolve to their [`RoutingKind`] and go through
-    /// [`Self::auto`]; unknown custom algorithms require the dense tier
-    /// (only it can call back into arbitrary `route` implementations).
-    ///
-    /// Resolution is **by name**: the names `"XY"`, `"YX"`, `"torus-XY"`,
-    /// `"XYZ"` and `"torus-XYZ"` are reserved for the library algorithms
-    /// (see [`RoutingAlgorithm::name`]) — a custom algorithm reporting
-    /// one of them is served by the corresponding coordinate walker, not
-    /// by its own `route` implementation.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ModelError::RouteCacheTooLarge`] only for *custom*
-    /// algorithms on meshes too large to cache densely.
-    pub fn for_algorithm(mesh: &Mesh, routing: &dyn RoutingAlgorithm) -> Result<Self, ModelError> {
-        match RoutingKind::from_name(routing.name()) {
-            Some(kind) => Ok(Self::auto(mesh, kind)),
-            None => Ok(Self::Dense(Arc::new(RouteCache::with_routing(
-                mesh, routing,
-            )?))),
-        }
+        Self::dense(mesh, kind).unwrap_or_else(|_| Self::implicit(mesh, kind))
     }
 
     /// The tier this provider runs.
@@ -506,23 +435,23 @@ impl RouteProvider {
 impl RouteSource for RouteProvider {
     fn mesh(&self) -> &Mesh {
         match self {
-            Self::Dense(c) => c.mesh(),
-            Self::Implicit(i) => i.mesh(),
+            Self::Dense(c) => RouteSource::mesh(c.as_ref()),
+            Self::Implicit(i) => RouteSource::mesh(i),
             Self::FaultAware(f) => RouteSource::mesh(f),
         }
     }
 
     fn routing_name(&self) -> &'static str {
         match self {
-            Self::Dense(c) => c.routing_name(),
-            Self::Implicit(i) => i.routing_name(),
+            Self::Dense(c) => RouteSource::routing_name(c.as_ref()),
+            Self::Implicit(i) => RouteSource::routing_name(i),
             Self::FaultAware(f) => RouteSource::routing_name(f),
         }
     }
 
     fn dense_link_count(&self) -> usize {
         match self {
-            Self::Dense(c) => c.dense_link_count(),
+            Self::Dense(c) => RouteSource::dense_link_count(c.as_ref()),
             Self::Implicit(i) => RouteSource::dense_link_count(i),
             Self::FaultAware(f) => RouteSource::dense_link_count(f),
         }
@@ -530,7 +459,7 @@ impl RouteSource for RouteProvider {
 
     fn router_count(&self, src: TileId, dst: TileId) -> usize {
         match self {
-            Self::Dense(c) => c.router_count(src, dst),
+            Self::Dense(c) => RouteSource::router_count(c.as_ref(), src, dst),
             Self::Implicit(i) => RouteSource::router_count(i, src, dst),
             Self::FaultAware(f) => RouteSource::router_count(f, src, dst),
         }
@@ -538,7 +467,7 @@ impl RouteSource for RouteProvider {
 
     fn vertical_hops(&self, src: TileId, dst: TileId) -> usize {
         match self {
-            Self::Dense(c) => c.vertical_hops(src, dst),
+            Self::Dense(c) => RouteSource::vertical_hops(c.as_ref(), src, dst),
             Self::Implicit(i) => RouteSource::vertical_hops(i, src, dst),
             Self::FaultAware(f) => RouteSource::vertical_hops(f, src, dst),
         }
@@ -554,7 +483,7 @@ impl RouteSource for RouteProvider {
 
     fn flat<'s>(&'s self, buf: &'s [u32]) -> &'s [u32] {
         match self {
-            Self::Dense(c) => c.link_ids_flat(),
+            Self::Dense(c) => RouteSource::flat(c.as_ref(), buf),
             Self::Implicit(_) | Self::FaultAware(_) => buf,
         }
     }
@@ -589,8 +518,17 @@ mod tests {
             .collect()
     }
 
+    /// Every tier over `mesh` under `kind`, healthy (no dead links).
+    fn tiers(mesh: &Mesh, kind: RoutingKind) -> [RouteProvider; 3] {
+        [
+            RouteProvider::dense(mesh, kind).unwrap(),
+            RouteProvider::implicit(mesh, kind),
+            RouteProvider::fault_aware(mesh, kind, crate::fault::FaultSet::new()),
+        ]
+    }
+
     #[test]
-    fn implicit_walks_match_the_dense_cache() {
+    fn every_tier_walks_the_routing_algorithm() {
         for (w, h, d) in [
             (1, 1, 1),
             (1, 4, 1),
@@ -604,22 +542,19 @@ mod tests {
         ] {
             let mesh = Mesh::new3(w, h, d).unwrap();
             for kind in RoutingKind::ALL {
-                let dense = RouteCache::with_routing(&mesh, kind.algorithm()).unwrap();
-                let implicit = ImplicitRoutes::new(&mesh, kind);
-                for src in mesh.tiles() {
-                    for dst in mesh.tiles() {
-                        let want = decode_walk(&dense, src, dst);
-                        let got = decode_walk(&implicit, src, dst);
-                        assert_eq!(got, want, "{kind:?} {w}x{h}x{d} {src}->{dst}");
-                        assert_eq!(
-                            RouteSource::router_count(&implicit, src, dst),
-                            dense.router_count(src, dst)
-                        );
-                        assert_eq!(
-                            RouteSource::vertical_hops(&implicit, src, dst),
-                            RouteSource::vertical_hops(&dense, src, dst),
-                            "{kind:?} {w}x{h}x{d} {src}->{dst}"
-                        );
+                for tier in tiers(&mesh, kind) {
+                    for src in mesh.tiles() {
+                        for dst in mesh.tiles() {
+                            let path = kind.algorithm().route(&mesh, src, dst);
+                            let at = format!("{kind:?} {:?} {w}x{h}x{d} {src}->{dst}", tier.tier());
+                            assert_eq!(decode_walk(&tier, src, dst), path.links(), "{at}");
+                            assert_eq!(tier.router_count(src, dst), path.router_count(), "{at}");
+                            assert_eq!(
+                                tier.vertical_hops(src, dst),
+                                path.vertical_link_count(&mesh),
+                                "{at}"
+                            );
+                        }
                     }
                 }
             }
@@ -661,23 +596,6 @@ mod tests {
             RouteProvider::dense(&large, RoutingKind::Xy),
             Err(ModelError::RouteCacheTooLarge { .. })
         ));
-    }
-
-    #[test]
-    fn for_algorithm_resolves_library_routings_on_large_meshes() {
-        use crate::routing::{TorusXyRouting, TorusXyzRouting, XyzRouting, YxRouting};
-        let large = Mesh::new3(32, 32, 8).unwrap();
-        for algo in [
-            &crate::routing::XyRouting as &dyn RoutingAlgorithm,
-            &YxRouting,
-            &TorusXyRouting,
-            &XyzRouting,
-            &TorusXyzRouting,
-        ] {
-            let provider = RouteProvider::for_algorithm(&large, algo).unwrap();
-            assert_eq!(provider.tier(), RouteTier::Implicit);
-            assert_eq!(RouteSource::routing_name(&provider), algo.name());
-        }
     }
 
     #[test]
@@ -734,23 +652,27 @@ mod tests {
     #[test]
     fn two_wide_torus_collapses_wrap_links() {
         // On a 2-wide ring, east-wrap and west from the same tile land on
-        // the same neighbour: one physical link, one id — matching the
-        // dense cache's interning of `Link::between`. Same for a 2-deep
-        // stack under the 3D torus.
+        // the same neighbour: one physical link, which every tier names
+        // with one id, as the routing algorithm's `Link::between` does.
+        // Same for a 2-deep stack under the 3D torus.
         for (mesh, kind) in [
             (Mesh::new(2, 1).unwrap(), RoutingKind::TorusXy),
             (Mesh::new3(2, 1, 2).unwrap(), RoutingKind::TorusXyz),
             (Mesh::new3(1, 1, 2).unwrap(), RoutingKind::TorusXyz),
         ] {
-            let implicit = ImplicitRoutes::new(&mesh, kind);
-            let dense = RouteCache::with_routing(&mesh, kind.algorithm()).unwrap();
-            for src in mesh.tiles() {
-                for dst in mesh.tiles() {
-                    assert_eq!(
-                        decode_walk(&implicit, src, dst),
-                        decode_walk(&dense, src, dst),
-                        "{kind:?} {src}->{dst}"
-                    );
+            for tier in tiers(&mesh, kind) {
+                let mut ids = std::collections::HashMap::new();
+                for src in mesh.tiles() {
+                    for dst in mesh.tiles() {
+                        let want = kind.algorithm().route(&mesh, src, dst).links();
+                        assert_eq!(decode_walk(&tier, src, dst), want, "{kind:?} {src}->{dst}");
+                        let mut buf = Vec::new();
+                        let (start, len) = tier.walk_span(src, dst, &mut buf);
+                        let walk = &tier.flat(&buf)[start as usize..(start + len) as usize];
+                        for (&id, link) in walk.iter().zip(want) {
+                            assert_eq!(*ids.entry(link).or_insert(id), id, "{kind:?} {link}");
+                        }
+                    }
                 }
             }
         }

@@ -117,12 +117,14 @@ pub trait RoutingAlgorithm: fmt::Debug {
 
     /// Short human-readable name ("XY", "YX", …).
     ///
+    /// Every route tier walks a [`RoutingKind`], never a custom
+    /// algorithm: callers that take a `dyn RoutingAlgorithm` for a timed
+    /// run (`noc_sim::schedule_with`) resolve it by this name through
+    /// [`RoutingKind::from_name`] and refuse a name it does not know.
     /// The names of the library algorithms (`"XY"`, `"YX"`,
-    /// `"torus-XY"`, `"XYZ"`, `"torus-XYZ"`) are **reserved**:
-    /// route-provider tier selection
-    /// ([`crate::route_provider::RouteProvider::for_algorithm`])
-    /// dispatches on this name, so a custom implementation must only
-    /// report one of them if it produces identical routes.
+    /// `"torus-XY"`, `"XYZ"`, `"torus-XYZ"`) are therefore **reserved**:
+    /// a custom implementation must only report one of them if it
+    /// produces identical routes.
     fn name(&self) -> &'static str;
 }
 

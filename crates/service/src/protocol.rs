@@ -34,14 +34,15 @@
 //! `"method"` (a serialized [`SearchMethod`](crate::SearchMethod)) and optional `"strategy"`,
 //! `"tech"`, `"params"`, `"routing"` (name), `"faults"` (array of
 //! `[from, to]` directed-channel tile pairs), `"pins"`, `"sa_config"`,
-//! `"criticality"`, `"fault_evals"`, `"seed"`. Pins run only with the SA
+//! `"criticality"`, `"seed"`. Pins run only with the SA
 //! method (annealed under `"sa_config"`) or `"Exhaustive"`; a pinned job
 //! with any other method ends `failed` with the same error text the CLI
 //! prints. An evaluate job carries `"app"`/
 //! `"app_text"`, `"mesh"`, `"mapping"` (array of tile indices) and
 //! optional `"tech"`, `"params"`, `"routing"`, `"gantt"`. The
-//! fault-injection experiment (`fault_scenario`) is a programmatic-API
-//! feature and is not exposed on the wire. No job names a route tier:
+//! fault-injection experiment (`fault_scenario` with its re-optimization
+//! budget `fault_evals`) is a programmatic-API feature and is not
+//! exposed on the wire. No job names a route tier:
 //! the shared registry picks it from the mesh and the fault set.
 //!
 //! Names (`"tech"`, `"strategy"`, `"routing"`, `"priority"`) resolve
@@ -143,7 +144,6 @@ fn solve_to_value(req: &SolveRequest) -> Value {
         ("pins".to_owned(), req.pins.to_value()),
         ("sa_config".to_owned(), req.sa_config.to_value()),
         ("criticality".to_owned(), Value::Bool(req.criticality)),
-        ("fault_evals".to_owned(), Value::UInt(req.fault_evals)),
         ("seed".to_owned(), Value::UInt(req.seed)),
     ])
 }
@@ -177,7 +177,7 @@ fn evaluate_to_value(req: &EvaluateRequest) -> Value {
 /// [`encode_op`] and [`encode_submit`] write, plus `app_text`.
 const REQUEST_KEYS: &str = "op priority job";
 const SOLVE_KEYS: &str = "kind app app_text mesh strategy method tech params routing faults \
-                          pins sa_config criticality fault_evals seed";
+                          pins sa_config criticality seed";
 const EVALUATE_KEYS: &str = "kind app app_text mesh mapping tech params routing gantt";
 
 /// Refuses a key of the object `value` that `known` does not list,
@@ -291,7 +291,6 @@ fn parse_solve(value: &Value) -> Result<SolveRequest, String> {
     req.pins = opt_field(value, "pins", None)?;
     req.sa_config = opt_field(value, "sa_config", req.sa_config)?;
     req.criticality = opt_field(value, "criticality", false)?;
-    req.fault_evals = opt_field(value, "fault_evals", req.fault_evals)?;
     req.seed = opt_field(value, "seed", req.seed)?;
     Ok(req)
 }

@@ -28,6 +28,12 @@ pub enum SimError {
         /// Total packets.
         total: usize,
     },
+    /// A routing algorithm's name is none of the library routings', so
+    /// no route tier can walk it.
+    UnknownRouting {
+        /// The algorithm's [`noc_model::RoutingAlgorithm::name`].
+        name: &'static str,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -48,6 +54,10 @@ impl fmt::Display for SimError {
             } => write!(
                 f,
                 "simulation exceeded {limit} cycles with {delivered}/{total} packets delivered"
+            ),
+            Self::UnknownRouting { name } => write!(
+                f,
+                "unknown routing `{name}`: the engine walks xy, yx, torus-xy, xyz and torus-xyz"
             ),
         }
     }

@@ -242,15 +242,14 @@ pub fn schedule(
 
 /// Same as [`schedule`] with an explicit routing algorithm.
 ///
-/// A library algorithm (one [`RoutingKind::from_name`] knows) runs on
-/// the implicit route tier, which needs no route table for one run; any
-/// other algorithm is cached densely through
-/// [`RouteProvider::for_algorithm`].
+/// The algorithm is resolved by name ([`RoutingKind::from_name`]) and the
+/// run walks that kind's routes on the implicit route tier, which needs
+/// no route table for one run.
 ///
 /// # Errors
 ///
-/// See [`schedule`]. A custom algorithm on a mesh too large to cache
-/// densely also fails with [`noc_model::ModelError::RouteCacheTooLarge`].
+/// See [`schedule`]. An algorithm whose name is no library routing's
+/// fails with [`SimError::UnknownRouting`].
 pub fn schedule_with(
     cdcg: &Cdcg,
     mesh: &Mesh,
@@ -258,10 +257,9 @@ pub fn schedule_with(
     params: &SimParams,
     routing: &dyn RoutingAlgorithm,
 ) -> Result<Schedule, SimError> {
-    let routes = match RoutingKind::from_name(routing.name()) {
-        Some(kind) => RouteProvider::implicit(mesh, kind),
-        None => RouteProvider::for_algorithm(mesh, routing)?,
-    };
+    let name = routing.name();
+    let kind = RoutingKind::from_name(name).ok_or(SimError::UnknownRouting { name })?;
+    let routes = RouteProvider::implicit(mesh, kind);
     let mut scratch = ScheduleScratch::new();
     init_run(cdcg, mesh, mapping, params, &routes, None, &mut scratch)?;
     let mut rec = Artifacts::new(cdcg, &routes, &scratch);
@@ -797,9 +795,10 @@ mod tests {
     }
 
     #[test]
-    fn custom_routing_schedules_over_a_dense_route_cache() {
-        // A name the library does not reserve takes the dense-cache path,
-        // which calls back into `route`; wrapping XY must reproduce XY.
+    fn unknown_routing_names_are_refused() {
+        // No route tier calls back into a custom `route`: a name the
+        // library does not know gets the typed error, even when the
+        // routes it would produce are XY's.
         #[derive(Debug)]
         struct RenamedXy;
         impl RoutingAlgorithm for RenamedXy {
@@ -813,10 +812,11 @@ mod tests {
         let cdcg = figure1_cdcg();
         let mesh = Mesh::new(2, 2).unwrap();
         let params = SimParams::paper_example();
-        for mapping in [mapping_c(&mesh), mapping_d(&mesh)] {
-            let xy = schedule(&cdcg, &mesh, &mapping, &params).unwrap();
-            let custom = schedule_with(&cdcg, &mesh, &mapping, &params, &RenamedXy).unwrap();
-            assert_eq!(custom, xy);
-        }
+        let err = schedule_with(&cdcg, &mesh, &mapping_c(&mesh), &params, &RenamedXy);
+        assert_eq!(err, Err(SimError::UnknownRouting { name: "renamed-XY" }));
+        assert_eq!(
+            err.unwrap_err().to_string(),
+            "unknown routing `renamed-XY`: the engine walks xy, yx, torus-xy, xyz and torus-xyz"
+        );
     }
 }

@@ -1,14 +1,12 @@
-//! Provider-equivalence property tests: the implicit route-provider
-//! tier must be indistinguishable from the dense `RouteCache` wherever
-//! both exist — identical routers, dense-link walks (up to id
-//! renaming), hop counts and **bit-identical** `schedule_cost` / CDCM
-//! costs — and must keep working on meshes the dense cache refuses.
+//! Provider-equivalence property tests: every route-provider tier walks
+//! the routing algorithm's own routes (decoded links, router and
+//! vertical-hop counts), the tiers give **bit-identical**
+//! `schedule_cost` / CDCM costs wherever the dense tier exists, and the
+//! implicit tier keeps working on meshes the dense tier refuses.
 
 use noc::apps::TgffConfig;
 use noc::energy::{CdcmCostEvaluator, Technology};
-use noc::model::{
-    FaultSet, Link, Mapping, Mesh, RouteCache, RouteProvider, RouteSource, RoutingKind, TileId,
-};
+use noc::model::{FaultSet, Link, Mapping, Mesh, RouteProvider, RouteSource, RoutingKind, TileId};
 use noc::sim::{schedule_cost_with, ScheduleScratch, SimParams};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -73,9 +71,9 @@ fn permuted_mapping(mesh: &Mesh, cores: usize, seed: u64) -> Mapping {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(fuzz_cases()))]
 
-    /// Every pair's decoded walk, hop count and vertical-hop count agree
-    /// across the tiers, for every routing kind (2D and 3D), on
-    /// random mesh shapes.
+    /// Every tier's decoded walk, hop count and vertical-hop count are
+    /// the routing algorithm's, on every pair, for every routing kind
+    /// (2D and 3D), on random mesh shapes (2-wide rings included).
     #[test]
     fn walks_and_hops_agree_across_tiers(
         w in 1usize..7,
@@ -85,16 +83,23 @@ proptest! {
     ) {
         let mesh = Mesh::new3(w, h, d).expect("valid dims");
         let kind = kind_of(kind_index);
-        let dense = RouteCache::with_routing(&mesh, kind.algorithm()).expect("small mesh");
-        let implicit = RouteProvider::implicit(&mesh, kind);
+        let tiers = [
+            RouteProvider::dense(&mesh, kind).expect("small mesh"),
+            RouteProvider::implicit(&mesh, kind),
+            RouteProvider::fault_aware(&mesh, kind, FaultSet::new()),
+        ];
         for src in mesh.tiles() {
             for dst in mesh.tiles() {
-                let want = decode_walk(&dense, src, dst);
-                prop_assert_eq!(&decode_walk(&implicit, src, dst), &want, "{:?} {}->{}", kind, src, dst);
-                let k = dense.router_count(src, dst);
-                prop_assert_eq!(RouteSource::router_count(&implicit, src, dst), k);
-                let v = RouteSource::vertical_hops(&dense, src, dst);
-                prop_assert_eq!(RouteSource::vertical_hops(&implicit, src, dst), v);
+                let path = kind.algorithm().route(&mesh, src, dst);
+                for tier in &tiers {
+                    let at = format!("{kind:?} {:?} {src}->{dst}", tier.tier());
+                    prop_assert_eq!(decode_walk(tier, src, dst), path.links(), "{}", at);
+                    prop_assert_eq!(RouteSource::router_count(tier, src, dst), path.router_count());
+                    prop_assert_eq!(
+                        RouteSource::vertical_hops(tier, src, dst),
+                        path.vertical_link_count(&mesh)
+                    );
+                }
             }
         }
     }
@@ -112,9 +117,8 @@ proptest! {
     ) {
         let mesh = Mesh::new3(w, h, d).expect("valid dims");
         let kind = kind_of(kind_index);
-        let dense = RouteCache::with_routing(&mesh, kind.algorithm()).expect("small mesh");
         let tiers = [
-            RouteProvider::from_cache(std::sync::Arc::new(dense)),
+            RouteProvider::dense(&mesh, kind).expect("small mesh"),
             RouteProvider::implicit(&mesh, kind),
         ];
         for src in mesh.tiles() {
@@ -282,9 +286,8 @@ fn cube_4x4x4_is_bit_identical_across_tiers() {
     let params = SimParams::new();
     for kind in [RoutingKind::Xyz, RoutingKind::TorusXyz] {
         // Walks and hop counts.
-        let dense = RouteCache::with_routing(&mesh, kind.algorithm()).unwrap();
         let tiers = [
-            RouteProvider::from_cache(Arc::new(dense)),
+            RouteProvider::dense(&mesh, kind).unwrap(),
             RouteProvider::implicit(&mesh, kind),
         ];
         for src in mesh.tiles() {
