@@ -3,12 +3,12 @@
 //! **API01** extracts the public surface of every workspace crate —
 //! top-level `pub` items (a `pub use` with its whole list), `pub fn`s
 //! inside `impl` blocks, trait methods inside `pub trait` blocks,
-//! exported macros — from its `src/`. An `impl` block of a type or trait
-//! that its file declares without plain `pub` (private or `pub(…)`) is
-//! no surface, whatever its methods say
+//! exported macros — from its `src/`
 //! (binaries excluded) and diffs it against the checked-in manifest
-//! (`crates/analyzer/api_manifest.txt`). Any delta is an API01 finding
-//! until the manifest is deliberately regenerated with
+//! (`crates/analyzer/api_manifest.txt`). An `impl` block of a type or
+//! trait that its file declares without plain `pub` (private or
+//! `pub(…)`) is no surface, whatever its methods say. Any delta is an
+//! API01 finding until the manifest is deliberately regenerated with
 //! `noc-verify --update-api-manifest`, so a change that grows or shrinks
 //! the surface shows as a manifest diff in review. The shims
 //! (`crates/shims/*`: the offline build has no crates.io, so they are

@@ -102,10 +102,10 @@ pub trait RouteSource {
     }
 }
 
-/// Closed-form dense link numbering of the implicit and fault-aware
-/// tiers, one slot **per tile port**: injection links occupy ids `0..n`,
-/// ejection links `n..2n`, and the outgoing internal links of tile `t`
-/// occupy `2n + ports·t + direction` — `ports = 4` on planar meshes
+/// Closed-form dense link numbering of every tier, one slot **per tile
+/// port**: injection links occupy ids `0..n`, ejection links `n..2n`,
+/// and the outgoing internal links of tile `t` occupy
+/// `2n + ports·t + direction` — `ports = 4` on planar meshes
 /// (north, south, east, west; the historical `6n` total) and `ports = 6`
 /// on 3D meshes (adding up and down TSV ports, `8n` total). Depth-1
 /// numbering is therefore bit-identical to the pre-3D formula. Border
