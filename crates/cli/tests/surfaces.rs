@@ -542,3 +542,81 @@ fn every_option_submit_accepts_survives_the_wire() {
         ]
     );
 }
+
+/// The `state` of job `id` once it is terminal, and the reply that
+/// says so. Panics if the job is still pending or running after 60 s, so
+/// a worker that died fails the caller instead of hanging it.
+fn settled(handle: &noc_service::ServiceHandle, id: u64) -> (String, String) {
+    let deadline = std::time::Instant::now() + Duration::from_secs(60);
+    let status = format!("{{\"op\":\"status\",\"job\":{id}}}");
+    loop {
+        let reply = handle_line(handle, &status).line;
+        let value = serde_json::parse(&reply).expect("a JSON reply");
+        let state = match value.get_field("state") {
+            Some(Value::Str(state)) => state.clone(),
+            _ => panic!("no state in {reply}"),
+        };
+        if !matches!(state.as_str(), "pending" | "running") {
+            return (state, reply);
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "job {id} is still {state} after 60 s"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+}
+
+/// A method whose budget leaves nothing to search (greedy with zero
+/// restarts, random with zero samples) fails its job with a typed error
+/// on both surfaces, and the worker that ran it runs the next job.
+#[test]
+fn empty_search_budgets_fail_the_job_and_spare_the_worker() {
+    let app = App::new("empty-budget");
+    let args = strs(&[
+        "map",
+        "--app",
+        app.path(),
+        "--mesh",
+        "2x2",
+        "--method",
+        "greedy",
+        "--restarts",
+        "0",
+    ]);
+    let (sender, receiver) = std::sync::mpsc::channel();
+    std::thread::spawn(move || sender.send(run(&args).map_err(|e| e.to_string())));
+    let cli = receiver
+        .recv_timeout(Duration::from_secs(60))
+        .expect("`map` answers within 60 s");
+    assert_eq!(
+        cli.unwrap_err(),
+        "method `greedy` needs `restarts` of at least 1"
+    );
+
+    let service = MappingService::start(ServiceConfig::new(1));
+    let handle = service.handle();
+    let job = |method: &str| {
+        format!(
+            "{{\"op\":\"submit\",\"job\":{{\"kind\":\"solve\",\"app_text\":\"core A\\ncore B\\npacket p0 A B comp=6 bits=15\\n\",\"mesh\":{{\"width\":2,\"height\":2,\"depth\":1}},\"method\":{method}}}}}"
+        )
+    };
+    for (id, method, want) in [
+        (
+            0,
+            "{\"Greedy\":{\"restarts\":0,\"seed\":1}}",
+            "\"error\":\"method `greedy` needs `restarts` of at least 1\"",
+        ),
+        (
+            1,
+            "{\"Random\":{\"samples\":0,\"seed\":1}}",
+            "\"error\":\"method `random` needs `samples` of at least 1\"",
+        ),
+        (2, "\"Exhaustive\"", "\"state\":\"done\""),
+    ] {
+        let reply = handle_line(&handle, &job(method));
+        assert!(reply.line.contains("\"ok\":true"), "{}", reply.line);
+        let (state, reply) = settled(&handle, id);
+        assert!(reply.contains(want), "{method}: {state}: {reply}");
+    }
+}

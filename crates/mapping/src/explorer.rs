@@ -137,6 +137,14 @@ pub enum ExploreError {
     Pins(ModelError),
     /// Pins came with a method other than SA or ES (its CLI name).
     PinsUnsupported(&'static str),
+    /// The method's budget leaves nothing to search: greedy with zero
+    /// `restarts`, random with zero `samples` (its CLI name and the field).
+    EmptyBudget {
+        /// The method's CLI name.
+        method: &'static str,
+        /// The field that is zero.
+        field: &'static str,
+    },
 }
 
 impl fmt::Display for ExploreError {
@@ -147,6 +155,9 @@ impl fmt::Display for ExploreError {
                 f,
                 "method `{method}` does not take pins; pinned jobs run `sa` or `es`"
             ),
+            Self::EmptyBudget { method, field } => {
+                write!(f, "method `{method}` needs `{field}` of at least 1")
+            }
         }
     }
 }
@@ -351,7 +362,9 @@ impl<'a> Explorer<'a> {
     /// # Errors
     ///
     /// [`ExploreError::Pins`] if the pins do not fit the instance,
-    /// [`ExploreError::PinsUnsupported`] if they come with another method.
+    /// [`ExploreError::PinsUnsupported`] if they come with another method,
+    /// [`ExploreError::EmptyBudget`] for greedy with zero restarts or
+    /// random with zero samples.
     pub fn search(
         &self,
         strategy: Strategy,
@@ -368,6 +381,15 @@ impl<'a> Explorer<'a> {
             ) {
                 return Err(ExploreError::PinsUnsupported(method.name()));
             }
+        }
+        let empty = match method {
+            SearchMethod::Greedy { restarts: 0, .. } => Some("restarts"),
+            SearchMethod::Random { samples: 0, .. } => Some("samples"),
+            _ => None,
+        };
+        if let Some(field) = empty {
+            let method = method.name();
+            return Err(ExploreError::EmptyBudget { method, field });
         }
         Ok(self.dispatch(strategy, method, pins, cancel))
     }
@@ -516,6 +538,42 @@ mod tests {
                 assert!(outcome.evaluations > 0);
             }
         }
+    }
+
+    #[test]
+    fn empty_greedy_and_random_budgets_are_refused() {
+        let cdcg = figure1_cdcg();
+        let mesh = Mesh::new(2, 2).unwrap();
+        let explorer = Explorer::new(&cdcg, mesh, Technology::t007(), SimParams::new());
+        let search = |method| {
+            explorer
+                .search(Strategy::Cdcm, method, None, &CancelToken::new())
+                .map(|run| run.outcome.evaluations)
+        };
+        let greedy = search(SearchMethod::Greedy {
+            restarts: 0,
+            seed: 1,
+        });
+        assert_eq!(
+            greedy.unwrap_err().to_string(),
+            "method `greedy` needs `restarts` of at least 1"
+        );
+        let random = search(SearchMethod::Random {
+            samples: 0,
+            seed: 1,
+        });
+        assert_eq!(
+            random,
+            Err(ExploreError::EmptyBudget {
+                method: "random",
+                field: "samples"
+            })
+        );
+        let one = SearchMethod::Random {
+            samples: 1,
+            seed: 1,
+        };
+        assert_eq!(search(one), Ok(1));
     }
 
     #[test]
