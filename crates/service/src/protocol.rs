@@ -904,6 +904,38 @@ mod tests {
     }
 
     #[test]
+    fn a_field_repeated_inside_a_nested_object_is_refused() {
+        let service = service();
+        let handle = service.handle();
+        let app = "\"app_text\":\"core A\\ncore B\\npacket p0 A B comp=6 bits=15\\n\"";
+        let mesh = "\"mesh\":{\"width\":2,\"height\":1,\"depth\":1}";
+        let params = "\"params\":{\"clock_period_ns\":1.0,\"clock_period_ns\":5.0,\"routing_cycles\":1,\"link_cycles\":1,\"flit_width_bits\":8,\"ejection_contention\":false,\"injection_serialization\":false}";
+        let submit = |job: String| format!("{{\"op\":\"submit\",\"job\":{job}}}");
+        for (job, error) in [
+            (
+                format!("{{\"kind\":\"evaluate\",{app},\"mesh\":{{\"width\":2,\"width\":3,\"height\":1,\"depth\":1}},\"mapping\":[0,1]}}"),
+                "bad `mesh`: duplicate field `width`",
+            ),
+            (
+                format!("{{\"kind\":\"evaluate\",{app},{mesh},\"mapping\":[0,1],{params}}}"),
+                "bad `params`: duplicate field `clock_period_ns`",
+            ),
+            (
+                format!("{{\"kind\":\"solve\",{app},{mesh},\"method\":{{\"Random\":{{\"samples\":5,\"seed\":1,\"samples\":0}}}}}}"),
+                "bad `method`: duplicate field `samples`",
+            ),
+        ] {
+            let reply = handle_line(&handle, &submit(job));
+            assert!(reply.line.contains("\"ok\":false"), "{}", reply.line);
+            assert!(reply.line.contains(error), "{}", reply.line);
+        }
+        // A key nested objects do not read is ignored, as serde ignores it.
+        let job = format!("{{\"kind\":\"evaluate\",{app},\"mesh\":{{\"width\":2,\"height\":1,\"depth\":1,\"colour\":\"red\"}},\"mapping\":[0,1]}}");
+        let reply = handle_line(&handle, &submit(job));
+        assert!(reply.line.contains("\"ok\":true"), "{}", reply.line);
+    }
+
+    #[test]
     fn wire_solve_spec_accepts_text_workloads_and_defaults() {
         let service = service();
         let handle = service.handle();

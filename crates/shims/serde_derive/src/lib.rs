@@ -11,6 +11,9 @@
 //! * enums with unit / newtype / tuple / struct variants, externally
 //!   tagged exactly like real serde.
 //!
+//! Like real serde, a struct or struct variant ignores keys it has no
+//! field for and refuses a field given twice (``duplicate field `x` ``).
+//!
 //! Unsupported inputs (generic types, lifetimes, serde attributes other
 //! than `with`/`transparent`) fail the build with a clear message.
 
@@ -368,6 +371,25 @@ fn named_field_expr(f: &Field, src: &str) -> String {
     }
 }
 
+/// Refuses an object `src` that gives one of `fields` twice with
+/// ``duplicate field `x` ``, as serde's derive does; keys no field reads
+/// stay ignored, repeated or not. Scans the entries in place, so a valid
+/// object costs no allocation.
+fn duplicate_check(fields: &[Field], src: &str) -> String {
+    if fields.is_empty() {
+        return String::new();
+    }
+    let names: Vec<String> = fields.iter().map(|f| format!("\"{}\"", f.name)).collect();
+    format!(
+        "if let Some(__m) = {src}.as_map() {{\n\
+         for (__i, (__k, _)) in __m.iter().enumerate() {{\n\
+         if matches!(__k.as_str(), {}) && __m[..__i].iter().any(|(__j, _)| __j == __k) {{\n\
+         return Err(::serde::DeserializeError::custom(format!(\"duplicate field `{{__k}}`\")));\n\
+         }}\n}}\n}}\n",
+        names.join(" | ")
+    )
+}
+
 fn gen_deserialize(item: &Item) -> String {
     match item {
         Item::Struct { name, shape } => {
@@ -377,7 +399,11 @@ fn gen_deserialize(item: &Item) -> String {
                         .iter()
                         .map(|f| format!("{}: {}", f.name, named_field_expr(f, "__v")))
                         .collect();
-                    format!("Ok({name} {{ {} }})", inits.join(", "))
+                    format!(
+                        "{}Ok({name} {{ {} }})",
+                        duplicate_check(fields, "__v"),
+                        inits.join(", ")
+                    )
                 }
                 Shape::Tuple(fields) if fields.len() == 1 => {
                     format!("Ok({name}(::serde::Deserialize::from_value(__v)?))")
@@ -428,7 +454,8 @@ fn gen_deserialize(item: &Item) -> String {
                             .map(|f| format!("{}: {}", f.name, named_field_expr(f, "__inner")))
                             .collect();
                         tagged_arms.push_str(&format!(
-                            "\"{vn}\" => return Ok({name}::{vn} {{ {} }}),\n",
+                            "\"{vn}\" => {{\n{}return Ok({name}::{vn} {{ {} }});\n}}\n",
+                            duplicate_check(fields, "__inner"),
                             inits.join(", ")
                         ));
                     }
