@@ -18,6 +18,15 @@ pub fn gadget_count() -> usize {
     0
 }
 
+// A `const` or `static` is surface by its name and type; its value is
+// data, so editing it changes no entry.
+pub const GADGET_LIMIT: usize = 1 << 4;
+
+pub static GADGET_NAMES: [&str; 2] = [
+    "first",
+    "second",
+];
+
 // Impls of a type or trait declared without plain `pub` are no surface,
 // even where their methods are `pub`.
 struct Hidden;

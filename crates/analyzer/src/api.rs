@@ -7,7 +7,8 @@
 //! (binaries excluded) and diffs it against the checked-in manifest
 //! (`crates/analyzer/api_manifest.txt`). An `impl` block of a type or
 //! trait that its file declares without plain `pub` (private or
-//! `pub(…)`) is no surface, whatever its methods say. Any delta is an
+//! `pub(…)`) is no surface, whatever its methods say. A `const` or
+//! `static` entry ends before its `=`: its value is data. Any delta is an
 //! API01 finding until the manifest is deliberately regenerated with
 //! `noc-verify --update-api-manifest`, so a change that grows or shrinks
 //! the surface shows as a manifest diff in review. The shims
@@ -83,6 +84,7 @@ pub fn public_surface(lines: &[ScanLine]) -> BTreeSet<String> {
 
         // Assemble the signature across lines until `{`, `;` or `where`.
         let (sig, opened, next_i) = assemble_signature(lines, i);
+        let sig = without_value(sig);
         if let Some((trait_name, ty)) = impl_header(&sig) {
             if restricted.contains(&ty) || trait_name.is_some_and(|t| restricted.contains(&t)) {
                 i = item_end(lines, i) + 1;
@@ -163,6 +165,31 @@ fn assemble_signature(lines: &[ScanLine], start: usize) -> (String, bool, usize)
         sig.truncate(w);
     }
     (normalize_ws(&sig), opened, i.max(start + 1))
+}
+
+/// A `const` or `static` item up to the `=` outside any bracket: its
+/// name and type are surface, its value is data. Other items pass as
+/// they are.
+fn without_value(sig: String) -> String {
+    let item = sig.strip_prefix("pub ").unwrap_or(&sig);
+    let data =
+        item.starts_with("static ") || item.starts_with("const ") && !item.starts_with("const fn ");
+    if !data {
+        return sig;
+    }
+    let mut depth = 0i32;
+    let mut prev = ' ';
+    for (pos, c) in sig.char_indices() {
+        match c {
+            '(' | '[' | '<' => depth += 1,
+            ')' | ']' => depth -= 1,
+            '>' if prev != '-' => depth -= 1,
+            '=' if depth == 0 => return sig[..pos].trim_end().to_owned(),
+            _ => {}
+        }
+        prev = c;
+    }
+    sig
 }
 
 /// Collapses whitespace and the layout rustfmt picks for a long item:
