@@ -1,7 +1,8 @@
 //! `bench`: measure service throughput on a batch of small jobs.
 
-use crate::options::{load_app, parse_mesh_options, Options};
+use crate::options::{load_app, Options};
 use crate::CliError;
+use noc_service::names::parsed;
 use noc_service::{
     JobRequest, MappingService, Priority, SaConfig, SearchMethod, ServiceConfig, SolveRequest,
 };
@@ -15,9 +16,9 @@ use std::fmt::Write as _;
 ///
 /// Returns an error on bad options or any failed job.
 pub(crate) fn cmd_bench(options: &Options) -> Result<String, CliError> {
-    let jobs: usize = options.get_parsed("--jobs", 64)?;
-    let workers: usize = options.get_parsed("--workers", 4)?;
-    let evals: u64 = options.get_parsed("--evals", 200)?;
+    let jobs: usize = parsed(options, "--jobs", 64)?;
+    let workers: usize = parsed(options, "--workers", 4)?;
+    let evals: u64 = parsed(options, "--evals", 200)?;
     if jobs == 0 {
         return Err("`--jobs` must be at least 1".into());
     }
@@ -28,7 +29,7 @@ pub(crate) fn cmd_bench(options: &Options) -> Result<String, CliError> {
         None => noc_apps::large_mesh_workload(4, 4, 1),
     };
     let mesh = match options.get("--mesh") {
-        Some(_) => parse_mesh_options(options)?,
+        Some(_) => noc_service::names::parse_mesh_options(options)?,
         None => noc_model::Mesh::new(4, 4)?,
     };
     if app.core_count() > mesh.tile_count() {
@@ -45,9 +46,8 @@ pub(crate) fn cmd_bench(options: &Options) -> Result<String, CliError> {
     for seed in 0..jobs as u64 {
         let mut config = SaConfig::quick(seed);
         config.max_evaluations = evals;
-        let mut request =
-            SolveRequest::new(app.clone(), mesh, SearchMethod::SimulatedAnnealing(config));
-        request.seed = seed;
+        let method = SearchMethod::SimulatedAnnealing(config);
+        let request = SolveRequest::new(app.clone(), mesh, method);
         service.submit(JobRequest::Solve(Box::new(request)), Priority::Normal);
     }
     let states = service.wait_all();

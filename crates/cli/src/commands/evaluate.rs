@@ -3,7 +3,7 @@
 use crate::commands::run_job;
 use crate::options::Options;
 use crate::render::render_evaluate;
-use crate::request::build_evaluate_request;
+use crate::request::evaluate_request;
 use crate::CliError;
 use noc_service::{JobRequest, ServiceConfig};
 
@@ -14,7 +14,7 @@ use noc_service::{JobRequest, ServiceConfig};
 ///
 /// Returns an error on bad options or an invalid mapping.
 pub(crate) fn cmd_evaluate(options: &Options) -> Result<String, CliError> {
-    let request = build_evaluate_request(options)?;
+    let request = evaluate_request(options)?;
     let result = run_job(
         JobRequest::Evaluate(Box::new(request)),
         ServiceConfig::new(1),

@@ -1,9 +1,10 @@
 //! `explore`: fan one instance out across search methods concurrently.
 
 use crate::options::Options;
-use crate::request::build_solve_request_with_method;
+use crate::request::build_solve_request;
 use crate::CliError;
-use noc_service::{JobRequest, JobState, MappingService, Priority, ServiceConfig, SolveResult};
+use noc_service::names::parsed;
+use noc_service::{JobRequest, JobResult, JobState, MappingService, Priority, ServiceConfig};
 use std::fmt::Write as _;
 
 /// `explore`: run several search methods over the same instance as
@@ -26,36 +27,20 @@ pub(crate) fn cmd_explore(options: &Options) -> Result<String, CliError> {
     if names.is_empty() {
         return Err(format!("`--methods` lists no methods in `{spec}`").into());
     }
-    let workers: usize = options.get_parsed("--workers", names.len().min(4))?;
+    let workers: usize = parsed(options, "--workers", names.len().min(4))?;
 
     let service = MappingService::start(ServiceConfig::new(workers));
-    let jobs: Vec<(String, noc_service::JobId)> = names
-        .iter()
-        .map(|name| {
-            let request = build_solve_request_with_method(options, name)?;
-            let id = service.submit(JobRequest::Solve(Box::new(request)), Priority::Normal);
-            Ok(((*name).to_owned(), id))
-        })
-        .collect::<Result<_, CliError>>()?;
-    service.wait_all();
-
-    let mut results: Vec<(String, SolveResult)> = Vec::with_capacity(jobs.len());
-    for (name, id) in jobs {
-        match service.status(id) {
-            Some(JobState::Done(result)) => {
-                let solve = result
-                    .as_solve()
-                    .ok_or("service returned the wrong result kind")?;
-                results.push((name, solve.clone()));
-            }
-            Some(JobState::Failed(message)) => return Err(format!("{name}: {message}").into()),
-            other => {
-                return Err(format!(
-                    "{name}: job ended in state {}",
-                    other.map_or("missing", |s| s.name())
-                )
-                .into())
-            }
+    for name in &names {
+        let request = build_solve_request(&options.with("--method", name))?;
+        service.submit(JobRequest::Solve(Box::new(request)), Priority::Normal);
+    }
+    // Job ids follow submission order, and so do the states.
+    let mut results = Vec::with_capacity(names.len());
+    for (name, state) in names.iter().zip(service.wait_all()) {
+        match state {
+            JobState::Done(JobResult::Solve(result)) => results.push((*name, *result)),
+            JobState::Failed(message) => return Err(format!("{name}: {message}").into()),
+            other => return Err(format!("{name}: job ended in state {}", other.name()).into()),
         }
     }
 

@@ -2,6 +2,7 @@
 
 use crate::options::{emit, Options};
 use crate::CliError;
+use noc_service::names::parsed;
 
 /// `generate`: produce a TGFF-style application (or the paper example).
 ///
@@ -14,10 +15,10 @@ pub(crate) fn cmd_generate(options: &Options) -> Result<String, CliError> {
     {
         noc_apps::paper_example::figure1_cdcg()
     } else {
-        let cores: usize = options.get_parsed("--cores", 6)?;
-        let packets: usize = options.get_parsed("--packets", 20)?;
-        let bits: u64 = options.get_parsed("--bits", 10_000)?;
-        let seed: u64 = options.get_parsed("--seed", 0)?;
+        let cores: usize = parsed(options, "--cores", 6)?;
+        let packets: usize = parsed(options, "--packets", 20)?;
+        let bits: u64 = parsed(options, "--bits", 10_000)?;
+        let seed: u64 = parsed(options, "--seed", 0)?;
         noc_apps::try_generate(&noc_apps::TgffConfig::new(cores, packets, bits, seed))?
     };
     let json = serde_json::to_string_pretty(&app)?;

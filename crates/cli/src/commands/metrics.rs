@@ -14,11 +14,12 @@ use crate::CliError;
 /// reply.
 #[cfg(unix)]
 pub(crate) fn cmd_metrics(options: &Options) -> Result<String, CliError> {
+    use noc_service::names::require;
     use noc_service::protocol::{encode_op, request_unix};
     use serde::Value;
     use std::path::Path;
 
-    let socket = options.require("--socket")?.to_owned();
+    let socket = require(options, "--socket")?.to_owned();
     let socket = Path::new(&socket);
     let reply = request_unix(socket, &encode_op("metrics", None))
         .map_err(|e| format!("request to `{}`: {e}", socket.display()))?;

@@ -33,35 +33,68 @@ use crate::options::Options;
 use crate::CliError;
 use noc_service::{JobRequest, JobResult, JobState, MappingService, Priority, ServiceConfig};
 
-/// A subcommand: its entry point and the flags it reads, in groups of
-/// whitespace-separated names.
-type Command = (
-    fn(&Options) -> Result<String, CliError>,
-    &'static [&'static str],
-);
+/// A subcommand: its entry point and the usage of each flag it reads,
+/// as `noc-cli help` prints it (`[--depth N]`; a required flag is
+/// unbracketed). The subcommand refuses any other flag.
+type Command = (fn(&Options) -> Result<String, CliError>, Vec<&'static str>);
 
-/// The subcommand called `name`, if there is one.
+/// The subcommands in the order `noc-cli help` lists them; `solve` is an
+/// alias of `map`.
+pub(crate) const NAMES: [&str; 12] = [
+    "generate", "info", "map", "evaluate", "explore", "bench", "serve", "submit", "metrics",
+    "watch", "suite", "dot",
+];
+
+/// The subcommand called `name`, if there is one. The flags of the jobs
+/// a subcommand writes come from the job key table.
 pub(crate) fn command(name: &str) -> Option<Command> {
-    use crate::request::{EVALUATE_FLAGS as EVALUATE, FAULT_FLAGS as FAULT, SOLVE_FLAGS as SOLVE};
-    const SUBMIT: &str = "--socket --op --job --priority --wait --method";
-    Some(match name {
+    use crate::request::FAULT_FLAGS;
+    use noc_service::names::{flag_name, job_flags, split_usage};
+    let solve = |own| [job_flags(&["solve"]), vec![FAULT_FLAGS, own]].concat();
+    let (run, usage): Command = match name {
         "generate" => (
             cmd_generate,
-            &["--cores --packets --bits --seed --paper-example --out"],
+            vec![
+                "[--cores N] [--packets N] [--bits N] [--seed S] [--paper-example true] \
+                  [--out app.json]",
+            ],
         ),
-        "info" => (cmd_info, &["--app"]),
-        "map" | "solve" => (cmd_map, &[SOLVE, FAULT, "--method --trace --telemetry"]),
-        "evaluate" => (cmd_evaluate, &[EVALUATE]),
-        "explore" => (cmd_explore, &[SOLVE, FAULT, "--methods --workers"]),
-        "bench" => (cmd_bench, &["--jobs --workers --evals --app --mesh"]),
-        "serve" => (cmd_serve, &["--socket --workers --trace"]),
-        "submit" => (cmd_submit, &[SUBMIT, SOLVE, EVALUATE]),
-        "metrics" => (cmd_metrics, &["--socket --json"]),
-        "watch" => (cmd_watch, &["--socket --count"]),
-        "suite" => (cmd_suite, &["--row --out"]),
-        "dot" => (cmd_dot, &["--app --graph --cwg --out"]),
+        "info" => (cmd_info, vec!["--app app.json"]),
+        "map" | "solve" => (cmd_map, solve("[--trace FILE] [--telemetry]")),
+        "evaluate" => (cmd_evaluate, job_flags(&["evaluate"])),
+        "explore" => (
+            cmd_explore,
+            solve("[--methods sa,sa-multi,ga,tabu,portfolio] [--workers N]"),
+        ),
+        "bench" => (
+            cmd_bench,
+            vec!["[--jobs N] [--workers N] [--evals N] [--app app.json] [--mesh WxH]"],
+        ),
+        "serve" => (
+            cmd_serve,
+            vec!["--socket PATH [--workers N] [--trace FILE]"],
+        ),
+        "submit" => {
+            let own = "--socket PATH [--op status|wait|cancel|stats|shutdown|metrics|trace] \
+                       [--job N] [--priority high|normal|low] [--wait]";
+            (
+                cmd_submit,
+                [vec![own], job_flags(&["solve", "evaluate"])].concat(),
+            )
+        }
+        "metrics" => (cmd_metrics, vec!["--socket PATH [--json]"]),
+        "watch" => (cmd_watch, vec!["--socket PATH [--count N]"]),
+        "suite" => (cmd_suite, vec!["[--row N] [--out app.json]"]),
+        "dot" => (
+            cmd_dot,
+            vec!["--app app.json [--graph cdcg|cwg] [--cwg] [--out graph.dot]"],
+        ),
         _ => return None,
-    })
+    };
+    // `explore` runs one job per method of `--methods`, so no `--method`.
+    let flags = usage.into_iter().flat_map(split_usage);
+    let flags = flags.filter(|f| name != "explore" || flag_name(f) != "--method");
+    Some((run, flags.collect()))
 }
 
 /// Builds the service configuration of `map` and `serve`: `workers`

@@ -15,10 +15,11 @@ use crate::CliError;
 /// Returns an error on bad options or socket failures.
 #[cfg(unix)]
 pub(crate) fn cmd_serve(options: &Options) -> Result<String, CliError> {
+    use noc_service::names::{parsed, require};
     use noc_service::MappingService;
 
-    let socket = options.require("--socket")?.to_owned();
-    let workers: usize = options.get_parsed("--workers", 2)?;
+    let socket = require(options, "--socket")?.to_owned();
+    let workers: usize = parsed(options, "--workers", 2)?;
     let service = MappingService::start(crate::commands::service_config(options, workers)?);
     // The accept loop blocks until a shutdown op; announce readiness on
     // stderr so clients scripting against the socket can wait for it.

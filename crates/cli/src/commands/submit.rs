@@ -16,13 +16,14 @@ use crate::CliError;
 /// Returns an error on bad options or socket failures.
 #[cfg(unix)]
 pub(crate) fn cmd_submit(options: &Options) -> Result<String, CliError> {
-    use crate::request::{build_evaluate_request, build_solve_request};
+    use crate::request::{build_solve_request, evaluate_request};
+    use noc_service::names::{parsed, require};
     use noc_service::protocol::{encode_op, encode_submit, request_unix};
     use noc_service::{JobId, JobRequest};
     use serde::Value;
     use std::path::Path;
 
-    let socket = options.require("--socket")?.to_owned();
+    let socket = require(options, "--socket")?.to_owned();
     let socket = Path::new(&socket);
     let send = |line: &str| -> Result<String, CliError> {
         request_unix(socket, line)
@@ -31,21 +32,15 @@ pub(crate) fn cmd_submit(options: &Options) -> Result<String, CliError> {
 
     // Control ops bypass request building entirely.
     if let Some(op) = options.get("--op") {
-        let job = options
-            .get("--job")
-            .map(|j| {
-                j.parse::<u64>()
-                    .map(JobId)
-                    .map_err(|_| format!("invalid value `{j}` for `--job`"))
-            })
-            .transpose()?;
+        let job = options.get("--job").map(|_| parsed(options, "--job", 0));
+        let job = job.transpose()?.map(JobId);
         let reply = send(&encode_op(op, job))?;
         return Ok(format!("{reply}\n"));
     }
 
     // `--mapping` selects an evaluate job, anything else is a solve.
     let request = if options.get("--mapping").is_some() {
-        JobRequest::Evaluate(Box::new(build_evaluate_request(options)?))
+        JobRequest::Evaluate(Box::new(evaluate_request(options)?))
     } else {
         JobRequest::Solve(Box::new(build_solve_request(options)?))
     };

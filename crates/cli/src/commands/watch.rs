@@ -16,10 +16,11 @@ use crate::CliError;
 /// watch handshake.
 #[cfg(unix)]
 pub(crate) fn cmd_watch(options: &Options) -> Result<String, CliError> {
+    use noc_service::names::{parsed, require};
     use std::io::Write;
 
-    let socket = options.require("--socket")?.to_owned();
-    let limit: u64 = options.get_parsed("--count", 0)?;
+    let socket = require(options, "--socket")?.to_owned();
+    let limit: u64 = parsed(options, "--count", 0)?;
     let stdout = std::io::stdout();
     let seen = watch_stream(std::path::Path::new(&socket), limit, |line| {
         // Print each event the moment it arrives: `watch` is a live

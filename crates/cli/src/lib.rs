@@ -17,9 +17,10 @@
 //! noc-cli dot      --app app.json --graph cdcg
 //! ```
 //!
-//! The CLI contains only request building and rendering: `options`
-//! parses flags, `request` assembles `noc-service` job requests, the
-//! subcommands submit them (to an in-process service for the one-shot
+//! The CLI contains only flag handling and rendering: `options` parses
+//! flags, `request` writes a subcommand's job flags as the job the wire
+//! carries and decodes it with the wire's decoder, the subcommands
+//! submit the requests (to an in-process service for the one-shot
 //! commands, over a Unix socket for `submit`), and `render` prints
 //! the results. All orchestration — queueing, worker pools,
 //! route-provider sharing, cancellation — lives in `noc-service`.
@@ -50,96 +51,82 @@ use std::error::Error;
 /// Boxed error type used across the CLI.
 pub type CliError = Box<dyn Error + Send + Sync>;
 
-/// Usage text.
+/// Usage text: one line group per subcommand, printed from the flags it
+/// accepts, then the notes.
 pub(crate) fn usage() -> String {
-    "noc-cli — energy- and timing-aware NoC mapping (DATE'05 CDCM reproduction)
-
-USAGE:
-  noc-cli generate [--cores N --packets N --bits N --seed S] [--out app.json]
-  noc-cli info     --app app.json
-  noc-cli map      --app app.json --mesh WxH[xD] [--depth N]
-                   [--strategy cwm|cdcm]
-                   [--method sa|sa-multi|adaptive|ga|tabu|portfolio|
-                    es|random|greedy] [--restarts N]
-                   [--population N] [--rounds N] [--tenure auto|N]
-                   [--neighborhood N] [--crossover pmx|cycle]
-                   [--tech paper|0.35|0.07]
-                   [--routing xy|yx|torus-xy|xyz|torus-xyz]
-                   [--seed S] [--quick] [--evals N] [--telemetry]
-                   [--pin c0:t3,c2:t0]   (sa or es only)
-                   [--faults K] [--fault-kind link|tsv|region]
-                   [--fault-seed S] [--fault-evals N]
-                   [--robustness-report] [--trace FILE]
-  noc-cli solve    (alias of map)
-  noc-cli evaluate --app app.json --mesh WxH[xD] [--depth N]
-                   --mapping t0,t1,...
-                   [--tech paper|0.35|0.07]
-                   [--routing xy|yx|torus-xy|xyz|torus-xyz]
-                   [--gantt]
-  noc-cli explore  --app app.json --mesh WxH[xD]
-                   [--methods sa,sa-multi,ga,tabu,portfolio]
-                   [--workers N] [map flags]
-  noc-cli bench    [--jobs N] [--workers N] [--evals N]
-                   [--app app.json] [--mesh WxH]
-  noc-cli serve    --socket PATH [--workers N] [--trace FILE]
-  noc-cli submit   --socket PATH [map/evaluate flags but --faults,
-                    --fault-kind, --fault-seed and --fault-evals]
-                   [--priority high|normal|low] [--wait]
-                   [--op status|wait|cancel|stats|shutdown|metrics|trace]
-                   [--job N]
-  noc-cli metrics  --socket PATH [--json]
-  noc-cli watch    --socket PATH [--count N]
-  noc-cli suite    [--row N] [--out app.json]
-  noc-cli dot      --app app.json [--graph cdcg|cwg] [--out graph.dot]
-
-`generate` without --cores emits the paper's Figure 1 example.
-`sa-multi` divides the evaluation budget across restarts (same total
-spend as `sa`); search and reporting both follow `--routing`.
-`adaptive` runs a population of SA restarts in rounds, reallocating
-the budget to the best basins (successive halving + reheating);
-`ga` is a permutation genetic algorithm, `tabu` a tabu search, and
-`portfolio` splits the budget across all four metaheuristics. All
-methods spend the same `--evals` total, so they compare fairly;
-`--telemetry` prints where the budget went.
-The route tier follows the mesh: dense tables up to 29x29 and
-`implicit`, which stores no routes at all, on larger meshes (`map`
-prints it as `route cache:`). `--evals N` caps the SA evaluation
-budget.
-`--mesh 4x4x4` (or `--mesh 4x4 --depth 4`) targets a 3D stacked mesh;
-`xyz` is dimension-ordered 3D routing and `torus-xyz` wraps all three
-axes. Vertical (TSV) hops are charged the technology's `EVbit` instead
-of `ELbit`. `--tenure auto` scales the tabu tenure with sqrt(tiles).
-`--pin c0:t3` keeps core 0 on tile 3. Only `sa` (full-cost annealing
-that swaps free tiles) and `es` (pin-honouring enumeration) take pins;
-any other method is refused with an error.
-`map --faults K` injects K seeded failures after the search (kind
-`link` kills K random channels, `tsv` K vertical pillars, `region` a
-KxK tile block; `--fault-seed S` picks the draw), re-routes the found
-mapping on the fault-aware route tier and re-optimizes within
-`--fault-evals N` (default 20000) evaluations, reporting degraded and
-recovered cost. The socket carries no fault experiment, so `submit`
-refuses `--faults`, `--fault-kind`, `--fault-seed` and `--fault-evals`.
-`--robustness-report` prints the traffic-weighted link-criticality
-table (single-point-of-failure exposure) of the found mapping. `--app FILE.cdcg` (or `.txt`) reads the line-oriented
-text format instead of JSON; parse errors name the offending line.
-`explore` fans the same instance out across methods as concurrent
-service jobs; `serve` keeps a service alive behind a Unix socket and
-`submit` is its line-protocol client. Job results are bit-identical
-for a given seed regardless of `--workers`.
-`map --trace FILE` (also on `serve`) appends every trace event —
-search rounds, SA epochs, best-so-far improvements, walk-memo
-counters — to FILE as JSON lines; tracing never changes the trajectory.
-`metrics` prints a served instance's Prometheus exposition (`--json`
-for the structured snapshot); `watch` streams its live service events
-as JSON lines (`--count N` to disconnect after N events); and
-`submit --op trace --job N` fetches job N's recorded flight tape.
-Each subcommand refuses an option it does not read, naming the nearest
-one it does, and an option given twice. Names (tech, strategy, routing,
-priority) ignore case and surrounding spaces, here and on the socket
-alike.
-"
-    .to_owned()
+    let mut out = String::from(
+        "noc-cli — energy- and timing-aware NoC mapping (DATE'05 CDCM reproduction)\n\nUSAGE:\n",
+    );
+    for name in commands::NAMES {
+        let Some((_, flags)) = commands::command(name) else {
+            continue;
+        };
+        let mut line = format!("  noc-cli {name:<8}");
+        for flag in flags {
+            // `submit` needs no job flag: `--op` sends no job.
+            let flag = match name {
+                "submit" if !flag.starts_with('[') && flag != "--socket PATH" => {
+                    format!("[{flag}]")
+                }
+                _ => flag.to_owned(),
+            };
+            if line.len() > 18 && line.len() + 1 + flag.len() > 76 {
+                out.push_str(&line);
+                line = format!("\n{:18}", "");
+            }
+            line.push(' ');
+            line.push_str(&flag);
+        }
+        out.push_str(&line);
+        out.push('\n');
+        if name == "map" {
+            out.push_str("  noc-cli solve    (alias of map)\n");
+        }
+    }
+    out.push_str(NOTES);
+    out
 }
+
+const NOTES: &str = "
+`generate` without --cores emits the paper's Figure 1 example.
+All methods spend the same `--evals` total (of the SA profile; `--quick`
+picks the short one), so they compare fairly: `sa-multi` divides it
+across restarts, `adaptive` runs SA restarts in rounds and moves the
+budget to the best basins, `ga` is a permutation genetic algorithm,
+`tabu` a tabu search and `portfolio` splits it across those four;
+`--telemetry` prints where it went. `greedy` needs `--restarts` of at
+least 1. Search and reporting both follow `--routing`.
+The route tier follows the mesh: dense tables up to 29x29, `implicit`
+(no stored routes) beyond; `map` prints it as `route cache:`.
+`--mesh 4x4x4` (or `--mesh 4x4 --depth 4`) is a 3D stacked mesh; `xyz`
+routes it dimension by dimension, `torus-xyz` wraps all three axes, and
+a vertical (TSV) hop costs the technology's `EVbit`, not `ELbit`.
+`--tenure auto` scales the tabu tenure with sqrt(tiles).
+`--pin c0:t3` keeps core 0 on tile 3; only `sa` (full-cost annealing
+over the free tiles) and `es` take pins.
+`map --faults K` injects K seeded failures after the search (`link`: K
+channels, `tsv`: K vertical pillars, `region`: a KxK block;
+`--fault-seed` picks the draw), re-routes the found mapping around them
+and re-optimizes within `--fault-evals` (default 20000) evaluations.
+`--robustness-report` prints the traffic-weighted link-criticality
+table of the found mapping. `--app FILE.cdcg` (or `.txt`) reads the
+line-oriented text format; its parse errors name the line.
+`explore` runs the instance once per method of `--methods`, as
+concurrent jobs. `serve` keeps a service behind a Unix socket; `submit`
+sends it the job that the flags of `map` (but the fault flags, which
+the socket does not carry) or, with `--mapping`, of `evaluate` spell,
+or with `--op` a control request (`--op trace --job N` fetches a job's
+flight tape). `map --trace FILE` (also on `serve`) appends every trace
+event to FILE as JSON lines without changing the run. `metrics` prints
+a served instance's Prometheus exposition (`--json` for a snapshot);
+`watch` streams its service events (`--count N` stops after N).
+`map`, `explore`, `evaluate` and `submit` write their job flags as the
+job a socket client sends and decode it with the server's decoder, so
+a flag accepts, defaults and refuses what its wire key does. Each
+subcommand refuses an option it does not read or gets twice. Names
+(tech, strategy, routing, priority) ignore case and surrounding spaces.
+Job results are bit-identical for a given seed at any `--workers`.
+";
 
 /// Dispatches a full argument vector (without the program name).
 ///
@@ -157,7 +144,7 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
     }
     let (cmd, flags) = commands::command(command)
         .ok_or_else(|| format!("unknown command `{command}`; try `noc-cli help`"))?;
-    options::check_options(rest, command, flags)?;
+    options::check_options(rest, command, &flags)?;
     cmd(&Options::parse(rest)?)
 }
 
@@ -165,12 +152,12 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
 mod tests {
     use super::*;
     use crate::commands::cmd_generate;
-    use crate::options::{
-        parse_fault_scenario, parse_mapping, parse_mesh, parse_mesh_options, parse_pins,
-        parse_tenure,
-    };
+    use crate::options::parse_fault_scenario;
     use noc_model::{Cdcg, FaultScenario};
     use noc_service::names;
+    use noc_service::names::{
+        parse_mapping, parse_mesh, parse_mesh_options, parse_pins, parse_tenure,
+    };
 
     fn strs(args: &[&str]) -> Vec<String> {
         args.iter().map(|s| s.to_string()).collect()

@@ -1,13 +1,25 @@
 //! The names and keys of a request, shared by the CLI flags and the
 //! socket decoder so that both accept the same spellings and refuse the
 //! same mistakes with the same text: one lookup per request enum over
-//! that type's own `from_name` table, and [`check_keys`], which refuses
-//! a key the request does not read or gives twice.
+//! that type's own `from_name` table, [`check_keys`], which refuses a
+//! key the request does not read or gives twice, and the job key table.
+//!
+//! `JOB_KEYS` lists each key of a solve or an evaluate job with the
+//! `noc-cli` flags that spell it. The wire decoder refuses a key the
+//! table does not list, `noc-cli` a flag it does not list, and
+//! `noc-cli help` prints each flag's usage from it. The CLI writes its
+//! flags as the job the wire carries ([`job_from_flags`]) and decodes
+//! that with [`parse_job`](crate::protocol::parse_job), the one decoder;
+//! the text parsers here only turn flag text into wire values.
 
-use crate::job::Priority;
+use crate::job::{check_mesh, Priority};
 use noc_energy::Technology;
-use noc_mapping::Strategy;
-use noc_model::RoutingKind;
+use noc_mapping::{
+    AdaptiveConfig, Constraints, Crossover, GaConfig, PortfolioConfig, RestartBudget, SaConfig,
+    SearchMethod, Strategy, TabuConfig, Tenure,
+};
+use noc_model::{CoreId, Mapping, Mesh, RoutingKind, TileId};
+use serde::{Serialize, Value};
 use std::fmt;
 
 fn lookup<T>(found: Option<T>, what: &str, name: &str, expected: &str) -> Result<T, String> {
@@ -107,6 +119,372 @@ fn edit_distance(a: &str, b: &str) -> usize {
         }
     }
     row[b.len()]
+}
+
+/// The text of the `noc-cli` flags a job is written from.
+pub trait Flags {
+    /// The value given to `flag`, `""` for a bare flag that was given,
+    /// `None` for a flag that was not.
+    fn text(&self, flag: &str) -> Option<&str>;
+}
+
+/// Writes one key of a job from the flags' text, given the first flag
+/// of its usage; `None` leaves the key out, to the decoder's default.
+type Write = fn(&dyn Flags, &str) -> Result<Option<Value>, String>;
+
+/// One key of a solve or an evaluate job: its wire name, the job kinds
+/// that read it, the usage of the flags that spell it as `noc-cli help`
+/// prints it (`[--depth N]`, unbracketed when required), and its writer
+/// (`None` for a key only the wire spells).
+struct JobKey(
+    &'static str,
+    &'static [&'static str],
+    &'static str,
+    Option<Write>,
+);
+
+const BOTH: &[&str] = &["solve", "evaluate"];
+const SOLVE: &[&str] = &["solve"];
+const EVALUATE: &[&str] = &["evaluate"];
+
+/// Every key of a solve or an evaluate job, in the order `encode_submit`
+/// writes them. A misspelled key or flag is pointed to the first of the
+/// keys nearest to it, so this order also settles ties.
+const JOB_KEYS: [JobKey; 16] = [
+    JobKey("kind", BOTH, "", None),
+    JobKey("app", BOTH, "--app app.json", Some(app)),
+    // Also spelled by `--app`, for a `.cdcg` or `.txt` file.
+    JobKey("app_text", BOTH, "", Some(app_text)),
+    JobKey("mesh", BOTH, "--mesh WxH[xD] [--depth N]", Some(mesh)),
+    JobKey("mapping", EVALUATE, "--mapping t0,t1,...", Some(mapping)),
+    JobKey("strategy", SOLVE, "[--strategy cwm|cdcm]", Some(name)),
+    JobKey(
+        "method",
+        SOLVE,
+        "[--method sa|sa-multi|adaptive|ga|tabu|portfolio|es|random|greedy] [--restarts N] \
+         [--population N] [--rounds N] [--crossover pmx|cycle] [--tenure auto|N] \
+         [--neighborhood N]",
+        Some(|flags, _| Ok(Some(method(flags)?.to_value()))),
+    ),
+    JobKey("tech", BOTH, "[--tech paper|0.35|0.07]", Some(name)),
+    JobKey("params", BOTH, "", None),
+    JobKey(
+        "routing",
+        BOTH,
+        "[--routing xy|yx|torus-xy|xyz|torus-xyz]",
+        Some(name),
+    ),
+    JobKey("faults", SOLVE, "", None),
+    JobKey("pins", SOLVE, "[--pin c0:t3,c2:t0]", Some(pins)),
+    JobKey(
+        "sa_config",
+        SOLVE,
+        "[--quick] [--evals N]",
+        Some(|flags, _| Ok(Some(sa_config(flags)?.to_value()))),
+    ),
+    JobKey("criticality", SOLVE, "[--robustness-report]", Some(set)),
+    JobKey("seed", SOLVE, "[--seed S]", Some(seed)),
+    JobKey("gantt", EVALUATE, "[--gantt]", Some(set)),
+];
+
+fn keys_of(kind: &str) -> impl Iterator<Item = &'static JobKey> + '_ {
+    JOB_KEYS.iter().filter(move |k| k.1.contains(&kind))
+}
+
+/// The wire keys of a `kind` job, in table order.
+pub(crate) fn wire_keys(kind: &str) -> Vec<&'static str> {
+    keys_of(kind).map(|k| k.0).collect()
+}
+
+/// The usage of each flag that spells a key of a job of one of `kinds`,
+/// in table order: the job flags of a subcommand that writes such jobs.
+pub fn job_flags(kinds: &[&str]) -> Vec<&'static str> {
+    let reads = |k: &&JobKey| k.1.iter().any(|kind| kinds.contains(kind));
+    JOB_KEYS
+        .iter()
+        .filter(reads)
+        .flat_map(|k| split_usage(k.2))
+        .collect()
+}
+
+/// The usage of each flag `usage` lists: `--mesh WxH[xD]` and
+/// `[--depth N]` of `--mesh WxH[xD] [--depth N]`.
+pub fn split_usage(usage: &'static str) -> Vec<&'static str> {
+    let mut flags = Vec::new();
+    let mut rest = usage.trim();
+    while !rest.is_empty() {
+        let mut spaces = rest.match_indices(' ').map(|(i, _)| i);
+        let end = spaces.find(|&i| rest[i + 1..].starts_with(['[', '-']));
+        let (flag, tail) = rest.split_at(end.unwrap_or(rest.len()));
+        flags.push(flag);
+        rest = tail.trim_start();
+    }
+    flags
+}
+
+/// The flag a usage names: `--depth` of `[--depth N]`.
+pub fn flag_name(usage: &str) -> &str {
+    let flag = usage.trim_start_matches('[');
+    flag.split([' ', ']']).next().unwrap_or(flag)
+}
+
+/// The `kind` job that `flags` spell, as the wire carries it: `kind`,
+/// then each key a `kind` job reads whose flags were given (the method
+/// and the SA profile always), in table order. Refuses the first flag
+/// whose text does not parse and an `--app` file that cannot be read or
+/// is not JSON.
+pub fn job_from_flags(kind: &str, flags: &dyn Flags) -> Result<Value, String> {
+    let mut job = vec![("kind".to_owned(), Value::Str(kind.to_owned()))];
+    for JobKey(key, _, usage, write) in keys_of(kind) {
+        if let Some(value) = write.map_or(Ok(None), |write| write(flags, flag_name(usage)))? {
+            job.push(((*key).to_owned(), value));
+        }
+    }
+    Ok(Value::Map(job))
+}
+
+/// The value given to `flag`, or ``missing required option `FLAG` ``.
+pub fn require<'f>(flags: &'f dyn Flags, flag: &str) -> Result<&'f str, String> {
+    flags
+        .text(flag)
+        .ok_or_else(|| format!("missing required option `{flag}`"))
+}
+
+/// The value given to `flag` parsed as `T`, `default` when it was not
+/// given, or ``invalid value `V` for `FLAG` ``.
+pub fn parsed<T: std::str::FromStr>(
+    flags: &dyn Flags,
+    flag: &str,
+    default: T,
+) -> Result<T, String> {
+    match flags.text(flag) {
+        None => Ok(default),
+        Some(v) => v
+            .parse()
+            .map_err(|_| format!("invalid value `{v}` for `{flag}`")),
+    }
+}
+
+/// A name as given; the decoder resolves it.
+fn name(flags: &dyn Flags, flag: &str) -> Result<Option<Value>, String> {
+    Ok(flags.text(flag).map(|name| Value::Str(name.to_owned())))
+}
+
+/// A bare flag as `true`.
+fn set(flags: &dyn Flags, flag: &str) -> Result<Option<Value>, String> {
+    Ok(flags.text(flag).map(|_| Value::Bool(true)))
+}
+
+fn seed(flags: &dyn Flags, flag: &str) -> Result<Option<Value>, String> {
+    let seed = flags.text(flag).map(|_| parsed(flags, flag, 0));
+    Ok(seed.transpose()?.map(Value::UInt))
+}
+
+fn pins(flags: &dyn Flags, flag: &str) -> Result<Option<Value>, String> {
+    let pins = flags.text(flag).map(parse_pins).transpose()?;
+    Ok(pins.map(|pins| pins.to_value()))
+}
+
+fn mesh(flags: &dyn Flags, _: &str) -> Result<Option<Value>, String> {
+    Ok(Some(parse_mesh_options(flags)?.to_value()))
+}
+
+/// `.cdcg` and `.txt` files hold the line-oriented text format, any
+/// other file CDCG JSON.
+fn text_format(path: &str) -> bool {
+    let lower = path.to_ascii_lowercase();
+    lower.ends_with(".cdcg") || lower.ends_with(".txt")
+}
+
+fn read(path: &str) -> Result<String, String> {
+    std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))
+}
+
+/// `--app FILE` of a JSON file: its parsed JSON.
+fn app(flags: &dyn Flags, flag: &str) -> Result<Option<Value>, String> {
+    let path = require(flags, flag)?;
+    if text_format(path) {
+        return Ok(None);
+    }
+    let json = serde_json::parse(&read(path)?);
+    json.map(Some)
+        .map_err(|e| format!("cannot parse `{path}`: {e}"))
+}
+
+/// `--app FILE` of a `.cdcg` or `.txt` file: its text.
+fn app_text(flags: &dyn Flags, _: &str) -> Result<Option<Value>, String> {
+    match flags.text("--app") {
+        Some(path) if text_format(path) => read(path).map(|text| Some(Value::Str(text))),
+        _ => Ok(None),
+    }
+}
+
+/// `--mapping t0,t1,...` as the tile of each core, checked against the
+/// mesh of `--mesh`/`--depth`.
+fn mapping(flags: &dyn Flags, flag: &str) -> Result<Option<Value>, String> {
+    let mapping = parse_mapping(require(flags, flag)?, &parse_mesh_options(flags)?)?;
+    let tiles = mapping.assignments();
+    let tiles = tiles.map(|(_, tile)| Value::UInt(tile.index() as u64));
+    Ok(Some(Value::Seq(tiles.collect())))
+}
+
+/// The SA profile every method's budget comes from: `--quick` picks the
+/// short profile, `--evals N` caps its evaluations, `--seed S` seeds it.
+fn sa_config(flags: &dyn Flags) -> Result<SaConfig, String> {
+    let seed = parsed(flags, "--seed", 0)?;
+    let mut config = match flags.text("--quick") {
+        Some(_) => SaConfig::quick(seed),
+        None => SaConfig::new(seed),
+    };
+    config.max_evaluations = parsed(flags, "--evals", config.max_evaluations)?;
+    Ok(config)
+}
+
+/// `--method NAME` (default `sa`) with its tuning flags. Every method
+/// spends the evaluation budget of the SA profile, so methods compare at
+/// equal spend; `sa-multi` divides it across its restarts.
+fn method(flags: &dyn Flags) -> Result<SearchMethod, String> {
+    let sa = sa_config(flags)?;
+    let (budget, seed) = (sa.max_evaluations, sa.seed);
+    let restarts = || parsed(flags, "--restarts", 8u32);
+    let tenure = |default| flags.text("--tenure").map_or(Ok(default), parse_tenure);
+    Ok(match flags.text("--method").unwrap_or("sa") {
+        "sa" | "SA" => SearchMethod::SimulatedAnnealing(sa),
+        "sa-multi" | "multistart" => SearchMethod::MultiStartSa {
+            config: sa,
+            restarts: restarts()?,
+            budget: RestartBudget::Total,
+        },
+        "adaptive" => {
+            let mut config = AdaptiveConfig::new(seed);
+            config.budget = budget;
+            config.population = parsed(flags, "--population", config.population)?;
+            config.rounds = parsed(flags, "--rounds", config.rounds)?;
+            SearchMethod::Adaptive(config)
+        }
+        "ga" | "genetic" => {
+            let mut config = GaConfig::new(seed);
+            config.budget = budget;
+            config.population = parsed(flags, "--population", config.population)?;
+            config.crossover = match flags.text("--crossover").unwrap_or("pmx") {
+                "pmx" => Crossover::Pmx,
+                "cycle" => Crossover::Cycle,
+                other => return Err(format!("unknown crossover `{other}` (pmx|cycle)")),
+            };
+            SearchMethod::Genetic(config)
+        }
+        "tabu" => {
+            let mut config = TabuConfig::new(seed);
+            config.budget = budget;
+            config.tenure = tenure(config.tenure)?;
+            config.neighborhood = parsed(flags, "--neighborhood", config.neighborhood)?;
+            SearchMethod::Tabu(config)
+        }
+        "portfolio" => {
+            let mut config = PortfolioConfig::new(seed);
+            config.budget = budget;
+            config.restarts = restarts()? as usize;
+            config.population = parsed(flags, "--population", config.population)?;
+            config.rounds = parsed(flags, "--rounds", config.rounds)?;
+            config.tenure = tenure(config.tenure)?;
+            SearchMethod::Portfolio(config)
+        }
+        "exhaustive" | "es" | "ES" => SearchMethod::Exhaustive,
+        "random" => SearchMethod::Random {
+            samples: 10_000,
+            seed,
+        },
+        "greedy" => SearchMethod::Greedy {
+            restarts: restarts()?,
+            seed,
+        },
+        other => {
+            return Err(format!(
+                "unknown method `{other}` (sa|sa-multi|adaptive|ga|tabu|portfolio|es|random|greedy)"
+            ))
+        }
+    })
+}
+
+/// Parses `WxH` or `WxHxD` mesh syntax (e.g. `3x2`, `4x4x4`); refuses
+/// malformed syntax and a zero dimension.
+pub fn parse_mesh(spec: &str) -> Result<Mesh, String> {
+    let dims: Result<Vec<usize>, String> = spec
+        .split(['x', 'X'])
+        .map(|part| {
+            part.trim()
+                .parse()
+                .map_err(|_| format!("bad mesh dimension `{part}` in `{spec}`"))
+        })
+        .collect();
+    let mesh = match dims?.as_slice() {
+        [w, h] => Mesh::new(*w, *h),
+        [w, h, d] => Mesh::new3(*w, *h, *d),
+        _ => return Err(format!("mesh must be WxH or WxHxD, got `{spec}`")),
+    };
+    mesh.map_err(|e| e.to_string())
+}
+
+/// Resolves the `--mesh`/`--depth` pair: `--depth N` stacks `N` layers
+/// of a planar `--mesh WxH`. Refuses a conflicting 3D `--mesh` and a
+/// mesh above [`crate::MAX_MESH_TILES`] tiles.
+pub fn parse_mesh_options(flags: &dyn Flags) -> Result<Mesh, String> {
+    let mesh = parse_mesh(require(flags, "--mesh")?)?;
+    let mesh = match flags.text("--depth") {
+        None => mesh,
+        Some(_) if mesh.depth() > 1 => {
+            return Err("pass either --mesh WxHxD or --depth N, not both".to_owned())
+        }
+        Some(d) => {
+            let depth: usize = d.parse().map_err(|_| format!("bad depth `{d}`"))?;
+            Mesh::new3(mesh.width(), mesh.height(), depth).map_err(|e| e.to_string())?
+        }
+    };
+    check_mesh(&mesh)?;
+    Ok(mesh)
+}
+
+/// Parses a comma-separated tile list into a mapping on `mesh`; refuses
+/// an unparsable index and a placement that is not injective or leaves
+/// the mesh.
+pub fn parse_mapping(spec: &str, mesh: &Mesh) -> Result<Mapping, String> {
+    let tile = |part: &str| {
+        part.trim()
+            .parse()
+            .map_err(|_| format!("bad tile index `{part}`"))
+    };
+    let tiles: Vec<usize> = spec.split(',').map(tile).collect::<Result<_, _>>()?;
+    let tiles = tiles.into_iter().map(TileId::new);
+    Mapping::from_tiles(mesh, tiles).map_err(|e| e.to_string())
+}
+
+/// Parses a `--tenure` value: a fixed iteration count, or `auto` to
+/// scale the tabu tenure with √tile_count.
+pub fn parse_tenure(value: &str) -> Result<Tenure, String> {
+    match value.trim() {
+        "auto" => Ok(Tenure::Auto),
+        n => n
+            .parse()
+            .map(Tenure::Fixed)
+            .map_err(|_| format!("invalid value `{n}` for `--tenure` (auto|N)")),
+    }
+}
+
+/// Parses `--pin c0:t3,c2:t0` syntax into [`Constraints`]; refuses a
+/// malformed entry and two pins on one tile.
+pub fn parse_pins(spec: &str) -> Result<Constraints, String> {
+    spec.split(',').try_fold(Constraints::new(), |pins, entry| {
+        let (core, tile) = entry
+            .split_once(':')
+            .ok_or_else(|| format!("pin must be core:tile, got `{entry}`"))?;
+        let index = |text: &str, prefix, what| {
+            let index = text.trim().trim_start_matches(prefix).parse();
+            index.map_err(|_| format!("bad {what} in pin `{entry}`"))
+        };
+        let (core, tile) = (index(core, 'c', "core")?, index(tile, 't', "tile")?);
+        let pinned = pins.pin(CoreId::new(core), TileId::new(tile));
+        pinned.map_err(|e| e.to_string())
+    })
 }
 
 #[cfg(test)]

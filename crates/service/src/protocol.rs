@@ -29,29 +29,27 @@
 //! is forwarded as one JSON line until the client disconnects or the
 //! service shuts down — live telemetry with no polling.
 //!
-//! A solve job carries the application either as parsed CDCG JSON
-//! (`"app"`) or as the text format (`"app_text"`), plus `"mesh"`,
-//! `"method"` (a serialized [`SearchMethod`](crate::SearchMethod)) and optional `"strategy"`,
-//! `"tech"`, `"params"`, `"routing"` (name), `"faults"` (array of
-//! `[from, to]` directed-channel tile pairs), `"pins"`, `"sa_config"`,
-//! `"criticality"`, `"seed"`. Pins run only with the SA
-//! method (annealed under `"sa_config"`) or `"Exhaustive"`; a pinned job
-//! with any other method ends `failed` with the same error text the CLI
-//! prints. An evaluate job carries `"app"`/
-//! `"app_text"`, `"mesh"`, `"mapping"` (array of tile indices) and
-//! optional `"tech"`, `"params"`, `"routing"`, `"gantt"`. The
-//! fault-injection experiment (`fault_scenario` with its re-optimization
-//! budget `fault_evals`) is a programmatic-API feature and is not
-//! exposed on the wire. No job names a route tier:
-//! the shared registry picks it from the mesh and the fault set.
+//! A submit carries a solve or an evaluate job: its keys, with the
+//! `noc-cli` flags that spell them, are declared once in [`names`], in
+//! the order [`encode_submit`] writes them. A solve job needs `"app"`
+//! (parsed CDCG JSON) or `"app_text"` (the text format), `"mesh"` and
+//! `"method"` (a serialized [`SearchMethod`](crate::SearchMethod)); an
+//! evaluate job needs the app, `"mesh"` and `"mapping"` (tile indices).
+//! Every other key is optional. Pins run only with the SA
+//! method (annealed under `"sa_config"`) or `"Exhaustive"`. The fault
+//! experiment and its budget are not on the wire, and no job names a
+//! route tier: the shared registry picks it from the mesh and the
+//! faults. [`parse_job`] is the one decoder of a job, and `noc-cli`
+//! decodes the jobs it writes from its flags with it too.
 //!
 //! Names (`"tech"`, `"strategy"`, `"routing"`, `"priority"`) resolve
-//! through the same tables as the CLI flags ([`names`]). A request line
-//! or a job with a key the list above does
-//! not name is refused with an error naming the nearest key that it
-//! does. A `"mesh"` with a zero dimension or more than
-//! [`MAX_MESH_TILES`](crate::MAX_MESH_TILES) tiles is refused as soon as
-//! it is decoded, before anything is sized by it.
+//! through [`names`]. A request line or a job with a key it does not
+//! read or gives twice is refused with an error naming the key, as is
+//! a field given twice inside a nested object (`"mesh"`, `"params"`,
+//! `"method"`, …); a key no field of a nested object reads is ignored,
+//! as serde ignores it. A `"mesh"` with a zero dimension or more
+//! than [`MAX_MESH_TILES`](crate::MAX_MESH_TILES) tiles is refused as
+//! soon as it is decoded, before anything is sized by it.
 //!
 //! # Responses
 //!
@@ -173,18 +171,15 @@ fn evaluate_to_value(req: &EvaluateRequest) -> Value {
 // Decoding (server side)
 // ---------------------------------------------------------------------------
 
-/// The keys of a request line, a solve job and an evaluate job: what
-/// [`encode_op`] and [`encode_submit`] write, plus `app_text`.
+/// The keys of a request line: what [`encode_op`] and [`encode_submit`]
+/// write. A job's keys are in [`names`].
 const REQUEST_KEYS: &str = "op priority job";
-const SOLVE_KEYS: &str = "kind app app_text mesh strategy method tech params routing faults \
-                          pins sa_config criticality seed";
-const EVALUATE_KEYS: &str = "kind app app_text mesh mapping tech params routing gantt";
 
 /// Refuses a key of the object `value` that `known` does not list,
 /// naming the nearest one that it does.
-fn check_fields(value: &Value, known: &'static str, place: &str) -> Result<(), String> {
+fn check_fields(value: &Value, known: &[&'static str], place: &str) -> Result<(), String> {
     let keys = value.as_map().unwrap_or_default().iter();
-    check_keys(keys.map(|(key, _)| key.as_str()), &[known], "key", place).map_err(|e| e.to_string())
+    check_keys(keys.map(|(key, _)| key.as_str()), known, "key", place).map_err(|e| e.to_string())
 }
 
 /// Decodes a job's `mesh` and checks its size before anything is sized
@@ -216,13 +211,9 @@ fn opt_field<T: for<'de> Deserialize<'de>>(
 }
 
 fn parse_app(value: &Value) -> Result<Cdcg, String> {
-    if let Some(app) = value.get_field("app") {
-        if !matches!(app, Value::Null) {
-            return de(app, "app");
-        }
-    }
-    match value.get_field("app_text") {
-        Some(Value::Str(text)) => noc_apps::parse_cdcg(text).map_err(|e| e.to_string()),
+    match (value.get_field("app"), value.get_field("app_text")) {
+        (Some(app), _) if *app != Value::Null => de(app, "app"),
+        (_, Some(Value::Str(text))) => noc_apps::parse_cdcg(text).map_err(|e| e.to_string()),
         _ => Err("a job needs `app` (CDCG JSON) or `app_text` (CDCG text)".to_owned()),
     }
 }
@@ -235,11 +226,8 @@ fn named<T>(
     default: T,
     by_name: impl FnOnce(&str) -> Result<T, String>,
 ) -> Result<T, String> {
-    match value.get_field(key) {
-        None | Some(Value::Null) => Ok(default),
-        Some(Value::Str(s)) => by_name(s),
-        Some(v) => Err(format!("bad `{key}`: expected string, got {v:?}")),
-    }
+    let name: Option<String> = opt_field(value, key, None)?;
+    name.map_or(Ok(default), |name| by_name(&name))
 }
 
 /// `tech` is a name or a serialized [`Technology`] (what
@@ -252,28 +240,20 @@ fn parse_tech(value: &Value) -> Result<Technology, String> {
 }
 
 fn parse_faults(value: &Value) -> Result<FaultSet, String> {
+    let pairs: Vec<(u64, u64)> = opt_field(value, "faults", Vec::new())?;
     let mut faults = FaultSet::new();
-    let Some(raw) = value.get_field("faults") else {
-        return Ok(faults);
-    };
-    if matches!(raw, Value::Null) {
-        return Ok(faults);
-    }
-    let pairs: Vec<(u64, u64)> = de(raw, "faults")?;
     for (a, b) in pairs {
         // Each entry kills one directed channel; a client wanting a full
         // physical link failure lists both directions (which is exactly
         // what encode_submit emits).
-        faults.kill(Link::between(
-            TileId::new(a as usize),
-            TileId::new(b as usize),
-        ));
+        let (a, b) = (TileId::new(a as usize), TileId::new(b as usize));
+        faults.kill(Link::between(a, b));
     }
     Ok(faults)
 }
 
 fn parse_solve(value: &Value) -> Result<SolveRequest, String> {
-    check_fields(value, SOLVE_KEYS, "in a solve job")?;
+    check_fields(value, &names::wire_keys("solve"), "in a solve job")?;
     let app = parse_app(value)?;
     let mesh = parse_mesh(value, "a solve job")?;
     let method = de(
@@ -296,7 +276,7 @@ fn parse_solve(value: &Value) -> Result<SolveRequest, String> {
 }
 
 fn parse_evaluate(value: &Value) -> Result<EvaluateRequest, String> {
-    check_fields(value, EVALUATE_KEYS, "in an evaluate job")?;
+    check_fields(value, &names::wire_keys("evaluate"), "in an evaluate job")?;
     let app = parse_app(value)?;
     let mesh = parse_mesh(value, "an evaluate job")?;
     let tiles: Vec<u64> = de(
@@ -404,93 +384,61 @@ impl Reply {
 /// panics on malformed input — bad requests produce `{"ok": false}`
 /// replies.
 pub fn handle_line(handle: &ServiceHandle, line: &str) -> Reply {
-    let value = match serde_json::parse(line) {
-        Ok(v) => v,
-        Err(e) => return Reply::respond(error_line(&format!("bad request: {e}"))),
+    dispatch(handle, line).unwrap_or_else(|e| Reply::respond(error_line(&e)))
+}
+
+fn dispatch(handle: &ServiceHandle, line: &str) -> Result<Reply, String> {
+    let value = serde_json::parse(line).map_err(|e| format!("bad request: {e}"))?;
+    check_fields(&value, &[REQUEST_KEYS], "in a request")?;
+    let Some(Value::Str(op)) = value.get_field("op") else {
+        return Err("request needs `op`".to_owned());
     };
-    if let Err(e) = check_fields(&value, REQUEST_KEYS, "in a request") {
-        return Reply::respond(error_line(&e));
-    }
-    let op = match value.get_field("op") {
-        Some(Value::Str(op)) => op.clone(),
-        _ => return Reply::respond(error_line("request needs `op`")),
+    let job_id = || match value.get_field("job") {
+        Some(v) => de::<u64>(v, "job").map(JobId),
+        None => Err(format!("`{op}` needs `job`")),
     };
-    let job_id = || -> Result<JobId, String> {
-        match value.get_field("job") {
-            Some(v) => de::<u64>(v, "job").map(JobId),
-            None => Err(format!("`{op}` needs `job`")),
-        }
-    };
-    match op.as_str() {
+    let unknown = |id: JobId| format!("unknown job {}", id.0);
+    let fields = match op.as_str() {
         "submit" => {
-            let priority = match named(&value, "priority", Priority::Normal, names::priority) {
-                Ok(p) => p,
-                Err(e) => return Reply::respond(error_line(&e)),
-            };
-            let request = match value.get_field("job") {
-                Some(spec) => match parse_job(spec) {
-                    Ok(r) => r,
-                    Err(e) => return Reply::respond(error_line(&e)),
-                },
-                None => return Reply::respond(error_line("`submit` needs `job`")),
-            };
-            let id = handle.submit(request, priority);
-            Reply::respond(ok_line(vec![
+            let priority = named(&value, "priority", Priority::Normal, names::priority)?;
+            let job = value.get_field("job").ok_or("`submit` needs `job`")?;
+            let id = handle.submit(parse_job(job)?, priority);
+            vec![
                 ("job".to_owned(), Value::UInt(id.0)),
                 ("state".to_owned(), Value::Str("pending".to_owned())),
-            ]))
+            ]
         }
         "status" | "wait" => {
-            let id = match job_id() {
-                Ok(id) => id,
-                Err(e) => return Reply::respond(error_line(&e)),
-            };
+            let id = job_id()?;
             let state = if op == "wait" {
                 handle.wait(id)
             } else {
                 handle.status(id)
             };
-            match state {
-                Some(state) => Reply::respond(ok_line(state_fields(id, &state))),
-                None => Reply::respond(error_line(&format!("unknown job {}", id.0))),
-            }
+            state_fields(id, &state.ok_or_else(|| unknown(id))?)
         }
         "cancel" => {
-            let id = match job_id() {
-                Ok(id) => id,
-                Err(e) => return Reply::respond(error_line(&e)),
-            };
-            let cancelled = handle.cancel(id);
-            Reply::respond(ok_line(vec![
+            let id = job_id()?;
+            vec![
                 ("job".to_owned(), Value::UInt(id.0)),
-                ("cancelled".to_owned(), Value::Bool(cancelled)),
-            ]))
+                ("cancelled".to_owned(), Value::Bool(handle.cancel(id))),
+            ]
         }
-        "stats" => Reply::respond(ok_line(vec![(
-            "stats".to_owned(),
-            handle.stats().to_value(),
-        )])),
+        "stats" => vec![("stats".to_owned(), handle.stats().to_value())],
         "metrics" => {
             // The snapshot is noc-obs's own JSON; re-parse it into a
             // Value so it embeds as structure, not as an escaped string.
             let snapshot = serde_json::parse(&handle.metrics_json())
                 .unwrap_or_else(|_| Value::Map(Vec::new()));
-            Reply::respond(ok_line(vec![
-                (
-                    "exposition".to_owned(),
-                    Value::Str(handle.metrics_exposition()),
-                ),
+            let exposition = Value::Str(handle.metrics_exposition());
+            vec![
+                ("exposition".to_owned(), exposition),
                 ("metrics".to_owned(), snapshot),
-            ]))
+            ]
         }
         "trace" => {
-            let id = match job_id() {
-                Ok(id) => id,
-                Err(e) => return Reply::respond(error_line(&e)),
-            };
-            if handle.status(id).is_none() {
-                return Reply::respond(error_line(&format!("unknown job {}", id.0)));
-            }
+            let id = job_id()?;
+            handle.status(id).ok_or_else(|| unknown(id))?;
             // A known job with no tape (observability off, or evicted)
             // answers with an empty window rather than an error.
             let tape = handle.flight_snapshot(id).unwrap_or_default();
@@ -499,24 +447,29 @@ pub fn handle_line(handle: &ServiceHandle, line: &str) -> Reply {
                 .iter()
                 .filter_map(|e| serde_json::parse(&e.to_json_line(id.0)).ok())
                 .collect();
-            Reply::respond(ok_line(vec![
+            vec![
                 ("job".to_owned(), Value::UInt(id.0)),
                 ("dropped".to_owned(), Value::UInt(tape.dropped)),
                 ("events".to_owned(), Value::Seq(events)),
-            ]))
+            ]
         }
-        "watch" => Reply {
-            line: ok_line(vec![("watch".to_owned(), Value::Bool(true))]),
-            shutdown: false,
-            stream: true,
-        },
-        "shutdown" => Reply {
-            line: ok_line(vec![]),
-            shutdown: true,
-            stream: false,
-        },
-        other => Reply::respond(error_line(&format!("unknown op `{other}`"))),
-    }
+        "watch" => {
+            return Ok(Reply {
+                line: ok_line(vec![("watch".to_owned(), Value::Bool(true))]),
+                shutdown: false,
+                stream: true,
+            })
+        }
+        "shutdown" => {
+            return Ok(Reply {
+                line: ok_line(vec![]),
+                shutdown: true,
+                stream: false,
+            })
+        }
+        other => return Err(format!("unknown op `{other}`")),
+    };
+    Ok(Reply::respond(ok_line(fields)))
 }
 
 // ---------------------------------------------------------------------------
