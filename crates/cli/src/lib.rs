@@ -20,20 +20,14 @@
 //! The CLI contains only flag handling and rendering: `options` parses
 //! flags, `request` writes a subcommand's job flags as the job the wire
 //! carries and decodes it with the wire's decoder, the subcommands
-//! submit the requests (to an in-process service for the one-shot
-//! commands, over a Unix socket for `submit`), and `render` prints
-//! the results. All orchestration — queueing, worker pools,
-//! route-provider sharing, cancellation — lives in `noc-service`.
+//! submit the requests (to an in-process service, or over a Unix socket
+//! for `submit`), and `render` prints the results. All orchestration
+//! lives in `noc-service`. Applications are JSON-serialized CDCGs, the
+//! format `serde_json` produces for [`noc_model::Cdcg`].
 //!
-//! Applications are exchanged as JSON-serialized CDCGs (the same format
-//! `serde_json` produces for [`noc_model::Cdcg`]), so generated
-//! benchmarks, hand-written graphs and downstream tooling interoperate.
-//!
-//! All argument parsing and command logic lives in this library so it is
-//! unit-testable; `main.rs` is a thin shell over [`run`]. The library
-//! exports only that entry point and what a harness needs to build the
-//! same solve request `map` builds: [`Options`], [`load_app`] and
-//! [`build_solve_request`].
+//! `main.rs` is a thin shell over [`run`]. The library exports only that
+//! entry point and what a harness needs to build the solve request `map`
+//! builds: [`Options`], [`load_app`] and [`build_solve_request`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -46,6 +40,7 @@ mod request;
 pub use options::{load_app, Options};
 pub use request::build_solve_request;
 
+use noc_service::names;
 use std::error::Error;
 
 /// Boxed error type used across the CLI.
@@ -58,24 +53,21 @@ pub(crate) fn usage() -> String {
         "noc-cli — energy- and timing-aware NoC mapping (DATE'05 CDCM reproduction)\n\nUSAGE:\n",
     );
     for name in commands::NAMES {
-        let Some((_, flags)) = commands::command(name) else {
-            continue;
-        };
+        let flags = commands::command(name).map_or_else(Vec::new, |(_, flags)| flags);
         let mut line = format!("  noc-cli {name:<8}");
         for flag in flags {
             // `submit` needs no job flag: `--op` sends no job.
-            let flag = match name {
-                "submit" if !flag.starts_with('[') && flag != "--socket PATH" => {
-                    format!("[{flag}]")
-                }
-                _ => flag.to_owned(),
+            let optional = name == "submit" && !flag.starts_with('[') && flag != "--socket PATH";
+            let flag = if optional {
+                format!("[{flag}]")
+            } else {
+                flag.to_owned()
             };
             if line.len() > 18 && line.len() + 1 + flag.len() > 76 {
                 out.push_str(&line);
                 line = format!("\n{:18}", "");
             }
-            line.push(' ');
-            line.push_str(&flag);
+            line = format!("{line} {flag}");
         }
         out.push_str(&line);
         out.push('\n');
@@ -83,8 +75,7 @@ pub(crate) fn usage() -> String {
             out.push_str("  noc-cli solve    (alias of map)\n");
         }
     }
-    out.push_str(NOTES);
-    out
+    out + NOTES
 }
 
 const NOTES: &str = "
@@ -142,9 +133,17 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
     if matches!(command.as_str(), "help" | "--help" | "-h") {
         return Ok(usage());
     }
-    let (cmd, flags) = commands::command(command)
+    let (cmd, usage) = commands::command(command)
         .ok_or_else(|| format!("unknown command `{command}`; try `noc-cli help`"))?;
-    options::check_options(rest, command, &flags)?;
+    // Every argument that starts with `--` is an option (no value does).
+    // Checked before parsing, so a misspelled bare flag is named too.
+    let options = rest
+        .iter()
+        .map(String::as_str)
+        .filter(|a| a.starts_with("--"));
+    let known: Vec<&str> = usage.iter().map(|u| names::flag_name(u)).collect();
+    let place = format!("for `noc-cli {command}`");
+    names::check_keys(options, &known, "option", &place)?;
     cmd(&Options::parse(rest)?)
 }
 

@@ -1,18 +1,16 @@
-//! Command-line option parsing: the `--key value` bag, the check of a
-//! subcommand's options, and the parsers of the options no job key
-//! reads. The parsers of the job flags sit beside the job key table in
-//! [`noc_service::names`].
+//! Command-line option parsing: the `--key value` bag and the parsers of
+//! the options no job key reads. The parsers of the job flags sit beside
+//! the job key table in [`noc_service::names`].
 
 use crate::CliError;
 use noc_model::{Cdcg, FaultScenario};
-use noc_service::names;
 use noc_service::names::{parsed, require};
 
-/// A parsed option bag: `--key value` pairs plus bare flags.
+/// A parsed option bag: `--key value` pairs, and bare flags with an
+/// empty value.
 #[derive(Debug, Clone, Default)]
 pub struct Options {
     pairs: Vec<(String, String)>,
-    flags: Vec<String>,
 }
 
 impl Options {
@@ -23,32 +21,23 @@ impl Options {
     /// Returns an error for a dangling `--key` without a value when the
     /// key is not a known flag.
     pub fn parse(args: &[String]) -> Result<Self, CliError> {
-        const FLAGS: [&str; 7] = [
-            "--gantt",
-            "--quick",
-            "--cwg",
-            "--telemetry",
-            "--robustness-report",
-            "--wait",
-            "--json",
-        ];
-        let mut options = Options::default();
+        const FLAGS: &str = "--gantt --quick --cwg --telemetry --robustness-report --wait --json";
+        let mut pairs = Vec::new();
         let mut args = args.iter();
         while let Some(arg) = args.next() {
             if !arg.starts_with("--") {
                 return Err(format!("unexpected positional argument `{arg}`").into());
             }
-            if FLAGS.contains(&arg.as_str()) {
-                options.flags.push(arg.clone());
-                continue;
-            }
-            let value = args.next().ok_or(format!("missing value for `{arg}`"))?;
-            options.pairs.push((arg.clone(), value.clone()));
+            let value = match FLAGS.split(' ').any(|flag| flag == arg) {
+                true => "",
+                false => args.next().ok_or(format!("missing value for `{arg}`"))?,
+            };
+            pairs.push((arg.clone(), value.to_owned()));
         }
-        Ok(options)
+        Ok(Options { pairs })
     }
 
-    /// Value of `--key`, if present.
+    /// Value of `--key` (empty for a bare flag), if present.
     pub fn get(&self, key: &str) -> Option<&str> {
         self.pairs
             .iter()
@@ -58,7 +47,7 @@ impl Options {
 
     /// True if the bare flag was passed.
     pub fn flag(&self, name: &str) -> bool {
-        self.flags.iter().any(|f| f == name)
+        self.get(name).is_some()
     }
 
     /// These options with `key` set to `value`, ahead of a value given.
@@ -67,32 +56,6 @@ impl Options {
         options.pairs.insert(0, (key.to_owned(), value.to_owned()));
         options
     }
-}
-
-/// Checks that every option of `args` (each argument that starts with
-/// `--`; no option value does) is a flag of `usage`, the flags
-/// subcommand `command` reads, and that none is given twice. Runs before
-/// [`Options::parse`], so a misspelled bare flag is named too, not taken
-/// for a key without a value.
-///
-/// # Errors
-///
-/// [`names::KeyError`] for the first unknown or repeated option.
-pub(crate) fn check_options(
-    args: &[String],
-    command: &str,
-    usage: &[&'static str],
-) -> Result<(), CliError> {
-    let options = args
-        .iter()
-        .map(String::as_str)
-        .filter(|a| a.starts_with("--"));
-    let known: Vec<&'static str> = usage
-        .iter()
-        .map(|u| noc_service::names::flag_name(u))
-        .collect();
-    let place = format!("for `noc-cli {command}`");
-    Ok(names::check_keys(options, &known, "option", &place)?)
 }
 
 /// Loads the `--app` application graph: JSON by default, the

@@ -1,13 +1,9 @@
 //! Request building: a subcommand's flags, written as the job the wire
-//! carries and decoded by the wire's own decoder.
-//!
-//! [`noc_service::names`] declares each key of a job with the flags that
-//! spell it. `map`, `explore`, `evaluate` and `submit` write their flags
-//! as a job object with `job_from_flags` and hand it to
-//! `protocol::parse_job`, so a flag means on the command line what its
-//! key means on the socket. What stays here are the checks the CLI runs
-//! before a job is queued and the fault experiment, which runs in
-//! process only.
+//! carries ([`noc_service::names`] declares each key with the flags that
+//! spell it) and decoded by `protocol::parse_job`, the server's decoder,
+//! so a flag means on the command line what its key means on the
+//! socket. What stays here are the checks the CLI runs before a job is
+//! queued and the fault experiment, which runs in process only.
 
 use crate::options::{parse_fault_scenario, Options};
 use crate::CliError;
@@ -22,26 +18,21 @@ pub(crate) const FAULT_FLAGS: &str =
 
 impl Flags for Options {
     fn text(&self, flag: &str) -> Option<&str> {
-        self.get(flag).or_else(|| self.flag(flag).then_some(""))
+        self.get(flag)
     }
 }
 
-/// The request the server makes of the `kind` job that `options` spell.
-fn decode(kind: &str, options: &Options) -> Result<JobRequest, CliError> {
-    Ok(parse_job(&job_from_flags(kind, options)?)?)
-}
-
 /// Builds the solve request for a `map`/`solve` invocation, taking the
-/// method from `--method` (default `sa`): the job the flags spell, as
-/// the server decodes it, checked as far as it can be before it is
-/// queued, with the fault experiment of the fault flags.
+/// method from `--method` (default `sa`), with the fault experiment of
+/// the fault flags.
 ///
 /// # Errors
 ///
 /// Returns an error on bad options, load failures, or infeasible
 /// instances (more cores than tiles).
 pub fn build_solve_request(options: &Options) -> Result<SolveRequest, CliError> {
-    let JobRequest::Solve(mut request) = decode("solve", options)? else {
+    let job = job_from_flags("solve", options)?;
+    let JobRequest::Solve(mut request) = parse_job(&job)? else {
         return Err("a solve job decoded as an evaluate job".into());
     };
     let (cores, tiles) = (request.app.core_count(), request.mesh.tile_count());
@@ -65,7 +56,8 @@ pub fn build_solve_request(options: &Options) -> Result<SolveRequest, CliError> 
 /// Returns an error on bad options or a mapping that does not cover the
 /// application's cores.
 pub(crate) fn evaluate_request(options: &Options) -> Result<EvaluateRequest, CliError> {
-    let JobRequest::Evaluate(request) = decode("evaluate", options)? else {
+    let job = job_from_flags("evaluate", options)?;
+    let JobRequest::Evaluate(request) = parse_job(&job)? else {
         return Err("an evaluate job decoded as a solve job".into());
     };
     let (mapped, cores) = (request.mapping.core_count(), request.app.core_count());

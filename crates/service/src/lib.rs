@@ -33,10 +33,8 @@
 //! * [`protocol`] — the line-oriented JSON wire format and the Unix
 //!   socket server behind `noc-cli serve`.
 //! * [`names`] — the request names and keys the CLI and the wire
-//!   protocol share: one lookup per request enum, the check that rejects
-//!   a key a request does not read, and every key of a job with the CLI
-//!   flags that spell it, so the CLI writes its flags as the job the
-//!   wire carries and both surfaces share one decoder.
+//!   protocol share, down to each key of a job with the CLI flags that
+//!   spell it, so both surfaces share one decoder.
 //!
 //! Observability: each service owns a `noc-obs`
 //! [`MetricsRegistry`] (job/queue/worker/registry/engine metrics, see

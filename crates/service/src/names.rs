@@ -1,16 +1,11 @@
 //! The names and keys of a request, shared by the CLI flags and the
 //! socket decoder so that both accept the same spellings and refuse the
-//! same mistakes with the same text: one lookup per request enum over
-//! that type's own `from_name` table, [`check_keys`], which refuses a
-//! key the request does not read or gives twice, and the job key table.
-//!
-//! `JOB_KEYS` lists each key of a solve or an evaluate job with the
-//! `noc-cli` flags that spell it. The wire decoder refuses a key the
-//! table does not list, `noc-cli` a flag it does not list, and
-//! `noc-cli help` prints each flag's usage from it. The CLI writes its
-//! flags as the job the wire carries ([`job_from_flags`]) and decodes
-//! that with [`parse_job`](crate::protocol::parse_job), the one decoder;
-//! the text parsers here only turn flag text into wire values.
+//! same mistakes with the same text: one lookup per request enum,
+//! [`check_keys`], and `JOB_KEYS`, each key of a job with the `noc-cli`
+//! flags that spell it. The wire decoder and `noc-cli` refuse what the
+//! table does not list, `noc-cli help` prints its usage, and the CLI
+//! writes its flags as the job the wire carries ([`job_from_flags`]) for
+//! [`parse_job`](crate::protocol::parse_job), the one decoder, to read.
 
 use crate::job::{check_mesh, Priority};
 use noc_energy::Technology;
@@ -21,6 +16,7 @@ use noc_mapping::{
 use noc_model::{CoreId, Mapping, Mesh, RoutingKind, TileId};
 use serde::{Serialize, Value};
 use std::fmt;
+use std::str::FromStr;
 
 fn lookup<T>(found: Option<T>, what: &str, name: &str, expected: &str) -> Result<T, String> {
     found.ok_or_else(|| format!("unknown {what} `{}` ({expected})", name.trim()))
@@ -136,16 +132,13 @@ type Write = fn(&dyn Flags, &str) -> Result<Option<Value>, String>;
 /// that read it, the usage of the flags that spell it as `noc-cli help`
 /// prints it (`[--depth N]`, unbracketed when required), and its writer
 /// (`None` for a key only the wire spells).
-struct JobKey(
-    &'static str,
-    &'static [&'static str],
-    &'static str,
-    Option<Write>,
-);
+struct JobKey(&'static str, Kinds, &'static str, Option<Write>);
 
-const BOTH: &[&str] = &["solve", "evaluate"];
-const SOLVE: &[&str] = &["solve"];
-const EVALUATE: &[&str] = &["evaluate"];
+type Kinds = &'static [&'static str];
+
+const BOTH: Kinds = &["solve", "evaluate"];
+const SOLVE: Kinds = &["solve"];
+const EVALUATE: Kinds = &["evaluate"];
 
 /// Every key of a solve or an evaluate job, in the order `encode_submit`
 /// writes them. A misspelled key or flag is pointed to the first of the
@@ -199,12 +192,10 @@ pub(crate) fn wire_keys(kind: &str) -> Vec<&'static str> {
 /// The usage of each flag that spells a key of a job of one of `kinds`,
 /// in table order: the job flags of a subcommand that writes such jobs.
 pub fn job_flags(kinds: &[&str]) -> Vec<&'static str> {
-    let reads = |k: &&JobKey| k.1.iter().any(|kind| kinds.contains(kind));
-    JOB_KEYS
+    let keys = JOB_KEYS
         .iter()
-        .filter(reads)
-        .flat_map(|k| split_usage(k.2))
-        .collect()
+        .filter(|k| k.1.iter().any(|kind| kinds.contains(kind)));
+    keys.flat_map(|k| split_usage(k.2)).collect()
 }
 
 /// The usage of each flag `usage` lists: `--mesh WxH[xD]` and
@@ -252,11 +243,7 @@ pub fn require<'f>(flags: &'f dyn Flags, flag: &str) -> Result<&'f str, String> 
 
 /// The value given to `flag` parsed as `T`, `default` when it was not
 /// given, or ``invalid value `V` for `FLAG` ``.
-pub fn parsed<T: std::str::FromStr>(
-    flags: &dyn Flags,
-    flag: &str,
-    default: T,
-) -> Result<T, String> {
+pub fn parsed<T: FromStr>(flags: &dyn Flags, flag: &str, default: T) -> Result<T, String> {
     match flags.text(flag) {
         None => Ok(default),
         Some(v) => v
@@ -323,9 +310,13 @@ fn app_text(flags: &dyn Flags, _: &str) -> Result<Option<Value>, String> {
 /// mesh of `--mesh`/`--depth`.
 fn mapping(flags: &dyn Flags, flag: &str) -> Result<Option<Value>, String> {
     let mapping = parse_mapping(require(flags, flag)?, &parse_mesh_options(flags)?)?;
-    let tiles = mapping.assignments();
-    let tiles = tiles.map(|(_, tile)| Value::UInt(tile.index() as u64));
-    Ok(Some(Value::Seq(tiles.collect())))
+    Ok(Some(tile_list(&mapping)))
+}
+
+/// A mapping as the wire's `mapping`: the tile of each core.
+pub(crate) fn tile_list(mapping: &Mapping) -> Value {
+    let tiles = mapping.assignments().map(|(_, tile)| tile.index());
+    Value::Seq(tiles.map(|tile| Value::UInt(tile as u64)).collect())
 }
 
 /// The SA profile every method's budget comes from: `--quick` picks the

@@ -29,18 +29,16 @@
 //! is forwarded as one JSON line until the client disconnects or the
 //! service shuts down — live telemetry with no polling.
 //!
-//! A submit carries a solve or an evaluate job: its keys, with the
-//! `noc-cli` flags that spell them, are declared once in [`names`], in
-//! the order [`encode_submit`] writes them. A solve job needs `"app"`
-//! (parsed CDCG JSON) or `"app_text"` (the text format), `"mesh"` and
-//! `"method"` (a serialized [`SearchMethod`](crate::SearchMethod)); an
-//! evaluate job needs the app, `"mesh"` and `"mapping"` (tile indices).
-//! Every other key is optional. Pins run only with the SA
-//! method (annealed under `"sa_config"`) or `"Exhaustive"`. The fault
-//! experiment and its budget are not on the wire, and no job names a
-//! route tier: the shared registry picks it from the mesh and the
-//! faults. [`parse_job`] is the one decoder of a job, and `noc-cli`
-//! decodes the jobs it writes from its flags with it too.
+//! A submit carries a solve or an evaluate job, whose keys and the
+//! `noc-cli` flags that spell them are declared once in [`names`]. A
+//! solve job needs `"app"` (CDCG JSON) or `"app_text"` (the text
+//! format), `"mesh"` and `"method"` (a serialized
+//! [`SearchMethod`](crate::SearchMethod)); an evaluate job needs the
+//! app, `"mesh"` and `"mapping"` (tile indices); every other key is
+//! optional. Pins run only with the SA method (annealed under
+//! `"sa_config"`) or `"Exhaustive"`. No job carries the fault experiment
+//! or names a route tier. [`parse_job`] is the one decoder of a job:
+//! `noc-cli` decodes the jobs it writes from its flags with it too.
 //!
 //! Names (`"tech"`, `"strategy"`, `"routing"`, `"priority"`) resolve
 //! through [`names`]. A request line or a job with a key it does not
@@ -85,11 +83,8 @@ pub fn encode_submit(request: &JobRequest, priority: Priority) -> String {
         JobRequest::Evaluate(req) => evaluate_to_value(req),
     };
     let envelope = Value::Map(vec![
-        ("op".to_owned(), Value::Str("submit".to_owned())),
-        (
-            "priority".to_owned(),
-            Value::Str(priority.name().to_owned()),
-        ),
+        ("op".to_owned(), "submit".to_value()),
+        ("priority".to_owned(), priority.name().to_value()),
         ("job".to_owned(), job),
     ]);
     serde_json::to_string(&envelope).expect("value serializes")
@@ -109,34 +104,25 @@ fn fault_pairs(faults: &FaultSet) -> Value {
     // Every dead channel is an inter-router link (FaultSet::kill asserts
     // it), and dead_links() iterates in sorted order — the wire form is
     // canonical by construction.
-    let pairs: Vec<Value> = faults
-        .dead_links()
-        .map(|link| match link {
-            Link::Internal { from, to } => Value::Seq(vec![
-                Value::UInt(from.index() as u64),
-                Value::UInt(to.index() as u64),
-            ]),
-            other => unreachable!("fault sets hold inter-router links only, got {other}"),
-        })
-        .collect();
-    Value::Seq(pairs)
+    let pairs = faults.dead_links().map(|link| match link {
+        Link::Internal { from, to } => (from.index(), to.index()).to_value(),
+        other => unreachable!("fault sets hold inter-router links only, got {other}"),
+    });
+    Value::Seq(pairs.collect())
 }
 
 fn solve_to_value(req: &SolveRequest) -> Value {
     Value::Map(vec![
-        ("kind".to_owned(), Value::Str("solve".to_owned())),
+        ("kind".to_owned(), "solve".to_value()),
         ("app".to_owned(), req.app.to_value()),
         ("mesh".to_owned(), req.mesh.to_value()),
-        (
-            "strategy".to_owned(),
-            Value::Str(req.strategy.name().to_owned()),
-        ),
+        ("strategy".to_owned(), req.strategy.name().to_value()),
         ("method".to_owned(), req.method.to_value()),
         ("tech".to_owned(), req.tech.to_value()),
         ("params".to_owned(), req.params.to_value()),
         (
             "routing".to_owned(),
-            Value::Str(req.routing.name().to_ascii_lowercase()),
+            req.routing.name().to_ascii_lowercase().to_value(),
         ),
         ("faults".to_owned(), fault_pairs(&req.faults)),
         ("pins".to_owned(), req.pins.to_value()),
@@ -147,21 +133,16 @@ fn solve_to_value(req: &SolveRequest) -> Value {
 }
 
 fn evaluate_to_value(req: &EvaluateRequest) -> Value {
-    let tiles: Vec<Value> = req
-        .mapping
-        .assignments()
-        .map(|(_, tile)| Value::UInt(tile.index() as u64))
-        .collect();
     Value::Map(vec![
-        ("kind".to_owned(), Value::Str("evaluate".to_owned())),
+        ("kind".to_owned(), "evaluate".to_value()),
         ("app".to_owned(), req.app.to_value()),
         ("mesh".to_owned(), req.mesh.to_value()),
-        ("mapping".to_owned(), Value::Seq(tiles)),
+        ("mapping".to_owned(), names::tile_list(&req.mapping)),
         ("tech".to_owned(), req.tech.to_value()),
         ("params".to_owned(), req.params.to_value()),
         (
             "routing".to_owned(),
-            Value::Str(req.routing.name().to_ascii_lowercase()),
+            req.routing.name().to_ascii_lowercase().to_value(),
         ),
         ("gantt".to_owned(), Value::Bool(req.gantt)),
     ])
@@ -185,14 +166,18 @@ fn check_fields(value: &Value, known: &[&'static str], place: &str) -> Result<()
 /// Decodes a job's `mesh` and checks its size before anything is sized
 /// by it.
 fn parse_mesh(value: &Value, kind: &str) -> Result<Mesh, String> {
-    let mesh = de(
-        value
-            .get_field("mesh")
-            .ok_or_else(|| format!("{kind} needs `mesh`"))?,
-        "mesh",
-    )?;
+    let mesh = required(value, "mesh", &format!("{kind} needs `mesh`"))?;
     check_mesh(&mesh)?;
     Ok(mesh)
+}
+
+/// The field `key` that a job cannot do without, or `missing`.
+fn required<T: for<'de> Deserialize<'de>>(
+    value: &Value,
+    key: &str,
+    missing: &str,
+) -> Result<T, String> {
+    de(value.get_field(key).ok_or(missing)?, key)
 }
 
 fn de<T: for<'de> Deserialize<'de>>(value: &Value, what: &str) -> Result<T, String> {
@@ -256,12 +241,7 @@ fn parse_solve(value: &Value) -> Result<SolveRequest, String> {
     check_fields(value, &names::wire_keys("solve"), "in a solve job")?;
     let app = parse_app(value)?;
     let mesh = parse_mesh(value, "a solve job")?;
-    let method = de(
-        value
-            .get_field("method")
-            .ok_or("a solve job needs `method`")?,
-        "method",
-    )?;
+    let method = required(value, "method", "a solve job needs `method`")?;
     let mut req = SolveRequest::new(app, mesh, method);
     req.strategy = named(value, "strategy", req.strategy, names::strategy)?;
     req.tech = parse_tech(value)?;
@@ -279,12 +259,8 @@ fn parse_evaluate(value: &Value) -> Result<EvaluateRequest, String> {
     check_fields(value, &names::wire_keys("evaluate"), "in an evaluate job")?;
     let app = parse_app(value)?;
     let mesh = parse_mesh(value, "an evaluate job")?;
-    let tiles: Vec<u64> = de(
-        value
-            .get_field("mapping")
-            .ok_or("an evaluate job needs `mapping` (tile indices)")?,
-        "mapping",
-    )?;
+    let missing = "an evaluate job needs `mapping` (tile indices)";
+    let tiles: Vec<u64> = required(value, "mapping", missing)?;
     let mapping = Mapping::from_tiles(&mesh, tiles.iter().map(|&t| TileId::new(t as usize)))
         .map_err(|e| e.to_string())?;
     Ok(EvaluateRequest {
@@ -453,23 +429,17 @@ fn dispatch(handle: &ServiceHandle, line: &str) -> Result<Reply, String> {
                 ("events".to_owned(), Value::Seq(events)),
             ]
         }
-        "watch" => {
-            return Ok(Reply {
-                line: ok_line(vec![("watch".to_owned(), Value::Bool(true))]),
-                shutdown: false,
-                stream: true,
-            })
-        }
-        "shutdown" => {
-            return Ok(Reply {
-                line: ok_line(vec![]),
-                shutdown: true,
-                stream: false,
-            })
-        }
+        "watch" => vec![("watch".to_owned(), Value::Bool(true))],
+        "shutdown" => vec![],
         other => return Err(format!("unknown op `{other}`")),
     };
-    Ok(Reply::respond(ok_line(fields)))
+    let line = ok_line(fields);
+    let (shutdown, stream) = (op == "shutdown", op == "watch");
+    Ok(Reply {
+        line,
+        shutdown,
+        stream,
+    })
 }
 
 // ---------------------------------------------------------------------------
