@@ -4,7 +4,7 @@
 
 use crate::CliError;
 use noc_model::{Cdcg, FaultScenario};
-use noc_service::names::{parsed, require};
+use noc_service::names::{is_text_app, parsed, read_app, require};
 
 /// A parsed option bag: `--key value` pairs, and bare flags with an
 /// empty value.
@@ -67,11 +67,8 @@ impl Options {
 /// context for the text format) and invalid graphs.
 pub fn load_app(options: &Options) -> Result<Cdcg, CliError> {
     let path = require(options, "--app")?;
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
-    // `.cdcg`/`.txt` files use the line-oriented text format (typed
-    // errors with line context); everything else is the JSON CDCG.
-    let lower = path.to_ascii_lowercase();
-    let cdcg: Cdcg = if lower.ends_with(".cdcg") || lower.ends_with(".txt") {
+    let text = read_app(path)?;
+    let cdcg: Cdcg = if is_text_app(path) {
         noc_apps::parse_cdcg(&text).map_err(|e| format!("{path}:{}: {e}", e.line()))?
     } else {
         serde_json::from_str(&text).map_err(|e| format!("cannot parse `{path}`: {e}"))?

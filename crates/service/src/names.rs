@@ -276,24 +276,25 @@ fn mesh(flags: &dyn Flags, _: &str) -> Result<Option<Value>, String> {
     Ok(Some(parse_mesh_options(flags)?.to_value()))
 }
 
-/// `.cdcg` and `.txt` files hold the line-oriented text format, any
-/// other file CDCG JSON.
-fn text_format(path: &str) -> bool {
+/// True for a `.cdcg` or `.txt` application file, which holds the
+/// line-oriented text format; any other holds CDCG JSON.
+pub fn is_text_app(path: &str) -> bool {
     let lower = path.to_ascii_lowercase();
     lower.ends_with(".cdcg") || lower.ends_with(".txt")
 }
 
-fn read(path: &str) -> Result<String, String> {
+/// The text of the application file `path`, or ``cannot read `PATH`: …``.
+pub fn read_app(path: &str) -> Result<String, String> {
     std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))
 }
 
 /// `--app FILE` of a JSON file: its parsed JSON.
 fn app(flags: &dyn Flags, flag: &str) -> Result<Option<Value>, String> {
     let path = require(flags, flag)?;
-    if text_format(path) {
+    if is_text_app(path) {
         return Ok(None);
     }
-    let json = serde_json::parse(&read(path)?);
+    let json = serde_json::parse(&read_app(path)?);
     json.map(Some)
         .map_err(|e| format!("cannot parse `{path}`: {e}"))
 }
@@ -301,7 +302,7 @@ fn app(flags: &dyn Flags, flag: &str) -> Result<Option<Value>, String> {
 /// `--app FILE` of a `.cdcg` or `.txt` file: its text.
 fn app_text(flags: &dyn Flags, _: &str) -> Result<Option<Value>, String> {
     match flags.text("--app") {
-        Some(path) if text_format(path) => read(path).map(|text| Some(Value::Str(text))),
+        Some(path) if is_text_app(path) => read_app(path).map(|text| Some(Value::Str(text))),
         _ => Ok(None),
     }
 }
