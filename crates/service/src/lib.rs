@@ -147,21 +147,28 @@ mod tests {
 
     #[test]
     fn concurrent_jobs_share_one_provider_through_the_registry() {
+        // A saturated queue: far more jobs than workers.
+        const JOBS: u64 = 64;
         let service = MappingService::start(ServiceConfig::new(4));
-        let seeds = [10, 11, 12, 13, 14, 15, 16, 17];
-        for &s in &seeds {
-            service.submit(sa_job(s), Priority::Normal);
+        let ids: Vec<JobId> = (0..JOBS)
+            .map(|s| service.submit(sa_job(s), Priority::Normal))
+            .collect();
+        assert_eq!(service.wait_all().len(), JOBS as usize);
+        for id in ids {
+            assert!(
+                matches!(service.status(id), Some(JobState::Done(_))),
+                "saturation job {id:?} must finish"
+            );
         }
-        service.wait_all();
         let stats = service.stats();
-        assert_eq!(stats.done, seeds.len() as u64);
+        assert_eq!(stats.done, JOBS);
         // All jobs share the same (mesh, routing, faults) identity: one
         // build, everything else hits.
         assert_eq!(stats.registry_entries, 1);
         assert_eq!(stats.registry_misses, 1);
-        assert_eq!(stats.registry_hits, seeds.len() as u64 - 1);
+        assert_eq!(stats.registry_hits, JOBS - 1);
         // The pooled worker scratches served every final verification.
-        assert!(stats.scratch_runs >= seeds.len() as u64);
+        assert_eq!(stats.scratch_runs, JOBS);
     }
 
     #[test]
@@ -214,6 +221,44 @@ mod tests {
         // A terminal job cannot be cancelled again.
         assert!(!service.cancel(second));
         assert_eq!(service.stats().cancelled, 1);
+    }
+
+    #[test]
+    fn running_cancellation_returns_a_verified_partial_best() {
+        // One worker; the job's budget is far beyond what runs before the
+        // cancel lands, so the search must stop at a checkpoint.
+        const BUDGET: u64 = 5_000_000;
+        let service = MappingService::start(ServiceConfig::new(1));
+        let events = service.subscribe();
+        let mut request = SolveRequest::new(
+            noc_apps::large_mesh_workload(3, 3, 1),
+            Mesh::new(3, 3).unwrap(),
+            SearchMethod::SimulatedAnnealing(SaConfig {
+                max_evaluations: BUDGET,
+                ..SaConfig::quick(3)
+            }),
+        );
+        request.seed = 3;
+        let job = service.submit(JobRequest::Solve(Box::new(request)), Priority::Normal);
+        loop {
+            if let ServiceEvent::Started { job: started } = events.recv().unwrap() {
+                if started == job {
+                    break;
+                }
+            }
+        }
+        assert!(service.cancel(job), "a running job is cancellable");
+        let state = service.wait(job).unwrap();
+        let JobState::Cancelled(Some(result)) = state else {
+            panic!("running cancel ended as {state:?}, wanted Cancelled(Some(_))");
+        };
+        let solve = result.as_solve().expect("solve job");
+        assert!(
+            solve.outcome.evaluations < BUDGET,
+            "cancellation must stop the search early ({} of {BUDGET} evaluations)",
+            solve.outcome.evaluations
+        );
+        assert!(solve.outcome.cost.is_finite(), "partial best is verified");
     }
 
     #[test]
@@ -370,6 +415,74 @@ mod tests {
             }
         }
         assert!(tape_progress > 0);
+    }
+
+    #[test]
+    fn a_served_batch_exposes_the_catalogue_and_frames_every_tape() {
+        const JOBS: u64 = 24;
+        let service = MappingService::start(ServiceConfig::new(2));
+        for seed in 0..JOBS {
+            let mut request = SolveRequest::new(
+                noc_apps::large_mesh_workload(3, 3, 1),
+                Mesh::new(3, 3).unwrap(),
+                SearchMethod::SimulatedAnnealing(SaConfig {
+                    max_evaluations: 120,
+                    ..SaConfig::quick(seed)
+                }),
+            );
+            request.seed = seed;
+            service.submit(JobRequest::Solve(Box::new(request)), Priority::Normal);
+        }
+        let states = service.wait_all();
+        assert!(
+            states.iter().all(|s| matches!(s, JobState::Done(_))),
+            "{states:?}"
+        );
+        let handle = service.handle();
+
+        // The catalogue is live, and the two renderings agree.
+        let text = handle.metrics_exposition();
+        for needle in [
+            "# TYPE noc_jobs_submitted_total counter",
+            "noc_jobs_submitted_total{class=\"normal\"} 24",
+            "noc_jobs_completed_total 24",
+            "noc_queue_depth{class=\"normal\"} 0",
+            "noc_workers_busy 0",
+            "# TYPE noc_job_sojourn_us histogram",
+            "noc_job_sojourn_us_count{class=\"normal\"} 24",
+            "noc_registry_misses_total 1",
+            "noc_schedule_runs_total",
+        ] {
+            assert!(
+                text.contains(needle),
+                "exposition missing `{needle}`:\n{text}"
+            );
+        }
+        let snapshot = serde_json::parse(&handle.metrics_json()).expect("snapshot parses");
+        let completed = snapshot
+            .get_field("counters")
+            .and_then(|c| c.get_field("noc_jobs_completed_total"))
+            .unwrap_or_else(|| panic!("snapshot lacks completed counter: {snapshot:?}"));
+        assert_eq!(completed, &serde::Value::UInt(24), "snapshot disagrees");
+        let evaluations = handle
+            .metrics()
+            .counter("noc_search_evaluations_total")
+            .get();
+        assert!(evaluations >= JOBS * 100, "evaluations: {evaluations}");
+
+        // Every job has a tape framed by job_start and job_end.
+        assert_eq!(
+            handle.flight_jobs().len(),
+            JOBS as usize,
+            "one tape per job"
+        );
+        for id in handle.flight_jobs() {
+            let tape = handle.flight_snapshot(id).expect("tape exists");
+            let first = tape.events.first().expect("tape not empty");
+            let last = tape.events.last().expect("tape not empty");
+            assert_eq!(first.kind, "job_start", "job {id:?}: {:?}", first.kind);
+            assert_eq!(last.kind, "job_end", "job {id:?}: {:?}", last.kind);
+        }
     }
 
     #[test]

@@ -358,9 +358,15 @@ fn empty_fault_set_sa_trajectory_matches_healthy_tiers() {
 
 /// The remap harness is deterministic end-to-end: same instance, same
 /// scenario, same seed — same report, including the recovery curve.
+/// Then the pinned k=2 scenario on Table 1 rows, from an incumbent
+/// annealed on the healthy mesh: the 3x3 run is reproducible and keeps
+/// the mesh connected, and on every row detours cannot lower the cost
+/// and recovery cannot raise it. The 8x8 row (tgff-g) and the 64x64
+/// shift take most of a minute in release, so they join only when
+/// `NOC_FUZZ_CASES` is set, as in the weekly fuzz job.
 #[test]
 fn remap_reports_are_seed_deterministic() {
-    use noc::mapping::remap_after_faults;
+    use noc::mapping::{anneal_delta, remap_after_faults, CdcmObjective, SaConfig};
 
     let mesh = Mesh::new(4, 4).unwrap();
     let cdcg = noc::apps::generate(&TgffConfig::new(8, 20, 1000, 3));
@@ -387,4 +393,52 @@ fn remap_reports_are_seed_deterministic() {
     assert!(report.degraded_cost >= report.baseline_cost);
     assert!(report.recovered_cost <= report.degraded_cost);
     assert_eq!(report, run());
+
+    let pinned = FaultScenario::RandomLinks { count: 2, seed: 7 };
+    let remap_annealed = |cdcg: &noc::model::Cdcg, mesh: Mesh, incumbent_evals, budget| {
+        let healthy = Arc::new(RouteProvider::auto(&mesh, RoutingKind::Xy));
+        let objective = CdcmObjective::with_provider(cdcg, &tech, params, Arc::clone(&healthy));
+        let mut config = SaConfig::quick(41);
+        config.max_evaluations = incumbent_evals;
+        let incumbent = anneal_delta(&objective, &mesh, cdcg.core_count(), &config).mapping;
+        let faults = pinned.generate(&mesh);
+        remap_after_faults(
+            cdcg, &tech, params, &healthy, faults, &incumbent, budget, 41,
+        )
+    };
+    let suite = noc::apps::table1_suite();
+    let row = |group: &str| {
+        suite
+            .iter()
+            .find(|b| b.spec.group == group)
+            .expect("the suite covers all published NoC sizes")
+    };
+    let first = row("3x3");
+    let report = remap_annealed(&first.cdcg, first.mesh, 2_000, 10_000);
+    assert_eq!(
+        report,
+        remap_annealed(&first.cdcg, first.mesh, 2_000, 10_000),
+        "pinned recovery run must be deterministic"
+    );
+    assert_eq!(report.dead_links, 4);
+    assert!(!report.partitioned, "k=2 must not partition a 3x3 mesh");
+    assert!(
+        report.degraded_cost >= report.baseline_cost,
+        "detours cannot reduce cost"
+    );
+    assert!(report.recovered_cost <= report.degraded_cost);
+
+    let second = row("2x4");
+    let mut sweep = vec![(second.cdcg.clone(), second.mesh, 2_000, 10_000)];
+    if std::env::var_os("NOC_FUZZ_CASES").is_some() {
+        let tgff_g = row("8x8");
+        sweep.push((tgff_g.cdcg.clone(), tgff_g.mesh, 2_000, 10_000));
+        let mesh = Mesh::new(64, 64).unwrap();
+        sweep.push((noc::apps::large_mesh_workload(64, 64, 1), mesh, 500, 2_000));
+    }
+    for (cdcg, mesh, incumbent_evals, budget) in sweep {
+        let r = remap_annealed(&cdcg, mesh, incumbent_evals, budget);
+        assert!(r.degraded_cost >= r.baseline_cost, "{mesh:?}");
+        assert!(r.recovered_cost <= r.degraded_cost, "{mesh:?}");
+    }
 }

@@ -10,6 +10,8 @@
 //!   is a `schedule_cost`-backed evaluation on a fresh engine), bitwise.
 //! * **Budget accounting** — no strategy bills past its configured
 //!   evaluation budget, and telemetry agrees with the outcome.
+//! * **Reallocation pays** — on a pinned Table 1 instance, adaptive
+//!   restarts beat the static split of the same budget.
 //!
 //! Case counts default low for the regular CI run; the scheduled fuzz
 //! job raises them through `NOC_FUZZ_CASES`.
@@ -18,8 +20,8 @@ use noc::apps::TgffConfig;
 use noc::energy::Technology;
 use noc::mapping::{
     AdaptiveConfig, AdaptiveRestarts, BatchCost, CdcmObjective, CostFunction, Crossover,
-    CwmObjective, GaConfig, GeneticSearch, Portfolio, PortfolioConfig, SearchRun, SearchStrategy,
-    SwapDeltaCost, TabuConfig, TabuSearch,
+    CwmObjective, GaConfig, GeneticSearch, MultiStartSa, Portfolio, PortfolioConfig, RestartBudget,
+    SaConfig, SearchRun, SearchStrategy, SwapDeltaCost, TabuConfig, TabuSearch,
 };
 use noc::model::{Cdcg, Mesh};
 use noc::sim::SimParams;
@@ -211,5 +213,103 @@ fn adaptive_reallocates_and_bills_exactly() {
     assert!(
         max > min,
         "adaptive must spend unevenly across members: {totals:?}"
+    );
+}
+
+/// The subsystem's reason to exist, pinned: on Table 1 row 8 (objrec-b,
+/// 3x3) at 4,000 evaluations and seed 7, every strategy keeps the
+/// contract, adaptive restarts reallocate their budget, and they beat
+/// the static `RestartBudget::Total` split of the same budget. The whole
+/// stack is deterministic, so this is a regression gate; the
+/// `search_portfolio` bin shows the spread over instances and seeds.
+#[test]
+fn adaptive_beats_the_static_split_at_equal_budget() {
+    const BUDGET: u64 = 4000;
+    const SEED: u64 = 7;
+    let bench = noc::apps::Benchmark::from_spec(noc::apps::TABLE1_ROWS[8]);
+    let (cdcg, mesh) = (&bench.cdcg, &bench.mesh);
+    let tech = Technology::t007();
+    let objective = CdcmObjective::new(cdcg, mesh, &tech, SimParams::new());
+    let cores = cdcg.core_count();
+    let check_contract = |label: &str, run: &SearchRun| {
+        assert!(
+            run.outcome.evaluations > 0 && run.outcome.evaluations <= BUDGET,
+            "{label}: billed {} of {BUDGET}",
+            run.outcome.evaluations
+        );
+        assert_eq!(
+            run.telemetry.evaluations, run.outcome.evaluations,
+            "{label}: telemetry disagrees with the outcome"
+        );
+        assert_eq!(
+            run.outcome.cost,
+            objective.cost(&run.outcome.mapping),
+            "{label}: reported cost is not a from-scratch re-evaluation"
+        );
+        run.outcome.mapping.validate().expect("valid mapping");
+    };
+
+    let static_split = MultiStartSa {
+        config: SaConfig {
+            max_evaluations: BUDGET,
+            ..SaConfig::new(SEED)
+        },
+        restarts: 8,
+        budget: RestartBudget::Total,
+    }
+    .search(&objective, mesh, cores);
+    check_contract("sa-multi[total]", &static_split);
+    let adaptive = AdaptiveRestarts::new(AdaptiveConfig {
+        budget: BUDGET,
+        ..AdaptiveConfig::new(SEED)
+    })
+    .search(&objective, mesh, cores);
+    check_contract("adaptive", &adaptive);
+    let ga = GeneticSearch::new(GaConfig {
+        budget: BUDGET,
+        ..GaConfig::new(SEED)
+    })
+    .search(&objective, mesh, cores);
+    check_contract("ga", &ga);
+    let tabu = TabuSearch::new(TabuConfig {
+        budget: BUDGET,
+        ..TabuConfig::new(SEED)
+    })
+    .search(&objective, mesh, cores);
+    check_contract("tabu", &tabu);
+    let portfolio = Portfolio::new(PortfolioConfig {
+        budget: BUDGET,
+        ..PortfolioConfig::new(SEED)
+    })
+    .search(&objective, mesh, cores);
+    check_contract("portfolio", &portfolio);
+
+    assert_eq!(
+        adaptive.outcome.evaluations, BUDGET,
+        "adaptive must consume its whole budget"
+    );
+    let survivors: Vec<usize> = adaptive
+        .telemetry
+        .rounds
+        .iter()
+        .map(|r| r.survivors.len())
+        .collect();
+    assert_eq!(
+        survivors,
+        vec![4, 2, 1, 0],
+        "successive halving must shrink the active set"
+    );
+    let totals = adaptive.telemetry.member_budget_totals();
+    let max = totals.iter().map(|t| t.evals).max().unwrap();
+    let min = totals.iter().map(|t| t.evals).min().unwrap();
+    assert!(
+        max > min,
+        "adaptive must allocate budget nonuniformly, got {totals:?}"
+    );
+    assert!(
+        adaptive.outcome.cost < static_split.outcome.cost,
+        "adaptive ({:.1} pJ) must beat the static Total split ({:.1} pJ) on the pinned instance",
+        adaptive.outcome.cost,
+        static_split.outcome.cost
     );
 }
