@@ -13,9 +13,9 @@
 //! `noc-verify --update-api-manifest`, so a change that grows or shrinks
 //! the surface shows as a manifest diff in review. The shims
 //! (`crates/shims/*`: the offline build has no crates.io, so they are
-//! hand-written subsets of serde / serde_json / rand / criterion /
-//! proptest) are in the manifest too; a new shim entry must also be
-//! checked against the real crate's API.
+//! hand-written subsets of serde / serde_json / rand / proptest) are in
+//! the manifest too; a new shim entry must also be checked against the
+//! real crate's API.
 //!
 //! **API02** flags a public `fn`, `const`, `static` or type of a non-shim
 //! crate whose name appears in no non-test code — `crates/*/src` outside

@@ -50,12 +50,6 @@ impl BitEnergy {
         }
     }
 
-    /// Builder-style override of the TSV per-bit energy.
-    pub fn with_vertical_link(mut self, vertical_link_pj: f64) -> Self {
-        self.vertical_link_pj = vertical_link_pj;
-        self
-    }
-
     /// Energy of one bit traversing `k` routers (Equation 2):
     /// `EBit_ij = K·ERbit + (K−1)·ELbit`.
     ///
@@ -146,7 +140,10 @@ mod tests {
 
     #[test]
     fn split_with_zero_vertical_is_bitwise_per_bit() {
-        let be = BitEnergy::paper_example().with_vertical_link(0.123);
+        let be = BitEnergy {
+            vertical_link_pj: 0.123,
+            ..BitEnergy::paper_example()
+        };
         for k in 1..10 {
             assert_eq!(
                 be.per_bit_split(k, 0).picojoules().to_bits(),

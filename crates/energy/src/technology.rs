@@ -90,12 +90,6 @@ impl Technology {
             _ => None,
         }
     }
-
-    /// Builder-style override of the bit energies.
-    pub fn with_bit_energy(mut self, bit_energy: BitEnergy) -> Self {
-        self.bit_energy = bit_energy;
-        self
-    }
 }
 
 impl fmt::Display for Technology {
@@ -127,12 +121,6 @@ mod tests {
         let new = Technology::t007();
         assert!(new.bit_energy.router_pj < old.bit_energy.router_pj / 10.0);
         assert!(new.router_static_power.pj_per_ns() >= old.router_static_power.pj_per_ns() * 10.0);
-    }
-
-    #[test]
-    fn builders_override_fields() {
-        let t = Technology::t035().with_bit_energy(BitEnergy::paper_example());
-        assert_eq!(t.bit_energy.router_pj, 1.0);
     }
 
     #[test]

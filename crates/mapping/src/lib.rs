@@ -86,8 +86,7 @@ pub use noc_search::{
     SearchStrategy, SearchTelemetry, TabuConfig, TabuSearch, Tenure,
 };
 pub use objective::{
-    BatchCost, CdcmObjective, CostFunction, CwmObjective, ExecTimeObjective, SwapDeltaCost,
-    WeightedObjective,
+    BatchCost, CdcmObjective, CostFunction, CwmObjective, SwapDeltaCost, WeightedObjective,
 };
 pub use pareto::{pareto_front, ParetoPoint};
 pub use report::{Comparison, TechComparison};

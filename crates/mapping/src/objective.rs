@@ -8,8 +8,6 @@
 //! * [`CdcmObjective`] — Equation 10: total energy, requiring a
 //!   contention-aware schedule per evaluation (`O(NDP)` event
 //!   processing).
-//! * [`ExecTimeObjective`] — pure `texec` minimization (an extension the
-//!   ETR experiments use for ablations).
 //! * [`WeightedObjective`] — `α·ENoC + β·texec` multi-objective blend
 //!   (listed by the paper as a natural extension).
 
@@ -17,7 +15,7 @@ use noc_energy::{cwg_dynamic_energy_cached, CdcmCostEvaluator, Technology};
 use noc_model::{
     Cdcg, Cwg, Mapping, Mesh, RouteProvider, RouteSource, RoutingKind, TileId, WalkMemoStats,
 };
-use noc_sim::{CostEvaluator, SimParams};
+use noc_sim::SimParams;
 use std::cell::RefCell;
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -324,54 +322,6 @@ impl SwapDeltaCost for CdcmObjective<'_> {
 
 impl BatchCost for CdcmObjective<'_> {}
 
-/// Pure execution-time objective (`texec` in nanoseconds), evaluated on
-/// the cost-only fast path.
-#[derive(Debug)]
-pub struct ExecTimeObjective<'a> {
-    engine: RefCell<CostEvaluator<'a>>,
-}
-
-impl<'a> ExecTimeObjective<'a> {
-    /// Creates the objective, under XY routing.
-    pub fn new(cdcg: &'a Cdcg, mesh: &'a Mesh, params: SimParams) -> Self {
-        Self::with_provider(
-            cdcg,
-            params,
-            Arc::new(RouteProvider::auto(mesh, RoutingKind::Xy)),
-        )
-    }
-
-    /// Creates the objective over an existing shared route provider.
-    pub fn with_provider(cdcg: &'a Cdcg, params: SimParams, routes: Arc<RouteProvider>) -> Self {
-        Self {
-            engine: RefCell::new(CostEvaluator::with_provider(cdcg, &params, routes)),
-        }
-    }
-}
-
-impl Clone for ExecTimeObjective<'_> {
-    fn clone(&self) -> Self {
-        Self {
-            engine: RefCell::new(self.engine.borrow().clone()),
-        }
-    }
-}
-
-impl CostFunction for ExecTimeObjective<'_> {
-    fn cost(&self, mapping: &Mapping) -> f64 {
-        self.engine
-            .borrow_mut()
-            .texec_ns(mapping)
-            .unwrap_or(f64::INFINITY)
-    }
-
-    fn name(&self) -> String {
-        "texec".to_owned()
-    }
-}
-
-impl BatchCost for ExecTimeObjective<'_> {}
-
 /// Weighted blend `α·ENoC + β·texec` (energy in pJ, time in ns),
 /// evaluated on the cost-only fast path.
 #[derive(Debug)]
@@ -492,17 +442,6 @@ mod tests {
         let d = Mapping::from_tiles(&mesh, [3, 0, 1, 2].map(TileId::new)).unwrap();
         assert!((obj.cost(&c) - 400.0).abs() < 1e-9);
         assert!((obj.cost(&d) - 399.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn exec_time_objective_matches_figures() {
-        let cdcg = figure1_cdcg();
-        let mesh = Mesh::new(2, 2).unwrap();
-        let obj = ExecTimeObjective::new(&cdcg, &mesh, SimParams::paper_example());
-        let c = Mapping::from_tiles(&mesh, [1, 0, 3, 2].map(TileId::new)).unwrap();
-        let d = Mapping::from_tiles(&mesh, [3, 0, 1, 2].map(TileId::new)).unwrap();
-        assert_eq!(obj.cost(&c), 100.0);
-        assert_eq!(obj.cost(&d), 90.0);
     }
 
     #[test]

@@ -474,6 +474,7 @@ impl ServiceHandle {
     }
 
     /// Job ids the flight recorder currently holds tapes for.
+    // noc-verify: allow(API02) — test oracle: `tests/obs_determinism.rs` counts the flight tapes with it
     pub fn flight_jobs(&self) -> Vec<JobId> {
         self.shared.flight.jobs().into_iter().map(JobId).collect()
     }

@@ -721,16 +721,6 @@ impl<'a> CostEvaluator<'a> {
         ))
     }
 
-    /// `texec` of `mapping` in nanoseconds.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`schedule_cost_with`].
-    pub fn texec_ns(&mut self, mapping: &Mapping) -> Result<f64, SimError> {
-        let cycles = self.texec_cycles(mapping)?;
-        Ok(self.params.cycles_to_ns(cycles))
-    }
-
     /// Cumulative run-loop telemetry of this evaluator (full evaluations
     /// served and events processed) — the sim-side hook search telemetry
     /// reads.

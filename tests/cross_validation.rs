@@ -157,39 +157,3 @@ fn larger_routing_latency_still_agrees() {
     };
     assert_agreement(&cdcg, &mesh, &mapping_c(), &params, "tr=5");
 }
-
-#[test]
-fn des_bounded_buffers_converge_to_unbounded() {
-    // As the buffer capacity grows past the largest packet, the bounded
-    // DES must converge to the unbounded result.
-    let cdcg = figure1_cdcg();
-    let mesh = mesh_2x2();
-    let params = serialized_params();
-    let mapping = mapping_c();
-    let unbounded =
-        simulate(&cdcg, &mesh, &mapping, &DesParams::new(params)).expect("DES simulates");
-    let big = simulate(
-        &cdcg,
-        &mesh,
-        &mapping,
-        &DesParams::new(params).with_buffer(40),
-    )
-    .expect("DES simulates");
-    assert_eq!(big.texec_cycles, unbounded.texec_cycles);
-
-    let mut last = u64::MAX;
-    for cap in [1usize, 2, 5, 10, 40] {
-        let r = simulate(
-            &cdcg,
-            &mesh,
-            &mapping,
-            &DesParams::new(params).with_buffer(cap),
-        )
-        .expect("DES simulates");
-        assert!(
-            r.texec_cycles <= last,
-            "more buffer must not slow execution (cap {cap})"
-        );
-        last = r.texec_cycles;
-    }
-}

@@ -383,10 +383,9 @@ fn vertical_link_energy_shapes_3d_costs_only() {
     use noc::energy::total::evaluate_cdcm_with;
     let params = SimParams::new();
     let cheap_tsv = Technology::t007();
-    let pricey_tsv = Technology::t007().with_bit_energy(
-        Technology::t007().bit_energy.with_vertical_link(0.060), // = ELbit
-    );
-    // 3D: the layered-shift round crossing layers pays the difference.
+    let mut pricey_tsv = Technology::t007();
+    pricey_tsv.bit_energy.vertical_link_pj = 0.060; // = ELbit
+                                                    // 3D: the layered-shift round crossing layers pays the difference.
     let mesh = Mesh::new3(2, 2, 2).unwrap();
     let cdcg = noc::apps::layered_shift_workload(2, 2, 2, 1);
     let mapping = Mapping::identity(&mesh, cdcg.core_count()).unwrap();
