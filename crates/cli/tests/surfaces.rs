@@ -7,7 +7,8 @@ use noc_cli::{build_solve_request, run, Options};
 use noc_service::names::priority as parse_priority;
 use noc_service::protocol::{encode_submit, handle_line, parse_job};
 use noc_service::{
-    JobRequest, MappingService, Priority, ServiceConfig, ServiceEvent, SolveRequest,
+    JobRequest, MappingService, PortfolioConfig, Priority, RestartBudget, SaConfig, SearchMethod,
+    ServiceConfig, ServiceEvent, SolveRequest,
 };
 use serde::Value;
 use std::path::PathBuf;
@@ -573,26 +574,28 @@ fn settled(handle: &noc_service::ServiceHandle, id: u64) -> (String, String) {
 #[test]
 fn empty_search_budgets_fail_the_job_and_spare_the_worker() {
     let app = App::new("empty-budget");
-    let args = strs(&[
-        "map",
-        "--app",
-        app.path(),
-        "--mesh",
-        "2x2",
-        "--method",
-        "greedy",
-        "--restarts",
-        "0",
-    ]);
-    let (sender, receiver) = std::sync::mpsc::channel();
-    std::thread::spawn(move || sender.send(run(&args).map_err(|e| e.to_string())));
-    let cli = receiver
-        .recv_timeout(Duration::from_secs(60))
-        .expect("`map` answers within 60 s");
-    assert_eq!(
-        cli.unwrap_err(),
-        "method `greedy` needs `restarts` of at least 1"
-    );
+    for method in ["greedy", "sa-multi", "portfolio"] {
+        let args = strs(&[
+            "map",
+            "--app",
+            app.path(),
+            "--mesh",
+            "2x2",
+            "--method",
+            method,
+            "--restarts",
+            "0",
+        ]);
+        let (sender, receiver) = std::sync::mpsc::channel();
+        std::thread::spawn(move || sender.send(run(&args).map_err(|e| e.to_string())));
+        let cli = receiver
+            .recv_timeout(Duration::from_secs(60))
+            .expect("`map` answers within 60 s");
+        assert_eq!(
+            cli.unwrap_err(),
+            format!("method `{method}` needs `restarts` of at least 1")
+        );
+    }
 
     let service = MappingService::start(ServiceConfig::new(1));
     let handle = service.handle();
@@ -601,6 +604,17 @@ fn empty_search_budgets_fail_the_job_and_spare_the_worker() {
             "{{\"op\":\"submit\",\"job\":{{\"kind\":\"solve\",\"app_text\":\"core A\\ncore B\\npacket p0 A B comp=6 bits=15\\n\",\"mesh\":{{\"width\":2,\"height\":2,\"depth\":1}},\"method\":{method}}}}}"
         )
     };
+    let multi = serde_json::to_string(&SearchMethod::MultiStartSa {
+        config: SaConfig::quick(1),
+        restarts: 0,
+        budget: RestartBudget::Total,
+    })
+    .expect("serializes");
+    let portfolio = serde_json::to_string(&SearchMethod::Portfolio(PortfolioConfig {
+        restarts: 0,
+        ..PortfolioConfig::new(1)
+    }))
+    .expect("serializes");
     for (id, method, want) in [
         (
             0,
@@ -612,7 +626,17 @@ fn empty_search_budgets_fail_the_job_and_spare_the_worker() {
             "{\"Random\":{\"samples\":0,\"seed\":1}}",
             "\"error\":\"method `random` needs `samples` of at least 1\"",
         ),
-        (2, "\"Exhaustive\"", "\"state\":\"done\""),
+        (
+            2,
+            multi.as_str(),
+            "\"error\":\"method `sa-multi` needs `restarts` of at least 1\"",
+        ),
+        (
+            3,
+            portfolio.as_str(),
+            "\"error\":\"method `portfolio` needs `restarts` of at least 1\"",
+        ),
+        (4, "\"Exhaustive\"", "\"state\":\"done\""),
     ] {
         let reply = handle_line(&handle, &job(method));
         assert!(reply.line.contains("\"ok\":true"), "{}", reply.line);

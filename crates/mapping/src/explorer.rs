@@ -137,8 +137,9 @@ pub enum ExploreError {
     Pins(ModelError),
     /// Pins came with a method other than SA or ES (its CLI name).
     PinsUnsupported(&'static str),
-    /// The method's budget leaves nothing to search: greedy with zero
-    /// `restarts`, random with zero `samples` (its CLI name and the field).
+    /// The method's budget leaves nothing to search: greedy, multi-start
+    /// SA or the portfolio with zero `restarts`, random with zero
+    /// `samples` (its CLI name and the field).
     EmptyBudget {
         /// The method's CLI name.
         method: &'static str,
@@ -363,8 +364,8 @@ impl<'a> Explorer<'a> {
     ///
     /// [`ExploreError::Pins`] if the pins do not fit the instance,
     /// [`ExploreError::PinsUnsupported`] if they come with another method,
-    /// [`ExploreError::EmptyBudget`] for greedy with zero restarts or
-    /// random with zero samples.
+    /// [`ExploreError::EmptyBudget`] for greedy, multi-start SA or the
+    /// portfolio with zero restarts, or random with zero samples.
     pub fn search(
         &self,
         strategy: Strategy,
@@ -383,7 +384,9 @@ impl<'a> Explorer<'a> {
             }
         }
         let empty = match method {
-            SearchMethod::Greedy { restarts: 0, .. } => Some("restarts"),
+            SearchMethod::Greedy { restarts: 0, .. }
+            | SearchMethod::MultiStartSa { restarts: 0, .. }
+            | SearchMethod::Portfolio(PortfolioConfig { restarts: 0, .. }) => Some("restarts"),
             SearchMethod::Random { samples: 0, .. } => Some("samples"),
             _ => None,
         };
@@ -574,6 +577,26 @@ mod tests {
             seed: 1,
         };
         assert_eq!(search(one), Ok(1));
+        let multi = search(SearchMethod::MultiStartSa {
+            config: SaConfig::quick(1),
+            restarts: 0,
+            budget: RestartBudget::Total,
+        });
+        assert_eq!(
+            multi.unwrap_err().to_string(),
+            "method `sa-multi` needs `restarts` of at least 1"
+        );
+        let portfolio = search(SearchMethod::Portfolio(PortfolioConfig {
+            restarts: 0,
+            ..PortfolioConfig::new(1)
+        }));
+        assert_eq!(
+            portfolio,
+            Err(ExploreError::EmptyBudget {
+                method: "portfolio",
+                field: "restarts"
+            })
+        );
     }
 
     #[test]
