@@ -1,18 +1,18 @@
-//! `generate`: produce a TGFF-style application (or the paper example).
+//! `generate`: produce a TGFF-style application, or without `--cores` the
+//! paper's Figure 1 example.
 
 use crate::options::{emit, Options};
 use crate::CliError;
 use noc_service::names::parsed;
 
-/// `generate`: produce a TGFF-style application (or the paper example).
+/// `generate`: produce a TGFF-style application, or without `--cores` the
+/// paper's Figure 1 example.
 ///
 /// # Errors
 ///
 /// Returns an error on bad options or IO failures.
 pub(crate) fn cmd_generate(options: &Options) -> Result<String, CliError> {
-    let app = if options.get("--paper-example").is_some_and(|v| v == "true")
-        || options.get("--cores").is_none()
-    {
+    let app = if options.get("--cores").is_none() {
         noc_apps::paper_example::figure1_cdcg()
     } else {
         let cores: usize = parsed(options, "--cores", 6)?;

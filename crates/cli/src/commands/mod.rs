@@ -54,10 +54,7 @@ pub(crate) fn command(name: &str) -> Option<Command> {
     let (run, usage): Command = match name {
         "generate" => (
             cmd_generate,
-            vec![
-                "[--cores N] [--packets N] [--bits N] [--seed S] [--paper-example true] \
-                  [--out app.json]",
-            ],
+            vec!["[--cores N] [--packets N] [--bits N] [--seed S] [--out app.json]"],
         ),
         "info" => (cmd_info, vec!["--app app.json"]),
         "map" | "solve" => (cmd_map, solve("[--trace FILE] [--telemetry]")),

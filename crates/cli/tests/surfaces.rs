@@ -436,6 +436,14 @@ fn misspelled_and_unread_flags_no_longer_run_the_default() {
         err.starts_with("unknown option `--method` for `noc-cli evaluate`"),
         "{err}"
     );
+    // Without `--cores`, `generate` writes the Figure 1 example anyway.
+    let err = run(&strs(&["generate", "--paper-example", "true"]))
+        .unwrap_err()
+        .to_string();
+    assert!(
+        err.starts_with("unknown option `--paper-example` for `noc-cli generate`"),
+        "{err}"
+    );
 }
 
 #[test]
