@@ -209,6 +209,7 @@ impl FaultScenario {
                     })
                     .collect();
                 for i in choose_k(channels.len(), count, seed) {
+                    // noc-verify: allow(PANIC01) — choose_k yields indices below channels.len()
                     let (a, b) = channels[i];
                     faults.kill_between(a, b);
                 }
@@ -408,6 +409,7 @@ impl FaultAwareRoutes {
     fn detour(&self, src: TileId, dst: TileId) -> Option<Vec<TileId>> {
         let n = self.mesh().tile_count();
         let mut parent: Vec<u32> = vec![u32::MAX; n];
+        // noc-verify: allow(PANIC01) — parent has a slot per tile, and src is a tile of this mesh
         parent[src.index()] = src.index() as u32;
         let mut queue = VecDeque::new();
         queue.push_back(src);
@@ -416,6 +418,7 @@ impl FaultAwareRoutes {
                 let mut path = vec![dst];
                 let mut cur = dst.index();
                 while cur != src.index() {
+                    // noc-verify: allow(PANIC01) — cur is dst or a parent the search wrote: tiles of this mesh
                     cur = parent[cur] as usize;
                     path.push(TileId::new(cur));
                 }
@@ -426,21 +429,23 @@ impl FaultAwareRoutes {
                 let Some(nb) = self.port_neighbor(t, dir) else {
                     continue;
                 };
+                // noc-verify: allow(PANIC01) — port_neighbor returns tiles of this mesh
                 if parent[nb.index()] != u32::MAX || self.faults.is_dead(&Link::between(t, nb)) {
                     continue;
                 }
-                parent[nb.index()] = t.index() as u32;
+                parent[nb.index()] = t.index() as u32; // noc-verify: allow(PANIC01) — as above
                 queue.push_back(nb);
             }
         }
         None
     }
 
-    /// The pair's cache key and owning shard index.
-    fn shard_of(&self, src: TileId, dst: TileId) -> (usize, u64) {
+    /// The pair's owning shard and cache key.
+    fn shard_of(&self, src: TileId, dst: TileId) -> (&Mutex<FaultShard>, u64) {
         let n = self.mesh().tile_count() as u64;
         let key = src.index() as u64 * n + dst.index() as u64;
-        (key as usize % self.shards.len(), key)
+        // noc-verify: allow(PANIC01) — the index is reduced modulo shards.len()
+        (&self.shards[key as usize % self.shards.len()], key)
     }
 
     /// Resolves (or fetches) the pair's cached route. Callers that only
@@ -448,8 +453,8 @@ impl FaultAwareRoutes {
     /// [`Self::resolve_in`] under its own guard instead, so the walk
     /// copy happens before any other thread can evict the shard.
     fn resolve(&self, src: TileId, dst: TileId) -> PairEntry {
-        let (idx, key) = self.shard_of(src, dst);
-        let mut shard = self.shards[idx].lock().unwrap_or_else(|e| e.into_inner());
+        let (shard, key) = self.shard_of(src, dst);
+        let mut shard = shard.lock().unwrap_or_else(|e| e.into_inner());
         self.resolve_in(&mut shard, key, src, dst)
     }
 
@@ -550,10 +555,11 @@ impl RouteSource for FaultAwareRoutes {
         // resolution and the walk copy would let a concurrent thread
         // evict the shard and leave the span pointing at cleared (or
         // recycled) arena slots.
-        let (idx, key) = self.shard_of(src, dst);
-        let mut shard = self.shards[idx].lock().unwrap_or_else(|e| e.into_inner());
+        let (shard, key) = self.shard_of(src, dst);
+        let mut shard = shard.lock().unwrap_or_else(|e| e.into_inner());
         match self.resolve_in(&mut shard, key, src, dst) {
             PairEntry::Route { start: s, len, .. } => {
+                // noc-verify: allow(PANIC01) — resolve_in placed this span in the arena of the shard still locked here
                 buf.extend_from_slice(&shard.walks[s as usize..(s + len) as usize]);
                 (start as u32, len)
             }
