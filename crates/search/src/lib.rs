@@ -165,6 +165,19 @@ mod tests {
     fn strategies() -> Vec<(&'static str, StrategyFn)> {
         vec![
             (
+                "multistart-sa",
+                Box::new(|o: &Homing, m: &Mesh, k: usize| {
+                    let mut c = SaConfig::quick(9);
+                    c.max_evaluations = 600;
+                    MultiStartSa {
+                        config: c,
+                        restarts: 4,
+                        budget: RestartBudget::Total,
+                    }
+                    .search(o, m, k)
+                }),
+            ),
+            (
                 "adaptive",
                 Box::new(|o: &Homing, m: &Mesh, k: usize| {
                     let mut c = AdaptiveConfig::quick(9);

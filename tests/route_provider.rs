@@ -237,6 +237,8 @@ proptest! {
 /// The dense tier refuses a 64×64 mesh with a typed error; the fallback
 /// tiers (implicit, and fault-aware with no faults) run a real CDCM SA
 /// search on it, and both walk the exact same deterministic trajectory.
+/// The implicit tier also schedules the mesh-filling shift at 64×64 and
+/// 128×128, the same cost on every run.
 #[test]
 fn large_mesh_sa_runs_on_fallback_tiers() {
     use noc::mapping::{Explorer, SaConfig, SearchMethod, Strategy};
@@ -272,6 +274,24 @@ fn large_mesh_sa_runs_on_fallback_tiers() {
     assert_eq!(outcomes[0].mapping, outcomes[1].mapping);
     assert_eq!(outcomes[0].cost, outcomes[1].cost);
     assert_eq!(outcomes[0].evaluations, outcomes[1].evaluations);
+
+    // The mesh-filling shift schedules on the implicit tier: a warm run,
+    // then repeated runs on the same scratch that must equal it.
+    let params = SimParams::new();
+    for (side, repeats) in [(64, 5), (128, 3)] {
+        let mesh = Mesh::new(side, side).unwrap();
+        let cdcg = noc::apps::large_mesh_workload(side, side, 1);
+        let mapping = Mapping::identity(&mesh, cdcg.core_count()).unwrap();
+        let provider = RouteProvider::implicit(&mesh, RoutingKind::Xy);
+        let mut scratch = ScheduleScratch::new();
+        let mut run =
+            || schedule_cost_with(&cdcg, &mesh, &mapping, &params, &provider, &mut scratch);
+        let warm = run().unwrap();
+        assert!(warm > 0);
+        for _ in 0..repeats {
+            assert_eq!(run().unwrap(), warm, "{side}x{side}");
+        }
+    }
 }
 
 /// The acceptance instance: on a 4×4×4 cube running the layered-shift
@@ -385,7 +405,8 @@ fn vertical_link_energy_shapes_3d_costs_only() {
     let cheap_tsv = Technology::t007();
     let mut pricey_tsv = Technology::t007();
     pricey_tsv.bit_energy.vertical_link_pj = 0.060; // = ELbit
-                                                    // 3D: the layered-shift round crossing layers pays the difference.
+
+    // 3D: the layered-shift round crossing layers pays the difference.
     let mesh = Mesh::new3(2, 2, 2).unwrap();
     let cdcg = noc::apps::layered_shift_workload(2, 2, 2, 1);
     let mapping = Mapping::identity(&mesh, cdcg.core_count()).unwrap();
