@@ -10,10 +10,12 @@
 //! The rows cover the inputs the flit-level DES cannot cross-check
 //! (it needs serialized injection and XY/XYZ routing): unserialized
 //! injection, ejection contention, 16-bit flits, `tl = 3`, `tr = 0`, YX
-//! and torus routings (2-wide rings included), 3D stacks and sparse
-//! schedules with stretched computation. The values were recorded from
-//! the `HashMap`-keyed scheduler that preceded the single event loop;
-//! any divergence means an artifact changed. The counting run
+//! and torus routings (2-wide rings included), 3D stacks, sparse
+//! schedules with stretched computation and zero link delay with zeroed
+//! computation. The values were recorded from the `HashMap`-keyed
+//! scheduler that preceded the single event loop, and the zero-delay rows
+//! from the event loop that pushed every event through its queue; any
+//! divergence means an artifact changed. The counting run
 //! (`schedule_contention_with`) over the size-picked route tier
 //! (`RouteProvider::auto`) must match each row's `texec` and contention
 //! counts too, without building the schedule.
@@ -150,6 +152,29 @@ fn cases() -> Vec<Case> {
                     link_cycles: tl,
                     flit_width_bits: flit,
                     ejection_contention: ej,
+                    injection_serialization: inj,
+                    ..SimParams::paper_example()
+                },
+                routing: &XyRouting,
+            });
+        }
+    }
+
+    // Zero link delay: Figure 1 with every computation time zeroed, so a
+    // router is entered in the cycle its link was granted, a successor is
+    // injected in the cycle its last dependence was delivered, and under
+    // `tr = 0` a link request lands in the cycle its router was entered.
+    let instant = stretched(&figure1_cdcg(), 0);
+    for (mname, mapping) in [("c", mapping_c()), ("d", mapping_d())] {
+        for (tr, inj) in [(0, true), (0, false), (2, true)] {
+            out.push(Case {
+                label: format!("figure1({mname}) x0 tr={tr} tl=0 inj={inj}"),
+                cdcg: instant.clone(),
+                mesh: mesh_2x2(),
+                mapping: mapping.clone(),
+                params: SimParams {
+                    routing_cycles: tr,
+                    link_cycles: 0,
                     injection_serialization: inj,
                     ..SimParams::paper_example()
                 },
@@ -595,6 +620,48 @@ const PINS: &[(&str, u64, usize, u64, u64)] = &[
         0,
         0,
         0xfcb0c4c287370555,
+    ),
+    (
+        "figure1(c) x0 tr=0 tl=0 inj=true",
+        1,
+        2,
+        2,
+        0x3e197f5e60ab13be,
+    ),
+    (
+        "figure1(c) x0 tr=0 tl=0 inj=false",
+        1,
+        2,
+        2,
+        0xa9c6a202b111bf8a,
+    ),
+    (
+        "figure1(c) x0 tr=2 tl=0 inj=true",
+        14,
+        0,
+        0,
+        0xa18e80d44b2009b4,
+    ),
+    (
+        "figure1(d) x0 tr=0 tl=0 inj=true",
+        1,
+        2,
+        2,
+        0xeb1d0ad77535b7ec,
+    ),
+    (
+        "figure1(d) x0 tr=0 tl=0 inj=false",
+        1,
+        2,
+        2,
+        0xf531c7aece355c5c,
+    ),
+    (
+        "figure1(d) x0 tr=2 tl=0 inj=true",
+        14,
+        0,
+        0,
+        0xeae4a47bad903278,
     ),
     ("tgff-d YX seed 1", 1040, 9, 1786, 0x25bb3a595810402a),
     ("tgff-d YX seed 2", 1346, 9, 2161, 0x6a47bacc1083cc70),
