@@ -3,8 +3,13 @@
 //! `run_loop` is the paper's §4 CDCM execution algorithm (the timing
 //! rules are in the [`schedule`](mod@crate::schedule) module), with a
 //! non-final `DECIDE` folded into its `LINK_REQUEST` (see
-//! `owner_event`). Its `Recorder` type parameter decides what a run
-//! reports besides `texec`:
+//! `owner_event`). A packet's own follow-up event (injection → router
+//! entry → link request or `DECIDE` → next router entry) is held out of
+//! the event queue and handled at once when no queued event precedes it;
+//! the queue decides that without looking at its queued events one by one
+//! (see `queue`), and events are handled in exactly the order a heap of
+//! all of them would pop. Its
+//! `Recorder` type parameter decides what a run reports besides `texec`:
 //!
 //! * [`schedule_cost_with`] and [`CostEvaluator`] pass the zero-sized
 //!   `NoRecord` and allocate nothing after warm-up: all working state
@@ -140,8 +145,10 @@ struct FifoSlot {
 ///
 /// Buffers grow to the high-water mark of the instances they evaluate and
 /// are reused across calls — after warm-up, a cost evaluation allocates
-/// nothing. A scratch may be reused across different applications,
-/// meshes and mappings; sizing is re-checked on every call.
+/// nothing, the event queue's per-cycle buckets included (a queue test
+/// replays one run 40 times and pins its retained capacity). A scratch
+/// may be reused across different applications, meshes and mappings;
+/// sizing is re-checked on every call.
 #[derive(Debug, Clone, Default)]
 pub struct ScheduleScratch {
     epoch: u64,
@@ -175,7 +182,8 @@ pub struct ScheduleScratch {
 pub struct RunStats {
     /// Completed full cost evaluations served by this scratch.
     pub runs: u64,
-    /// Events popped from the event queue across those evaluations. A
+    /// Events handled across those evaluations, whether popped from the
+    /// event queue or handled at once as their packet's held follow-up. A
     /// packet crossing `k` routers takes `2k + 1`: its injection, an
     /// entry per router, a link request per router but the last, and one
     /// `DECIDE` at the last router, which requests the ejection link.
@@ -430,9 +438,16 @@ pub(crate) fn init_run<S: RouteSource + ?Sized>(
 }
 
 /// The event loop of the engine. Starts from a scratch primed by
-/// [`init_run`], runs the queue dry
-/// and reports to `rec` as it goes. Returns `(texec, packets delivered,
-/// events processed)`; [`RunStats::events`] says what counts as an event.
+/// [`init_run`], runs the queue dry and reports to `rec` as it goes.
+/// Returns `(texec, packets delivered, events handled)`;
+/// [`RunStats::events`] says what counts as an event.
+///
+/// An injection, a router entry that owns its FIFO head and a link
+/// request each end by *holding* their packet's next event instead of
+/// pushing it; the queue's `next` handles it at once when no queued key
+/// is smaller and queues it otherwise. Woken parked packets and injected
+/// successors are pushed. Handlers push at or after their own event's
+/// cycle, which the queue requires.
 fn run_loop<R: Recorder>(
     cdcg: &Cdcg,
     params: &SimParams,
@@ -446,7 +461,8 @@ fn run_loop<R: Recorder>(
     let mut delivered = 0;
     let mut events_done = 0;
 
-    while let Some(key) = scratch.queue.pop() {
+    let mut held = None;
+    while let Some(key) = scratch.queue.next(held.take()) {
         let time = (key >> 64) as u64;
         let p = ((key >> 34) as usize) & (PACKET_LIMIT - 1);
         let variant = (key >> 32) as u32 & 3;
@@ -471,7 +487,7 @@ fn run_loop<R: Recorder>(
                 };
                 slot.free = entry + n * tl;
                 rec.link_grant(p, 0, time, entry, n * tl);
-                scratch.queue.push(pack(entry + tl, p, ROUTER_ENTRY, 0));
+                held = Some(pack(entry + tl, p, ROUTER_ENTRY, 0));
             }
             ROUTER_ENTRY => {
                 rec.router_entry(p, hop, time);
@@ -482,9 +498,7 @@ fn run_loop<R: Recorder>(
                 let applies = hop > 0 || params.injection_serialization;
                 let last = hop + 1 == k;
                 if !applies {
-                    scratch
-                        .queue
-                        .push(owner_event(time, p, hop as u32, last, tr));
+                    held = Some(owner_event(time, p, hop as u32, last, tr));
                 } else {
                     // noc-verify: allow(PANIC01) — router hops are below k, the walk's last position
                     let slot = scratch.fifo(path[hop]);
@@ -494,9 +508,7 @@ fn run_loop<R: Recorder>(
                         let eff = time.max(slot.clear);
                         slot.busy = true;
                         rec.fifo_wait(p, hop, time, eff);
-                        scratch
-                            .queue
-                            .push(owner_event(eff, p, hop as u32, last, tr));
+                        held = Some(owner_event(eff, p, hop as u32, last, tr));
                     }
                 }
             }
@@ -564,9 +576,7 @@ fn run_loop<R: Recorder>(
                     leave + 1,
                     tr,
                 );
-                scratch
-                    .queue
-                    .push(pack(entry + tl, p, ROUTER_ENTRY, hop as u32 + 1));
+                held = Some(pack(entry + tl, p, ROUTER_ENTRY, hop as u32 + 1));
             }
         }
         events_done += 1;

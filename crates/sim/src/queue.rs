@@ -4,16 +4,24 @@
 //! `BinaryHeap<Reverse<u128>>` the cost engine's event loop used to run
 //! on, keyed by the same packed `(time << 64) | discriminant` event keys
 //! (see `cost::pack`). It exploits what a generic heap cannot: scheduler
-//! time advances (near-)monotonically and event times cluster densely in
-//! a narrow window ahead of the present. Events are binned into a ring
-//! of per-cycle buckets holding only the **low 64 bits** of their keys
-//! (the time is the bucket's); the current cycle is sorted once on
-//! adoption — pushes arrive in near-ascending pop order, hitting the
-//! sort's presorted fast path — and drains by a bare cursor, with a
-//! tiny side heap absorbing same-cycle pushes that arrive mid-drain.
-//! Only events beyond the ring horizon fall back to a real `u128` heap.
-//! Pushes into the ring are O(1) `Vec` appends; pops are array reads
-//! instead of `log(frontier)` 16-byte sift chains.
+//! time never runs backwards and event times cluster densely in a narrow
+//! window ahead of the present. Events are binned into a ring of
+//! per-cycle buckets holding only the **low 64 bits** of their keys (the
+//! time is the bucket's); the current cycle is sorted once on adoption —
+//! pushes arrive in near-ascending pop order, hitting the sort's
+//! presorted fast path — and drains by a bare cursor, with a tiny side
+//! heap absorbing same-cycle pushes that arrive mid-drain. Only events
+//! beyond the ring horizon fall back to a real `u128` heap. Pushes into
+//! the ring are O(1) `Vec` appends; pops are array reads instead of
+//! `log(frontier)` 16-byte sift chains.
+//!
+//! Adopting a slot as the present copies its keys into the one drain
+//! buffer and empties the slot, so each slot keeps only its own
+//! high-water capacity and a warmed queue allocates nothing. (Swapping
+//! the spent drain buffer into the adopted slot instead handed each
+//! burst-sized buffer on to another slot; a run replayed from cycle 0
+//! then grew the burst slots fresh buffers, and the retained capacity
+//! grew run after run.)
 //!
 //! An occupancy bitmap keeps one bit per ring slot: set whenever an
 //! event enters the slot (a push, or a migration out of the overflow
@@ -23,15 +31,29 @@
 //! of every empty slot in between, so rows whose events are spread thin
 //! over time pay for the events, not for the idle cycles between them.
 //!
+//! **The held key.** Most events are followed by their own packet's next
+//! event as the very next one handled. The engine hands that follow-up
+//! key to [`EventQueue::next`] instead of pushing it, and `next` returns
+//! it at once, never queued, when no queued key is smaller. The check
+//! looks at no queued key one by one. A key in the present cycle is
+//! compared with that cycle's next key; ring and overflow keys all lie in
+//! later cycles. A key in a later cycle needs the present drained, no
+//! occupancy bit set up to its cycle and no overflow key at or before it;
+//! taking it then moves the present to its cycle. Otherwise the key is
+//! pushed and the minimum popped.
+//!
 //! The contract — property-pinned by the repository's bit-exactness
-//! suites — is that the pop sequence is **identical** to the binary
-//! heap's: keys are drawn in ascending `u128` order no matter how pushes
-//! interleave, including same-cycle pushes while that cycle drains and
-//! (defensively) pushes behind the current cycle, which land in a small
-//! sorted `front` spill and still pop in exact order. Since the engine's
-//! keys form a total order (a packet has at most one pending event), any
-//! correct min-queue yields the same simulation; this one is merely
-//! faster.
+//! suites — is that the sequence of keys returned is **identical** to
+//! the binary heap's: `next(Some(k))` returns what `push(k)` then `pop()`
+//! return, keys are drawn in ascending `u128` order no matter how pushes
+//! interleave, same-cycle pushes while that cycle drains included. Every
+//! push must lie at or after the present, the cycle of the last key
+//! returned: the engine's handlers push at or after their own event's
+//! cycle, and the present never passes the event being handled. A push
+//! behind it is refused by a debug assertion; there is no spill for it.
+//! Since the engine's keys form a total order (a packet has at most one
+//! pending event), any correct min-queue yields the same simulation;
+//! this one is merely faster.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -116,21 +138,21 @@ impl MinHeap64 {
 #[derive(Debug, Clone, Default)]
 pub(crate) struct EventQueue {
     len: usize,
-    /// Cycle the drain belongs to.
+    /// Cycle the drain belongs to: the present.
     cur: u64,
     /// Low key halves at time `cur`, sorted ascending once on adoption
     /// (pushes arrive in near-sorted pop order, so the sort is cheap)
     /// and consumed through `drain_pos` as plain array reads.
     drain: Vec<u64>,
     drain_pos: usize,
-    /// Same-cycle pushes that arrive *while* `cur` drains. In the
-    /// engine's traffic these are the immediately-next events (a packet
-    /// re-queueing at the present), so this heap stays tiny.
+    /// Pushes into the present cycle. In the engine's traffic these are
+    /// the start events of cycle 0 (the present starts there), held keys
+    /// that a smaller key of their own cycle keeps waiting (a `DECIDE` in
+    /// the cycle its packet entered the last router, behind another
+    /// packet's event), and, with `tl = tr = 0`, successors with no
+    /// computation injected in their last dependence's cycle. The heap
+    /// stays tiny.
     side: MinHeap64,
-    /// Defensive spill: full keys at or before `(cur, bucket minimum)`,
-    /// sorted descending so the global minimum pops from the back. In
-    /// the engine's (monotone) traffic this stays empty.
-    front: Vec<u128>,
     /// `WINDOW` per-cycle buckets of low key halves; slot `t & MASK`
     /// holds time `t`, for `t` in `(cur, cur + WINDOW]`.
     ring: Vec<Vec<u64>>,
@@ -138,8 +160,8 @@ pub(crate) struct EventQueue {
     occupied: [u64; WORDS],
     /// Total events parked in the ring.
     ring_items: usize,
-    /// Events beyond the ring horizon (full keys); drains back into the
-    /// ring as the present advances.
+    /// Events pushed beyond the ring horizon (full keys), all after the
+    /// present; they drain back into the ring as the present advances.
     overflow: BinaryHeap<Reverse<u128>>,
 }
 
@@ -155,7 +177,6 @@ impl EventQueue {
         self.drain.clear();
         self.drain_pos = 0;
         self.side.0.clear();
-        self.front.clear();
         if self.ring_items > 0 {
             for slot in &mut self.ring {
                 slot.clear();
@@ -166,10 +187,12 @@ impl EventQueue {
         self.overflow.clear();
     }
 
+    /// Queues `key`, which must lie at or after the present.
     #[inline]
     pub(crate) fn push(&mut self, key: u128) {
         self.len += 1;
         let t = (key >> 64) as u64;
+        debug_assert!(t >= self.cur, "push behind the present");
         if t > self.cur {
             let d = t - self.cur;
             if d <= WINDOW {
@@ -177,37 +200,63 @@ impl EventQueue {
             } else {
                 self.overflow.push(Reverse(key));
             }
-        } else if t == self.cur {
-            self.side.push(key as u64);
         } else {
-            // Behind the present: keep `front` sorted descending so the
-            // back is always the global minimum.
-            let pos = self.front.partition_point(|&k| k > key);
-            self.front.insert(pos, key);
+            self.side.push(key as u64);
         }
     }
 
+    /// The next key to handle once `held`, if any, joins the queue: what
+    /// `push(held)` then `pop()` return. A held key that no queued key
+    /// precedes is returned without being queued (see the module docs).
     // Forced: rustc does not inline this per-event call into the loop,
     // generic over its recorder, by itself (4–10% per cost-only run).
     #[inline(always)]
-    pub(crate) fn pop(&mut self) -> Option<u128> {
+    pub(crate) fn next(&mut self, held: Option<u128>) -> Option<u128> {
+        if let Some(key) = held {
+            if self.take_held(key) {
+                return Some(key);
+            }
+            self.push(key);
+        }
+        self.pop()
+    }
+
+    /// Whether `key`, at or after the present, precedes every queued key.
+    /// A key of a later cycle that does moves the present to its cycle.
+    #[inline(always)]
+    fn take_held(&mut self, key: u128) -> bool {
+        let t = (key >> 64) as u64;
+        let next_low = self.bucket_peek_low();
+        if t == self.cur {
+            // Ring and overflow keys lie in later cycles.
+            return next_low.is_none_or(|low| (key as u64) < low);
+        }
+        debug_assert!(t > self.cur, "held key behind the present");
+        // Every ring key lies at or before `cur + WINDOW`: a key beyond
+        // the window waits for an empty ring.
+        let ring_last = t.min(self.cur + WINDOW);
+        if next_low.is_some() || self.ring_first_through(ring_last).is_some() {
+            return false;
+        }
+        if self
+            .overflow
+            .peek()
+            .is_some_and(|r| (r.0 >> 64) as u64 <= t)
+        {
+            return false;
+        }
+        // Ring keys lie in `(t, cur + WINDOW]` and overflow keys after
+        // `t`: the moved present keeps every slot's time unique.
+        self.cur = t;
+        true
+    }
+
+    #[inline(always)]
+    fn pop(&mut self) -> Option<u128> {
         if self.len == 0 {
             return None;
         }
         self.len -= 1;
-        if let Some(&spill) = self.front.last() {
-            // The spill is only beaten by a smaller same-cycle key.
-            match self.bucket_peek_low() {
-                Some(low) if self.key_at_cur(low) < spill => {
-                    self.bucket_pop_low();
-                    return Some(self.key_at_cur(low));
-                }
-                _ => {
-                    self.front.pop();
-                    return Some(spill);
-                }
-            }
-        }
         if let Some(low) = self.bucket_pop_low() {
             return Some(self.key_at_cur(low));
         }
@@ -258,42 +307,42 @@ impl EventQueue {
         self.ring_items += 1;
     }
 
-    /// Time of the earliest ring event, or `None` if the ring is empty.
-    /// Scans the bitmap from the slot of `cur + 1` once around the ring:
-    /// the tail of that slot's word, the `WORDS - 1` words after it, then
-    /// the head of the first word again (the slots just behind
-    /// `cur + 1`, which hold the window's last cycles).
-    fn ring_next(&self) -> Option<u64> {
+    /// Time of the earliest ring event up to cycle `last`, which lies in
+    /// `(cur, cur + WINDOW]`, or `None` if no slot up to it is occupied.
+    /// Scans the bitmap from the slot of `cur + 1` to the slot of `last`.
+    /// Slots are numbered on from `start` without wrapping (`end` <
+    /// `start + WINDOW`), so a slot's distance from `start` is its time's
+    /// distance from `cur + 1`; only the word index wraps.
+    fn ring_first_through(&self, last: u64) -> Option<u64> {
+        debug_assert!(last > self.cur && last - self.cur <= WINDOW);
         if self.ring_items == 0 {
             return None;
         }
-        let start = ((self.cur + 1) & MASK) as usize;
-        let (first, shift) = (start / 64, start % 64);
-        for i in 0..=WORDS {
-            let w = (first + i) % WORDS;
-            // noc-verify: allow(PANIC01) — w is reduced modulo WORDS
-            let mut bits = self.occupied[w];
-            if i == 0 {
-                bits &= u64::MAX << shift;
-            } else if i == WORDS {
-                bits &= !(u64::MAX << shift);
+        let start = (self.cur + 1) & MASK;
+        let end = start + (last - self.cur - 1);
+        for w in start / 64..=end / 64 {
+            // noc-verify: allow(PANIC01) — the word index is reduced modulo WORDS
+            let mut bits = self.occupied[(w % WORDS as u64) as usize];
+            if w == start / 64 {
+                bits &= u64::MAX << (start % 64);
+            }
+            if w == end / 64 {
+                bits &= u64::MAX >> (63 - end % 64);
             }
             if bits != 0 {
-                let slot = (w * 64) as u64 + u64::from(bits.trailing_zeros());
-                // Slot `start` holds `cur + 1`; the slot before it holds
-                // `cur + WINDOW`.
-                return Some(self.cur + 1 + (slot.wrapping_sub(start as u64) & MASK));
+                let slot = w * 64 + u64::from(bits.trailing_zeros());
+                return Some(self.cur + 1 + (slot - start));
             }
         }
         None
     }
 
     /// Moves the present to the next non-empty cycle and adopts its
-    /// events into the intra-cycle heap. Called only when `front` and
-    /// `bucket` are drained but events remain.
+    /// events into the drain. Called only when the present is drained
+    /// but events remain.
     fn advance(&mut self) {
         debug_assert!(self.ring_items > 0 || !self.overflow.is_empty());
-        let ring_next = self.ring_next();
+        let ring_next = self.ring_first_through(self.cur + WINDOW);
         let over_next = self.overflow.peek().map(|r| (r.0 >> 64) as u64);
         let t = match (ring_next, over_next) {
             (Some(a), Some(b)) => a.min(b),
@@ -312,9 +361,10 @@ impl EventQueue {
             // noc-verify: allow(PANIC01) — slot index is masked to the ring length
             let bucket = &mut self.ring[slot];
             self.ring_items -= bucket.len();
-            // The spent drain buffer (just cleared) becomes the slot's
-            // new empty buffer; capacities recycle across cycles.
-            std::mem::swap(&mut self.drain, bucket);
+            // Copied, not swapped: the slot keeps its own buffer, sized
+            // to its own bursts, for the next run that reaches it.
+            self.drain.extend_from_slice(bucket);
+            bucket.clear();
         }
         // Overflow events now at the present join the drain; those that
         // fell inside the (moved) window migrate into the ring.
@@ -339,28 +389,78 @@ impl EventQueue {
 mod tests {
     use super::*;
 
+    impl EventQueue {
+        /// Keys of capacity the queue retains across [`EventQueue::clear`].
+        fn retained_keys(&self) -> usize {
+            let slots: usize = self.ring.iter().map(Vec::capacity).sum();
+            slots + self.drain.capacity() + self.side.0.capacity() + self.overflow.capacity()
+        }
+    }
+
+    /// Cases per seeded generator; override with `NOC_FUZZ_CASES` (the
+    /// scheduled CI fuzz job runs hundreds).
+    fn fuzz_cases() -> u64 {
+        std::env::var("NOC_FUZZ_CASES")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(4)
+    }
+
+    /// The seed of generator case `case`; case 0 is `base` itself.
+    fn case_seed(base: u64, case: u64) -> u64 {
+        base.wrapping_add(case.wrapping_mul(0xd1b5_4a32_d192_ed03))
+    }
+
     /// Reference: plain binary heap.
     fn drain_both(ops: Vec<(bool, u128)>) {
         drain_both_from(EventQueue::default(), ops);
     }
 
-    /// [`drain_both`] starting from `q`, which must be empty.
-    fn drain_both_from(mut q: EventQueue, mut ops: Vec<(bool, u128)>) {
-        let mut h: BinaryHeap<Reverse<u128>> = BinaryHeap::new();
-        for (is_pop, key) in ops.drain(..) {
-            if is_pop {
-                assert_eq!(q.pop(), h.pop().map(|r| r.0));
+    /// Runs `ops` — `(true, _)` pops, `(false, key)` pushes — on `q`,
+    /// which must be empty, and on a binary heap, asserting that every
+    /// pop agrees, then drains both. A push behind the cycle of the last
+    /// pop is moved up to that cycle: the engine never pushes behind the
+    /// event it handles, and the queue refuses such a push. The ops run
+    /// twice: as given, and with every push that a pop directly follows
+    /// handed to `next` as the held key, which must return what the
+    /// heap's push then pop return.
+    fn drain_both_from(q: EventQueue, ops: Vec<(bool, u128)>) {
+        for hold in [false, true] {
+            let mut q = q.clone();
+            let mut h: BinaryHeap<Reverse<u128>> = BinaryHeap::new();
+            let mut present = 0;
+            let mut ops = ops.iter().peekable();
+            while let Some(&(is_pop, k)) = ops.next() {
+                let held = if is_pop {
+                    None
+                } else {
+                    let k = if ((k >> 64) as u64) < present {
+                        key(present, k as u64)
+                    } else {
+                        k
+                    };
+                    h.push(Reverse(k));
+                    if hold && ops.next_if(|op| op.0).is_some() {
+                        Some(k)
+                    } else {
+                        q.push(k);
+                        assert_eq!(q.len(), h.len());
+                        continue;
+                    }
+                };
+                let got = q.next(held);
+                assert_eq!(got, h.pop().map(|r| r.0), "held {held:?}");
                 assert_eq!(q.len(), h.len());
-            } else {
-                q.push(key);
-                h.push(Reverse(key));
+                if let Some(k) = got {
+                    present = (k >> 64) as u64;
+                }
             }
+            while let Some(k) = q.next(None) {
+                assert_eq!(Some(k), h.pop().map(|r| r.0));
+            }
+            assert!(h.pop().is_none());
+            assert_eq!(q.len(), 0);
         }
-        while let Some(k) = q.pop() {
-            assert_eq!(Some(k), h.pop().map(|r| r.0));
-        }
-        assert!(h.pop().is_none());
-        assert_eq!(q.len(), 0);
     }
 
     fn key(t: u64, low: u64) -> u128 {
@@ -382,34 +482,36 @@ mod tests {
 
     #[test]
     fn matches_binary_heap_across_long_gaps() {
-        let mut rng = 0x9e37_79b9_7f4a_7c15;
-        for gap in GAPS {
-            // A lone event that re-queues itself `gap` cycles after the
-            // present, from a seeded start so the slots sit at varied
-            // bit positions.
-            let mut t = xorshift(&mut rng) % 4096;
-            let mut ops = vec![(false, key(t, 0))];
-            for step in 1..300u64 {
-                ops.push((true, 0));
-                t += gap;
-                ops.push((false, key(t, step)));
-            }
-            drain_both(ops);
+        for case in 0..fuzz_cases() {
+            let mut rng = case_seed(0x9e37_79b9_7f4a_7c15, case);
+            for gap in GAPS {
+                // A lone event that re-queues itself `gap` cycles after the
+                // present, from a seeded start so the slots sit at varied
+                // bit positions.
+                let mut t = xorshift(&mut rng) % 4096;
+                let mut ops = vec![(false, key(t, 0))];
+                for step in 1..300u64 {
+                    ops.push((true, 0));
+                    t += gap;
+                    ops.push((false, key(t, step)));
+                }
+                drain_both(ops);
 
-            // Several events in flight: after each pop, one push up to two
-            // gaps ahead of a base time that drifts forward.
-            let mut ops = Vec::new();
-            let mut t = xorshift(&mut rng) % 4096;
-            for p in 0..8u64 {
-                ops.push((false, key(t + p * gap / 4, p)));
+                // Several events in flight: after each pop, one push up to
+                // two gaps ahead of a base time that drifts forward.
+                let mut ops = Vec::new();
+                let mut t = xorshift(&mut rng) % 4096;
+                for p in 0..8u64 {
+                    ops.push((false, key(t + p * gap / 4, p)));
+                }
+                for step in 0..600u64 {
+                    ops.push((true, 0));
+                    t += xorshift(&mut rng) % (2 * gap) / 8;
+                    let ahead = xorshift(&mut rng) % (2 * gap + 1);
+                    ops.push((false, key(t + ahead, step << 8)));
+                }
+                drain_both(ops);
             }
-            for step in 0..600u64 {
-                ops.push((true, 0));
-                t += xorshift(&mut rng) % (2 * gap) / 8;
-                let ahead = xorshift(&mut rng) % (2 * gap + 1);
-                ops.push((false, key(t + ahead, step << 8)));
-            }
-            drain_both(ops);
         }
     }
 
@@ -438,20 +540,22 @@ mod tests {
         // Far keys wait in the overflow heap; each jump of the present
         // migrates the ones now inside the window into the ring, where
         // only their bits lead `advance` to them.
-        let mut rng = 0x2545_f491_4f6c_dd1d;
-        let mut ops = vec![(false, key(0, 0))];
-        for p in 0..96u64 {
-            let t = 2_000 + xorshift(&mut rng) % 12_000;
-            ops.push((false, key(t, p)));
-        }
-        for step in 0..160u64 {
-            ops.push((true, 0));
-            if step % 3 == 0 {
+        for case in 0..fuzz_cases() {
+            let mut rng = case_seed(0x2545_f491_4f6c_dd1d, case);
+            let mut ops = vec![(false, key(0, 0))];
+            for p in 0..96u64 {
                 let t = 2_000 + xorshift(&mut rng) % 12_000;
-                ops.push((false, key(t, 1_000 + step)));
+                ops.push((false, key(t, p)));
             }
+            for step in 0..160u64 {
+                ops.push((true, 0));
+                if step % 3 == 0 {
+                    let t = 2_000 + xorshift(&mut rng) % 12_000;
+                    ops.push((false, key(t, 1_000 + step)));
+                }
+            }
+            drain_both(ops);
         }
-        drain_both(ops);
     }
 
     #[test]
@@ -459,23 +563,25 @@ mod tests {
         // Warm a queue until ring slots across every bitmap word and the
         // overflow heap hold events, clear it, then replay a fresh
         // sequence: a surviving bit would send `advance` to an empty slot.
-        let mut rng = 0x5851_f42d_4c95_7f2d;
-        let mut q = EventQueue::default();
-        for p in 0..400u64 {
-            q.push(key(1 + xorshift(&mut rng) % 3_000, p));
-        }
-        for _ in 0..5 {
-            q.pop();
-        }
-        q.clear();
-        let mut ops = Vec::new();
-        for p in 0..200u64 {
-            ops.push((false, key(500 + xorshift(&mut rng) % 1_500, p)));
-            if p % 4 == 0 {
-                ops.push((true, 0));
+        for case in 0..fuzz_cases() {
+            let mut rng = case_seed(0x5851_f42d_4c95_7f2d, case);
+            let mut q = EventQueue::default();
+            for p in 0..400u64 {
+                q.push(key(1 + xorshift(&mut rng) % 3_000, p));
             }
+            for _ in 0..5 {
+                q.pop();
+            }
+            q.clear();
+            let mut ops = Vec::new();
+            for p in 0..200u64 {
+                ops.push((false, key(500 + xorshift(&mut rng) % 1_500, p)));
+                if p % 4 == 0 {
+                    ops.push((true, 0));
+                }
+            }
+            drain_both_from(q, ops);
         }
-        drain_both_from(q, ops);
     }
 
     #[test]
@@ -498,23 +604,17 @@ mod tests {
     }
 
     #[test]
-    fn matches_binary_heap_beyond_window_and_behind_present() {
+    fn matches_binary_heap_beyond_window() {
         let mut ops = Vec::new();
         // Far-future keys (overflow), then near keys, then pops that
-        // force window migration; includes pushes behind the present.
+        // force window migration.
         for p in 0..32u64 {
             ops.push((false, key(10_000 + p * 700, p)));
         }
         for p in 0..32u64 {
             ops.push((false, key(5 + p, p << 34)));
         }
-        for _ in 0..20 {
-            ops.push((true, 0));
-        }
-        // Behind the present by now.
-        ops.push((false, key(3, 7)));
-        ops.push((false, key(0, 1)));
-        for _ in 0..50 {
+        for _ in 0..70 {
             ops.push((true, 0));
         }
         drain_both(ops);
@@ -551,5 +651,46 @@ mod tests {
         assert_eq!(q.pop(), None);
         q.push(key(2, 9));
         assert_eq!(q.pop(), Some(key(2, 9)));
+    }
+
+    #[test]
+    fn replaying_a_run_retains_the_first_runs_capacity() {
+        // One engine-like run from cycle 0: bursts of start events at
+        // cycles 0, 300, 600 and 2,000 (beyond the window, so it migrates
+        // in), and each popped event re-queueing its packet 1–40 cycles
+        // ahead for five more hops. Replayed on one queue with `clear`
+        // in between, every slot fills exactly as before, so the buffers
+        // the first run grew must serve every later run unchanged.
+        fn run(q: &mut EventQueue) {
+            let mut rng = 0x9e37_79b9_7f4a_7c15;
+            for p in 0..512u64 {
+                q.push(key([0, 300, 600, 2_000][p as usize % 4], p << 8));
+            }
+            while let Some(k) = q.pop() {
+                if (k as u8) < 5 {
+                    let t = (k >> 64) as u64 + 1 + xorshift(&mut rng) % 40;
+                    q.push(key(t, k as u64 + 1));
+                }
+            }
+        }
+        let mut q = EventQueue::default();
+        run(&mut q);
+        let first = q.retained_keys();
+        for replay in 2..=40 {
+            q.clear();
+            run(&mut q);
+            assert_eq!(q.retained_keys(), first, "run {replay}");
+        }
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "push behind the present")]
+    fn a_push_behind_the_present_is_refused() {
+        let mut q = EventQueue::default();
+        q.push(key(7, 0));
+        q.push(key(9, 0));
+        assert_eq!(q.pop(), Some(key(7, 0)));
+        q.push(key(6, 0));
     }
 }
