@@ -145,13 +145,14 @@ pub(crate) struct EventQueue {
     /// and consumed through `drain_pos` as plain array reads.
     drain: Vec<u64>,
     drain_pos: usize,
-    /// Pushes into the present cycle. In the engine's traffic these are
-    /// the start events of cycle 0 (the present starts there), held keys
-    /// that a smaller key of their own cycle keeps waiting (a `DECIDE` in
-    /// the cycle its packet entered the last router, behind another
-    /// packet's event), and, with `tl = tr = 0`, successors with no
-    /// computation injected in their last dependence's cycle. The heap
-    /// stays tiny.
+    /// Pushes into the present cycle. The engine's own follow-ups never
+    /// land here: keys still queued in the present cycle belong to later
+    /// packets than the one just handled (keys pop in order, and a packet
+    /// has one pending event), so its held key of that cycle precedes
+    /// them all. What remains are the start events of cycle 0 (the present starts
+    /// there) and, with `tl = tr = 0`, successors with no computation,
+    /// injected in the cycle their last dependence was delivered. The
+    /// heap stays tiny.
     side: MinHeap64,
     /// `WINDOW` per-cycle buckets of low key halves; slot `t & MASK`
     /// holds time `t`, for `t` in `(cur, cur + WINDOW]`.
@@ -238,11 +239,10 @@ impl EventQueue {
         if next_low.is_some() || self.ring_first_through(ring_last).is_some() {
             return false;
         }
-        if self
-            .overflow
-            .peek()
-            .is_some_and(|r| (r.0 >> 64) as u64 <= t)
-        {
+        // A present moved by held keys migrates nothing: overflow keys may
+        // lie anywhere after it, inside the window included.
+        let over_next = self.overflow.peek().map(|r| (r.0 >> 64) as u64);
+        if over_next.is_some_and(|ot| ot <= t) {
             return false;
         }
         // Ring keys lie in `(t, cur + WINDOW]` and overflow keys after
