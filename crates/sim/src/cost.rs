@@ -12,8 +12,8 @@
 //! `Recorder` type parameter decides what a run reports besides `texec`:
 //!
 //! * [`schedule_cost_with`] and [`CostEvaluator`] pass the zero-sized
-//!   `NoRecord` and allocate nothing after warm-up: all working state
-//!   lives in a reusable [`ScheduleScratch`] indexed by the dense link
+//!   `NoRecord`; all working state lives in a reusable
+//!   [`ScheduleScratch`] indexed by the dense link
 //!   ids of a shared [`RouteSource`]. A search scores a whole cohort
 //!   (a GA generation, a tabu neighborhood) one mapping at a time
 //!   through one evaluator.
@@ -144,11 +144,12 @@ struct FifoSlot {
 /// Reusable working state of the event loop.
 ///
 /// Buffers grow to the high-water mark of the instances they evaluate and
-/// are reused across calls — after warm-up, a cost evaluation allocates
+/// are reused across calls: after warm-up the event loop allocates
 /// nothing, the event queue's per-cycle buckets included (a queue test
-/// replays one run 40 times and pins its retained capacity). A scratch
-/// may be reused across different applications, meshes and mappings;
-/// sizing is re-checked on every call.
+/// replays one run 40 times and pins the queue's retained capacity). The
+/// mapping check of `init_run` still allocates one tile-long vector per
+/// evaluation. A scratch may be reused across different applications,
+/// meshes and mappings; sizing is re-checked on every call.
 #[derive(Debug, Clone, Default)]
 pub struct ScheduleScratch {
     epoch: u64,

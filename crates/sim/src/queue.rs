@@ -17,11 +17,10 @@
 //!
 //! Adopting a slot as the present copies its keys into the one drain
 //! buffer and empties the slot, so each slot keeps only its own
-//! high-water capacity and a warmed queue allocates nothing. (Swapping
-//! the spent drain buffer into the adopted slot instead handed each
-//! burst-sized buffer on to another slot; a run replayed from cycle 0
-//! then grew the burst slots fresh buffers, and the retained capacity
-//! grew run after run.)
+//! high-water capacity and a warmed queue allocates nothing. Swapping
+//! the spent drain buffer into the adopted slot would hand each
+//! burst-sized buffer on to another slot: a run replayed from cycle 0
+//! would grow its burst slots fresh buffers every time.
 //!
 //! An occupancy bitmap keeps one bit per ring slot: set whenever an
 //! event enters the slot (a push, or a migration out of the overflow
@@ -50,10 +49,10 @@
 //! push must lie at or after the present, the cycle of the last key
 //! returned: the engine's handlers push at or after their own event's
 //! cycle, and the present never passes the event being handled. A push
-//! behind it is refused by a debug assertion; there is no spill for it.
-//! Since the engine's keys form a total order (a packet has at most one
-//! pending event), any correct min-queue yields the same simulation;
-//! this one is merely faster.
+//! behind it is a bug, caught by a debug assertion. Since the engine's
+//! keys form a total order (a packet has at most one pending event), any
+//! correct min-queue yields the same simulation; this one is merely
+//! faster.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -149,10 +148,10 @@ pub(crate) struct EventQueue {
     /// land here: keys still queued in the present cycle belong to later
     /// packets than the one just handled (keys pop in order, and a packet
     /// has one pending event), so its held key of that cycle precedes
-    /// them all. What remains are the start events of cycle 0 (the present starts
-    /// there) and, with `tl = tr = 0`, successors with no computation,
-    /// injected in the cycle their last dependence was delivered. The
-    /// heap stays tiny.
+    /// them all. What remains are the start events of cycle 0 (the
+    /// present starts there) and, with `tl = tr = 0`, successors with no
+    /// computation, injected in the cycle their last dependence was
+    /// delivered. The heap stays tiny.
     side: MinHeap64,
     /// `WINDOW` per-cycle buckets of low key halves; slot `t & MASK`
     /// holds time `t`, for `t` in `(cur, cur + WINDOW]`.
