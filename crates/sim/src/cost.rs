@@ -6,17 +6,16 @@
 //! `owner_event`). A packet's own follow-up event (injection → router
 //! entry → link request or `DECIDE` → next router entry) is held out of
 //! the event queue and handled at once when no queued event precedes it;
-//! the queue decides that without looking at its queued events one by one
-//! (see `queue`), and events are handled in exactly the order a heap of
-//! all of them would pop. Its
-//! `Recorder` type parameter decides what a run reports besides `texec`:
+//! the queue decides that without looking at its queued events one by
+//! one (see `queue`), and events are handled in exactly the order a heap
+//! of all of them would pop. Its `Recorder` type parameter decides what
+//! a run reports besides `texec`:
 //!
 //! * [`schedule_cost_with`] and [`CostEvaluator`] pass the zero-sized
-//!   `NoRecord`; all working state lives in a reusable
-//!   [`ScheduleScratch`] indexed by the dense link
-//!   ids of a shared [`RouteSource`]. A search scores a whole cohort
-//!   (a GA generation, a tabu neighborhood) one mapping at a time
-//!   through one evaluator.
+//!   `NoRecord`; all working state lives in a reusable [`ScheduleScratch`]
+//!   indexed by the dense link ids of a shared [`RouteSource`]. A search
+//!   scores a whole cohort (a GA generation, a tabu neighborhood) one
+//!   mapping at a time through one evaluator.
 //! * [`schedule_contention_with`] passes a recorder that only counts
 //!   waits, for callers that report contention but need no schedule.
 //! * [`schedule_with`](crate::schedule_with) passes an artifact recorder
