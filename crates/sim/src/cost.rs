@@ -5,11 +5,11 @@
 //! non-final `DECIDE` folded into its `LINK_REQUEST` (see
 //! `owner_event`). A packet's own follow-up event (injection → router
 //! entry → link request or `DECIDE` → next router entry) is held out of
-//! the event queue and handled at once when no queued event precedes it;
-//! the queue decides that without looking at its queued events one by
-//! one (see `queue`), and events are handled in exactly the order a heap
-//! of all of them would pop. Its `Recorder` type parameter decides what
-//! a run reports besides `texec`:
+//! the event queue: it is compared with the queue's earliest event and
+//! handled at once when that comes later, or else swapped in for it (see
+//! `queue`). Events are handled in exactly the order a heap of all of
+//! them would pop. Its `Recorder` type parameter decides what a run
+//! reports besides `texec`:
 //!
 //! * [`schedule_cost_with`] and [`CostEvaluator`] pass the zero-sized
 //!   `NoRecord`; all working state lives in a reusable [`ScheduleScratch`]
@@ -143,12 +143,11 @@ struct FifoSlot {
 /// Reusable working state of the event loop.
 ///
 /// Buffers grow to the high-water mark of the instances they evaluate and
-/// are reused across calls: after warm-up the event loop allocates
-/// nothing, the event queue's per-cycle buckets included (a queue test
-/// replays one run 40 times and pins the queue's retained capacity). The
-/// mapping check of `init_run` still allocates one tile-long vector per
-/// evaluation. A scratch may be reused across different applications,
-/// meshes and mappings; sizing is re-checked on every call.
+/// are reused across calls: after warm-up a cost evaluation allocates
+/// nothing, from `init_run`'s checks to the event queue's heap (a queue
+/// test replays one run 40 times and pins the heap's retained capacity).
+/// A scratch may be reused across different applications, meshes and
+/// mappings; sizing is re-checked on every call.
 #[derive(Debug, Clone, Default)]
 pub struct ScheduleScratch {
     epoch: u64,
@@ -444,10 +443,11 @@ pub(crate) fn init_run<S: RouteSource + ?Sized>(
 ///
 /// An injection, a router entry that owns its FIFO head and a link
 /// request each end by *holding* their packet's next event instead of
-/// pushing it; the queue's `next` handles it at once when no queued key
-/// is smaller and queues it otherwise. Woken parked packets and injected
-/// successors are pushed. Handlers push at or after their own event's
-/// cycle, which the queue requires.
+/// pushing it. The queue's `next` compares the held key with the heap's
+/// top: it handles the held key at once when the top is larger, and
+/// otherwise swaps it in for the top and handles the top. Woken parked
+/// packets and injected successors are pushed. Handlers push at or after
+/// their own event's cycle, which the queue requires.
 fn run_loop<R: Recorder>(
     cdcg: &Cdcg,
     params: &SimParams,

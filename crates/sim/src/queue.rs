@@ -1,386 +1,69 @@
-//! Calendar event queue of the cost engine.
+//! Event queue of the cost engine: a binary min-heap of the packed
+//! `(time << 64) | discriminant` event keys (see `cost::pack`). Keys are
+//! unique (a packet has one pending event at most), so any correct
+//! min-queue hands them out in the same order.
 //!
-//! [`EventQueue`] is a drop-in replacement for the
-//! `BinaryHeap<Reverse<u128>>` the cost engine's event loop used to run
-//! on, keyed by the same packed `(time << 64) | discriminant` event keys
-//! (see `cost::pack`). It exploits what a generic heap cannot: scheduler
-//! time never runs backwards and event times cluster densely in a narrow
-//! window ahead of the present. Events are binned into a ring of
-//! per-cycle buckets holding only the **low 64 bits** of their keys (the
-//! time is the bucket's); the current cycle is sorted once on adoption —
-//! pushes arrive in near-ascending pop order, hitting the sort's
-//! presorted fast path — and drains by a bare cursor, with a tiny side
-//! heap absorbing same-cycle pushes that arrive mid-drain. Only events
-//! beyond the ring horizon fall back to a real `u128` heap. Pushes into
-//! the ring are O(1) `Vec` appends; pops are array reads instead of
-//! `log(frontier)` 16-byte sift chains.
+//! **The held key.** The engine hands a packet's own follow-up event to
+//! [`EventQueue::next`] instead of pushing it. `next` returns it at once
+//! unless the heap's top is smaller; then it swaps it in for the top and
+//! returns the old top, one sift instead of a push and a pop. Nothing may
+//! be queued or held behind the cycle of the last key returned (the
+//! present); debug builds assert it.
 //!
-//! Adopting a slot as the present copies its keys into the one drain
-//! buffer and empties the slot, so each slot keeps only its own
-//! high-water capacity and a warmed queue allocates nothing. Swapping
-//! the spent drain buffer into the adopted slot would hand each
-//! burst-sized buffer on to another slot: a run replayed from cycle 0
-//! would grow its burst slots fresh buffers every time.
-//!
-//! An occupancy bitmap keeps one bit per ring slot: set whenever an
-//! event enters the slot (a push, or a migration out of the overflow
-//! heap), cleared when the slot is adopted as the present and on
-//! [`EventQueue::clear`]. Moving to the next non-empty cycle is then a
-//! `trailing_zeros` over at most `WORDS + 1` words rather than a probe
-//! of every empty slot in between, so rows whose events are spread thin
-//! over time pay for the events, not for the idle cycles between them.
-//!
-//! **The held key.** Most events are followed by their own packet's next
-//! event as the very next one handled. The engine hands that follow-up
-//! key to [`EventQueue::next`] instead of pushing it, and `next` returns
-//! it at once, never queued, when no queued key is smaller. The check
-//! looks at no queued key one by one. A key in the present cycle is
-//! compared with that cycle's next key; ring and overflow keys all lie in
-//! later cycles. A key in a later cycle needs the present drained, no
-//! occupancy bit set up to its cycle and no overflow key at or before it;
-//! taking it then moves the present to its cycle. Otherwise the key is
-//! pushed and the minimum popped.
-//!
-//! The contract — property-pinned by the repository's bit-exactness
-//! suites — is that the sequence of keys returned is **identical** to
-//! the binary heap's: `next(Some(k))` returns what `push(k)` then `pop()`
-//! return, keys are drawn in ascending `u128` order no matter how pushes
-//! interleave, same-cycle pushes while that cycle drains included. Every
-//! push must lie at or after the present, the cycle of the last key
-//! returned: the engine's handlers push at or after their own event's
-//! cycle, and the present never passes the event being handled. A push
-//! behind it is a bug, caught by a debug assertion. Since the engine's
-//! keys form a total order (a packet has at most one pending event), any
-//! correct min-queue yields the same simulation; this one is merely
-//! faster.
+//! **Why a heap.** Over random mappings the Table 1 rows keep a median of
+//! 5–36 pending keys (105–132 on tgff-g/h/i) in about as many distinct
+//! cycles, so a calendar of per-cycle buckets, which this heap replaced,
+//! held one key per bucket and was slower on all 18 rows. It paid off
+//! only on dense frontiers: the 64×64 shift (2,400 keys in 95 cycles) and
+//! the 8×8×4 stack (200 in 7) run up to a fifth longer on the heap.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// Ring capacity in cycles. Push deltas in the engine are bounded by
-/// `n_flits·tl + tr` and successor `comp_cycles` — typically well under
-/// a thousand cycles; anything farther ahead overflows into the `u128`
-/// heap and migrates back into the ring as time advances.
-const WINDOW: u64 = 1024;
-const MASK: u64 = WINDOW - 1;
-/// Words of the ring's occupancy bitmap, one bit per slot.
-const WORDS: usize = (WINDOW / 64) as usize;
-
-/// A growable binary min-heap over `u64` intra-cycle key halves, with
-/// hole-based sifting and an O(n) `heapify` for bucket adoption.
-#[derive(Debug, Clone, Default)]
-struct MinHeap64(Vec<u64>);
-
-impl MinHeap64 {
-    #[inline]
-    fn peek(&self) -> Option<u64> {
-        self.0.first().copied()
-    }
-
-    #[inline]
-    fn push(&mut self, x: u64) {
-        let v = &mut self.0;
-        v.push(x);
-        let mut i = v.len() - 1;
-        while i > 0 {
-            let p = (i - 1) / 2;
-            // noc-verify: allow(PANIC01) — p < i < len by the heap index arithmetic
-            let pv = v[p];
-            if pv <= x {
-                break;
-            }
-            // noc-verify: allow(PANIC01) — i and p are in-bounds heap positions
-            v[i] = pv;
-            i = p;
-        }
-        // noc-verify: allow(PANIC01) — i is an in-bounds heap position
-        v[i] = x;
-    }
-
-    #[inline]
-    fn pop(&mut self) -> Option<u64> {
-        let v = &mut self.0;
-        let min = v.first().copied()?;
-        // noc-verify: allow(PANIC01) — the heap is non-empty here
-        let last = v[v.len() - 1];
-        v.truncate(v.len() - 1);
-        let len = v.len();
-        if len > 0 {
-            let mut i = 0usize;
-            loop {
-                let l = 2 * i + 1;
-                if l >= len {
-                    break;
-                }
-                let r = l + 1;
-                // noc-verify: allow(PANIC01) — l (and r when taken) checked against len above
-                let c = if r < len && v[r] < v[l] { r } else { l };
-                // noc-verify: allow(PANIC01) — c < len by construction
-                let cv = v[c];
-                if cv >= last {
-                    break;
-                }
-                // noc-verify: allow(PANIC01) — i < len: it held a value this iteration
-                v[i] = cv;
-                i = c;
-            }
-            // noc-verify: allow(PANIC01) — i < len: the hole the loop maintained
-            v[i] = last;
-        }
-        Some(min)
-    }
-}
-
-/// See the module docs. `Default`/`clear` leave the ring unallocated;
-/// the first push materializes it, and buffers are retained across runs
-/// so a warmed queue allocates nothing.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct EventQueue {
-    len: usize,
-    /// Cycle the drain belongs to: the present.
-    cur: u64,
-    /// Low key halves at time `cur`, sorted ascending once on adoption
-    /// (pushes arrive in near-sorted pop order, so the sort is cheap)
-    /// and consumed through `drain_pos` as plain array reads.
-    drain: Vec<u64>,
-    drain_pos: usize,
-    /// Pushes into the present cycle. The engine's own follow-ups never
-    /// land here: keys still queued in the present cycle belong to later
-    /// packets than the one just handled (keys pop in order, and a packet
-    /// has one pending event), so its held key of that cycle precedes
-    /// them all. What remains are the start events of cycle 0 (the
-    /// present starts there) and, with `tl = tr = 0`, successors with no
-    /// computation, injected in the cycle their last dependence was
-    /// delivered. The heap stays tiny.
-    side: MinHeap64,
-    /// `WINDOW` per-cycle buckets of low key halves; slot `t & MASK`
-    /// holds time `t`, for `t` in `(cur, cur + WINDOW]`.
-    ring: Vec<Vec<u64>>,
-    /// Bit `s` is set iff `ring[s]` is non-empty.
-    occupied: [u64; WORDS],
-    /// Total events parked in the ring.
-    ring_items: usize,
-    /// Events pushed beyond the ring horizon (full keys), all after the
-    /// present; they drain back into the ring as the present advances.
-    overflow: BinaryHeap<Reverse<u128>>,
+    heap: BinaryHeap<Reverse<u128>>,
+    /// The present: cycle of the last key returned.
+    #[cfg(debug_assertions)]
+    present: u64,
 }
 
 impl EventQueue {
-    #[cfg(test)]
-    fn len(&self) -> usize {
-        self.len
-    }
-
+    /// Empties the queue; its buffer stays for the next run.
     pub(crate) fn clear(&mut self) {
-        self.len = 0;
-        self.cur = 0;
-        self.drain.clear();
-        self.drain_pos = 0;
-        self.side.0.clear();
-        if self.ring_items > 0 {
-            for slot in &mut self.ring {
-                slot.clear();
-            }
-            self.occupied = [0; WORDS];
-            self.ring_items = 0;
+        self.heap.clear();
+        #[cfg(debug_assertions)]
+        {
+            self.present = 0;
         }
-        self.overflow.clear();
     }
 
     /// Queues `key`, which must lie at or after the present.
     #[inline]
     pub(crate) fn push(&mut self, key: u128) {
-        self.len += 1;
-        let t = (key >> 64) as u64;
-        debug_assert!(t >= self.cur, "push behind the present");
-        if t > self.cur {
-            let d = t - self.cur;
-            if d <= WINDOW {
-                self.ring_push(t, key as u64);
-            } else {
-                self.overflow.push(Reverse(key));
-            }
-        } else {
-            self.side.push(key as u64);
-        }
+        #[cfg(debug_assertions)]
+        assert!(key >> 64 >= self.present.into(), "push behind the present");
+        self.heap.push(Reverse(key));
     }
 
     /// The next key to handle once `held`, if any, joins the queue: what
-    /// `push(held)` then `pop()` return. A held key that no queued key
-    /// precedes is returned without being queued (see the module docs).
-    // Forced: rustc does not inline this per-event call into the loop,
-    // generic over its recorder, by itself (4–10% per cost-only run).
-    #[inline(always)]
+    /// `push(held)` then a pop would return.
+    #[inline]
     pub(crate) fn next(&mut self, held: Option<u128>) -> Option<u128> {
-        if let Some(key) = held {
-            if self.take_held(key) {
-                return Some(key);
-            }
-            self.push(key);
-        }
-        self.pop()
-    }
-
-    /// Whether `key`, at or after the present, precedes every queued key.
-    /// A key of a later cycle that does moves the present to its cycle.
-    #[inline(always)]
-    fn take_held(&mut self, key: u128) -> bool {
-        let t = (key >> 64) as u64;
-        let next_low = self.bucket_peek_low();
-        if t == self.cur {
-            // Ring and overflow keys lie in later cycles.
-            return next_low.is_none_or(|low| (key as u64) < low);
-        }
-        debug_assert!(t > self.cur, "held key behind the present");
-        // Every ring key lies at or before `cur + WINDOW`: a key beyond
-        // the window waits for an empty ring.
-        let ring_last = t.min(self.cur + WINDOW);
-        if next_low.is_some() || self.ring_first_through(ring_last).is_some() {
-            return false;
-        }
-        // A present moved by held keys migrates nothing: overflow keys may
-        // lie anywhere after it, inside the window included.
-        let over_next = self.overflow.peek().map(|r| (r.0 >> 64) as u64);
-        if over_next.is_some_and(|ot| ot <= t) {
-            return false;
-        }
-        // Ring keys lie in `(t, cur + WINDOW]` and overflow keys after
-        // `t`: the moved present keeps every slot's time unique.
-        self.cur = t;
-        true
-    }
-
-    #[inline(always)]
-    fn pop(&mut self) -> Option<u128> {
-        if self.len == 0 {
-            return None;
-        }
-        self.len -= 1;
-        if let Some(low) = self.bucket_pop_low() {
-            return Some(self.key_at_cur(low));
-        }
-        self.advance();
-        let low = self.bucket_pop_low()?;
-        Some(self.key_at_cur(low))
-    }
-
-    #[inline]
-    fn key_at_cur(&self, low: u64) -> u128 {
-        ((self.cur as u128) << 64) | low as u128
-    }
-
-    #[inline]
-    fn bucket_peek_low(&self) -> Option<u64> {
-        let d = self.drain.get(self.drain_pos).copied();
-        match (d, self.side.peek()) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
-    }
-
-    #[inline]
-    fn bucket_pop_low(&mut self) -> Option<u64> {
-        match (self.drain.get(self.drain_pos).copied(), self.side.peek()) {
-            (Some(a), Some(b)) if b < a => self.side.pop(),
-            (Some(a), _) => {
-                self.drain_pos += 1;
-                Some(a)
-            }
-            (None, Some(_)) => self.side.pop(),
-            (None, None) => None,
-        }
-    }
-
-    /// Parks `low` in the ring slot of time `t` and marks the slot
-    /// occupied. `t` must lie in `(cur, cur + WINDOW]`.
-    #[inline]
-    fn ring_push(&mut self, t: u64, low: u64) {
-        if self.ring.is_empty() {
-            self.ring.resize_with(WINDOW as usize, Vec::new);
-        }
-        let slot = (t & MASK) as usize;
-        // noc-verify: allow(PANIC01) — slot index is masked to the ring length
-        self.ring[slot].push(low);
-        // noc-verify: allow(PANIC01) — slot < WINDOW, so slot / 64 < WORDS
-        self.occupied[slot / 64] |= 1 << (slot % 64);
-        self.ring_items += 1;
-    }
-
-    /// Time of the earliest ring event up to cycle `last`, which lies in
-    /// `(cur, cur + WINDOW]`, or `None` if no slot up to it is occupied.
-    /// Scans the bitmap from the slot of `cur + 1` to the slot of `last`.
-    /// Slots are numbered on from `start` without wrapping (`end` <
-    /// `start + WINDOW`), so a slot's distance from `start` is its time's
-    /// distance from `cur + 1`; only the word index wraps.
-    fn ring_first_through(&self, last: u64) -> Option<u64> {
-        debug_assert!(last > self.cur && last - self.cur <= WINDOW);
-        if self.ring_items == 0 {
-            return None;
-        }
-        let start = (self.cur + 1) & MASK;
-        let end = start + (last - self.cur - 1);
-        for w in start / 64..=end / 64 {
-            // noc-verify: allow(PANIC01) — the word index is reduced modulo WORDS
-            let mut bits = self.occupied[(w % WORDS as u64) as usize];
-            if w == start / 64 {
-                bits &= u64::MAX << (start % 64);
-            }
-            if w == end / 64 {
-                bits &= u64::MAX >> (63 - end % 64);
-            }
-            if bits != 0 {
-                let slot = w * 64 + u64::from(bits.trailing_zeros());
-                return Some(self.cur + 1 + (slot - start));
-            }
-        }
-        None
-    }
-
-    /// Moves the present to the next non-empty cycle and adopts its
-    /// events into the drain. Called only when the present is drained
-    /// but events remain.
-    fn advance(&mut self) {
-        debug_assert!(self.ring_items > 0 || !self.overflow.is_empty());
-        let ring_next = self.ring_first_through(self.cur + WINDOW);
-        let over_next = self.overflow.peek().map(|r| (r.0 >> 64) as u64);
-        let t = match (ring_next, over_next) {
-            (Some(a), Some(b)) => a.min(b),
-            (Some(a), None) => a,
-            (None, Some(b)) => b,
-            (None, None) => return,
+        let key = match held {
+            Some(held) => match self.heap.peek_mut() {
+                Some(mut top) if top.0 < held => std::mem::replace(&mut *top, Reverse(held)).0,
+                _ => held,
+            },
+            None => self.heap.pop()?.0,
         };
-        self.cur = t;
-        debug_assert!(self.side.peek().is_none());
-        self.drain.clear();
-        self.drain_pos = 0;
-        if ring_next == Some(t) {
-            let slot = (t & MASK) as usize;
-            // noc-verify: allow(PANIC01) — slot < WINDOW, so slot / 64 < WORDS
-            self.occupied[slot / 64] &= !(1 << (slot % 64));
-            // noc-verify: allow(PANIC01) — slot index is masked to the ring length
-            let bucket = &mut self.ring[slot];
-            self.ring_items -= bucket.len();
-            // Copied, not swapped: the slot keeps its own buffer, sized
-            // to its own bursts, for the next run that reaches it.
-            self.drain.extend_from_slice(bucket);
-            bucket.clear();
+        #[cfg(debug_assertions)]
+        {
+            let cycle = (key >> 64) as u64;
+            assert!(cycle >= self.present, "held key behind the present");
+            self.present = cycle;
         }
-        // Overflow events now at the present join the drain; those that
-        // fell inside the (moved) window migrate into the ring.
-        while let Some(&Reverse(key)) = self.overflow.peek() {
-            let kt = (key >> 64) as u64;
-            if kt == t {
-                self.drain.push(key as u64);
-            } else if kt - t <= WINDOW {
-                self.ring_push(kt, key as u64);
-            } else {
-                break;
-            }
-            self.overflow.pop();
-        }
-        // Pushes arrive in (near-)ascending pop order, so this is the
-        // sort's precomputed-pattern fast path most cycles.
-        self.drain.sort_unstable();
+        Some(key)
     }
 }
 
@@ -389,12 +72,24 @@ mod tests {
     use super::*;
 
     impl EventQueue {
+        fn len(&self) -> usize {
+            self.heap.len()
+        }
+
         /// Keys of capacity the queue retains across [`EventQueue::clear`].
         fn retained_keys(&self) -> usize {
-            let slots: usize = self.ring.iter().map(Vec::capacity).sum();
-            slots + self.drain.capacity() + self.side.0.capacity() + self.overflow.capacity()
+            self.heap.capacity()
+        }
+
+        fn pop(&mut self) -> Option<u128> {
+            self.next(None)
         }
     }
+
+    /// Width in cycles of the per-cycle calendar this queue replaced. The
+    /// long-gap tests still probe gaps around it: a min-queue must not
+    /// care how far ahead a key lies.
+    const WINDOW: u64 = 1024;
 
     /// Cases per seeded generator; override with `NOC_FUZZ_CASES` (the
     /// scheduled CI fuzz job runs hundreds).
@@ -474,9 +169,7 @@ mod tests {
         *state
     }
 
-    /// Gaps that cross bitmap words (63–65), reach the far end of the
-    /// ring (1,023, and 1,024 = `WINDOW`, which lands in the slot just
-    /// adopted) and overshoot it into the overflow heap (1,025, 5,000).
+    /// Gaps around 64 and around `WINDOW`, and one far beyond it.
     const GAPS: [u64; 7] = [63, 64, 65, 1023, 1024, 1025, 5000];
 
     #[test]
@@ -485,8 +178,7 @@ mod tests {
             let mut rng = case_seed(0x9e37_79b9_7f4a_7c15, case);
             for gap in GAPS {
                 // A lone event that re-queues itself `gap` cycles after the
-                // present, from a seeded start so the slots sit at varied
-                // bit positions.
+                // present, from a seeded start.
                 let mut t = xorshift(&mut rng) % 4096;
                 let mut ops = vec![(false, key(t, 0))];
                 for step in 1..300u64 {
@@ -516,8 +208,8 @@ mod tests {
 
     #[test]
     fn push_a_full_window_ahead_lands_in_the_adopted_slot() {
-        // Popping the first key at cycle 10 adopts slot 10; a push at
-        // 10 + WINDOW maps to that same slot while cycle 10 still drains.
+        // Pushes a window ahead of cycle 10 while cycle 10 still has
+        // keys queued: they must wait behind every key of cycle 10.
         let ops = vec![
             (false, key(10, 1)),
             (false, key(10, 2)),
@@ -536,9 +228,8 @@ mod tests {
 
     #[test]
     fn migrated_overflow_keys_are_found_through_their_bits() {
-        // Far keys wait in the overflow heap; each jump of the present
-        // migrates the ones now inside the window into the ring, where
-        // only their bits lead `advance` to them.
+        // Keys scattered thousands of cycles ahead, with more of them
+        // pushed as the present jumps from one to the next.
         for case in 0..fuzz_cases() {
             let mut rng = case_seed(0x2545_f491_4f6c_dd1d, case);
             let mut ops = vec![(false, key(0, 0))];
@@ -559,9 +250,9 @@ mod tests {
 
     #[test]
     fn clear_leaves_no_stale_bit() {
-        // Warm a queue until ring slots across every bitmap word and the
-        // overflow heap hold events, clear it, then replay a fresh
-        // sequence: a surviving bit would send `advance` to an empty slot.
+        // Warm a queue with keys spread over 3,000 cycles, clear it, then
+        // replay a fresh sequence: a key or a present left over from the
+        // warm-up would show in the replay.
         for case in 0..fuzz_cases() {
             let mut rng = case_seed(0x5851_f42d_4c95_7f2d, case);
             let mut q = EventQueue::default();
@@ -605,8 +296,7 @@ mod tests {
     #[test]
     fn matches_binary_heap_beyond_window() {
         let mut ops = Vec::new();
-        // Far-future keys (overflow), then near keys, then pops that
-        // force window migration.
+        // Far-future keys, then near keys, then pops through both.
         for p in 0..32u64 {
             ops.push((false, key(10_000 + p * 700, p)));
         }
@@ -655,11 +345,11 @@ mod tests {
     #[test]
     fn replaying_a_run_retains_the_first_runs_capacity() {
         // One engine-like run from cycle 0: bursts of start events at
-        // cycles 0, 300, 600 and 2,000 (beyond the window, so it migrates
-        // in), and each popped event re-queueing its packet 1–40 cycles
-        // ahead for five more hops. Replayed on one queue with `clear`
-        // in between, every slot fills exactly as before, so the buffers
-        // the first run grew must serve every later run unchanged.
+        // cycles 0, 300, 600 and 2,000, and each popped event re-queueing
+        // its packet 1–40 cycles ahead for five more hops. Replayed on one
+        // queue with `clear` in between, the queue fills exactly as
+        // before, so the buffer the first run grew must serve every later
+        // run unchanged.
         fn run(q: &mut EventQueue) {
             let mut rng = 0x9e37_79b9_7f4a_7c15;
             for p in 0..512u64 {
