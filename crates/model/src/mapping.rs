@@ -145,31 +145,36 @@ impl Mapping {
         }
     }
 
-    /// Checks injectivity and consistency of the two internal indexes.
+    /// Checks injectivity and consistency of the two internal indexes,
+    /// without allocating: each core in order is checked against the
+    /// inverse table. Its tile's entry must name it; an entry naming an
+    /// earlier core on the same tile is a conflict, any other mismatch an
+    /// incomplete mapping.
     ///
     /// # Errors
     ///
     /// Returns the first violated invariant; mappings produced through the
     /// public API are always valid, so this matters after deserialization.
     pub fn validate(&self) -> Result<(), ModelError> {
-        let mut seen: Vec<Option<CoreId>> = vec![None; self.cores.len()];
         for (core, tile) in self.assignments() {
-            if tile.index() >= self.cores.len() {
-                return Err(ModelError::UnknownTile(tile));
-            }
-            if let Some(prev) = seen[tile.index()] {
-                return Err(ModelError::TileConflict {
-                    tile,
-                    first: prev,
-                    second: core,
-                });
-            }
-            seen[tile.index()] = Some(core);
-            if self.cores[tile.index()] != Some(core) {
-                return Err(ModelError::IncompleteMapping {
-                    mapped: self.cores.iter().flatten().count(),
-                    expected: self.tiles.len(),
-                });
+            match self.cores.get(tile.index()) {
+                None => return Err(ModelError::UnknownTile(tile)),
+                Some(&Some(owner)) if owner == core => {}
+                Some(&Some(first))
+                    if first < core && self.tiles.get(first.index()) == Some(&tile) =>
+                {
+                    return Err(ModelError::TileConflict {
+                        tile,
+                        first,
+                        second: core,
+                    });
+                }
+                Some(_) => {
+                    return Err(ModelError::IncompleteMapping {
+                        mapped: self.cores.iter().flatten().count(),
+                        expected: self.tiles.len(),
+                    });
+                }
             }
         }
         Ok(())
@@ -262,6 +267,75 @@ mod tests {
     fn display_shows_assignments() {
         let m = Mapping::identity(&mesh(), 2).unwrap();
         assert_eq!(m.to_string(), "[c0@t0, c1@t1]");
+    }
+
+    /// The first `validate`: marks each core's tile in a tile-long vector.
+    fn validate_with_a_seen_vector(m: &Mapping) -> Result<(), ModelError> {
+        let mut seen: Vec<Option<CoreId>> = vec![None; m.cores.len()];
+        for (core, tile) in m.assignments() {
+            if tile.index() >= m.cores.len() {
+                return Err(ModelError::UnknownTile(tile));
+            }
+            if let Some(prev) = seen[tile.index()] {
+                return Err(ModelError::TileConflict {
+                    tile,
+                    first: prev,
+                    second: core,
+                });
+            }
+            seen[tile.index()] = Some(core);
+            if m.cores[tile.index()] != Some(core) {
+                return Err(ModelError::IncompleteMapping {
+                    mapped: m.cores.iter().flatten().count(),
+                    expected: m.tiles.len(),
+                });
+            }
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn validate_matches_the_seen_vector_check() {
+        // Seeded mappings: a random valid placement on 1–6 tiles, then up
+        // to three edits of either table, which may point a core at a tile
+        // past the table, at an occupied tile, or leave the inverse stale.
+        let mut rng = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut next = |bound: usize| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            (rng % bound as u64) as usize
+        };
+        let mut outcomes = [0; 4];
+        for _ in 0..20_000 {
+            let n = 1 + next(6);
+            let k = next(n + 1);
+            let mut free: Vec<usize> = (0..n).collect();
+            let tiles: Vec<TileId> = (0..k)
+                .map(|_| TileId::new(free.swap_remove(next(free.len()))))
+                .collect();
+            let mut cores = vec![None; n];
+            for (c, t) in tiles.iter().enumerate() {
+                cores[t.index()] = Some(CoreId::new(c));
+            }
+            let mut m = Mapping { tiles, cores };
+            for _ in 0..next(4) {
+                if k > 0 && next(2) == 0 {
+                    m.tiles[next(k)] = TileId::new(next(n + 1));
+                } else {
+                    m.cores[next(n)] = [None, Some(CoreId::new(next(k + 1)))][next(2)];
+                }
+            }
+            let got = m.validate();
+            assert_eq!(got, validate_with_a_seen_vector(&m), "{m:?}");
+            outcomes[match got {
+                Ok(()) => 0,
+                Err(ModelError::UnknownTile(_)) => 1,
+                Err(ModelError::TileConflict { .. }) => 2,
+                Err(_) => 3,
+            }] += 1;
+        }
+        assert!(outcomes.iter().all(|&n| n > 100), "{outcomes:?}");
     }
 
     #[test]
