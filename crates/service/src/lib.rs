@@ -235,6 +235,9 @@ mod tests {
             Mesh::new(3, 3).unwrap(),
             SearchMethod::SimulatedAnnealing(SaConfig {
                 max_evaluations: BUDGET,
+                // Never stop on a stall: the job must still run when the
+                // cancel lands, however fast the engine is.
+                stall_epochs: usize::MAX,
                 ..SaConfig::quick(3)
             }),
         );
