@@ -147,9 +147,9 @@ impl Mapping {
 
     /// Checks injectivity and consistency of the two internal indexes,
     /// without allocating: each core in order is checked against the
-    /// inverse table. Its tile's entry must name it; an entry naming an
-    /// earlier core on the same tile is a conflict, any other mismatch an
-    /// incomplete mapping.
+    /// inverse table. A tile past the table is unknown; the tile's entry
+    /// must name the core, an entry naming an earlier core on the same
+    /// tile is a conflict, and any other mismatch an incomplete mapping.
     ///
     /// # Errors
     ///
@@ -269,7 +269,8 @@ mod tests {
         assert_eq!(m.to_string(), "[c0@t0, c1@t1]");
     }
 
-    /// The first `validate`: marks each core's tile in a tile-long vector.
+    /// Reference for `validate`: marks each core's tile in a tile-long
+    /// vector.
     fn validate_with_a_seen_vector(m: &Mapping) -> Result<(), ModelError> {
         let mut seen: Vec<Option<CoreId>> = vec![None; m.cores.len()];
         for (core, tile) in m.assignments() {

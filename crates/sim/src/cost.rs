@@ -5,11 +5,12 @@
 //! non-final `DECIDE` folded into its `LINK_REQUEST` (see
 //! `owner_event`). A packet's own follow-up event (injection → router
 //! entry → link request or `DECIDE` → next router entry) is held out of
-//! the event queue: it is compared with the queue's earliest event and
-//! handled at once when that comes later, or else swapped in for it (see
-//! `queue`). Events are handled in exactly the order a heap of all of
-//! them would pop. Its `Recorder` type parameter decides what a run
-//! reports besides `texec`:
+//! the event queue and handed to its `next`, which handles it at once
+//! when no queued event precedes it (see `queue`; a run whose start
+//! events crowd one cycle runs on the queue's calendar, any other on its
+//! heap). Events are handled in exactly the order a heap of all of them
+//! would pop. Its `Recorder` type parameter decides what a run reports
+//! besides `texec`:
 //!
 //! * [`schedule_cost_with`] and [`CostEvaluator`] pass the zero-sized
 //!   `NoRecord`; all working state lives in a reusable [`ScheduleScratch`]
@@ -144,8 +145,8 @@ struct FifoSlot {
 ///
 /// Buffers grow to the high-water mark of the instances they evaluate and
 /// are reused across calls: after warm-up a cost evaluation allocates
-/// nothing, from `init_run`'s checks to the event queue's heap (a queue
-/// test replays one run 40 times and pins the heap's retained capacity).
+/// nothing, from `init_run`'s checks to the event queue (a queue test
+/// replays one run 40 times and pins the queue's retained capacity).
 /// A scratch may be reused across different applications, meshes and
 /// mappings; sizing is re-checked on every call.
 #[derive(Debug, Clone, Default)]
@@ -236,7 +237,6 @@ impl ScheduleScratch {
             self.fifo.resize(n_links, FifoSlot::default());
         }
         self.epoch += 1;
-        self.queue.clear();
     }
 
     #[inline]
@@ -359,7 +359,10 @@ pub(crate) fn run_primed<S: RouteSource + ?Sized, R: Recorder>(
 
 /// Validates the instance, sizes the scratch, resolves spans/flits and
 /// seeds the start events — everything a run does before its event
-/// loop. For buffering route sources the packet walks land in
+/// loop. It clears the event queue for the calendar when at least
+/// `queue::CROWDED_START` start events share the earliest start cycle,
+/// and for the heap otherwise (see `queue`). For
+/// buffering route sources the packet walks land in
 /// `scratch.walks` (cleared first); dense sources leave it empty and
 /// span their shared flat array.
 ///
@@ -428,10 +431,16 @@ pub(crate) fn init_run<S: RouteSource + ?Sized>(
         *ready = 0;
     }
 
+    let start_cycle = |id: PacketId| cdcg.packet(id).comp_cycles;
+    let first = cdcg.start_packets().map(start_cycle).min();
+    let crowd = (cdcg.start_packets())
+        .filter(|&id| Some(start_cycle(id)) == first)
+        .count();
+    scratch.queue.clear(crowd >= crate::queue::CROWDED_START);
     for id in cdcg.start_packets() {
         scratch
             .queue
-            .push(pack(cdcg.packet(id).comp_cycles, id.index(), INJECT, 0));
+            .push(pack(start_cycle(id), id.index(), INJECT, 0));
     }
     Ok(())
 }
@@ -443,11 +452,11 @@ pub(crate) fn init_run<S: RouteSource + ?Sized>(
 ///
 /// An injection, a router entry that owns its FIFO head and a link
 /// request each end by *holding* their packet's next event instead of
-/// pushing it. The queue's `next` compares the held key with the heap's
-/// top: it handles the held key at once when the top is larger, and
-/// otherwise swaps it in for the top and handles the top. Woken parked
-/// packets and injected successors are pushed. Handlers push at or after
-/// their own event's cycle, which the queue requires.
+/// pushing it. The queue's `next` returns the held key at once when no
+/// queued key is smaller, and otherwise queues it and returns the
+/// smallest. Woken parked packets and injected successors are pushed.
+/// Handlers push at or after their own event's cycle, which the queue
+/// requires.
 fn run_loop<R: Recorder>(
     cdcg: &Cdcg,
     params: &SimParams,
@@ -864,6 +873,43 @@ mod tests {
         assert_eq!(eval.texec_cycles(&b).unwrap(), 90);
         assert_eq!(eval.texec_cycles(&a).unwrap(), first);
         assert_eq!(first, 100);
+    }
+
+    #[test]
+    fn a_run_takes_the_calendar_when_its_start_events_crowd_a_cycle() {
+        // Figure 1 starts one packet in each start cycle. A ring of
+        // `CROWDED_START` cores, each sending at cycle 0, starts crowded;
+        // one core fewer does not.
+        let mesh = Mesh::new(6, 6).unwrap();
+        let params = SimParams::paper_example();
+        let ring = |n: usize| {
+            let mut g = Cdcg::new();
+            let cores: Vec<_> = (0..n).map(|i| g.add_core(format!("c{i}"))).collect();
+            for (i, &c) in cores.iter().enumerate() {
+                g.add_packet(c, cores[(i + 1) % n], 0, 64).unwrap();
+            }
+            g
+        };
+        let crowd = crate::queue::CROWDED_START;
+        for (cdcg, crowded) in [
+            (figure1_cdcg(), false),
+            (ring(crowd - 1), false),
+            (ring(crowd), true),
+        ] {
+            let mapping = Mapping::identity(&mesh, cdcg.core_count()).unwrap();
+            let routes = RouteProvider::auto(&mesh, RoutingKind::Xy);
+            let mut scratch = ScheduleScratch::new();
+            init_run(&cdcg, &mesh, &mapping, &params, &routes, None, &mut scratch).unwrap();
+            assert_eq!(
+                scratch.queue.is_crowded(),
+                crowded,
+                "{} cores",
+                cdcg.core_count()
+            );
+            let texec = run_primed(&cdcg, &params, &routes, &mut scratch, &mut NoRecord);
+            let full = schedule(&cdcg, &mesh, &mapping, &params).unwrap();
+            assert_eq!(texec, full.texec_cycles());
+        }
     }
 
     #[test]
