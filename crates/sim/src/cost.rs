@@ -237,6 +237,7 @@ impl ScheduleScratch {
             self.fifo.resize(n_links, FifoSlot::default());
         }
         self.epoch += 1;
+        self.queue.clear();
     }
 
     #[inline]
@@ -359,10 +360,8 @@ pub(crate) fn run_primed<S: RouteSource + ?Sized, R: Recorder>(
 
 /// Validates the instance, sizes the scratch, resolves spans/flits and
 /// seeds the start events — everything a run does before its event
-/// loop. It clears the event queue for the calendar when at least
-/// `queue::CROWDED_START` start events share the earliest start cycle,
-/// and for the heap otherwise (see `queue`). For
-/// buffering route sources the packet walks land in
+/// loop; the event queue picks its representation from the start events
+/// (see `queue`). For buffering route sources the packet walks land in
 /// `scratch.walks` (cleared first); dense sources leave it empty and
 /// span their shared flat array.
 ///
@@ -429,19 +428,13 @@ pub(crate) fn init_run<S: RouteSource + ?Sized>(
         *flits = params.flits(p.bits).max(1);
         *pending = cdcg.predecessors(id).len() as u32;
         *ready = 0;
+        if *pending == 0 {
+            scratch
+                .queue
+                .push(pack(p.comp_cycles, id.index(), INJECT, 0));
+        }
     }
-
-    let start_cycle = |id: PacketId| cdcg.packet(id).comp_cycles;
-    let first = cdcg.start_packets().map(start_cycle).min();
-    let crowd = (cdcg.start_packets())
-        .filter(|&id| Some(start_cycle(id)) == first)
-        .count();
-    scratch.queue.clear(crowd >= crate::queue::CROWDED_START);
-    for id in cdcg.start_packets() {
-        scratch
-            .queue
-            .push(pack(start_cycle(id), id.index(), INJECT, 0));
-    }
+    scratch.queue.start();
     Ok(())
 }
 

@@ -20,9 +20,9 @@
 //! each of those keys through the whole frontier and takes 1.7–1.9× as
 //! long per evaluation there; a calendar of per-cycle buckets handles a
 //! key in O(1), but handles a lone key per cycle more slowly than the
-//! heap (1.6× as long summed over the Table 1 rows; CHANGES.md has the
-//! measurements). The engine picks the representation per run with
-//! [`EventQueue::clear`].
+//! heap (about 1.6× as long summed over the Table 1 rows; CHANGES.md has
+//! the measurements). The queue picks the representation of a run from
+//! its start events, in [`EventQueue::start`].
 //!
 //! The calendar bins events into a ring of per-cycle buckets holding only
 //! the low 64 bits of their keys (the time is the bucket's). The current
@@ -61,15 +61,32 @@ impl EventQueue {
         self.crowded
     }
 
-    /// Empties the queue for a run that takes the calendar when `crowded`
-    /// and the heap otherwise. Buffers stay for the next run.
-    pub(crate) fn clear(&mut self, crowded: bool) {
+    /// Empties the queue for the next run, which starts on the heap.
+    /// Buffers stay.
+    pub(crate) fn clear(&mut self) {
         self.heap.clear();
         self.calendar.clear();
-        self.crowded = crowded;
+        self.crowded = false;
         #[cfg(debug_assertions)]
         {
             self.present = 0;
+        }
+    }
+
+    /// Picks the representation of the run whose start events were queued
+    /// since [`EventQueue::clear`]: the calendar when at least
+    /// [`CROWDED_START`] of them share the earliest start cycle, and the
+    /// heap otherwise.
+    pub(crate) fn start(&mut self) {
+        let first = self.heap.peek().map(|top| top.0 >> 64);
+        let crowd = (self.heap.iter())
+            .filter(|key| Some(key.0 >> 64) == first)
+            .count();
+        if crowd >= CROWDED_START {
+            self.crowded = true;
+            for Reverse(key) in self.heap.drain() {
+                self.calendar.push(key);
+            }
         }
     }
 
@@ -334,11 +351,17 @@ mod tests {
 
     /// An empty queue in each representation: the heap, then the calendar.
     fn both() -> [EventQueue; 2] {
-        [false, true].map(|crowded| {
-            let mut q = EventQueue::default();
-            q.clear(crowded);
-            q
+        [false, true].map(|crowded| EventQueue {
+            crowded,
+            ..EventQueue::default()
         })
+    }
+
+    /// Empties `q` and keeps its representation.
+    fn reset(q: &mut EventQueue) {
+        let crowded = q.crowded;
+        q.clear();
+        q.crowded = crowded;
     }
 
     /// Cases per seeded generator; override with `NOC_FUZZ_CASES` (the
@@ -518,7 +541,7 @@ mod tests {
                 for _ in 0..5 {
                     q.pop();
                 }
-                q.clear(q.crowded);
+                reset(&mut q);
                 let mut ops = Vec::new();
                 for p in 0..200u64 {
                     ops.push((false, key(500 + xorshift(&mut rng) % 1_500, p)));
@@ -594,8 +617,7 @@ mod tests {
             for _ in 0..10 {
                 q.pop();
             }
-            // Into the other representation: nothing of the first survives.
-            q.clear(!q.crowded);
+            q.clear();
             assert_eq!(q.len(), 0);
             assert_eq!(q.pop(), None);
             q.push(key(2, 9));
@@ -627,7 +649,7 @@ mod tests {
             run(&mut q);
             let first = q.retained_keys();
             for replay in 2..=40 {
-                q.clear(q.crowded);
+                reset(&mut q);
                 run(&mut q);
                 assert_eq!(q.retained_keys(), first, "run {replay}");
             }
