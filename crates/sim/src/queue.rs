@@ -20,7 +20,7 @@
 //! each of those keys through the whole frontier and takes 1.7–1.9× as
 //! long per evaluation there; a calendar of per-cycle buckets handles a
 //! key in O(1), but handles a lone key per cycle more slowly than the
-//! heap (about 1.6× as long summed over the Table 1 rows; CHANGES.md has
+//! heap (1.5–1.9× as long summed over the Table 1 rows; CHANGES.md has
 //! the measurements). The queue picks the representation of a run from
 //! its start events, in [`EventQueue::start`].
 //!
