@@ -34,8 +34,10 @@
 //! [`RouteProvider::auto`] picks dense while the estimated tables stay
 //! small and implicit beyond — large meshes work out of the box instead
 //! of failing at construction time. The service's provider registry
-//! applies that policy to every job (the fault-aware tier when a job
-//! names faults); no request picks a tier.
+//! applies that policy to every solve job (the fault-aware tier when a
+//! job names faults), and an evaluate job, which makes one run, takes
+//! an uncached implicit provider when the registry holds none; no
+//! request picks a tier.
 
 use crate::crg::{Coord, Link, Mesh};
 use crate::error::ModelError;

@@ -4,19 +4,19 @@
 //! walker's recomputation, so a *bigger* shared cache is the wrong
 //! lever. [`WalkMemo`] is the opposite shape — a small open-addressed
 //! pair→span table **owned by one evaluator** (one `CostEvaluator`),
-//! probed and filled without any lock, shard, guard or atomic. Thread safety is by construction: the
-//! table is private state, a clone duplicates it wholesale, and nothing
-//! is ever shared.
+//! probed and filled without any lock, shard, guard or atomic. Thread
+//! safety is by construction: the table is private state, a clone
+//! duplicates it wholesale, and nothing is ever shared.
 //!
 //! A memo fronts any *buffering* [`RouteSource`] tier (implicit,
 //! fault-aware — sources whose `walk_span` appends the walk to the
-//! caller's buffer). On a hit the resolved walk is served from
-//! the memo's private arena; on a miss the source resolves once into
-//! that arena and the pair is recorded. Either way
-//! [`WalkMemo::resolve_into`] appends the walk to the caller's buffer
-//! (the cost engine's own walk arena), so a search that revisits a pair
-//! — every sibling mapping of a swap move, every offspring of a GA
-//! generation — walks it once.
+//! caller's buffer). The memo owns one walk arena: on a miss the source
+//! appends the walk there once and the pair is recorded, and on a hit the
+//! recorded span is returned. [`WalkMemo::resolve`] hands out spans into
+//! that arena ([`WalkMemo::arena`]), and the cost engine reads its walks
+//! from it in place, so each distinct pair's walk is stored once: a
+//! search that revisits a pair — every sibling mapping of a swap move,
+//! every offspring of a GA generation — walks it once and copies nothing.
 //!
 //! Eviction (a full clear) happens **only** at [`WalkMemo::begin_eval`]
 //! checkpoints, never mid-evaluation, so spans handed out during an
@@ -110,11 +110,11 @@ impl WalkMemo {
     }
 
     /// Resolves the `src → dst` walk through the memo, returning its
-    /// `(start, len)` span in the private arena. `routes` must be a
+    /// `(start, len)` span in [`Self::arena`]. `routes` must be a
     /// buffering source (one whose `walk_span` appends into the caller
     /// buffer); on a miss it is consulted exactly once.
     #[inline]
-    fn resolve<S: RouteSource + ?Sized>(
+    pub fn resolve<S: RouteSource + ?Sized>(
         &mut self,
         routes: &S,
         src: TileId,
@@ -143,23 +143,11 @@ impl WalkMemo {
         span
     }
 
-    /// Resolves the `src → dst` walk through the memo and appends it to
-    /// `buf`, returning the span *in `buf`* — a drop-in for
-    /// `routes.walk_span(src, dst, buf)` for callers that own their
-    /// walk arena (single-mapping cost evaluations).
+    /// The walk arena the spans of [`Self::resolve`] index: what a
+    /// buffering source's `flat` yields for them.
     #[inline]
-    pub fn resolve_into<S: RouteSource + ?Sized>(
-        &mut self,
-        routes: &S,
-        src: TileId,
-        dst: TileId,
-        buf: &mut Vec<u32>,
-    ) -> (u32, u32) {
-        let (start, len) = self.resolve(routes, src, dst);
-        let at = buf.len() as u32;
-        // noc-verify: allow(PANIC01) — the span was produced by resolve over this arena
-        buf.extend_from_slice(&self.arena[start as usize..(start + len) as usize]);
-        (at, len)
+    pub fn arena(&self) -> &[u32] {
+        &self.arena
     }
 
     /// Linear probe: the slot holding `key`, or the empty slot where it
@@ -276,18 +264,17 @@ mod tests {
     }
 
     #[test]
-    fn resolve_into_matches_walk_span() {
+    fn arena_spans_match_walk_span() {
         let mesh = mesh();
         let routes = RouteProvider::implicit(&mesh, RoutingKind::Xy);
         let mut memo = WalkMemo::new();
-        let mut via_memo = Vec::new();
         let mut via_source = Vec::new();
         for (src, dst) in [(0usize, 35usize), (35, 0), (7, 7), (0, 35)] {
             let (s, d) = (TileId::new(src), TileId::new(dst));
-            let (ms, ml) = memo.resolve_into(&routes, s, d, &mut via_memo);
+            let (ms, ml) = memo.resolve(&routes, s, d);
             let (ss, sl) = routes.walk_span(s, d, &mut via_source);
             assert_eq!(
-                &via_memo[ms as usize..(ms + ml) as usize],
+                &memo.arena()[ms as usize..(ms + ml) as usize],
                 &via_source[ss as usize..(ss + sl) as usize]
             );
         }

@@ -206,6 +206,51 @@ mod tests {
     }
 
     #[test]
+    fn an_evaluate_job_that_misses_the_registry_builds_no_dense_table() {
+        // An evaluate job makes one run: on a miss it scores on an
+        // implicit provider of its own and caches nothing. A solve job on
+        // the same mesh still builds the auto tier's dense table and
+        // shares it, and a later evaluate job scores on that. The tier
+        // changes no bit of the reply.
+        let service = MappingService::start(ServiceConfig::new(1));
+        let app = noc_apps::large_mesh_workload(4, 4, 1);
+        let mesh = Mesh::new(4, 4).unwrap();
+        let evaluate = || {
+            let eval = EvaluateRequest {
+                mapping: noc_model::Mapping::identity(&mesh, app.core_count()).unwrap(),
+                app: app.clone(),
+                mesh,
+                tech: noc_energy::Technology::t007(),
+                params: noc_sim::SimParams::new(),
+                routing: noc_model::RoutingKind::Xy,
+                gantt: false,
+            };
+            let job = service.submit(JobRequest::Evaluate(Box::new(eval)), Priority::Normal);
+            match service.wait(job).unwrap() {
+                JobState::Done(JobResult::Evaluate(reply)) => *reply,
+                other => panic!("expected a done evaluate job, got {}", other.name()),
+            }
+        };
+        let cold = evaluate();
+        let stats = service.stats();
+        assert_eq!((stats.registry_hits, stats.registry_misses), (0, 1));
+        assert_eq!(stats.registry_entries, 0, "one run caches no provider");
+
+        let solve = service.submit(sa_job(1), Priority::Normal);
+        let Some(JobState::Done(JobResult::Solve(solved))) = service.wait(solve) else {
+            panic!("the solve job must finish");
+        };
+        assert_eq!(solved.route_tier, "dense");
+        assert!(!solved.registry_hit);
+
+        let warm = evaluate();
+        let stats = service.stats();
+        assert_eq!((stats.registry_hits, stats.registry_misses), (1, 2));
+        assert_eq!(stats.registry_entries, 1);
+        assert_eq!(format!("{cold:?}"), format!("{warm:?}"));
+    }
+
+    #[test]
     fn pending_cancellation_skips_the_job_entirely() {
         // One worker, so the second job is still queued while the first
         // runs; cancelling it must yield Cancelled(None).

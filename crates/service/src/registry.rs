@@ -74,14 +74,9 @@ impl ProviderRegistry {
             faults: faults.clone(),
         };
         let mut providers = self.providers.lock().expect("registry lock poisoned");
-        if let Some(existing) = providers.get(&key) {
-            self.hits.inc(1);
-            return ProviderLease {
-                provider: Arc::clone(existing),
-                hit: true,
-            };
+        if let Some(lease) = self.lookup(&providers, &key) {
+            return lease;
         }
-        self.misses.inc(1);
         let provider = Arc::new(if key.faults.is_empty() {
             RouteProvider::auto(mesh, routing)
         } else {
@@ -92,6 +87,48 @@ impl ProviderRegistry {
             provider,
             hit: false,
         }
+    }
+
+    /// The provider for a job that makes one run (an evaluate job): the
+    /// shared provider of the fault-free `(mesh, routing)` key when one is
+    /// cached, and otherwise an implicit provider for this job alone,
+    /// neither cached nor shared. One run does not repay a dense table: a
+    /// 29×29 mesh's holds 63 MB and takes far longer to build than the
+    /// run. A later solve job on the mesh still gets the auto tier, and
+    /// results do not depend on the tier.
+    pub(crate) fn provider_for_one_run(&self, mesh: &Mesh, routing: RoutingKind) -> ProviderLease {
+        let key = ProviderKey {
+            mesh: *mesh,
+            routing,
+            faults: FaultSet::new(),
+        };
+        let providers = self.providers.lock().expect("registry lock poisoned");
+        if let Some(lease) = self.lookup(&providers, &key) {
+            return lease;
+        }
+        drop(providers);
+        ProviderLease {
+            provider: Arc::new(RouteProvider::implicit(mesh, routing)),
+            hit: false,
+        }
+    }
+
+    /// The cached provider of `key`, counting the lookup as a hit, or
+    /// `None`, counting it as a miss.
+    fn lookup(
+        &self,
+        providers: &HashMap<ProviderKey, Arc<RouteProvider>>,
+        key: &ProviderKey,
+    ) -> Option<ProviderLease> {
+        let Some(existing) = providers.get(key) else {
+            self.misses.inc(1);
+            return None;
+        };
+        self.hits.inc(1);
+        Some(ProviderLease {
+            provider: Arc::clone(existing),
+            hit: true,
+        })
     }
 
     /// Hit/miss counters and cache size.
@@ -161,6 +198,26 @@ mod tests {
             b.provider.router_count(TileId::new(0), TileId::new(1)) > 2,
             "direct hop is dead; must detour"
         );
+    }
+
+    #[test]
+    fn a_one_run_miss_gets_an_uncached_implicit_provider() {
+        // 4x4 takes the dense tier under `auto`; one run takes the
+        // implicit tier and leaves the registry empty, and once a shared
+        // provider exists, one run takes that one.
+        let registry = ProviderRegistry::default();
+        let mesh = Mesh::new(4, 4).unwrap();
+        let once = registry.provider_for_one_run(&mesh, RoutingKind::Xy);
+        assert!(!once.hit);
+        assert_eq!(once.provider.tier(), noc_model::RouteTier::Implicit);
+        assert_eq!(registry.stats().entries, 0);
+        let shared = registry.provider(&mesh, RoutingKind::Xy, &FaultSet::new());
+        assert_eq!(shared.provider.tier(), noc_model::RouteTier::Dense);
+        let again = registry.provider_for_one_run(&mesh, RoutingKind::Xy);
+        assert!(again.hit);
+        assert!(Arc::ptr_eq(&again.provider, &shared.provider));
+        let stats = registry.stats();
+        assert_eq!((stats.hits, stats.misses, stats.entries), (1, 2, 1));
     }
 
     #[test]

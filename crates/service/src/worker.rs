@@ -2,12 +2,15 @@
 //!
 //! Execution is a pure function of the request (plus the shared
 //! provider registry): workers hold no job state of their own beyond a
-//! pooled [`ScheduleScratch`] arena. Every job takes its route provider
-//! from the registry, and both job kinds score their mapping through
-//! `score`: one cost-only run on that arena, which also counts
-//! contention, then the Equation 10 energy terms. That pooling is why a
-//! service processing thousands of small jobs does not allocate
-//! per-link tables thousands of times — the arena's
+//! pooled [`ScheduleScratch`] arena. A solve job takes its route
+//! provider from the registry, building the shared one on a miss. An
+//! evaluate job, which makes one run, takes the shared provider when the
+//! registry has one and an implicit provider of its own otherwise, so it
+//! never builds a dense table for a single run. Both job kinds score
+//! their mapping through `score`: one cost-only run on that arena, which
+//! also counts contention, then the Equation 10 energy terms. That
+//! pooling is why a service processing thousands of small jobs does not
+//! allocate per-link tables thousands of times — the arena's
 //! [`RunStats`](noc_sim::RunStats) counters are the observable evidence
 //! of reuse.
 
@@ -20,7 +23,7 @@ use noc_energy::{
     Technology,
 };
 use noc_mapping::{CancelToken, Explorer, SearchMethod};
-use noc_model::{Cdcg, FaultSet, Mapping, Mesh, RouteProvider, RouteSource};
+use noc_model::{Cdcg, Mapping, Mesh, RouteProvider, RouteSource};
 use noc_sim::gantt::GanttChart;
 use noc_sim::{
     schedule_contention_with, schedule_with, ContentionCount, ScheduleScratch, SimParams,
@@ -216,7 +219,7 @@ fn execute_evaluate(
     }
     req.app.validate().map_err(|e| e.to_string())?;
     let provider = registry
-        .provider(&req.mesh, req.routing, &FaultSet::new())
+        .provider_for_one_run(&req.mesh, req.routing)
         .provider;
     let scored = score(
         &req.app,

@@ -30,7 +30,6 @@ use noc_model::TileId;
 use noc_model::{
     Cdcg, Mapping, Mesh, PacketId, RouteProvider, RouteSource, RoutingKind, WalkMemo, WalkMemoStats,
 };
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 // Each pending event is one `u128` key, and the queue pops keys in
@@ -46,10 +45,20 @@ const DECIDE: u32 = 2;
 const LINK_REQUEST: u32 = 3;
 
 #[inline]
-fn pack(time: u64, packet: usize, variant: u32, hop: u32) -> u128 {
+pub(crate) fn pack(time: u64, packet: usize, variant: u32, hop: u32) -> u128 {
     debug_assert!(packet < PACKET_LIMIT);
     ((time as u128) << 64) | ((packet as u128) << 34) | ((variant as u128) << 32) | hop as u128
 }
+
+/// The packet field of a key, or of the low half of one.
+#[inline]
+pub(crate) fn packet_of(key: u128) -> usize {
+    ((key >> 34) as usize) & (PACKET_LIMIT - 1)
+}
+
+/// No packet: the end of a list of packets, such as a FIFO's parked
+/// packets or a calendar bucket of the event queue.
+pub(crate) const NIL: u32 = u32::MAX;
 
 /// What one run of `run_loop` reports beyond `texec`. Positions count
 /// along the packet's resource walk `[injection, internals..., ejection]`:
@@ -129,26 +138,50 @@ struct LinkSlot {
     free: u64,
 }
 
+/// A router input FIFO. Its fields hold for the run of `epoch` only:
+/// [`ScheduleScratch::fifo`] resets a slot an earlier run left.
 #[derive(Debug, Clone, Default)]
 struct FifoSlot {
     epoch: u64,
-    /// `true` while a packet owns the FIFO head.
-    busy: bool,
     /// When not busy: cycle at which the head was released.
     clear: u64,
-    /// Arrivals parked behind the owner: `(packet, hop, arrival, last)`,
-    /// where `last` tells whether `hop` is the packet's ejection hop.
-    parked: VecDeque<(u32, u32, u64, bool)>,
+    /// First and last of the packets parked behind the owner, in arrival
+    /// order and linked through [`Parked::next`]; `head` is `NIL` when
+    /// none is.
+    head: u32,
+    tail: u32,
+    /// `true` while a packet owns the FIFO head.
+    busy: bool,
+}
+
+/// A packet parked behind the owner of a FIFO head. A packet waits at one
+/// FIFO at a time, so one record per packet serves every FIFO.
+#[derive(Debug, Clone, Copy, Default)]
+struct Parked {
+    /// Cycle its header reached the FIFO.
+    arrival: u64,
+    /// The router whose input FIFO it waits at.
+    hop: u32,
+    /// The packet parked after it at the same FIFO, or `NIL`.
+    next: u32,
+    /// Whether `hop` is its ejection hop.
+    last: bool,
 }
 
 /// Reusable working state of the event loop.
 ///
-/// Buffers grow to the high-water mark of the instances they evaluate and
-/// are reused across calls: after warm-up a cost evaluation allocates
-/// nothing, from `init_run`'s checks to the event queue (a queue test
-/// replays one run 40 times and pins the queue's retained capacity).
-/// A scratch may be reused across different applications, meshes and
-/// mappings; sizing is re-checked on every call.
+/// Every buffer is sized by the instance, not by its traffic: it holds
+/// O(packets + links) bytes, whatever bursts of events a run makes. Each
+/// dense link id has a link slot and a FIFO slot (48 bytes); each packet its
+/// walk span, flits, dependence count, ready time and parking record, and
+/// the event queue at most one key per packet. Only runs over a
+/// buffering route source without a walk memo also keep their walks here
+/// (see `walks`). Buffers are reused across calls: after warm-up a cost
+/// evaluation allocates nothing, from `init_run`'s checks to the event
+/// queue (a queue test replays one run 40 times and pins the queue's
+/// retained bytes). A scratch may be reused across different
+/// applications, meshes and mappings; sizing is re-checked on every call,
+/// and the buffers keep the size of the largest instance.
 #[derive(Debug, Clone, Default)]
 pub struct ScheduleScratch {
     epoch: u64,
@@ -162,13 +195,16 @@ pub struct ScheduleScratch {
     ready: Vec<u64>,
     /// Per packet: flit count.
     flits: Vec<u64>,
-    /// Per packet: span of the resource walk inside the cache's flat
-    /// link-id array (`start`, `len`), resolved once per evaluation.
+    /// Per packet: span of the resource walk (`start`, `len`), resolved
+    /// once per evaluation, inside the flat link-id array of the run: the
+    /// dense tier's shared array, the walk memo's arena, or `walks`.
     spans: Vec<(u32, u32)>,
-    /// Walk arena for route sources without a shared flat array
-    /// (implicit / fault-aware providers): packet walks are appended here
-    /// by `init_run` and `spans` index into it. Stays empty under a
-    /// dense source, whose spans index the cache's own flat array.
+    /// Per packet: where it waits while parked behind a FIFO owner.
+    parked: Vec<Parked>,
+    /// Walk arena of runs over a buffering route source (implicit /
+    /// fault-aware providers) without a walk memo: `init_run` appends the
+    /// packet walks here and `spans` index into it. Stays empty under a
+    /// dense source or a memo, whose spans index their own arrays.
     walks: Vec<u32>,
     queue: crate::queue::EventQueue,
 }
@@ -232,12 +268,13 @@ impl ScheduleScratch {
             self.ready.resize(n_packets, 0);
             self.flits.resize(n_packets, 0);
             self.spans.resize(n_packets, (0, 0));
+            self.parked.resize(n_packets, Parked::default());
         }
         if self.fifo.len() < n_links {
             self.fifo.resize(n_links, FifoSlot::default());
         }
         self.epoch += 1;
-        self.queue.clear();
+        self.queue.clear(n_packets);
     }
 
     #[inline]
@@ -259,8 +296,35 @@ impl ScheduleScratch {
             slot.epoch = self.epoch;
             slot.busy = false;
             slot.clear = 0;
+            slot.head = NIL;
         }
         slot
+    }
+
+    /// Parks packet `p`, whose header reached router `hop` (its ejection
+    /// hop when `last`) at `arrival`, at the tail of the busy FIFO of
+    /// `link`.
+    #[inline]
+    fn park(&mut self, link: u32, p: usize, hop: usize, arrival: u64, last: bool) {
+        let slot = self.fifo(link);
+        debug_assert!(slot.busy, "parked behind a free FIFO head");
+        let before = if slot.head == NIL {
+            slot.head = p as u32;
+            NIL
+        } else {
+            slot.tail
+        };
+        slot.tail = p as u32;
+        // noc-verify: allow(PANIC01) — handled packets are below n_packets, and ensure() sized parked to n_packets
+        self.parked[p] = Parked {
+            arrival,
+            hop: hop as u32,
+            next: NIL,
+            last,
+        };
+        if let Some(before) = self.parked.get_mut(before as usize) {
+            before.next = p as u32;
+        }
     }
 
     /// Accounts one completed run in [`RunStats`].
@@ -271,7 +335,7 @@ impl ScheduleScratch {
 
     /// The per-packet walk spans, the per-packet ready times and the walk
     /// arena that the last [`init_run`] and run left behind. Spans index
-    /// `routes.flat(arena)`.
+    /// `routes.flat(arena)` when the run took no walk memo.
     pub(crate) fn run_state(&self) -> (&[(u32, u32)], &[u64], &[u32]) {
         (&self.spans, &self.ready, &self.walks)
     }
@@ -302,7 +366,14 @@ pub fn schedule_cost_with<S: RouteSource + ?Sized>(
     scratch: &mut ScheduleScratch,
 ) -> Result<u64, SimError> {
     init_run(cdcg, mesh, mapping, params, routes, None, scratch)?;
-    Ok(run_primed(cdcg, params, routes, scratch, &mut NoRecord))
+    Ok(run_primed(
+        cdcg,
+        params,
+        routes,
+        None,
+        scratch,
+        &mut NoRecord,
+    ))
 }
 
 /// [`schedule_cost_with`] that also counts contention: the run's
@@ -328,7 +399,7 @@ pub fn schedule_contention_with<S: RouteSource + ?Sized>(
 ) -> Result<ContentionCount, SimError> {
     init_run(cdcg, mesh, mapping, params, routes, None, scratch)?;
     let mut waits = CountWaits::default();
-    let texec_cycles = run_primed(cdcg, params, routes, scratch, &mut waits);
+    let texec_cycles = run_primed(cdcg, params, routes, None, scratch, &mut waits);
     Ok(ContentionCount {
         texec_cycles,
         events: waits.events,
@@ -337,17 +408,22 @@ pub fn schedule_contention_with<S: RouteSource + ?Sized>(
 }
 
 /// Runs the event loop on a scratch that [`init_run`] has just primed
-/// for `routes`, reports to `rec`, accounts the run in [`RunStats`] and
-/// returns `texec`.
+/// for `routes` and `memo`, reports to `rec`, accounts the run in
+/// [`RunStats`] and returns `texec`.
 pub(crate) fn run_primed<S: RouteSource + ?Sized, R: Recorder>(
     cdcg: &Cdcg,
     params: &SimParams,
     routes: &S,
+    memo: Option<&WalkMemo>,
     scratch: &mut ScheduleScratch,
     rec: &mut R,
 ) -> u64 {
     let walks = std::mem::take(&mut scratch.walks);
-    let (texec, delivered, events_done) = run_loop(cdcg, params, routes.flat(&walks), scratch, rec);
+    let flat = match memo {
+        Some(memo) => memo.arena(),
+        None => routes.flat(&walks),
+    };
+    let (texec, delivered, events_done) = run_loop(cdcg, params, flat, scratch, rec);
     scratch.walks = walks;
     scratch.note_run(events_done);
     debug_assert_eq!(
@@ -361,17 +437,18 @@ pub(crate) fn run_primed<S: RouteSource + ?Sized, R: Recorder>(
 /// Validates the instance, sizes the scratch, resolves spans/flits and
 /// seeds the start events — everything a run does before its event
 /// loop; the event queue picks its representation from the start events
-/// (see `queue`). For buffering route sources the packet walks land in
-/// `scratch.walks` (cleared first); dense sources leave it empty and
-/// span their shared flat array.
+/// (see `queue`). For buffering route sources without a memo the packet
+/// walks land in `scratch.walks` (cleared first); dense sources leave it
+/// empty and span their shared flat array.
 ///
 /// The checks run in this order: core count, `mapping.validate()`,
 /// out-of-mesh tiles, then (per packet) the source's `validate_pair`.
 ///
 /// With a `memo`, pair resolutions go through its lock-free table
-/// ([`WalkMemo::resolve_into`]) instead of the provider's shared cache;
-/// the memo's eviction checkpoint runs here, at the evaluation boundary.
-/// Only valid for buffering sources (the memo replays appended walks).
+/// ([`WalkMemo::resolve`]) and the spans index its arena, which the run
+/// reads in place; the memo's eviction checkpoint runs here, at the
+/// evaluation boundary. Only valid for buffering sources (the memo
+/// stores the walks they append).
 pub(crate) fn init_run<S: RouteSource + ?Sized>(
     cdcg: &Cdcg,
     mesh: &Mesh,
@@ -422,7 +499,7 @@ pub(crate) fn init_run<S: RouteSource + ?Sized>(
         // nonsense schedule over a degenerate walk.
         routes.validate_pair(src, dst)?;
         *span = match memo.as_deref_mut() {
-            Some(m) => m.resolve_into(routes, src, dst, &mut scratch.walks),
+            Some(m) => m.resolve(routes, src, dst),
             None => routes.walk_span(src, dst, &mut scratch.walks),
         };
         *flits = params.flits(p.bits).max(1);
@@ -466,7 +543,7 @@ fn run_loop<R: Recorder>(
     let mut held = None;
     while let Some(key) = scratch.queue.next(held.take()) {
         let time = (key >> 64) as u64;
-        let p = ((key >> 34) as usize) & (PACKET_LIMIT - 1);
+        let p = packet_of(key);
         let variant = (key >> 32) as u32 & 3;
         let hop = key as u32 as usize;
         // noc-verify: allow(PANIC01) — queued packets are below n_packets, and spans is sized by ensure()
@@ -503,9 +580,10 @@ fn run_loop<R: Recorder>(
                     held = Some(owner_event(time, p, hop as u32, last, tr));
                 } else {
                     // noc-verify: allow(PANIC01) — router hops are below k, the walk's last position
-                    let slot = scratch.fifo(path[hop]);
+                    let link = path[hop];
+                    let slot = scratch.fifo(link);
                     if slot.busy {
-                        slot.parked.push_back((p as u32, hop as u32, time, last));
+                        scratch.park(link, p, hop, time, last);
                     } else {
                         let eff = time.max(slot.clear);
                         slot.busy = true;
@@ -618,17 +696,21 @@ fn release_fifo<R: Recorder>(
     }
     let slot = scratch.fifo(link);
     debug_assert!(slot.busy, "owner released a tracked FIFO");
-    if let Some((q, qhop, arrival, last)) = slot.parked.pop_front() {
-        let eff = arrival.max(clear);
-        rec.fifo_wait(q as usize, qhop as usize, arrival, eff);
-        scratch
-            .queue
-            .push(owner_event(eff, q as usize, qhop, last, tr));
-        // `q` now owns the FIFO head; remaining arrivals stay parked.
-    } else {
+    if slot.head == NIL {
         slot.busy = false;
         slot.clear = clear;
+        return;
     }
+    let q = slot.head as usize;
+    // noc-verify: allow(PANIC01) — a listed packet was parked by `park`, which indexed parked with it
+    let parked = scratch.parked[q];
+    scratch.fifo(link).head = parked.next;
+    let eff = parked.arrival.max(clear);
+    rec.fifo_wait(q, parked.hop as usize, parked.arrival, eff);
+    scratch
+        .queue
+        .push(owner_event(eff, q, parked.hop, parked.last, tr));
+    // `q` now owns the FIFO head; remaining arrivals stay parked.
 }
 
 /// A reusable cost-evaluation engine: one application plus a shared route
@@ -728,6 +810,7 @@ impl<'a> CostEvaluator<'a> {
             self.cdcg,
             &self.params,
             routes,
+            self.memo.as_ref(),
             &mut self.scratch,
             &mut NoRecord,
         ))
@@ -899,7 +982,7 @@ mod tests {
                 "{} cores",
                 cdcg.core_count()
             );
-            let texec = run_primed(&cdcg, &params, &routes, &mut scratch, &mut NoRecord);
+            let texec = run_primed(&cdcg, &params, &routes, None, &mut scratch, &mut NoRecord);
             let full = schedule(&cdcg, &mesh, &mapping, &params).unwrap();
             assert_eq!(texec, full.texec_cycles());
         }

@@ -263,7 +263,7 @@ pub fn schedule_with(
     let mut scratch = ScheduleScratch::new();
     init_run(cdcg, mesh, mapping, params, &routes, None, &mut scratch)?;
     let mut rec = Artifacts::new(cdcg, &routes, &scratch);
-    let texec_cycles = run_primed(cdcg, params, &routes, &mut scratch, &mut rec);
+    let texec_cycles = run_primed(cdcg, params, &routes, None, &mut scratch, &mut rec);
 
     // Fill in the ready times, then build the per-resource cost variable
     // lists from the timelines.
