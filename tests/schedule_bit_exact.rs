@@ -11,11 +11,14 @@
 //! (it needs serialized injection and XY/XYZ routing): unserialized
 //! injection, ejection contention, 16-bit flits, `tl = 3`, `tr = 0`, YX
 //! and torus routings (2-wide rings included), 3D stacks, sparse
-//! schedules with stretched computation and zero link delay with zeroed
-//! computation. The values were recorded from the `HashMap`-keyed
-//! scheduler that preceded the single event loop, and the zero-delay rows
-//! from the event loop that pushed every event through its queue; any
-//! divergence means an artifact changed. The counting run
+//! schedules with stretched computation, zero link delay with zeroed
+//! computation, and `tl` of 0, 2 and 3 on two contended instances (tgff-g
+//! and the 8x8x4 stack). The values were recorded from the `HashMap`-keyed
+//! scheduler that preceded the single event loop, the Figure 1 zero-delay
+//! rows from the event loop that pushed every event through its queue,
+//! and the contended rows from the event loop that gave each router entry
+//! an event of its own; any divergence means an artifact changed. The
+//! counting run
 //! (`schedule_contention_with`) over the size-picked route tier
 //! (`RouteProvider::auto`) must match each row's `texec` and contention
 //! counts too, without building the schedule.
@@ -256,6 +259,45 @@ fn cases() -> Vec<Case> {
             params: SimParams::new(),
             routing: &XyRouting,
         });
+    }
+
+    // Non-unit link delays on contended rows: tgff-g and the 8x8x4 stack,
+    // where many packets queue at one input FIFO. At `tl = 0`, with every
+    // computation time zeroed, packets reach a FIFO in the cycle its
+    // link was granted, so same-cycle arrivals tie on the packet order.
+    let tgff_g = suite
+        .iter()
+        .find(|b| b.spec.name == "tgff-g")
+        .expect("tgff-g row");
+    let contended: [(&Cdcg, Mesh, &str, &'static dyn RoutingAlgorithm); 2] = [
+        (&tgff_g.cdcg, tgff_g.mesh, "tgff-g", &XyRouting),
+        (&stack_app, stack, "shift 8x8x4", &XyzRouting),
+    ];
+    for (cdcg, mesh, name, routing) in contended {
+        let mapping = seeded_mapping(&mesh, cdcg.core_count(), 1);
+        let instant = stretched(cdcg, 0);
+        for (zeroed, tr, tl) in [(true, 0, 0), (true, 2, 0), (false, 2, 2), (false, 2, 3)] {
+            for inj in [false, true] {
+                let x0 = if zeroed { " x0" } else { "" };
+                out.push(Case {
+                    label: format!("{name}{x0} tr={tr} tl={tl} inj={inj}"),
+                    cdcg: if zeroed {
+                        instant.clone()
+                    } else {
+                        cdcg.clone()
+                    },
+                    mesh,
+                    mapping: mapping.clone(),
+                    params: SimParams {
+                        routing_cycles: tr,
+                        link_cycles: tl,
+                        injection_serialization: inj,
+                        ..SimParams::new()
+                    },
+                    routing,
+                });
+            }
+        }
     }
     out
 }
@@ -740,6 +782,118 @@ const PINS: &[(&str, u64, usize, u64, u64)] = &[
         8,
         5886057,
         0xd0f9fd6dee98c120,
+    ),
+    (
+        "tgff-g x0 tr=0 tl=0 inj=false",
+        23,
+        782,
+        1533,
+        0xc8bd54cc7858f4df,
+    ),
+    (
+        "tgff-g x0 tr=0 tl=0 inj=true",
+        23,
+        887,
+        1654,
+        0x97aee879094e99de,
+    ),
+    (
+        "tgff-g x0 tr=2 tl=0 inj=false",
+        85,
+        680,
+        2830,
+        0x5a95e87a63d485f9,
+    ),
+    (
+        "tgff-g x0 tr=2 tl=0 inj=true",
+        85,
+        775,
+        3112,
+        0xd4157c5508a3713d,
+    ),
+    (
+        "tgff-g tr=2 tl=2 inj=false",
+        1573912,
+        1052,
+        96655035,
+        0x299a4a50195469a9,
+    ),
+    (
+        "tgff-g tr=2 tl=2 inj=true",
+        1519161,
+        1368,
+        105128191,
+        0x1e55e64dc7cbfb7f,
+    ),
+    (
+        "tgff-g tr=2 tl=3 inj=false",
+        2360332,
+        1047,
+        145330203,
+        0xcd61df36a7e55973,
+    ),
+    (
+        "tgff-g tr=2 tl=3 inj=true",
+        2302518,
+        1270,
+        157908259,
+        0xb59e3665188f282f,
+    ),
+    (
+        "shift 8x8x4 x0 tr=0 tl=0 inj=false",
+        4,
+        287,
+        289,
+        0xbbf65a679141108b,
+    ),
+    (
+        "shift 8x8x4 x0 tr=0 tl=0 inj=true",
+        4,
+        287,
+        289,
+        0xcc864157fe42d916,
+    ),
+    (
+        "shift 8x8x4 x0 tr=2 tl=0 inj=false",
+        32,
+        209,
+        269,
+        0x3602032748037bba,
+    ),
+    (
+        "shift 8x8x4 x0 tr=2 tl=0 inj=true",
+        32,
+        209,
+        269,
+        0x782a27492a982e4d,
+    ),
+    (
+        "shift 8x8x4 tr=2 tl=2 inj=false",
+        2611,
+        332,
+        162256,
+        0xc253a5aefb6b5dad,
+    ),
+    (
+        "shift 8x8x4 tr=2 tl=2 inj=true",
+        2611,
+        332,
+        162256,
+        0x62c73459433680f4,
+    ),
+    (
+        "shift 8x8x4 tr=2 tl=3 inj=false",
+        3899,
+        332,
+        243428,
+        0x6588c5f66ce4f1a3,
+    ),
+    (
+        "shift 8x8x4 tr=2 tl=3 inj=true",
+        3899,
+        332,
+        243428,
+        0x118934bb33c01f20,
     ),
 ];
 
