@@ -213,8 +213,8 @@ pub struct ServiceStats {
     pub registry_entries: u64,
     /// Full cost evaluations served by the pooled worker scratches.
     pub scratch_runs: u64,
-    /// Scheduler events processed by the pooled worker scratches (see
-    /// [`noc_sim::RunStats::events`]).
+    /// Scheduler events processed by the pooled worker scratches: `k + 1`
+    /// per packet crossing `k` routers (see [`noc_sim::RunStats::events`]).
     pub scratch_events: u64,
 }
 

@@ -1,16 +1,17 @@
 //! The timing engine: one event loop for costs and artifacts.
 //!
 //! `run_loop` is the paper's §4 CDCM execution algorithm (the timing
-//! rules are in the [`schedule`](mod@crate::schedule) module), with a
-//! non-final `DECIDE` folded into its `LINK_REQUEST` (see
-//! `owner_event`). A packet's own follow-up event (injection → router
-//! entry → link request or `DECIDE` → next router entry) is held out of
-//! the event queue and handed to its `next`, which handles it at once
-//! when no queued event precedes it (see `queue`; a run whose start
-//! events crowd one cycle runs on the queue's calendar, any other on its
-//! heap). Events are handled in exactly the order a heap of all of them
-//! would pop. Its `Recorder` type parameter decides what a run reports
-//! besides `texec`:
+//! rules are in the [`schedule`](mod@crate::schedule) module), with two
+//! events folded into others: a non-final `DECIDE` into its
+//! `LINK_REQUEST` (see `owner_event`), and each router entry into the
+//! link grant that causes it (see `enter_router`). A packet crossing `k`
+//! routers thus costs `k + 1` events, a chain its handlers hold one at a
+//! time: injection → link request … → `DECIDE`. The held event is handed
+//! to the event queue's `next`, which handles it at once when no queued
+//! event precedes it (see `queue`; a run whose start events crowd one
+//! cycle runs on the queue's calendar, any other on its heap). Events are
+//! handled in exactly the order a heap of all of them would pop. Its
+//! `Recorder` type parameter decides what a run reports besides `texec`:
 //!
 //! * [`schedule_cost_with`] and [`CostEvaluator`] pass the zero-sized
 //!   `NoRecord`; all working state lives in a reusable [`ScheduleScratch`]
@@ -36,13 +37,12 @@ use std::sync::Arc;
 // integer order, which is the lexicographic order of the tuple
 // `(time, packet, variant, hop)`. That order fixes every tie-break of the
 // engine. Layout, most significant first: `time` (64 bits) | `packet`
-// (30 bits) | variant (2 bits: Inject=0 < RouterEntry=1 < Decide=2 <
-// LinkRequest=3) | `hop` (32 bits).
+// (30 bits) | variant (2 bits: Inject=0 < Decide=1 < LinkRequest=2) |
+// `hop` (32 bits).
 const PACKET_LIMIT: usize = 1 << 30;
 const INJECT: u32 = 0;
-const ROUTER_ENTRY: u32 = 1;
-const DECIDE: u32 = 2;
-const LINK_REQUEST: u32 = 3;
+const DECIDE: u32 = 1;
+const LINK_REQUEST: u32 = 2;
 
 #[inline]
 pub(crate) fn pack(time: u64, packet: usize, variant: u32, hop: u32) -> u128 {
@@ -63,8 +63,11 @@ pub(crate) const NIL: u32 = u32::MAX;
 /// What one run of `run_loop` reports beyond `texec`. Positions count
 /// along the packet's resource walk `[injection, internals..., ejection]`:
 /// router `hop` is fed by the link at position `hop`. For one packet the
-/// hooks fire in walk order, and across packets in event order. Every
-/// hook defaults to doing nothing, inlined away.
+/// hooks fire in walk order, and across packets in event order. A hook
+/// may report a cycle ahead of the event that fires it: `router_entry`
+/// fires at the grant of the router's feeding link, and so does
+/// `fifo_wait` unless the packet parks, when it fires at the wake-up.
+/// Every hook defaults to doing nothing, inlined away.
 pub(crate) trait Recorder {
     /// Packet `p` was granted the link at walk position `at`: it asked at
     /// `requested`, got the link at `granted` and holds it `busy` cycles.
@@ -158,7 +161,8 @@ struct FifoSlot {
 /// FIFO at a time, so one record per packet serves every FIFO.
 #[derive(Debug, Clone, Copy, Default)]
 struct Parked {
-    /// Cycle its header reached the FIFO.
+    /// Cycle its header reaches the FIFO. A packet parks at the grant of
+    /// the feeding link, so this may lie ahead of the present.
     arrival: u64,
     /// The router whose input FIFO it waits at.
     hop: u32,
@@ -220,9 +224,10 @@ pub struct RunStats {
     pub runs: u64,
     /// Events handled across those evaluations, whether popped from the
     /// event queue or handled at once as their packet's held follow-up. A
-    /// packet crossing `k` routers takes `2k + 1`: its injection, an
-    /// entry per router, a link request per router but the last, and one
-    /// `DECIDE` at the last router, which requests the ejection link.
+    /// packet crossing `k` routers takes `k + 1`: its injection, a link
+    /// request per router but the last, and one `DECIDE` at the last
+    /// router, which requests the ejection link. Each grant of a link
+    /// also enters the router that link feeds.
     pub events: u64,
 }
 
@@ -301,7 +306,7 @@ impl ScheduleScratch {
         slot
     }
 
-    /// Parks packet `p`, whose header reached router `hop` (its ejection
+    /// Parks packet `p`, whose header reaches router `hop` (its ejection
     /// hop when `last`) at `arrival`, at the tail of the busy FIFO of
     /// `link`.
     #[inline]
@@ -520,13 +525,15 @@ pub(crate) fn init_run<S: RouteSource + ?Sized>(
 /// Returns `(texec, packets delivered, events handled)`;
 /// [`RunStats::events`] says what counts as an event.
 ///
-/// An injection, a router entry that owns its FIFO head and a link
-/// request each end by *holding* their packet's next event instead of
-/// pushing it. The queue's `next` returns the held key at once when no
-/// queued key is smaller, and otherwise queues it and returns the
-/// smallest. Woken parked packets and injected successors are pushed.
-/// Handlers push at or after their own event's cycle, which the queue
-/// requires.
+/// An injection and a link request each grant their packet a link and
+/// take the input FIFO of the router it feeds (`enter_router`). When
+/// the packet owns that FIFO's head, the handler ends by *holding* the
+/// packet's next event instead of pushing it: the next link request, or
+/// the `DECIDE` at the last router. A `DECIDE` holds nothing. The
+/// queue's `next` returns the held key at once when no queued key is
+/// smaller, and otherwise queues it and returns the smallest. Woken
+/// parked packets and injected successors are pushed. Handlers push and
+/// hold at or after their own event's cycle, which the queue requires.
 fn run_loop<R: Recorder>(
     cdcg: &Cdcg,
     params: &SimParams,
@@ -566,31 +573,7 @@ fn run_loop<R: Recorder>(
                 };
                 slot.free = entry + n * tl;
                 rec.link_grant(p, 0, time, entry, n * tl);
-                held = Some(pack(entry + tl, p, ROUTER_ENTRY, 0));
-            }
-            ROUTER_ENTRY => {
-                rec.router_entry(p, hop, time);
-                // The feeding link of router `hop` is `path[hop]`; the
-                // input-port FIFO does not apply to un-serialized
-                // injection links (a core link of unbounded bandwidth
-                // cannot order its arrivals).
-                let applies = hop > 0 || params.injection_serialization;
-                let last = hop + 1 == k;
-                if !applies {
-                    held = Some(owner_event(time, p, hop as u32, last, tr));
-                } else {
-                    // noc-verify: allow(PANIC01) — router hops are below k, the walk's last position
-                    let link = path[hop];
-                    let slot = scratch.fifo(link);
-                    if slot.busy {
-                        scratch.park(link, p, hop, time, last);
-                    } else {
-                        let eff = time.max(slot.clear);
-                        slot.busy = true;
-                        rec.fifo_wait(p, hop, time, eff);
-                        held = Some(owner_event(eff, p, hop as u32, last, tr));
-                    }
-                }
+                held = enter_router(scratch, rec, params, p, path, 0, entry + tl);
             }
             DECIDE => {
                 // Only the ejection hop has a `DECIDE` (see `owner_event`):
@@ -656,13 +639,56 @@ fn run_loop<R: Recorder>(
                     leave + 1,
                     tr,
                 );
-                held = Some(pack(entry + tl, p, ROUTER_ENTRY, hop as u32 + 1));
+                held = enter_router(scratch, rec, params, p, path, hop + 1, entry + tl);
             }
         }
         events_done += 1;
     }
 
     (texec, delivered, events_done)
+}
+
+/// Packet `p`, just granted the link at position `hop` of its walk
+/// `path`, will reach router `hop`'s input FIFO at `arrival`, which may
+/// lie ahead of the present. When the FIFO is free, `p` owns its head
+/// from `max(arrival, clear)` and gets the event to hold; when another
+/// packet owns it, `p` parks behind it and `release_fifo` wakes it. The
+/// FIFO does not apply to un-serialized injection links (a core link of
+/// unbounded bandwidth cannot order its arrivals).
+///
+/// Taking the FIFO at the grant instead of at the arrival changes no
+/// result. The link is granted to one packet at a time, so packets reach
+/// its FIFO in grant order: strictly later for each later grant when
+/// `tl ≥ 1`, and in the cycle of the grant, in packet order, when
+/// `tl = 0`, where no link contends. A FIFO's next owner gets
+/// `max(arrival, clear)` whether it asks at the grant or at the arrival.
+#[inline]
+fn enter_router<R: Recorder>(
+    scratch: &mut ScheduleScratch,
+    rec: &mut R,
+    params: &SimParams,
+    p: usize,
+    path: &[u32],
+    hop: usize,
+    arrival: u64,
+) -> Option<u128> {
+    rec.router_entry(p, hop, arrival);
+    let last = hop + 2 == path.len();
+    let tr = params.routing_cycles;
+    if hop == 0 && !params.injection_serialization {
+        return Some(owner_event(arrival, p, hop as u32, last, tr));
+    }
+    // noc-verify: allow(PANIC01) — a router position: hop < path.len() - 1, the ejection link's position
+    let link = path[hop];
+    let slot = scratch.fifo(link);
+    if slot.busy {
+        scratch.park(link, p, hop, arrival, last);
+        return None;
+    }
+    let eff = arrival.max(slot.clear);
+    slot.busy = true;
+    rec.fifo_wait(p, hop, arrival, eff);
+    Some(owner_event(eff, p, hop as u32, last, tr))
 }
 
 /// The event packet `p` queues once it owns router `hop`'s input FIFO
@@ -705,6 +731,8 @@ fn release_fifo<R: Recorder>(
     // noc-verify: allow(PANIC01) — a listed packet was parked by `park`, which indexed parked with it
     let parked = scratch.parked[q];
     scratch.fifo(link).head = parked.next;
+    // `q` parked at its grant, so with `tl > 1` its header may reach the
+    // FIFO after the clear.
     let eff = parked.arrival.max(clear);
     rec.fifo_wait(q, parked.hop as usize, parked.arrival, eff);
     scratch
@@ -828,7 +856,7 @@ impl<'a> CostEvaluator<'a> {
 mod tests {
     use super::*;
     use crate::schedule::schedule;
-    use noc_model::Mesh;
+    use noc_model::{Link, Mesh};
 
     fn figure1_cdcg() -> Cdcg {
         let mut g = Cdcg::new();
@@ -860,7 +888,7 @@ mod tests {
         let mut all: Vec<((u64, usize, u32, u32), u128)> = Vec::new();
         for time in [0u64, 1, 5, u64::MAX] {
             for packet in [0usize, 1, 42, PACKET_LIMIT - 1] {
-                for variant in [INJECT, ROUTER_ENTRY, DECIDE, LINK_REQUEST] {
+                for variant in [INJECT, DECIDE, LINK_REQUEST] {
                     for hop in [0u32, 3, 7, u32::MAX] {
                         all.push((
                             (time, packet, variant, hop),
@@ -989,9 +1017,10 @@ mod tests {
     }
 
     #[test]
-    fn a_packet_over_k_routers_costs_2k_plus_1_events() {
-        // Injection, k router entries, k - 1 link requests and one
-        // ejection DECIDE: a non-final hop queues no DECIDE of its own.
+    fn a_packet_over_k_routers_costs_k_plus_1_events() {
+        // Injection, k - 1 link requests and one ejection DECIDE: each
+        // link grant also enters the router it feeds, and a non-final hop
+        // queues no DECIDE of its own.
         let cdcg = figure1_cdcg();
         let mesh = Mesh::new(2, 2).unwrap();
         let params = SimParams::paper_example();
@@ -1001,12 +1030,78 @@ mod tests {
             let expected: u64 = full
                 .packets()
                 .iter()
-                .map(|ps| 2 * ps.router_count() as u64 + 1)
+                .map(|ps| ps.router_count() as u64 + 1)
                 .sum();
             let mut eval = CostEvaluator::new(&cdcg, &mesh, &params);
             eval.texec_cycles(&mapping).unwrap();
             assert_eq!(eval.run_stats().events, expected, "tiles {tiles:?}");
         }
+    }
+
+    #[test]
+    fn packets_queue_at_an_input_fifo_in_arrival_order() {
+        // A 1x4 mesh, tiles 0..3 in a row, the paper's timing (tr = 2,
+        // tl = 1, one-bit flits, serialized injection). Core S on tile 0
+        // sends X, Y and Z (4 flits each) to core D on tile 3, all at
+        // cycle 0; core U on tile 1 sends W (10 flits) to core V on tile 2,
+        // which holds link 1→2 until cycle 13.
+        //
+        // * Router 0, fed by S's injection link: X owns the FIFO from
+        //   cycle 1. Y and Z are granted the injection link at cycles 4
+        //   and 8 and park behind X at cycle 0, two at once. X releases
+        //   the FIFO clear at 7: Y waits from 5 to 7. Y releases it clear
+        //   at 13: Z waits from 9 to 13.
+        // * Router 1, fed by link 0→1: X waits for link 1→2 from 6 to 15
+        //   and leaves the FIFO clear at 19. Y, arriving at 10, finds the
+        //   FIFO free but owns it only from 19. Z is granted link 0→1 at
+        //   cycle 15 and joins the list while its header is still on the
+        //   link (it arrives at 16); Y leaves the FIFO clear at 25.
+        let mut g = Cdcg::new();
+        let s = g.add_core("S");
+        let d = g.add_core("D");
+        let u = g.add_core("U");
+        let v = g.add_core("V");
+        let x = g.add_packet(s, d, 0, 4).unwrap();
+        let y = g.add_packet(s, d, 0, 4).unwrap();
+        let z = g.add_packet(s, d, 0, 4).unwrap();
+        g.add_packet(u, v, 0, 10).unwrap();
+        let mesh = Mesh::new(4, 1).unwrap();
+        let mapping = Mapping::from_tiles(&mesh, [0, 3, 1, 2].map(TileId::new)).unwrap();
+        let params = SimParams::paper_example();
+
+        let full = schedule(&g, &mesh, &mapping, &params).unwrap();
+        let des =
+            crate::des::simulate(&g, &mesh, &mapping, &crate::des::DesParams::new(params)).unwrap();
+        let mut eval = CostEvaluator::new(&g, &mesh, &params);
+        assert_eq!(eval.texec_cycles(&mapping).unwrap(), 37);
+        assert_eq!(full.texec_cycles(), 37);
+        assert_eq!(des.texec_cycles, 37);
+        let deliveries: Vec<u64> = full.packets().iter().map(|ps| ps.delivery).collect();
+        assert_eq!(deliveries, [25, 31, 37, 16]);
+        assert_eq!(deliveries, des.deliveries);
+
+        let t = TileId::new;
+        let wait = |packet, link, requested, granted| crate::ContentionEvent {
+            packet,
+            link,
+            requested,
+            granted,
+        };
+        assert_eq!(
+            full.contention_events(),
+            [
+                // Y and Z wait for S's injection link, then at router 0.
+                wait(y, Link::Injection(t(0)), 0, 4),
+                wait(y, Link::Injection(t(0)), 5, 7),
+                wait(z, Link::Injection(t(0)), 0, 8),
+                wait(z, Link::Injection(t(0)), 9, 13),
+                // X waits for W's link 1→2.
+                wait(x, Link::between(t(1), t(2)), 6, 15),
+                // Y and Z wait at router 1.
+                wait(y, Link::between(t(0), t(1)), 10, 19),
+                wait(z, Link::between(t(0), t(1)), 16, 25),
+            ]
+        );
     }
 
     #[test]

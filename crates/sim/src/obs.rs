@@ -56,7 +56,7 @@ pub fn describe_engine_metrics(registry: &MetricsRegistry) {
     );
     registry.describe(
         "noc_schedule_events_total",
-        "Events the cost-only scheduler processed: per packet an injection and an ejection decision, per router crossed an entry, per router but the last a link request.",
+        "Events the cost-only scheduler processed: k + 1 per packet crossing k routers, namely an injection, a link request per router but the last and an ejection decision.",
     );
     registry.describe(
         "noc_walk_memo_hits_total",
