@@ -6,7 +6,7 @@
 //! refuse a second pending key for a packet.
 //!
 //! **A heap for most runs.** Over seeded random mappings the Table 1 rows
-//! keep a median of 6–36 pending keys (105–135 on tgff-g/h/i), about one
+//! keep a median of 6–24 pending keys (79–104 on tgff-g/h/i), about one
 //! per cycle. [`EventQueue`] holds them in a binary min-heap. The engine
 //! hands a packet's own follow-up event to [`EventQueue::next`] instead of
 //! pushing it; `next` returns it at once unless the heap's top is smaller,
@@ -16,13 +16,13 @@
 //!
 //! **A calendar for crowded runs.** A run whose start events crowd one
 //! cycle (at least [`CROWDED_START`] of them) keeps many keys per cycle:
-//! the 64×64 shift starts 4,096 events in one cycle and keeps about 2,500
-//! in 91 cycles, the 8×8×4 stack 256 and about 190 in 7. A heap sifts
-//! each of those keys through the whole frontier and takes 1.7–1.9× as
+//! the 64×64 shift starts 4,096 events in one cycle and keeps about 2,300
+//! in 70 cycles, the 8×8×4 stack 256 and about 200 in 9. A heap sifts
+//! each of those keys through the whole frontier and takes 1.5–1.8× as
 //! long per evaluation there; a calendar of per-cycle buckets handles a
 //! key in O(1), but handles a lone key per cycle more slowly than the
-//! heap (1.5–1.9× as long summed over the Table 1 rows; CHANGES.md has
-//! the measurements). The queue picks the representation of a run from
+//! heap (1.7× as long summed over the Table 1 rows; CHANGES.md has the
+//! measurements). The queue picks the representation of a run from
 //! its start events, in [`EventQueue::start`].
 //!
 //! The calendar bins events into a ring of per-cycle buckets, and a
